@@ -7,159 +7,18 @@ quadrature and momentum-space ODE cross-checks, and minimal-length
 upper bounds fitted to experimental rovibrational data.
 """
 
-from .estimate import (
-    BoundResult,
-    FitResult,
-    NoPositiveGapError,
-    beta_upper_bound,
-    fit_parameters,
-    zpe_theoretical,
-)
-from .momentum import (
-    GridError,
-    HeunParams,
-    HeunParamsIS,
-    HypergeometricParams,
-    MomentumProblem,
-    OdeSolution,
-    QuantizationBreakdownError,
-    RegularizationReport,
-    StiffnessError,
-    fit_slope,
-    heun_params_general,
-    heun_params_inverse_square,
-    heun_residual,
-    hypergeometric_params,
-    indicial_exponents,
-    integrate_branch,
-    ode_rhs_deformed,
-    quantize_swave,
-    regularization_witness,
-)
-from .oracle import (
-    NonIntegrableError,
-    QuadratureResult,
-    QuadratureSpec,
-    ToleranceError,
-    correction_via_expectations,
-    expectation_inverse_power,
-    expectation_potential,
-    expectation_potential_sq,
-)
-from .physmodel import (
-    ANGSTROM_TO_M,
-    HBAR,
-    SI,
-    Deformation,
-    KratzerCouplings,
-    LambdaGuardError,
-    Molecule,
-    Nu,
-    QuantumNumbers,
-    ShapeNumbers,
-    UnitSystem,
-    couplings_from_kratzer,
-    gamma_of,
-    minimal_length,
-    require_lambda_regular,
-    shape_numbers,
-)
-from .spectrum import (
-    EnergyLevel,
-    Term,
-    correction_general,
-    correction_hydrogen_limit,
-    energy_deformed,
-    energy_expansion,
-    energy_unperturbed,
-    matrix_element_closed,
-    term_decomposition,
-)
-from .wavefunctions import (
-    KummerParameterError,
-    NonQuantizedError,
-    RadialState,
-    kummer_polynomial,
-    log_gamma,
-    make_radial_state,
-    momentum_wavefunction_undeformed,
-    radial_wavefunction,
-)
+from .estimate import *  # noqa: F401,F403
+from .momentum import *  # noqa: F401,F403
+from .oracle import *  # noqa: F401,F403
+from .physmodel import *  # noqa: F401,F403
+from .spectrum import *  # noqa: F401,F403
+from .verify import *  # noqa: F401,F403
+from .wavefunctions import *  # noqa: F401,F403
 
 __version__ = "1.0.0"
 
-__all__ = [
-    "__version__",
-    # physmodel
-    "ANGSTROM_TO_M",
-    "HBAR",
-    "SI",
-    "Deformation",
-    "KratzerCouplings",
-    "LambdaGuardError",
-    "Molecule",
-    "Nu",
-    "QuantumNumbers",
-    "ShapeNumbers",
-    "UnitSystem",
-    "couplings_from_kratzer",
-    "gamma_of",
-    "minimal_length",
-    "require_lambda_regular",
-    "shape_numbers",
-    # wavefunctions
-    "KummerParameterError",
-    "NonQuantizedError",
-    "RadialState",
-    "kummer_polynomial",
-    "log_gamma",
-    "make_radial_state",
-    "momentum_wavefunction_undeformed",
-    "radial_wavefunction",
-    # spectrum
-    "EnergyLevel",
-    "Term",
-    "correction_general",
-    "correction_hydrogen_limit",
-    "energy_deformed",
-    "energy_expansion",
-    "energy_unperturbed",
-    "matrix_element_closed",
-    "term_decomposition",
-    # oracle
-    "NonIntegrableError",
-    "QuadratureResult",
-    "QuadratureSpec",
-    "ToleranceError",
-    "correction_via_expectations",
-    "expectation_inverse_power",
-    "expectation_potential",
-    "expectation_potential_sq",
-    # momentum
-    "GridError",
-    "HeunParams",
-    "HeunParamsIS",
-    "HypergeometricParams",
-    "MomentumProblem",
-    "OdeSolution",
-    "QuantizationBreakdownError",
-    "RegularizationReport",
-    "StiffnessError",
-    "fit_slope",
-    "heun_params_general",
-    "heun_params_inverse_square",
-    "heun_residual",
-    "hypergeometric_params",
-    "indicial_exponents",
-    "integrate_branch",
-    "ode_rhs_deformed",
-    "quantize_swave",
-    "regularization_witness",
-    # estimate
-    "BoundResult",
-    "FitResult",
-    "NoPositiveGapError",
-    "beta_upper_bound",
-    "fit_parameters",
-    "zpe_theoretical",
-]
+# importing a submodule binds it on the package, so the star imports above
+# also define these names
+_MODULES = (physmodel, wavefunctions, spectrum, oracle, momentum, estimate, verify)  # noqa: F405
+
+__all__ = ["__version__"] + [name for mod in _MODULES for name in mod.__all__]

@@ -15,11 +15,12 @@ from scipy import optimize
 
 from .physmodel import (
     ANGSTROM_TO_M,
-    SI,
     Deformation,
     Molecule,
     QuantumNumbers,
     couplings_from_kratzer,
+    energy_from_joule,
+    energy_to_joule,
     minimal_length,
 )
 from .spectrum import correction_general, energy_deformed
@@ -72,7 +73,7 @@ def zpe_theoretical(mol: Molecule, beta: float) -> float:
     level energy is referenced to the dissociation limit.
     """
     level = energy_deformed(mol, beta, QuantumNumbers(0, 0))
-    return SI.energy_from_joule(level.e, "cm-1") + mol.de_cm1
+    return energy_from_joule(level.e, "cm-1") + mol.de_cm1
 
 
 def beta_upper_bound(mol: Molecule) -> BoundResult:
@@ -96,7 +97,7 @@ def beta_upper_bound(mol: Molecule) -> BoundResult:
     unit_shift = correction_general(
         couplings_from_kratzer(mol), mol.mu_kg, 1.0, QuantumNumbers(0, 0)
     )
-    beta_max = SI.energy_to_joule(delta_cm1, "cm-1") / unit_shift
+    beta_max = energy_to_joule(delta_cm1, "cm-1") / unit_shift
     x_max = minimal_length(Deformation.specialized(beta_max))
     return BoundResult(
         delta_cm1=delta_cm1,
@@ -119,9 +120,12 @@ def _canonical_levels(levels):
             )
         if int(n) != n or int(l) != l or n < 0 or l < 0:
             raise ValueError(f"level {idx}: n and l must be nonnegative integers")
-        if not float(weight) > 0.0:
-            raise ValueError(f"level {idx}: weight must be positive")
-        rows.append((int(n), int(l), float(e_obs), float(weight)))
+        e_obs, weight = float(e_obs), float(weight)
+        if not math.isfinite(e_obs):
+            raise ValueError(f"level {idx}: E_cm1 must be finite")
+        if not (math.isfinite(weight) and weight > 0.0):
+            raise ValueError(f"level {idx}: weight must be positive and finite")
+        rows.append((int(n), int(l), e_obs, weight))
     if len(rows) < 4:
         raise ValueError("need at least 4 levels to fit 3 parameters")
     rows.sort(key=lambda r: (r[0], r[1]))
@@ -186,7 +190,7 @@ def fit_parameters(
         try:
             for n, l, e_obs, weight in rows:
                 level = energy_deformed(mol, beta, QuantumNumbers(n, l))
-                resid = SI.energy_from_joule(level.e, "cm-1") - e_obs
+                resid = energy_from_joule(level.e, "cm-1") - e_obs
                 rss += weight * resid * resid
         except ValueError:
             return math.inf  # lambda guard or non-perturbative corner

@@ -103,8 +103,18 @@ class MomentumProblem:
         )
 
 
-def _coefficients(prob: MomentumProblem, p):
-    """A, B, C of A phi'' + B phi' + C phi = 0 (works on scalars or arrays)."""
+def ode_rhs_deformed(
+    prob: MomentumProblem, p: float, phi: complex, dphi: complex
+) -> complex:
+    """phi'' solved from the deformed equation for phi = p psi.
+
+    At beta = 0 the coefficients reduce to the undeformed ones,
+    (p^2 + k^2) phi'' + (4 p + 2 i sigma2) phi' + (2 - sigma1) phi = 0,
+    with no special-casing.  p = 0 is a singular point of the
+    coefficients: start integrations at p > 0.
+    """
+    if p <= 0.0:
+        raise ValueError("p must be positive; p = 0 is a singular point")
     beta = prob.beta
     k2 = prob.k * prob.k
     p2 = p * p
@@ -121,22 +131,6 @@ def _coefficients(prob: MomentumProblem, p):
         - 4.0j * beta * prob.sigma2 * p
         - prob.sigma1
     )
-    return a, b, c
-
-
-def ode_rhs_deformed(
-    prob: MomentumProblem, p: float, phi: complex, dphi: complex
-) -> complex:
-    """phi'' solved from the deformed equation for phi = p psi.
-
-    At beta = 0 the coefficients reduce to the undeformed ones,
-    (p^2 + k^2) phi'' + (4 p + 2 i sigma2) phi' + (2 - sigma1) phi = 0,
-    with no special-casing.  p = 0 is a singular point of the
-    coefficients: start integrations at p > 0.
-    """
-    if p <= 0.0:
-        raise ValueError("p must be positive; p = 0 is a singular point")
-    a, b, c = _coefficients(prob, p)
     return -(b * dphi + c * phi) / a
 
 
@@ -269,8 +263,7 @@ def integrate_branch(
         dphi0 = dphi_raw / norm
 
     def rhs(p: float, y: np.ndarray) -> list[complex]:
-        a, b, c = _coefficients(prob, p)
-        return [y[1], -(b * y[1] + c * y[0]) / a]
+        return [y[1], ode_rhs_deformed(prob, p, y[0], y[1])]
 
     n_points = int(math.ceil(points_per_decade * decades)) + 1
     grid = np.geomspace(p_min, p_max, n_points)

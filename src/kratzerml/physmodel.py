@@ -9,6 +9,32 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 
+__all__ = [
+    "PLANCK_H",
+    "SPEED_OF_LIGHT",
+    "HBAR",
+    "AMU_TO_KG",
+    "EV_TO_JOULE",
+    "WAVENUMBER_TO_JOULE",
+    "ANGSTROM_TO_M",
+    "LAMBDA_GUARD_TOL",
+    "ENERGY_UNITS",
+    "LambdaGuardError",
+    "require_lambda_regular",
+    "energy_to_joule",
+    "energy_from_joule",
+    "Molecule",
+    "QuantumNumbers",
+    "KratzerCouplings",
+    "Nu",
+    "ShapeNumbers",
+    "Deformation",
+    "gamma_of",
+    "couplings_from_kratzer",
+    "shape_numbers",
+    "minimal_length",
+]
+
 # CODATA-2018 fixed constants of the build (read-only module attributes).
 PLANCK_H = 6.62607015e-34        # J s, exact
 SPEED_OF_LIGHT = 299792458.0     # m / s, exact
@@ -54,52 +80,27 @@ def require_lambda_regular(lam: float, minimum: float) -> None:
             raise LambdaGuardError(lam, pivot)
 
 
-@dataclass(frozen=True)
-class UnitSystem:
-    """Conversion factors into the internal SI representation."""
+#: size of each energy unit accepted at I/O boundaries, in J
+_JOULES_PER_UNIT = {"cm-1": WAVENUMBER_TO_JOULE, "eV": EV_TO_JOULE, "J": 1.0}
+ENERGY_UNITS = tuple(_JOULES_PER_UNIT)
 
-    hbar: float = field(default=HBAR, metadata={"unit": "J s"})
-    amu_to_kg: float = field(default=AMU_TO_KG, metadata={"unit": "kg"})
-    wavenumber_to_joule: float = field(
-        default=WAVENUMBER_TO_JOULE, metadata={"unit": "J per cm^-1"}
-    )
-    angstrom_to_m: float = field(default=ANGSTROM_TO_M, metadata={"unit": "m"})
-    ev_to_joule: float = field(default=EV_TO_JOULE, metadata={"unit": "J"})
 
-    def __post_init__(self) -> None:
-        for name in (
-            "hbar",
-            "amu_to_kg",
-            "wavenumber_to_joule",
-            "angstrom_to_m",
-            "ev_to_joule",
-        ):
-            value = getattr(self, name)
-            if not (math.isfinite(value) and value > 0.0):
-                raise ValueError(f"{name} must be a positive finite number")
-
-    #: energy units accepted at I/O boundaries
-    ENERGY_UNITS = ("cm-1", "eV", "J")
-
-    def _energy_factor(self, unit: str) -> float:
-        if unit == "cm-1":
-            return self.wavenumber_to_joule
-        if unit == "eV":
-            return self.ev_to_joule
-        if unit == "J":
-            return 1.0
+def _joules_per(unit: str) -> float:
+    try:
+        return _JOULES_PER_UNIT[unit]
+    except KeyError:
         raise ValueError(f"unknown energy unit {unit!r}; expected one of "
-                         f"{', '.join(self.ENERGY_UNITS)}")
-
-    def energy_to_joule(self, value: float, unit: str) -> float:
-        return value * self._energy_factor(unit)
-
-    def energy_from_joule(self, value: float, unit: str) -> float:
-        return value / self._energy_factor(unit)
+                         f"{', '.join(ENERGY_UNITS)}") from None
 
 
-#: the fixed unit system used throughout the package
-SI = UnitSystem()
+def energy_to_joule(value: float, unit: str) -> float:
+    """value, given in one of ENERGY_UNITS, expressed in J."""
+    return value * _joules_per(unit)
+
+
+def energy_from_joule(value: float, unit: str) -> float:
+    """value in J expressed in one of ENERGY_UNITS."""
+    return value / _joules_per(unit)
 
 
 @dataclass(frozen=True)
@@ -148,11 +149,6 @@ class Molecule:
     @property
     def mu_kg(self) -> float:
         return self.mu_amu * AMU_TO_KG
-
-    @property
-    def omega(self) -> float:
-        """Classical small-vibration angular frequency, 2 De / (hbar gamma)."""
-        return 2.0 * self.de_joule / (HBAR * gamma_of(self))
 
 
 @dataclass(frozen=True)

@@ -1,4 +1,4 @@
-"""Command-line interface: file formats, reports, and the verify suite.
+"""Command-line interface: argument parsing, file formats, report formatting.
 
 Four subcommands over the library: spectrum (level tables), bound
 (minimal-length upper bound from a zero-point gap), verify (the
@@ -15,51 +15,28 @@ import argparse
 import json
 import math
 import sys
-from dataclasses import dataclass
 from pathlib import Path
 
-import numpy as np
-from scipy.integrate import quad
-
+from . import verify
 from .estimate import (
     NoPositiveGapError,
     beta_upper_bound,
     fit_parameters,
     zpe_theoretical,
 )
-from .momentum import (
-    MomentumProblem,
-    fit_slope,
-    heun_params_general,
-    heun_params_inverse_square,
-    integrate_branch,
-    quantize_swave,
-)
-from .oracle import (
-    correction_via_expectations,
-    expectation_inverse_power,
-)
 from .physmodel import (
     ANGSTROM_TO_M,
-    SI,
+    ENERGY_UNITS,
     Deformation,
     LambdaGuardError,
     Molecule,
     QuantumNumbers,
-    couplings_from_kratzer,
+    energy_from_joule,
     gamma_of,
     minimal_length,
     shape_numbers,
 )
-from .spectrum import (
-    correction_general,
-    energy_deformed,
-    energy_expansion,
-    energy_unperturbed,
-    matrix_element_closed,
-    term_decomposition,
-)
-from .wavefunctions import make_radial_state, radial_wavefunction
+from .spectrum import energy_deformed, energy_expansion, term_decomposition
 
 __all__ = [
     "SCHEMA",
@@ -231,6 +208,8 @@ def parse_levels_file(path: Path) -> list[tuple[int, int, float, float]]:
             raise FileFormatError(
                 f"{path.name}:{lineno}: n and l must be nonnegative"
             )
+        if not (math.isfinite(e_cm1) and math.isfinite(weight)):
+            raise FileFormatError(f"{path.name}:{lineno}: values must be finite")
         if weight <= 0.0:
             raise FileFormatError(f"{path.name}:{lineno}: weight must be positive")
         if (n, l) in seen:
@@ -248,12 +227,16 @@ def parse_levels_file(path: Path) -> list[tuple[int, int, float, float]]:
 # -------------------------------------------------------------- reports
 
 
+def _positive_finite(value: float) -> bool:
+    return math.isfinite(value) and value > 0.0
+
+
 def _tagged(value: float, unit: str) -> dict:
     return {"value": float(value), "unit": unit}
 
 
 def _energy(joule: float, units: str) -> dict:
-    return _tagged(SI.energy_from_joule(joule, units), units)
+    return _tagged(energy_from_joule(joule, units), units)
 
 
 def _molecule_doc(mol: Molecule) -> dict:
@@ -284,12 +267,12 @@ def _emit(doc: dict, human: list[str], args) -> None:
 
 def _beta_from_args(args) -> float:
     if getattr(args, "min_length", None) is not None:
-        if args.min_length < 0.0:
-            raise UsageError("--min-length must be nonnegative")
+        if not (math.isfinite(args.min_length) and args.min_length >= 0.0):
+            raise UsageError("--min-length must be a nonnegative finite number")
         return Deformation.from_min_length(args.min_length * ANGSTROM_TO_M).beta
     if getattr(args, "beta", None) is not None:
-        if args.beta < 0.0:
-            raise UsageError("--beta must be nonnegative")
+        if not (math.isfinite(args.beta) and args.beta >= 0.0):
+            raise UsageError("--beta must be a nonnegative finite number")
         return args.beta
     return 0.0
 
@@ -425,350 +408,17 @@ def cmd_bound(args) -> int:
 # --------------------------------------------------------------- verify
 
 
-@dataclass(frozen=True)
-class CheckResult:
-    name: str
-    worst: float
-    tolerance: float
-    comparisons: int
-    detail: str
-
-    @property
-    def passed(self) -> bool:
-        return self.worst <= self.tolerance
-
-
-def _synthetic_molecule(gamma: float) -> Molecule:
-    # re = 1 angstrom, mu = 1 amu; De chosen to land on the target gamma
-    re_m = 1.0 * ANGSTROM_TO_M
-    mu_kg = SI.amu_to_kg
-    de_j = (gamma * SI.hbar / re_m) ** 2 / (2.0 * mu_kg)
-    return Molecule(
-        name=f"gamma={gamma:g}",
-        de_cm1=SI.energy_from_joule(de_j, "cm-1"),
-        re_angstrom=1.0,
-        mu_amu=1.0,
-    )
-
-
-def _rel_dev(a: float, b: float) -> float:
-    scale = max(abs(a), abs(b))
-    return abs(a - b) / scale if scale > 0.0 else 0.0
-
-
-def _verify_grid(preset: str):
-    if preset == "paper":
-        gammas = (2.0, 5.0, 10.0, 35.755)
-        ns = range(6)
-        ls = range(6)
-    else:
-        gammas = (2.0, 35.755)
-        ns = (0, 2)
-        ls = (0, 3)
-    return gammas, ns, ls
-
-
-def _check_oracle_moments(preset: str, tol: float) -> CheckResult:
-    gammas, ns, ls = _verify_grid(preset)
-    worst = 0.0
-    count = 0
-    for gamma in gammas:
-        mol = _synthetic_molecule(gamma)
-        scale = gamma * gamma / mol.re_m  # mu g2 / hbar^2
-        for l in ls:
-            for n in ns:
-                qn = QuantumNumbers(n, l)
-                shape = shape_numbers(gamma, qn)
-                state = make_radial_state(gamma, qn, mol.re_m)
-                for p in (1, 2, 3, 4):
-                    closed = matrix_element_closed(p, qn, shape, scale)
-                    numeric = expectation_inverse_power(p, state).value
-                    worst = max(worst, _rel_dev(closed, numeric))
-                    count += 1
-    return CheckResult(
-        name="oracle-moments",
-        worst=worst,
-        tolerance=tol,
-        comparisons=count,
-        detail="closed-form <1/r^p> vs adaptive quadrature, p = 1..4",
-    )
-
-
-def _check_oracle_correction(preset: str, tol: float) -> CheckResult:
-    gammas, ns, ls = _verify_grid(preset)
-    beta = 1e-46
-    worst = 0.0
-    count = 0
-    for gamma in gammas:
-        mol = _synthetic_molecule(gamma)
-        c = couplings_from_kratzer(mol)
-        for l in ls:
-            for n in ns:
-                qn = QuantumNumbers(n, l)
-                state = make_radial_state(gamma, qn, mol.re_m)
-                closed = correction_general(c, mol.mu_kg, beta, qn)
-                numeric = correction_via_expectations(
-                    state, c, mol.mu_kg, beta
-                ).value
-                worst = max(worst, _rel_dev(closed, numeric))
-                count += 1
-    return CheckResult(
-        name="oracle-correction",
-        worst=worst,
-        tolerance=tol,
-        comparisons=count,
-        detail="closed-form shift vs expectation-value assembly",
-    )
-
-
-def _check_dual_formula(preset: str, tol: float) -> CheckResult:
-    rng = np.random.default_rng(20260814)
-    draws = 1000 if preset == "paper" else 100
-    worst = 0.0
-    for _ in range(draws):
-        gamma = math.exp(rng.uniform(math.log(2.0), math.log(40.0)))
-        re_angstrom = rng.uniform(0.5, 2.0)
-        mu_amu = math.exp(rng.uniform(math.log(0.2), math.log(20.0)))
-        n = int(rng.integers(0, 9))
-        l = int(rng.integers(0, 9))
-        de_j = (gamma * SI.hbar / (re_angstrom * ANGSTROM_TO_M)) ** 2 / (
-            2.0 * mu_amu * SI.amu_to_kg
-        )
-        mol = Molecule(
-            name="draw",
-            de_cm1=SI.energy_from_joule(de_j, "cm-1"),
-            re_angstrom=re_angstrom,
-            mu_amu=mu_amu,
-        )
-        qn = QuantumNumbers(n, l)
-        c = couplings_from_kratzer(mol)
-        shift_unit = correction_general(c, mol.mu_kg, 1.0, qn)
-        e0 = energy_unperturbed(mol, qn)
-        frac = 10.0 ** rng.uniform(-8.0, -2.0)
-        beta = frac * abs(e0) / shift_unit
-        via_kratzer = energy_deformed(mol, beta, qn).de
-        via_couplings = correction_general(c, mol.mu_kg, beta, qn)
-        worst = max(worst, _rel_dev(via_kratzer, via_couplings))
-    return CheckResult(
-        name="dual-formula",
-        worst=worst,
-        tolerance=tol,
-        comparisons=draws,
-        detail="(De, re) form vs coupling form of the shift",
-    )
-
-
-def _check_quantization(preset: str, tol: float) -> CheckResult:
-    gammas = (2.0, 5.0, 35.755) if preset == "paper" else (2.0, 35.755)
-    n_max = 10 if preset == "paper" else 5
-    worst = 0.0
-    count = 0
-    for gamma in gammas:
-        mol = _synthetic_molecule(gamma)
-        c = couplings_from_kratzer(mol)
-        prob = MomentumProblem(
-            sigma1=c.sigma1(mol.mu_kg), sigma2=c.sigma2(mol.mu_kg), k=1.0
-        )
-        energies = quantize_swave(prob, n_max, mol.mu_kg)
-        for n, e_pole in enumerate(energies):
-            e_closed = energy_unperturbed(mol, QuantumNumbers(n, 0))
-            worst = max(worst, _rel_dev(e_pole, e_closed))
-            count += 1
-    return CheckResult(
-        name="quantization",
-        worst=worst,
-        tolerance=tol,
-        comparisons=count,
-        detail="s-wave pole energies vs closed-form levels",
-    )
-
-
-def _slope_targets_deformed() -> tuple[float, float]:
-    return (-10.0 / 3.0, -2.0)
-
-
-def _check_exponents_deformed(preset: str, tol: float) -> CheckResult:
-    sigmas = (
-        (-2.0, -1.0, -0.26, 0.0, 2.0, 10.0)
-        if preset == "paper"
-        else (-1.0, 0.0, 2.0)
-    )
-    fast_target, slow_target = _slope_targets_deformed()
-    worst = 0.0
-    count = 0
-    for sigma1 in sigmas:
-        prob = MomentumProblem(sigma1=sigma1, sigma2=0.4, k=1.0, beta=1.0)
-        for branch, target in (
-            ("fast-decay", fast_target),
-            ("slow-decay", slow_target),
-        ):
-            slope = fit_slope(integrate_branch(prob, branch, (1.0, 2.0e3)))
-            worst = max(worst, abs(slope - target))
-            count += 1
-    return CheckResult(
-        name="exponents-deformed",
-        worst=worst,
-        tolerance=tol,
-        comparisons=count,
-        detail="fitted |psi| slopes vs {-10/3, -2}, sigma1-independent",
-    )
-
-
-def _check_exponents_undeformed(preset: str, tol: float) -> CheckResult:
-    # the slow branch amplifies initial-condition error by (p_max/p)^(2 nu)
-    # going inward, so its slope fit is only meaningful for moderate nu;
-    # the inward-stable fast branch has no such restriction
-    if preset == "paper":
-        cases = {"fast-decay": (0.0, 0.75, 2.0, 6.0),
-                 "slow-decay": (0.0, 0.75, 2.0)}
-    else:
-        cases = {"fast-decay": (0.0, 2.0), "slow-decay": (0.0, 2.0)}
-    worst = 0.0
-    count = 0
-    for branch, sigmas in cases.items():
-        for sigma1 in sigmas:
-            nu = math.sqrt(0.25 + sigma1)
-            target = -2.5 - nu if branch == "fast-decay" else -2.5 + nu
-            prob = MomentumProblem(sigma1=sigma1, sigma2=0.4, k=1.0, beta=0.0)
-            slope = fit_slope(integrate_branch(prob, branch, (0.5, 2.0e3)))
-            worst = max(worst, abs(slope - target))
-            count += 1
-    return CheckResult(
-        name="exponents-undeformed",
-        worst=worst,
-        tolerance=tol,
-        comparisons=count,
-        detail="fitted |psi| slopes vs -5/2 -+ nu",
-    )
-
-
-def _check_fuchsian(preset: str, tol: float) -> CheckResult:
-    rng = np.random.default_rng(19081887)
-    draws = 1000 if preset == "paper" else 100
-    worst = 0.0
-    for _ in range(draws):
-        sigma1 = rng.uniform(-5.0, 15.0)
-        sigma2 = rng.uniform(0.0, 5.0)
-        k = math.exp(rng.uniform(math.log(1e-2), math.log(1e2)))
-        crowding = 10.0 ** rng.uniform(-6.0, math.log10(0.5))
-        beta = crowding / (6.0 * k * k)
-        prob = MomentumProblem(sigma1=sigma1, sigma2=sigma2, k=k, beta=beta)
-        for variant in ("as-printed", "dimensional"):
-            worst = max(
-                worst, heun_params_general(prob, variant).fuchsian_residual()
-            )
-        params_is = heun_params_inverse_square(
-            sigma1, 1.0, -0.5 * k * k, beta
-        )
-        worst = max(worst, params_is.fuchsian_residual())
-    return CheckResult(
-        name="fuchsian",
-        worst=worst,
-        tolerance=tol,
-        comparisons=draws,
-        detail="sum rules of both Heun-type parameterizations",
-    )
-
-
-def _radial_overlap(gamma: float, re_m: float, qn_a, qn_b) -> float:
-    state_a = make_radial_state(gamma, qn_a, re_m)
-    state_b = make_radial_state(gamma, qn_b, re_m)
-
-    def integrand(u: float) -> float:
-        if u <= 0.0 or u >= 1.0:
-            return 0.0
-        r = re_m * u / (1.0 - u)
-        return (
-            radial_wavefunction(state_a, r)
-            * radial_wavefunction(state_b, r)
-            * r
-            * r
-            * re_m
-            / (1.0 - u) ** 2
-        )
-
-    return quad(
-        integrand, 0.0, 1.0, epsabs=1e-300, epsrel=1e-10, limit=200,
-        points=[0.5], full_output=1,
-    )[0]
-
-
-def _check_normalization(preset: str, tol: float) -> CheckResult:
-    gammas = (2.0, 5.0, 35.755) if preset == "paper" else (2.0, 35.755)
-    n_max = 6 if preset == "paper" else 3
-    worst = 0.0
-    count = 0
-    for gamma in gammas:
-        for l in (0, 3):
-            for n in range(n_max + 1):
-                qn = QuantumNumbers(n, l)
-                state = make_radial_state(gamma, qn, ANGSTROM_TO_M)
-                norm = expectation_inverse_power(0, state).value
-                worst = max(worst, abs(norm - 1.0))
-                count += 1
-    return CheckResult(
-        name="normalization",
-        worst=worst,
-        tolerance=tol,
-        comparisons=count,
-        detail="|integral of R^2 r^2 dr - 1|",
-    )
-
-
-def _check_orthogonality(preset: str, tol: float) -> CheckResult:
-    gammas = (2.0, 5.0, 35.755) if preset == "paper" else (2.0, 35.755)
-    n_max = 4 if preset == "paper" else 2
-    worst = 0.0
-    count = 0
-    for gamma in gammas:
-        for l in (0, 2):
-            for n_a in range(n_max + 1):
-                for n_b in range(n_a + 1, n_max + 1):
-                    overlap = _radial_overlap(
-                        gamma,
-                        ANGSTROM_TO_M,
-                        QuantumNumbers(n_a, l),
-                        QuantumNumbers(n_b, l),
-                    )
-                    worst = max(worst, abs(overlap))
-                    count += 1
-    return CheckResult(
-        name="orthogonality",
-        worst=worst,
-        tolerance=tol,
-        comparisons=count,
-        detail="off-diagonal radial overlaps at fixed l, gamma",
-    )
-
-
-_CHECKS = (
-    (_check_oracle_moments, 1e-8),
-    (_check_oracle_correction, 1e-8),
-    (_check_dual_formula, 1e-12),
-    (_check_quantization, 1e-12),
-    (_check_exponents_deformed, 0.02),
-    (_check_exponents_undeformed, 0.02),
-    (_check_fuchsian, 1e-12),
-    (_check_normalization, 1e-8),
-    (_check_orthogonality, 1e-7),
-)
-
-
 def cmd_verify(args) -> int:
     preset = args.grid_preset
-    if args.tol is not None and args.tol <= 0.0:
-        raise UsageError("--tol must be positive")
-    results = []
-    for runner, default_tol in _CHECKS:
-        tol = args.tol if args.tol is not None else default_tol
-        results.append(runner(preset, tol))
-    all_passed = all(res.passed for res in results)
-    worst_offender = None
-    if not all_passed:
-        offenders = [res for res in results if not res.passed]
-        worst_offender = max(
-            offenders, key=lambda res: res.worst / res.tolerance
-        ).name
+    if args.tol is not None and not _positive_finite(args.tol):
+        raise UsageError("--tol must be a positive finite number")
+    results = verify.run_checks(preset, args.tol)
+    offenders = [res for res in results if not res.passed]
+    all_passed = not offenders
+    worst_offender = (
+        max(offenders, key=lambda res: res.worst / res.tolerance).name
+        if offenders else None
+    )
     doc = {
         "schema": SCHEMA,
         "command": "verify",
@@ -813,8 +463,8 @@ def cmd_fit(args) -> int:
         raise UsageError(
             f"{len(rows)} levels cannot determine 3 parameters; need >= 4"
         )
-    if args.mu <= 0.0:
-        raise UsageError("--mu must be positive")
+    if not _positive_finite(args.mu):
+        raise UsageError("--mu must be a positive finite number")
     pieces = args.init.split(",")
     if len(pieces) != 3:
         raise UsageError("--init must be De_cm1,re_angstrom,beta")
@@ -822,8 +472,9 @@ def cmd_fit(args) -> int:
         init = (float(pieces[0]), float(pieces[1]), float(pieces[2]))
     except ValueError:
         raise UsageError(f"--init values must be numbers, got {args.init!r}") from None
-    if init[0] <= 0.0 or init[1] <= 0.0 or init[2] < 0.0:
-        raise UsageError("--init needs De > 0, re > 0, beta >= 0")
+    if (not all(math.isfinite(v) for v in init)
+            or init[0] <= 0.0 or init[1] <= 0.0 or init[2] < 0.0):
+        raise UsageError("--init needs finite De > 0, re > 0, beta >= 0")
     result = fit_parameters(rows, args.mu, init)
     fitted = Molecule(
         name="fit",
@@ -833,7 +484,7 @@ def cmd_fit(args) -> int:
     )
     residuals = []
     for n, l, e_obs, weight in sorted(rows, key=lambda r: (r[0], r[1])):
-        e_fit = SI.energy_from_joule(
+        e_fit = energy_from_joule(
             energy_deformed(fitted, result.beta, QuantumNumbers(n, l)).e, "cm-1"
         )
         residuals.append(
@@ -930,7 +581,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sp.add_argument("--nmax", type=int, default=3, help="max vibrational n")
     sp.add_argument("--lmax", type=int, default=2, help="max rotational l")
-    sp.add_argument("--units", choices=SI.ENERGY_UNITS, default="cm-1")
+    sp.add_argument("--units", choices=ENERGY_UNITS, default="cm-1")
     sp.add_argument(
         "--expansion",
         action="store_true",
@@ -952,7 +603,7 @@ def build_parser() -> argparse.ArgumentParser:
     vf = sub.add_parser("verify", help="run the self-check suites")
     vf.add_argument(
         "--grid-preset",
-        choices=("small", "paper"),
+        choices=verify.PRESETS,
         default="small",
         help="comparison grid size",
     )

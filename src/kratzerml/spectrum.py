@@ -16,7 +16,6 @@ from .physmodel import (
     Molecule,
     QuantumNumbers,
     ShapeNumbers,
-    couplings_from_kratzer,
     gamma_of,
     require_lambda_regular,
     shape_numbers,

@@ -1,0 +1,311 @@
+"""The self-check suite: closed forms against independent oracles.
+
+One table of nine checks.  Each plays a closed form against a route
+that shares no code with it (quadrature, the s-wave pole condition,
+momentum-space ODE integration, Fuchsian sum rules) over a fixed grid
+chosen by the preset, and reports the worst deviation it saw.
+"""
+
+from __future__ import annotations
+
+import math
+from dataclasses import dataclass
+from itertools import combinations
+from typing import Callable
+
+import numpy as np
+
+from .momentum import (
+    BRANCHES,
+    VARIANTS,
+    MomentumProblem,
+    fit_slope,
+    heun_params_general,
+    heun_params_inverse_square,
+    integrate_branch,
+    quantize_swave,
+)
+from .oracle import (
+    correction_via_expectations,
+    expectation_inverse_power,
+    radial_overlap,
+)
+from .physmodel import (
+    AMU_TO_KG,
+    ANGSTROM_TO_M,
+    HBAR,
+    Molecule,
+    QuantumNumbers,
+    couplings_from_kratzer,
+    energy_from_joule,
+    shape_numbers,
+)
+from .spectrum import (
+    correction_general,
+    energy_deformed,
+    energy_unperturbed,
+    matrix_element_closed,
+)
+from .wavefunctions import make_radial_state
+
+__all__ = ["PRESETS", "CheckResult", "Check", "CHECKS", "run_checks"]
+
+PRESETS = ("small", "paper")
+
+
+@dataclass(frozen=True)
+class CheckResult:
+    """Worst deviation of one check over its grid, against its tolerance."""
+
+    name: str
+    worst: float
+    tolerance: float
+    comparisons: int
+    detail: str
+
+    @property
+    def passed(self) -> bool:
+        return self.worst <= self.tolerance
+
+
+@dataclass(frozen=True)
+class Check:
+    """One table row: run(grids[preset]) returns (worst, comparisons)."""
+
+    name: str
+    tolerance: float
+    detail: str
+    grids: dict
+    run: Callable[..., tuple[float, int]]
+
+
+def _synthetic_molecule(
+    gamma: float, re_angstrom: float = 1.0, mu_amu: float = 1.0
+) -> Molecule:
+    # De chosen to land on the target gamma
+    de_j = (gamma * HBAR / (re_angstrom * ANGSTROM_TO_M)) ** 2 / (
+        2.0 * mu_amu * AMU_TO_KG
+    )
+    return Molecule(
+        name=f"gamma={gamma:g}",
+        de_cm1=energy_from_joule(de_j, "cm-1"),
+        re_angstrom=re_angstrom,
+        mu_amu=mu_amu,
+    )
+
+
+def _rel_dev(a: float, b: float) -> float:
+    scale = max(abs(a), abs(b))
+    return abs(a - b) / scale if scale > 0.0 else 0.0
+
+
+def _oracle_moments(grid) -> tuple[float, int]:
+    gammas, ns, ls = grid
+    devs = []
+    for gamma in gammas:
+        mol = _synthetic_molecule(gamma)
+        scale = gamma * gamma / mol.re_m  # mu g2 / hbar^2
+        for l in ls:
+            for n in ns:
+                qn = QuantumNumbers(n, l)
+                shape = shape_numbers(gamma, qn)
+                state = make_radial_state(gamma, qn, mol.re_m)
+                for p in (1, 2, 3, 4):
+                    closed = matrix_element_closed(p, qn, shape, scale)
+                    numeric = expectation_inverse_power(p, state).value
+                    devs.append(_rel_dev(closed, numeric))
+    return max(devs), len(devs)
+
+
+def _oracle_correction(grid) -> tuple[float, int]:
+    gammas, ns, ls = grid
+    beta = 1e-46
+    devs = []
+    for gamma in gammas:
+        mol = _synthetic_molecule(gamma)
+        c = couplings_from_kratzer(mol)
+        for l in ls:
+            for n in ns:
+                qn = QuantumNumbers(n, l)
+                state = make_radial_state(gamma, qn, mol.re_m)
+                closed = correction_general(c, mol.mu_kg, beta, qn)
+                numeric = correction_via_expectations(
+                    state, c, mol.mu_kg, beta
+                ).value
+                devs.append(_rel_dev(closed, numeric))
+    return max(devs), len(devs)
+
+
+def _dual_formula(draws: int) -> tuple[float, int]:
+    rng = np.random.default_rng(20260814)
+    devs = []
+    for _ in range(draws):
+        gamma = math.exp(rng.uniform(math.log(2.0), math.log(40.0)))
+        re_angstrom = rng.uniform(0.5, 2.0)
+        mu_amu = math.exp(rng.uniform(math.log(0.2), math.log(20.0)))
+        n = int(rng.integers(0, 9))
+        l = int(rng.integers(0, 9))
+        mol = _synthetic_molecule(gamma, re_angstrom, mu_amu)
+        qn = QuantumNumbers(n, l)
+        c = couplings_from_kratzer(mol)
+        shift_unit = correction_general(c, mol.mu_kg, 1.0, qn)
+        e0 = energy_unperturbed(mol, qn)
+        frac = 10.0 ** rng.uniform(-8.0, -2.0)
+        beta = frac * abs(e0) / shift_unit
+        via_kratzer = energy_deformed(mol, beta, qn).de
+        via_couplings = correction_general(c, mol.mu_kg, beta, qn)
+        devs.append(_rel_dev(via_kratzer, via_couplings))
+    return max(devs), len(devs)
+
+
+def _quantization(grid) -> tuple[float, int]:
+    gammas, n_max = grid
+    devs = []
+    for gamma in gammas:
+        mol = _synthetic_molecule(gamma)
+        c = couplings_from_kratzer(mol)
+        prob = MomentumProblem(
+            sigma1=c.sigma1(mol.mu_kg), sigma2=c.sigma2(mol.mu_kg), k=1.0
+        )
+        energies = quantize_swave(prob, n_max, mol.mu_kg)
+        for n, e_pole in enumerate(energies):
+            e_closed = energy_unperturbed(mol, QuantumNumbers(n, 0))
+            devs.append(_rel_dev(e_pole, e_closed))
+    return max(devs), len(devs)
+
+
+def _exponents_deformed(sigmas) -> tuple[float, int]:
+    devs = []
+    for sigma1 in sigmas:
+        prob = MomentumProblem(sigma1=sigma1, sigma2=0.4, k=1.0, beta=1.0)
+        for branch, target in zip(BRANCHES, (-10.0 / 3.0, -2.0)):
+            slope = fit_slope(integrate_branch(prob, branch, (1.0, 2.0e3)))
+            devs.append(abs(slope - target))
+    return max(devs), len(devs)
+
+
+def _exponents_undeformed(cases) -> tuple[float, int]:
+    devs = []
+    for branch, sigmas in cases.items():
+        for sigma1 in sigmas:
+            nu = math.sqrt(0.25 + sigma1)
+            target = -2.5 - nu if branch == "fast-decay" else -2.5 + nu
+            prob = MomentumProblem(sigma1=sigma1, sigma2=0.4, k=1.0, beta=0.0)
+            slope = fit_slope(integrate_branch(prob, branch, (0.5, 2.0e3)))
+            devs.append(abs(slope - target))
+    return max(devs), len(devs)
+
+
+def _fuchsian(draws: int) -> tuple[float, int]:
+    rng = np.random.default_rng(19081887)
+    devs = []
+    for _ in range(draws):
+        sigma1 = rng.uniform(-5.0, 15.0)
+        sigma2 = rng.uniform(0.0, 5.0)
+        k = math.exp(rng.uniform(math.log(1e-2), math.log(1e2)))
+        crowding = 10.0 ** rng.uniform(-6.0, math.log10(0.5))
+        beta = crowding / (6.0 * k * k)
+        prob = MomentumProblem(sigma1=sigma1, sigma2=sigma2, k=k, beta=beta)
+        params = [heun_params_general(prob, variant) for variant in VARIANTS]
+        params.append(
+            heun_params_inverse_square(sigma1, 1.0, -0.5 * k * k, beta)
+        )
+        devs.append(max(par.fuchsian_residual() for par in params))
+    return max(devs), len(devs)
+
+
+def _normalization(grid) -> tuple[float, int]:
+    gammas, n_max = grid
+    devs = []
+    for gamma in gammas:
+        for l in (0, 3):
+            for n in range(n_max + 1):
+                qn = QuantumNumbers(n, l)
+                state = make_radial_state(gamma, qn, ANGSTROM_TO_M)
+                norm = expectation_inverse_power(0, state).value
+                devs.append(abs(norm - 1.0))
+    return max(devs), len(devs)
+
+
+def _orthogonality(grid) -> tuple[float, int]:
+    gammas, n_max = grid
+    devs = []
+    for gamma in gammas:
+        for l in (0, 2):
+            states = [
+                make_radial_state(gamma, QuantumNumbers(n, l), ANGSTROM_TO_M)
+                for n in range(n_max + 1)
+            ]
+            for state_a, state_b in combinations(states, 2):
+                devs.append(abs(radial_overlap(state_a, state_b).value))
+    return max(devs), len(devs)
+
+
+_LEVEL_GRIDS = {
+    "paper": ((2.0, 5.0, 10.0, 35.755), range(6), range(6)),
+    "small": ((2.0, 35.755), (0, 2), (0, 3)),
+}
+
+#: the nine checks in report order
+CHECKS = (
+    Check("oracle-moments", 1e-8,
+          "closed-form <1/r^p> vs adaptive quadrature, p = 1..4",
+          _LEVEL_GRIDS, _oracle_moments),
+    Check("oracle-correction", 1e-8,
+          "closed-form shift vs expectation-value assembly",
+          _LEVEL_GRIDS, _oracle_correction),
+    Check("dual-formula", 1e-12,
+          "(De, re) form vs coupling form of the shift",
+          {"paper": 1000, "small": 100}, _dual_formula),
+    Check("quantization", 1e-12,
+          "s-wave pole energies vs closed-form levels",
+          {"paper": ((2.0, 5.0, 35.755), 10), "small": ((2.0, 35.755), 5)},
+          _quantization),
+    Check("exponents-deformed", 0.02,
+          "fitted |psi| slopes vs {-10/3, -2}, sigma1-independent",
+          {"paper": (-2.0, -1.0, -0.26, 0.0, 2.0, 10.0),
+           "small": (-1.0, 0.0, 2.0)},
+          _exponents_deformed),
+    # the slow branch amplifies initial-condition error by (p_max/p)^(2 nu)
+    # going inward, so its slope fit is only meaningful for moderate nu;
+    # the inward-stable fast branch has no such restriction
+    Check("exponents-undeformed", 0.02,
+          "fitted |psi| slopes vs -5/2 -+ nu",
+          {"paper": {"fast-decay": (0.0, 0.75, 2.0, 6.0),
+                     "slow-decay": (0.0, 0.75, 2.0)},
+           "small": {"fast-decay": (0.0, 2.0), "slow-decay": (0.0, 2.0)}},
+          _exponents_undeformed),
+    Check("fuchsian", 1e-12,
+          "sum rules of both Heun-type parameterizations",
+          {"paper": 1000, "small": 100}, _fuchsian),
+    Check("normalization", 1e-8,
+          "|integral of R^2 r^2 dr - 1|",
+          {"paper": ((2.0, 5.0, 35.755), 6), "small": ((2.0, 35.755), 3)},
+          _normalization),
+    Check("orthogonality", 1e-7,
+          "off-diagonal radial overlaps at fixed l, gamma",
+          {"paper": ((2.0, 5.0, 35.755), 4), "small": ((2.0, 35.755), 2)},
+          _orthogonality),
+)
+
+
+def run_checks(
+    preset: str = "small", tol: float | None = None
+) -> list[CheckResult]:
+    """Run every check on the preset's grid, in table order.
+
+    tol, when given, replaces every check's default tolerance.
+    """
+    if preset not in PRESETS:
+        raise ValueError(f"unknown preset {preset!r}; use one of {PRESETS}")
+    results = []
+    for check in CHECKS:
+        worst, comparisons = check.run(check.grids[preset])
+        results.append(CheckResult(
+            name=check.name,
+            worst=worst,
+            tolerance=check.tolerance if tol is None else tol,
+            comparisons=comparisons,
+            detail=check.detail,
+        ))
+    return results

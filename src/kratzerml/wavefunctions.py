@@ -11,7 +11,6 @@ overflows double precision already for gamma around 36.
 
 from __future__ import annotations
 
-import cmath
 import math
 from dataclasses import dataclass
 
@@ -22,7 +21,6 @@ __all__ = [
     "NonQuantizedError",
     "RadialState",
     "kummer_polynomial",
-    "log_gamma",
     "make_radial_state",
     "radial_wavefunction",
     "momentum_wavefunction_undeformed",
@@ -75,17 +73,6 @@ def kummer_polynomial(n: int, b: float, z: float) -> float:
     return math.fsum(terms)
 
 
-def log_gamma(x: float) -> float:
-    """Natural log of the gamma function for x > 0.
-
-    Delegates to the C library lgamma, whose relative error is a few ulp,
-    comfortably inside the 1e-13 contract for positive arguments.
-    """
-    if not (math.isfinite(x) and x > 0.0):
-        raise ValueError(f"log_gamma requires x > 0, got {x!r}")
-    return math.lgamma(x)
-
-
 @dataclass(frozen=True)
 class RadialState:
     """One normalized radial bound state.
@@ -117,11 +104,11 @@ def _log_norm(qn: QuantumNumbers, shape: ShapeNumbers, re: float) -> float:
     return (
         -1.5 * math.log(re)
         + (lam + 0.5) * math.log(2.0 * alpha)
-        - log_gamma(2.0 * lam)
+        - math.lgamma(2.0 * lam)
         + 0.5 * (
-            log_gamma(2.0 * lam + n)
+            math.lgamma(2.0 * lam + n)
             - math.log(2.0)
-            - log_gamma(n + 1.0)
+            - math.lgamma(n + 1.0)
             - math.log(lam + n)
         )
     )

@@ -28,8 +28,8 @@ from kratzerml.physmodel import (
     KratzerCouplings,
     Molecule,
     QuantumNumbers,
-    SI,
     couplings_from_kratzer,
+    energy_from_joule,
 )
 from kratzerml.spectrum import (
     correction_general,
@@ -293,7 +293,7 @@ def test_criterion_11_fit_round_trip():
         mol = Molecule("truth", de, re, mu_amu)
         beta = 10.0 ** rng.uniform(-3.5, -1.5) / (mol.mu_kg * mol.de_joule)
         levels = [
-            (n, l, SI.energy_from_joule(
+            (n, l, energy_from_joule(
                 energy_deformed(mol, beta, QuantumNumbers(n, l)).e, "cm-1"
             ))
             for n in range(4)

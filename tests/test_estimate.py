@@ -1,3 +1,5 @@
+import math
+
 import pytest
 
 from kratzerml.estimate import (
@@ -7,7 +9,7 @@ from kratzerml.estimate import (
     fit_parameters,
     zpe_theoretical,
 )
-from kratzerml.physmodel import SI, Molecule, QuantumNumbers
+from kratzerml.physmodel import Molecule, QuantumNumbers, energy_from_joule
 from kratzerml.spectrum import energy_deformed
 
 H2 = Molecule("H2", 78844.9005, 0.73652, 0.5039, zpe_exp_cm1=2179.3)
@@ -86,7 +88,7 @@ def synthetic_levels(mol, beta, n_max=4, l_max=3):
     for n in range(n_max):
         for l in range(l_max):
             lev = energy_deformed(mol, beta, QuantumNumbers(n, l))
-            rows.append((n, l, SI.energy_from_joule(lev.e, "cm-1")))
+            rows.append((n, l, energy_from_joule(lev.e, "cm-1")))
     return rows
 
 
@@ -154,6 +156,10 @@ def test_fit_input_validation():
         fit_parameters(LEVELS, 1.2, (52000.0, 0.0, 0.0))
     with pytest.raises(ValueError):
         fit_parameters(LEVELS, 1.2, (52000.0, 1.0, -1.0))
+    for bad in ((0, 0, math.nan), (0, 0, -math.inf),
+                (0, 0, -40000.0, math.inf), (0, 0, -40000.0, math.nan)):
+        with pytest.raises(ValueError, match="finite"):
+            fit_parameters([bad] + LEVELS[1:], 1.2, (52000.0, 1.0, 0.0))
 
 
 def test_fit_budget_exhaustion_reported():

@@ -11,6 +11,7 @@ from kratzerml.oracle import (
     expectation_inverse_power,
     expectation_potential,
     expectation_potential_sq,
+    radial_overlap,
 )
 from kratzerml.physmodel import (
     KratzerCouplings,
@@ -55,6 +56,21 @@ def test_norm_integral_both_schemes():
         out = expectation_inverse_power(0, state, spec)
         assert out.value == pytest.approx(1.0, abs=1e-10)
         assert out.scheme == spec.scheme
+
+
+def test_radial_overlap():
+    gamma = gamma_of(H2)
+    states = [
+        make_radial_state(gamma, QuantumNumbers(n, 2), H2.re_m) for n in range(3)
+    ]
+    for i, state_a in enumerate(states):
+        for state_b in states[i + 1:]:
+            assert abs(radial_overlap(state_a, state_b).value) < 1e-7
+    # p = 0 integrates the same product in the same order
+    for state in states:
+        assert radial_overlap(state, state).value == (
+            expectation_inverse_power(0, state).value
+        )
 
 
 def test_moments_match_closed_forms():

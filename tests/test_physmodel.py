@@ -7,8 +7,8 @@ from kratzerml.physmodel import (
     AMU_TO_KG,
     ANGSTROM_TO_M,
     HBAR,
+    ENERGY_UNITS,
     PLANCK_H,
-    SI,
     SPEED_OF_LIGHT,
     WAVENUMBER_TO_JOULE,
     Deformation,
@@ -18,6 +18,8 @@ from kratzerml.physmodel import (
     Nu,
     QuantumNumbers,
     couplings_from_kratzer,
+    energy_from_joule,
+    energy_to_joule,
     gamma_of,
     minimal_length,
     require_lambda_regular,
@@ -36,18 +38,18 @@ def test_fixed_constants():
 
 
 def test_energy_unit_round_trip():
-    for unit in SI.ENERGY_UNITS:
+    for unit in ENERGY_UNITS:
         x = 123.456
-        assert SI.energy_from_joule(SI.energy_to_joule(x, unit), unit) == pytest.approx(
+        assert energy_from_joule(energy_to_joule(x, unit), unit) == pytest.approx(
             x, rel=1e-15
         )
     with pytest.raises(ValueError):
-        SI.energy_to_joule(1.0, "hartree")
+        energy_to_joule(1.0, "hartree")
 
 
 def test_wavenumber_to_ev():
     # 1 cm^-1 = h c / (1 cm) expressed in eV
-    ev = SI.energy_from_joule(SI.energy_to_joule(1.0, "cm-1"), "eV")
+    ev = energy_from_joule(energy_to_joule(1.0, "cm-1"), "eV")
     assert ev == pytest.approx(1.239841984e-4, rel=1e-9)
 
 

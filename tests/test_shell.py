@@ -10,7 +10,7 @@ from kratzerml.physmodel import (
     WAVENUMBER_TO_JOULE,
     Molecule,
     QuantumNumbers,
-    SI,
+    energy_from_joule,
 )
 from kratzerml.shell import (
     FileFormatError,
@@ -141,6 +141,12 @@ def test_parse_levels_tabs_and_weights(tmp_path):
         ("n,l,E_cm1\n-1,0,-76000.0\n", "nonnegative"),
         ("n,l,E_cm1,weight\n0,0,-76000.0,0\n", "weight must be positive"),
         ("n,l,E_cm1\nzero,0,-76000.0\n", "malformed numeric"),
+        ("n,l,E_cm1\n0,0,nan\n", "bad.levels:2: values must be finite"),
+        ("n,l,E_cm1\n0,0,-inf\n", "bad.levels:2: values must be finite"),
+        ("n,l,E_cm1,weight\n0,0,-76000.0,inf\n",
+         "bad.levels:2: values must be finite"),
+        ("n,l,E_cm1,weight\n0,0,-76000.0,nan\n",
+         "bad.levels:2: values must be finite"),
         ("", "empty file"),
     ],
 )
@@ -178,7 +184,7 @@ def test_spectrum_json_document(capsys):
     assert len(doc["levels"]) == 6
     lev = doc["levels"][0]
     assert lev["n"] == 0 and lev["l"] == 0
-    expected = SI.energy_from_joule(
+    expected = energy_from_joule(
         energy_deformed(H2, 0.0, QuantumNumbers(0, 0)).e0, "cm-1"
     )
     assert lev["e0"]["value"] == pytest.approx(expected, rel=1e-12)
@@ -395,7 +401,7 @@ def levels_file(tmp_path_factory):
     lines = ["n,l,E_cm1"]
     for n in range(4):
         for l in range(3):
-            e = SI.energy_from_joule(
+            e = energy_from_joule(
                 energy_deformed(mol, beta, QuantumNumbers(n, l)).e, "cm-1"
             )
             lines.append(f"{n},{l},{e!r}")
@@ -430,3 +436,25 @@ def test_fit_cli_usage_errors(capsys, tmp_path, levels_file):
     assert main(["fit", str(levels_file), "--mu", "1.2",
                  "--init=-1,1,0"]) == 2
     capsys.readouterr()
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["spectrum", "H2", "--beta", "nan"],
+        ["spectrum", "H2", "--beta", "inf"],
+        ["spectrum", "H2", "--min-length", "nan"],
+        ["spectrum", "H2", "--min-length", "inf"],
+        ["verify", "--tol", "nan"],
+        ["verify", "--tol", "inf"],
+        ["fit", "{levels}", "--mu", "nan", "--init", "52000,1.0,0"],
+        ["fit", "{levels}", "--mu", "inf", "--init", "52000,1.0,0"],
+        ["fit", "{levels}", "--mu", "1.2", "--init", "nan,1.0,0"],
+        ["fit", "{levels}", "--mu", "1.2", "--init", "52000,inf,0"],
+        ["fit", "{levels}", "--mu", "1.2", "--init", "52000,1.0,nan"],
+    ],
+)
+def test_non_finite_arguments_are_usage_errors(capsys, levels_file, argv):
+    argv = [arg.format(levels=levels_file) for arg in argv]
+    assert main(argv) == 2
+    assert "finite" in capsys.readouterr().err

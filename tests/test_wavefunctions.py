@@ -11,7 +11,6 @@ from kratzerml.wavefunctions import (
     KummerParameterError,
     NonQuantizedError,
     kummer_polynomial,
-    log_gamma,
     make_radial_state,
     momentum_wavefunction_undeformed,
     radial_wavefunction,
@@ -72,20 +71,6 @@ def test_kummer_parameter_validation():
         kummer_polynomial(-1, 2.0, 1.0)
     # b just above the guard is accepted
     kummer_polynomial(2, 1e-11, 1.0)
-
-
-def test_log_gamma_frozen_values():
-    assert log_gamma(1.0) == 0.0
-    assert log_gamma(0.5) == pytest.approx(0.5 * math.log(math.pi), abs=1e-13)
-    assert log_gamma(11.0) == pytest.approx(math.log(3628800.0), abs=1e-12)
-    assert log_gamma(0.5) == pytest.approx(0.5723649429, abs=1e-9)
-    assert log_gamma(11.0) == pytest.approx(15.1044125731, abs=1e-9)
-
-
-def test_log_gamma_domain():
-    for bad in (0.0, -1.0, -2.5, math.inf, math.nan):
-        with pytest.raises(ValueError):
-            log_gamma(bad)
 
 
 def test_norm_matches_direct_gamma_evaluation():
