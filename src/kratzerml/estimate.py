@@ -15,7 +15,6 @@ from scipy import optimize
 
 from .physmodel import (
     ANGSTROM_TO_M,
-    Deformation,
     Molecule,
     QuantumNumbers,
     couplings_from_kratzer,
@@ -98,7 +97,7 @@ def beta_upper_bound(mol: Molecule) -> BoundResult:
         couplings_from_kratzer(mol), mol.mu_kg, 1.0, QuantumNumbers(0, 0)
     )
     beta_max = energy_to_joule(delta_cm1, "cm-1") / unit_shift
-    x_max = minimal_length(Deformation.specialized(beta_max))
+    x_max = minimal_length(beta_max)
     return BoundResult(
         delta_cm1=delta_cm1,
         beta_max=beta_max,

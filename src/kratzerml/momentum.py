@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.integrate import solve_ivp
 
-from .physmodel import KratzerCouplings, Nu
+from .physmodel import KratzerCouplings
 
 __all__ = [
     "BRANCHES",
@@ -49,8 +49,13 @@ BRANCHES = ("fast-decay", "slow-decay")
 REGIMES = ("deformed", "undeformed")
 VARIANTS = ("as-printed", "dimensional")
 
-#: density floor for grids; also the finite-difference coarseness cutoff
+#: density floor for solution grids
 MIN_POINTS_PER_DECADE = 200
+
+#: large-p exponents (fast, slow) of psi with beta > 0: the phi equation
+#: at p >> 1 is the Euler equation 3 s(s-1) + 13 s + 7 = 0, with roots
+#: -7/3 and -1, and psi = phi/p lowers both by one
+_DEFORMED_EXPONENTS = (-10.0 / 3.0, -2.0)
 
 
 class StiffnessError(RuntimeError):
@@ -62,7 +67,7 @@ class QuantizationBreakdownError(ValueError):
 
 
 class GridError(ValueError):
-    """Solution grid too coarse for the finite-difference residual."""
+    """Solution grid too short for the finite-difference residual."""
 
 
 @dataclass(frozen=True)
@@ -148,21 +153,22 @@ def indicial_exponents(
 ) -> tuple[complex, complex]:
     """Large-p power-law exponents of psi, as a (fast, slow) pair.
 
-    Deformed: the phi equation at p >> 1 is the Euler equation
-    3 s(s-1) + 13 s + 7 = 0; shifting by -1 for psi = phi/p gives
-    {-10/3, -2} independent of sigma1, sigma2.  Undeformed:
+    Deformed: {-10/3, -2} independent of sigma1, sigma2.  Undeformed:
     -5/2 -+ nu with nu = sqrt(1/4 + sigma1), a complex-conjugate pair
     once sigma1 < -1/4.
     """
     if regime == "deformed":
-        disc = math.sqrt(10.0 * 10.0 - 4.0 * 3.0 * 7.0)
-        fast = (-10.0 - disc) / 6.0 - 1.0
-        slow = (-10.0 + disc) / 6.0 - 1.0
+        fast, slow = _DEFORMED_EXPONENTS
         return (complex(fast), complex(slow))
     if regime == "undeformed":
-        nu = Nu.from_sigma1(prob.sigma1).as_complex
-        return (-2.5 - nu, -2.5 + nu)
+        return _undeformed_exponents(prob.sigma1)
     raise ValueError(f"regime must be one of {REGIMES}, got {regime!r}")
+
+
+def _undeformed_exponents(sigma1: float) -> tuple[complex, complex]:
+    # -5/2 -+ nu; nu = sqrt(1/4 + sigma1) turns imaginary below -1/4
+    nu = cmath.sqrt(0.25 + sigma1)
+    return (-2.5 - nu, -2.5 + nu)
 
 
 def _branch_phi_exponent(prob: MomentumProblem, branch: str) -> complex:
@@ -333,10 +339,8 @@ def regularization_witness(sigma1: float) -> RegularizationReport:
     sigma1 > -1/4; at -1/4 they degenerate and below it they form a
     complex pair of equal modulus, leaving no decay-based selection.
     """
-    fast = -10.0 / 3.0
-    slow = -2.0
-    nu = Nu.from_sigma1(sigma1)
-    undeformed = (-2.5 - nu.as_complex, -2.5 + nu.as_complex)
+    fast, slow = _DEFORMED_EXPONENTS
+    undeformed = _undeformed_exponents(sigma1)
     radicand = 0.25 + sigma1
     if radicand > 0.0:
         regime = "real-separated"
@@ -549,12 +553,16 @@ def heun_params_inverse_square(
 
 def hypergeometric_params(prob: MomentumProblem) -> HypergeometricParams:
     """Parameters of the beta = 0 reduction (a = 3/2 + nu, b = 3/2 - nu,
-    c = 2 + sigma2/k)."""
+    c = 2 + sigma2/k).
+
+    phi = p psi decays as p^-a and p^-b, so a and b are minus the psi
+    exponents of indicial_exponents, less one.
+    """
     if prob.beta != 0.0:
         raise ValueError("the hypergeometric reduction holds only at beta = 0")
-    nu = Nu.from_sigma1(prob.sigma1).as_complex
+    fast, slow = _undeformed_exponents(prob.sigma1)
     return HypergeometricParams(
-        a=1.5 + nu, b=1.5 - nu, c=2.0 + prob.sigma2 / prob.k, k=prob.k
+        a=-1.0 - fast, b=-1.0 - slow, c=2.0 + prob.sigma2 / prob.k, k=prob.k
     )
 
 
@@ -588,8 +596,6 @@ def _max_normalized_residual(t1, t2, t3) -> float:
 def heun_residual(
     params: HeunParams | HeunParamsIS | HypergeometricParams,
     solution: OdeSolution,
-    *,
-    min_points_per_decade: int = MIN_POINTS_PER_DECADE,
 ) -> float:
     """Max normalized residual of a transformed solution in the Heun form.
 
@@ -598,16 +604,12 @@ def heun_residual(
     transformed abscissae, so the check is independent of the original
     equation.  The residual at each interior node is |sum of the three
     terms| / (sum of their moduli); an identically-zero solution gives 0.
-    Raises GridError when the grid cannot support the stencils.
+    Raises GridError when the grid has too few points for the stencils;
+    OdeSolution already guarantees MIN_POINTS_PER_DECADE density.
     """
     p = solution.grid
     if p.size < 5:
         raise GridError("need at least 5 grid points for finite differences")
-    steps = np.diff(np.log10(p))
-    if steps.max() > (1.0 / min_points_per_decade) * (1.0 + 1e-9):
-        raise GridError(
-            f"grid coarser than {min_points_per_decade} points per decade"
-        )
     psi = solution.values
     if isinstance(params, HeunParams):
         x = 0.5 * (1.0 - 1.0j * math.sqrt(6.0 * params.beta) * p)

@@ -153,27 +153,36 @@ def _gl_rule_size(state: RadialState, spec: QuadratureSpec, degree: int) -> int:
 
 
 def _gl_density_integral(
-    state: RadialState,
-    poly,
-    singular_power: int,
-    poly_degree: int,
-    spec: QuadratureSpec,
+    state: RadialState, weight, power: int, degree: int, spec: QuadratureSpec
 ) -> QuadratureResult:
-    """integral of W x^(2 lam - singular_power) e^-x poly(x) dx by the
-    generalized rule; exact for the polynomial part, so the difference
-    between two rule sizes probes only roundoff."""
+    """integral of |R|^2 r^2 weight(r) dr by the generalized rule.
+
+    Under x = 2 (alpha/re) r this is W x^(2 lam - power) e^-x times
+    x^power weight(r) M(-n, 2 lam, x)^2, a polynomial of degree
+    2n + degree; the rule is exact for it, so the difference between two
+    rule sizes probes only roundoff.
+    """
     n = state.qn.n
     lam = state.shape.lam
+    two_kappa = 2.0 * state.shape.alpha / state.re
     log_w = _gl_log_weight(state)
-    alpha_gl = 2.0 * lam - singular_power
-    m = _gl_rule_size(state, spec, poly_degree)
+    alpha_gl = 2.0 * lam - power
+    m = _gl_rule_size(state, spec, 2 * n + degree)
 
     def run(size: int) -> float:
         nodes, weights = roots_genlaguerre(size, alpha_gl)
         acc = 0.0
         for x, w in zip(nodes.tolist(), weights.tolist()):
             base = kummer_polynomial(n, 2.0 * lam, x)
-            acc += w * poly(x) * base * base
+            acc += w * (x**power * weight(x / two_kappa)) * base * base
+        if not math.isfinite(acc):
+            # the weights sum to Gamma(alpha + 1), which overflows past
+            # alpha ~ 170; the products can overflow a little earlier
+            raise ValueError(
+                f"Gauss-Laguerre sum overflows double precision at "
+                f"alpha = 2 lam - {power} = {alpha_gl:.6g}; use the adaptive "
+                f"scheme for this state"
+            )
         return math.exp(log_w) * acc
 
     coarse = run(m)
@@ -181,6 +190,33 @@ def _gl_density_integral(
     return QuadratureResult(
         value=fine, error_estimate=abs(fine - coarse), scheme="gauss-laguerre"
     )
+
+
+def _moment(
+    state: RadialState,
+    weight,
+    power: int,
+    degree: int,
+    spec: QuadratureSpec,
+    label: str,
+) -> QuadratureResult:
+    """integral of |R|^2 r^2 weight(r) dr on the spec's backend, certified.
+
+    weight(r) r^power must be a polynomial of the given degree in r:
+    power is how fast the weight diverges at the origin, which decides
+    integrability there and the Gauss-Laguerre weight exponent.
+    """
+    _require_integrable(state.shape.lam, power, label)
+    if spec.scheme == "adaptive":
+
+        def density(r: float) -> float:
+            amp = radial_wavefunction(state, r)
+            return amp * amp * r * r * weight(r)
+
+        result = _adaptive_integral(state.re, density, spec)
+    else:
+        result = _gl_density_integral(state, weight, power, degree, spec)
+    return _certified(result, spec, label)
 
 
 def expectation_inverse_power(
@@ -194,22 +230,7 @@ def expectation_inverse_power(
     """
     if p < 0 or p > 4:
         raise ValueError(f"p must be an integer in 0..4, got {p!r}")
-    lam = state.shape.lam
-    _require_integrable(lam, p, f"<1/r^{p}>")
-    if spec.scheme == "adaptive":
-
-        def density(r: float) -> float:
-            amp = radial_wavefunction(state, r)
-            return amp * amp * r * r * r ** (-p)
-
-        result = _adaptive_integral(state.re, density, spec)
-    else:
-        two_kappa = 2.0 * state.shape.alpha / state.re
-        scale = two_kappa**p
-        result = _gl_density_integral(
-            state, lambda x: scale, p, 2 * state.qn.n, spec
-        )
-    return _certified(result, spec, f"<1/r^{p}>")
+    return _moment(state, lambda r: r ** (-p), p, 0, spec, f"<1/r^{p}>")
 
 
 def radial_overlap(state_a: RadialState, state_b: RadialState) -> QuadratureResult:
@@ -240,29 +261,10 @@ def expectation_potential(
     A deliberately different path from summing 1/r^p moments, so the two
     can disagree if either is wrong.
     """
-    lam = state.shape.lam
-    _require_integrable(lam, 2 if c.g1 != 0.0 else 1, "<V>")
-    if spec.scheme == "adaptive":
-
-        def density(r: float) -> float:
-            amp = radial_wavefunction(state, r)
-            return amp * amp * r * r * ((c.g1 / r - c.g2) / r)
-
-        result = _adaptive_integral(state.re, density, spec)
-    else:
-        two_kappa = 2.0 * state.shape.alpha / state.re
-        if c.g1 != 0.0:
-            g1k = c.g1 * two_kappa * two_kappa
-            g2k = c.g2 * two_kappa
-            result = _gl_density_integral(
-                state, lambda x: g1k - g2k * x, 2, 2 * state.qn.n + 1, spec
-            )
-        else:
-            g2k = c.g2 * two_kappa
-            result = _gl_density_integral(
-                state, lambda x: -g2k, 1, 2 * state.qn.n, spec
-            )
-    return _certified(result, spec, "<V>")
+    power = 2 if c.g1 != 0.0 else 1
+    return _moment(
+        state, lambda r: (c.g1 / r - c.g2) / r, power, power - 1, spec, "<V>"
+    )
 
 
 def expectation_potential_sq(
@@ -271,35 +273,13 @@ def expectation_potential_sq(
     spec: QuadratureSpec = QuadratureSpec(),
 ) -> QuadratureResult:
     """<V^2> in J^2, again integrating the assembled square directly."""
-    lam = state.shape.lam
-    _require_integrable(lam, 4 if c.g1 != 0.0 else 2, "<V^2>")
-    if spec.scheme == "adaptive":
+    power = 4 if c.g1 != 0.0 else 2
 
-        def density(r: float) -> float:
-            amp = radial_wavefunction(state, r)
-            v = (c.g1 / r - c.g2) / r
-            return amp * amp * r * r * (v * v)
+    def weight(r: float) -> float:
+        v = (c.g1 / r - c.g2) / r
+        return v * v
 
-        result = _adaptive_integral(state.re, density, spec)
-    else:
-        two_kappa = 2.0 * state.shape.alpha / state.re
-        if c.g1 != 0.0:
-            g1k = c.g1 * two_kappa * two_kappa
-            g2k = c.g2 * two_kappa
-
-            def poly(x: float) -> float:
-                lin = g1k - g2k * x
-                return lin * lin
-
-            result = _gl_density_integral(
-                state, poly, 4, 2 * state.qn.n + 2, spec
-            )
-        else:
-            g2k2 = (c.g2 * two_kappa) ** 2
-            result = _gl_density_integral(
-                state, lambda x: g2k2, 2, 2 * state.qn.n, spec
-            )
-    return _certified(result, spec, "<V^2>")
+    return _moment(state, weight, power, power - 2, spec, "<V^2>")
 
 
 def correction_via_expectations(

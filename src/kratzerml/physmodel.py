@@ -26,13 +26,12 @@ __all__ = [
     "Molecule",
     "QuantumNumbers",
     "KratzerCouplings",
-    "Nu",
     "ShapeNumbers",
-    "Deformation",
     "gamma_of",
     "couplings_from_kratzer",
     "shape_numbers",
     "minimal_length",
+    "beta_from_min_length",
 ]
 
 # CODATA-2018 fixed constants of the build (read-only module attributes).
@@ -198,92 +197,20 @@ class KratzerCouplings:
 
 
 @dataclass(frozen=True)
-class Nu:
-    """The exponent parameter nu = sqrt(1/4 + sigma1), tagged by regime.
-
-    For sigma1 <= -1/4 the square root turns imaginary; the magnitude
-    sqrt(-1/4 - sigma1) is stored with kind "imaginary" rather than
-    producing a NaN, because the strongly attractive regime is a valid
-    input of the momentum-space analysis.
-    """
-
-    kind: str            # "real" or "imaginary"
-    magnitude: float
-
-    def __post_init__(self) -> None:
-        if self.kind not in ("real", "imaginary"):
-            raise ValueError("kind must be 'real' or 'imaginary'")
-        if self.magnitude < 0.0:
-            raise ValueError("magnitude must be nonnegative")
-
-    @classmethod
-    def from_sigma1(cls, sigma1: float) -> "Nu":
-        radicand = 0.25 + sigma1
-        if radicand >= 0.0:
-            return cls("real", math.sqrt(radicand))
-        return cls("imaginary", math.sqrt(-radicand))
-
-    @property
-    def is_real(self) -> bool:
-        return self.kind == "real"
-
-    @property
-    def as_complex(self) -> complex:
-        if self.is_real:
-            return complex(self.magnitude, 0.0)
-        return complex(0.0, self.magnitude)
-
-
-@dataclass(frozen=True)
 class ShapeNumbers:
     """Dimensionless shape numbers of the bound-state problem.
 
-    gamma = (re/hbar) sqrt(2 mu De), lam = 1/2 + sqrt((l+1/2)^2 + gamma^2),
-    alpha = gamma^2 / (lam + n) and nu = sqrt(1/4 + gamma^2).  The flag
-    near_singular marks lambda within LAMBDA_GUARD_TOL of 1/2, 1 or 3/2.
+    gamma = (re/hbar) sqrt(2 mu De), lam = 1/2 + sqrt((l+1/2)^2 + gamma^2)
+    and alpha = gamma^2 / (lam + n).
     """
 
     gamma: float
     lam: float
     alpha: float
-    nu: float
-    near_singular: bool = False
 
     def __post_init__(self) -> None:
         if self.lam < 1.0 - LAMBDA_GUARD_TOL:
             raise ValueError("lambda must satisfy lam >= 1")
-
-
-@dataclass(frozen=True)
-class Deformation:
-    """Deformation parameters of the modified Heisenberg algebra.
-
-    Both carry dimension (momentum)^-2.  The specialized branch used by
-    the spectrum machinery enforces beta_prime = 2 beta.
-    """
-
-    beta: float = field(metadata={"unit": "(kg m/s)^-2"})
-    beta_prime: float = field(metadata={"unit": "(kg m/s)^-2"})
-
-    def __post_init__(self) -> None:
-        if self.beta < 0.0 or self.beta_prime < 0.0:
-            raise ValueError("deformation parameters must be nonnegative")
-
-    @classmethod
-    def specialized(cls, beta: float) -> "Deformation":
-        """The beta_prime = 2 beta branch, minimal length hbar sqrt(5 beta)."""
-        return cls(beta=beta, beta_prime=2.0 * beta)
-
-    @classmethod
-    def from_min_length(cls, x_min_m: float) -> "Deformation":
-        """Invert hbar sqrt(5 beta) = x_min on the specialized branch."""
-        if x_min_m < 0.0:
-            raise ValueError("minimal length must be nonnegative")
-        return cls.specialized((x_min_m / HBAR) ** 2 / 5.0)
-
-    @property
-    def is_specialized(self) -> bool:
-        return self.beta_prime == 2.0 * self.beta
 
 
 def gamma_of(mol: Molecule) -> float:
@@ -302,22 +229,34 @@ def couplings_from_kratzer(mol: Molecule) -> KratzerCouplings:
 
 
 def shape_numbers(gamma: float, qn: QuantumNumbers) -> ShapeNumbers:
-    """Shape numbers (gamma, lambda, alpha, nu) for one level.
+    """Shape numbers (gamma, lambda, alpha) for one level.
 
-    The returned nu corresponds to sigma1 = gamma^2, which is always in
-    the real regime.  Lambda within LAMBDA_GUARD_TOL of a singular
-    denominator value is reported through the near_singular flag; the
+    Lambda near a singular denominator value is not rejected here; the
     operations that actually divide by those factors raise.
     """
     if not (math.isfinite(gamma) and gamma >= 0.0):
         raise ValueError("gamma must be a nonnegative finite number")
     lam = 0.5 + math.hypot(qn.l + 0.5, gamma)
     alpha = gamma * gamma / (lam + qn.n)
-    nu = math.hypot(0.5, gamma)
-    near = any(abs(lam - pivot) < LAMBDA_GUARD_TOL for pivot in _SINGULAR_LAMBDAS)
-    return ShapeNumbers(gamma=gamma, lam=lam, alpha=alpha, nu=nu, near_singular=near)
+    return ShapeNumbers(gamma=gamma, lam=lam, alpha=alpha)
 
 
-def minimal_length(d: Deformation) -> float:
-    """Minimal position uncertainty hbar sqrt(3 beta + beta_prime), in m."""
-    return HBAR * math.sqrt(3.0 * d.beta + d.beta_prime)
+def minimal_length(beta: float) -> float:
+    """Minimal position uncertainty hbar sqrt(3 beta + beta'), in m.
+
+    The deformation is taken on the beta' = 2 beta branch throughout, so
+    the length is hbar sqrt(5 beta).  The sum is kept unfolded: in
+    float64 3 beta + 2 beta and 5 beta differ in the last bit for about a
+    quarter of random beta, and the reports are pinned to the unfolded
+    form bit for bit.
+    """
+    if beta < 0.0:
+        raise ValueError("deformation parameter beta must be nonnegative")
+    return HBAR * math.sqrt(3.0 * beta + 2.0 * beta)
+
+
+def beta_from_min_length(x_min_m: float) -> float:
+    """Invert hbar sqrt(5 beta) = x_min (in m) for beta in (kg m/s)^-2."""
+    if x_min_m < 0.0:
+        raise ValueError("minimal length must be nonnegative")
+    return (x_min_m / HBAR) ** 2 / 5.0

@@ -27,10 +27,10 @@ from .estimate import (
 from .physmodel import (
     ANGSTROM_TO_M,
     ENERGY_UNITS,
-    Deformation,
     LambdaGuardError,
     Molecule,
     QuantumNumbers,
+    beta_from_min_length,
     energy_from_joule,
     gamma_of,
     minimal_length,
@@ -269,7 +269,7 @@ def _beta_from_args(args) -> float:
     if getattr(args, "min_length", None) is not None:
         if not (math.isfinite(args.min_length) and args.min_length >= 0.0):
             raise UsageError("--min-length must be a nonnegative finite number")
-        return Deformation.from_min_length(args.min_length * ANGSTROM_TO_M).beta
+        return beta_from_min_length(args.min_length * ANGSTROM_TO_M)
     if getattr(args, "beta", None) is not None:
         if not (math.isfinite(args.beta) and args.beta >= 0.0):
             raise UsageError("--beta must be a nonnegative finite number")
@@ -284,7 +284,7 @@ def cmd_spectrum(args) -> int:
     beta = _beta_from_args(args)
     units = args.units
     gamma = gamma_of(mol)
-    x_min = minimal_length(Deformation.specialized(beta))
+    x_min = minimal_length(beta)
     levels = []
     failed = 0
     for l in range(args.lmax + 1):

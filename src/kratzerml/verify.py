@@ -22,6 +22,7 @@ from .momentum import (
     fit_slope,
     heun_params_general,
     heun_params_inverse_square,
+    indicial_exponents,
     integrate_branch,
     quantize_swave,
 )
@@ -178,7 +179,7 @@ def _exponents_deformed(sigmas) -> tuple[float, int]:
     devs = []
     for sigma1 in sigmas:
         prob = MomentumProblem(sigma1=sigma1, sigma2=0.4, k=1.0, beta=1.0)
-        for branch, target in zip(BRANCHES, (-10.0 / 3.0, -2.0)):
+        for branch, target in zip(BRANCHES, indicial_exponents(prob, "deformed")):
             slope = fit_slope(integrate_branch(prob, branch, (1.0, 2.0e3)))
             devs.append(abs(slope - target))
     return max(devs), len(devs)
@@ -188,9 +189,9 @@ def _exponents_undeformed(cases) -> tuple[float, int]:
     devs = []
     for branch, sigmas in cases.items():
         for sigma1 in sigmas:
-            nu = math.sqrt(0.25 + sigma1)
-            target = -2.5 - nu if branch == "fast-decay" else -2.5 + nu
             prob = MomentumProblem(sigma1=sigma1, sigma2=0.4, k=1.0, beta=0.0)
+            fast, slow = indicial_exponents(prob, "undeformed")
+            target = fast if branch == "fast-decay" else slow
             slope = fit_slope(integrate_branch(prob, branch, (0.5, 2.0e3)))
             devs.append(abs(slope - target))
     return max(devs), len(devs)

@@ -14,7 +14,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .physmodel import Nu, QuantumNumbers, ShapeNumbers, shape_numbers
+from .physmodel import QuantumNumbers, ShapeNumbers, shape_numbers
 
 __all__ = [
     "KummerParameterError",
@@ -159,17 +159,17 @@ def momentum_wavefunction_undeformed(p: float, n: int, prob) -> complex:
     """
     if p <= 0.0:
         raise ValueError("p must be positive")
-    nu = Nu.from_sigma1(prob.sigma1)
-    if not nu.is_real:
-        raise NonQuantizedError("sigma1 <= -1/4: no quantized s-wave states")
-    second = 0.5 - prob.sigma2 / prob.k + nu.magnitude
+    if prob.sigma1 < -0.25:
+        raise NonQuantizedError("sigma1 < -1/4: no quantized s-wave states")
+    nu = math.sqrt(0.25 + prob.sigma1)
+    second = 0.5 - prob.sigma2 / prob.k + nu
     if abs(second + n) > 1.0e-9:
         raise NonQuantizedError(
             f"k does not satisfy the quantization condition: "
             f"1/2 - sigma2/k + nu = {second!r} is not -{n}"
         )
     w = 1.0 + 1j * p / prob.k
-    a = 1.5 + nu.magnitude
-    c = 1.0 + 2.0 * nu.magnitude
+    a = 1.5 + nu
+    c = 1.0 + 2.0 * nu
     poly = _hyp2f1_terminating(a, n, c, 2.0 / w)
-    return poly * w ** (-1.5 - nu.magnitude) / p
+    return poly * w ** (-1.5 - nu) / p

@@ -88,6 +88,11 @@ def test_indicial_exponents_deformed():
 def test_indicial_exponents_undeformed():
     prob = MomentumProblem(sigma1=2.0, sigma2=1.0, k=1.0)
     assert indicial_exponents(prob, "undeformed") == (-4.0 + 0.0j, -1.0 + 0.0j)
+    # nu = 1/2 at sigma1 = 0; the pair degenerates at sigma1 = -1/4
+    zero = MomentumProblem(sigma1=0.0, sigma2=1.0, k=1.0)
+    assert indicial_exponents(zero, "undeformed") == (-3.0 + 0.0j, -2.0 + 0.0j)
+    edge = MomentumProblem(sigma1=-0.25, sigma2=1.0, k=1.0)
+    assert indicial_exponents(edge, "undeformed") == (-2.5 + 0.0j, -2.5 + 0.0j)
     sing = MomentumProblem(sigma1=-1.0, sigma2=1.0, k=1.0)
     fast, slow = indicial_exponents(sing, "undeformed")
     assert fast == pytest.approx(-2.5 - 1j * math.sqrt(0.75))
@@ -413,8 +418,6 @@ def test_heun_residual_grid_checks():
     dense = _dense_solution()
     sol200 = OdeSolution(grid=dense[0], values=dense[1], derivs=dense[2],
                          branch="fast-decay")
-    with pytest.raises(GridError):
-        heun_residual(params, sol200, min_points_per_decade=400)
     with pytest.raises(TypeError):
         heun_residual("not-params", sol200)
 

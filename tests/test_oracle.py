@@ -204,6 +204,22 @@ def test_gl_rule_size_floor():
         ))
 
 
+def test_gl_overflow_names_the_cause():
+    """Heavy states overflow the rule; say so, not blame the error bar."""
+    # gamma = 100: the weights themselves are inf; gamma = 85, p = 4: the
+    # weights are finite but their products with the density overflow
+    for gamma, p in ((100.0, 0), (85.0, 4)):
+        state = make_radial_state(gamma, QuantumNumbers(0, 0), 1.0)
+        with pytest.raises(ValueError, match=f"overflow.*2 lam - {p} .*adaptive"):
+            expectation_inverse_power(p, state, GL)
+        closed = 1.0 if p == 0 else matrix_element_closed(
+            p, state.qn, state.shape, gamma * gamma
+        )
+        assert expectation_inverse_power(p, state).value == pytest.approx(
+            closed, rel=1e-10
+        )
+
+
 def test_starved_adaptive_rule_fails_loudly():
     """With subdivision starved out, certification must raise, not lie."""
     state = make_radial_state(35.755, QuantumNumbers(3, 0), 1.0)

@@ -11,12 +11,11 @@ from kratzerml.physmodel import (
     PLANCK_H,
     SPEED_OF_LIGHT,
     WAVENUMBER_TO_JOULE,
-    Deformation,
     KratzerCouplings,
     LambdaGuardError,
     Molecule,
-    Nu,
     QuantumNumbers,
+    beta_from_min_length,
     couplings_from_kratzer,
     energy_from_joule,
     energy_to_joule,
@@ -97,14 +96,6 @@ def test_couplings_validation():
     KratzerCouplings(g1=-1e-48, g2=0.0)
 
 
-def test_nu_regimes():
-    assert Nu.from_sigma1(0.0) == Nu("real", 0.5)
-    assert Nu.from_sigma1(2.0).magnitude == pytest.approx(1.5)
-    sing = Nu.from_sigma1(-1.0)
-    assert not sing.is_real
-    assert sing.as_complex == pytest.approx(1j * math.sqrt(0.75))
-
-
 @given(
     gamma=st.floats(min_value=0.0, max_value=200.0),
     n=st.integers(min_value=0, max_value=12),
@@ -118,13 +109,11 @@ def test_shape_numbers_properties(gamma, n, l):
         0.5 + math.hypot(l + 0.5, gamma), rel=1e-15
     )
     assert shape.alpha == pytest.approx(gamma * gamma / (shape.lam + n), rel=1e-15)
-    assert shape.nu == pytest.approx(math.hypot(0.5, gamma), rel=1e-15)
 
 
 def test_shape_numbers_never_raises_at_gamma_zero():
     shape = shape_numbers(0.0, QuantumNumbers(0, 0))
     assert shape.lam == 1.0
-    assert shape.near_singular  # lambda sits exactly on the pivot 1
 
 
 def test_lambda_guard():
@@ -142,28 +131,23 @@ def test_lambda_guard():
 
 
 def test_deformation_specialized_and_min_length():
-    d = Deformation.specialized(4.0e43)
-    assert d.beta_prime == 2.0 * d.beta
-    assert d.is_specialized
-    # minimal length hbar sqrt(3 beta + beta') = hbar sqrt(5 beta)
-    assert minimal_length(d) == pytest.approx(
-        HBAR * math.sqrt(5.0 * 4.0e43), rel=1e-15
+    # minimal length hbar sqrt(3 beta + beta') = hbar sqrt(5 beta) at beta' = 2 beta
+    beta = 4.0e43
+    assert minimal_length(beta) == HBAR * math.sqrt(3.0 * beta + 2.0 * beta)
+    assert minimal_length(beta) == pytest.approx(
+        HBAR * math.sqrt(5.0 * beta), rel=1e-15
     )
+    assert minimal_length(0.0) == 0.0
 
 
 @given(x=st.floats(min_value=1e-15, max_value=1e-10))
 def test_min_length_round_trip(x):
-    d = Deformation.from_min_length(x)
-    assert minimal_length(d) == pytest.approx(x, rel=1e-12)
+    assert minimal_length(beta_from_min_length(x)) == pytest.approx(x, rel=1e-12)
 
 
 def test_deformation_validation():
     with pytest.raises(ValueError):
-        Deformation(beta=-1.0, beta_prime=0.0)
+        minimal_length(-1.0)
     with pytest.raises(ValueError):
-        Deformation.from_min_length(-1e-12)
-    general = Deformation(beta=1.0e43, beta_prime=5.0e43)
-    assert not general.is_specialized
-    assert minimal_length(general) == pytest.approx(
-        HBAR * math.sqrt(8.0e43), rel=1e-15
-    )
+        beta_from_min_length(-1e-12)
+    assert beta_from_min_length(0.0) == 0.0

@@ -95,9 +95,7 @@ def test_matrix_element_coulomb_reduction():
     s = 1.7
     for n, l in ((0, 0), (1, 0), (0, 2), (3, 1)):
         qn = QuantumNumbers(n, l)
-        shape = ShapeNumbers(
-            gamma=0.0, lam=float(l + 1), alpha=1.0, nu=0.5
-        )
+        shape = ShapeNumbers(gamma=0.0, lam=float(l + 1), alpha=1.0)
         got = matrix_element_closed(2, qn, shape, s)
         n_p = n + l + 1
         assert got == pytest.approx(s * s / ((l + 0.5) * n_p**3), rel=1e-14)
@@ -105,7 +103,7 @@ def test_matrix_element_coulomb_reduction():
 
 def test_matrix_element_guards():
     qn = QuantumNumbers(0, 0)
-    at = lambda lam: ShapeNumbers(gamma=0.0, lam=lam, alpha=1.0, nu=0.5)
+    at = lambda lam: ShapeNumbers(gamma=0.0, lam=lam, alpha=1.0)
     with pytest.raises(LambdaGuardError):
         matrix_element_closed(4, qn, at(1.5), 1.0)
     with pytest.raises(LambdaGuardError):

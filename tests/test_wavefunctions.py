@@ -187,6 +187,13 @@ def test_momentum_quantization_checks():
         momentum_wavefunction_undeformed(
             1.0, 0, MomentumProblem(sigma1=-1.0, sigma2=1.0, k=1.0)
         )
+    # sigma1 = -1/4 (nu = 0) is the last quantized case; just below it is not
+    for n in (0, 1):
+        edge = MomentumProblem(sigma1=-0.25, sigma2=1.0, k=1.0 / (n + 0.5))
+        assert math.isfinite(abs(momentum_wavefunction_undeformed(1.0, n, edge)))
+    below = MomentumProblem(sigma1=-0.25 - 1e-12, sigma2=1.0, k=2.0)
+    with pytest.raises(NonQuantizedError, match="sigma1 < -1/4"):
+        momentum_wavefunction_undeformed(1.0, 0, below)
     prob = _quantized_problem(2.0, 1.0, 0)
     with pytest.raises(ValueError):
         momentum_wavefunction_undeformed(0.0, 0, prob)
