@@ -11,7 +11,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import optimize
 
 from .physmodel import (
     ANGSTROM_TO_M,
@@ -37,6 +36,10 @@ __all__ = [
 #: the whole experiment-theory gap is charged to the deformation; the
 #: label travels with every bound so reports cannot drop the caveat
 ATTRIBUTION_LABEL = "upper bound under full-attribution assumption"
+
+# imported on first use, so that the closed-form paths never pay for
+# scipy; the name stays a module global so that it can be wrapped
+optimize = None
 
 
 class NoPositiveGapError(ValueError):
@@ -201,6 +204,9 @@ def fit_parameters(
     converged = False
     best = objective(x)
     total_evals += 1
+    global optimize
+    if optimize is None:
+        from scipy import optimize
     # a fresh simplex around the previous best recovers progress when a
     # collapsed simplex stops short of the minimum
     for _ in range(4):

@@ -15,7 +15,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.integrate import solve_ivp
 
 from .physmodel import KratzerCouplings
 
@@ -44,6 +43,10 @@ __all__ = [
     "hypergeometric_params",
     "heun_residual",
 ]
+
+# imported on first use, so that the closed-form paths never pay for
+# scipy; the name stays a module global so that it can be wrapped
+solve_ivp = None
 
 BRANCHES = ("fast-decay", "slow-decay")
 REGIMES = ("deformed", "undeformed")
@@ -273,6 +276,9 @@ def integrate_branch(
 
     n_points = int(math.ceil(points_per_decade * decades)) + 1
     grid = np.geomspace(p_min, p_max, n_points)
+    global solve_ivp
+    if solve_ivp is None:
+        from scipy.integrate import solve_ivp
     result = solve_ivp(
         rhs,
         (p_max, p_min),

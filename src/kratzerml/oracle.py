@@ -14,9 +14,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from scipy.integrate import quad
-from scipy.special import roots_genlaguerre
-
 from .physmodel import HBAR, KratzerCouplings
 from .wavefunctions import RadialState, kummer_polynomial, radial_wavefunction
 
@@ -32,6 +29,11 @@ __all__ = [
     "expectation_potential_sq",
     "correction_via_expectations",
 ]
+
+# imported on first use, so that the closed-form paths never pay for
+# scipy; each name stays a module global so that it can be wrapped
+quad = None
+roots_genlaguerre = None
 
 SCHEMES = ("adaptive", "gauss-laguerre")
 
@@ -107,6 +109,9 @@ def _certified(result: QuadratureResult, spec: QuadratureSpec, label: str):
 
 def _adaptive_integral(re: float, g, spec: QuadratureSpec) -> QuadratureResult:
     """integral of g(r) dr over r > 0 on the compactified axis r = re u/(1-u)."""
+    global quad
+    if quad is None:
+        from scipy.integrate import quad
 
     def integrand(u: float) -> float:
         if u <= 0.0 or u >= 1.0:
@@ -162,6 +167,9 @@ def _gl_density_integral(
     2n + degree; the rule is exact for it, so the difference between two
     rule sizes probes only roundoff.
     """
+    global roots_genlaguerre
+    if roots_genlaguerre is None:
+        from scipy.special import roots_genlaguerre
     n = state.qn.n
     lam = state.shape.lam
     two_kappa = 2.0 * state.shape.alpha / state.re

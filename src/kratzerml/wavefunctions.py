@@ -84,16 +84,14 @@ class RadialState:
     re : float
         Length scale of the state in m (the equilibrium distance on the
         molecular branch, gamma^2/scale in general).
-    norm : float
-        Normalization constant N in m^(-3/2).
     log_norm : float
-        log N, kept for log-space integrand assembly.
+        log N, with N the normalization constant in m^(-3/2); N itself
+        overflows a double for heavy molecules (gamma ~ 700 at re = 0.74 A).
     """
 
     qn: QuantumNumbers
     shape: ShapeNumbers
     re: float
-    norm: float
     log_norm: float
 
 
@@ -119,8 +117,7 @@ def make_radial_state(gamma: float, qn: QuantumNumbers, re: float) -> RadialStat
     if re <= 0.0:
         raise ValueError("length scale re must be positive")
     shape = shape_numbers(gamma, qn)
-    log_n = _log_norm(qn, shape, re)
-    return RadialState(qn=qn, shape=shape, re=re, norm=math.exp(log_n), log_norm=log_n)
+    return RadialState(qn=qn, shape=shape, re=re, log_norm=_log_norm(qn, shape, re))
 
 
 def radial_wavefunction(state: RadialState, r: float) -> float:

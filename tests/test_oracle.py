@@ -220,6 +220,24 @@ def test_gl_overflow_names_the_cause():
         )
 
 
+@pytest.mark.parametrize("gamma", [700.0, 1000.0])
+def test_heavy_states_match_closed_forms(gamma):
+    """Heavy molecules: the state builds and the adaptive moments hold.
+
+    The measured relative error is at most 4.2e-13 (p = 1, 2 at
+    gamma = 1000), above quad's own estimate of 2.1e-13 there, so the
+    gate is a fixed 1e-12 rather than the error estimate.
+    """
+    re = 0.74e-10
+    state = make_radial_state(gamma, QuantumNumbers(0, 0), re)
+    for p in (0, 1, 2):
+        closed = 1.0 if p == 0 else matrix_element_closed(
+            p, state.qn, state.shape, gamma * gamma / re
+        )
+        value = expectation_inverse_power(p, state).value
+        assert value == pytest.approx(closed, rel=1e-12, abs=0.0)
+
+
 def test_starved_adaptive_rule_fails_loudly():
     """With subdivision starved out, certification must raise, not lie."""
     state = make_radial_state(35.755, QuantumNumbers(3, 0), 1.0)

@@ -1,7 +1,14 @@
 import ast
+import json
+import subprocess
+import sys
 from pathlib import Path
 
 import kratzerml
+from kratzerml.oracle import expectation_inverse_power
+from kratzerml.physmodel import Molecule, QuantumNumbers, energy_from_joule
+from kratzerml.spectrum import energy_deformed
+from kratzerml.wavefunctions import make_radial_state
 
 
 def test_submodule_names_resolve_on_the_package():
@@ -50,3 +57,128 @@ def test_unused_import_guard_sees_unused_names():
         "__all__ = ['sep']\nnp.zeros(path)\n"
     )
     assert _unused_imports(tree) == ["math (line 1)"]
+
+
+def _import_time_scipy_imports(tree: ast.Module) -> list[str]:
+    """scipy imports that run when the module is imported.
+
+    Everything outside a function body runs at import, class bodies and
+    if/try blocks included.
+    """
+    found = []
+    pending = list(tree.body)
+    while pending:
+        node = pending.pop()
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            continue
+        if isinstance(node, ast.Import):
+            names = [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom):
+            names = [node.module or ""]
+        else:
+            pending.extend(ast.iter_child_nodes(node))
+            continue
+        found += [f"{name} (line {node.lineno})" for name in names
+                  if name == "scipy" or name.startswith("scipy.")]
+    return sorted(found)
+
+
+def test_no_module_imports_scipy_at_import_time():
+    package = Path(kratzerml.__file__).parent
+    for path in sorted(package.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        assert _import_time_scipy_imports(tree) == [], path.name
+
+
+def test_scipy_import_guard_sees_top_level_imports():
+    tree = ast.parse(
+        "import math\nfrom scipy import optimize\n"
+        "if math.pi:\n    import scipy.special\n"
+        "def f():\n    from scipy.integrate import quad\n"
+    )
+    assert _import_time_scipy_imports(tree) == [
+        "scipy (line 2)", "scipy.special (line 4)",
+    ]
+
+
+# Runs in a fresh interpreter: bound and spectrum must leave scipy
+# unloaded; verify, fit and a Gauss-Laguerre moment then bind each lazy
+# scipy name as a module global holding the scipy object itself, which
+# is what a tracer wraps.
+_STARTUP_SCRIPT = """
+import contextlib, io, json, sys
+sys.path.insert(0, sys.argv[1])
+import kratzerml
+from kratzerml import shell
+
+def run(*argv):
+    with contextlib.redirect_stdout(io.StringIO()):
+        return shell.main(list(argv))
+
+codes = [
+    run("bound", "H2", "--json"),
+    run("spectrum", "H2", "--nmax", "2", "--lmax", "1",
+        "--min-length", "0.01", "--json"),
+]
+scipy_after_closed_forms = sorted(
+    m for m in sys.modules if m == "scipy" or m.startswith("scipy.")
+)
+codes.append(run("verify", "--json"))
+codes.append(run("fit", sys.argv[2], "--mu", "1.2",
+                 "--init", "52000,1.0,0", "--json"))
+state = kratzerml.make_radial_state(5.0, kratzerml.QuantumNumbers(0, 0), 1.0)
+kratzerml.expectation_inverse_power(
+    0, state, kratzerml.QuadratureSpec(scheme="gauss-laguerre")
+)
+import scipy.integrate, scipy.optimize, scipy.special
+print(json.dumps({
+    "codes": codes,
+    "scipy_after_closed_forms": scipy_after_closed_forms,
+    "bound": {
+        "oracle.quad": kratzerml.oracle.quad is scipy.integrate.quad,
+        "oracle.roots_genlaguerre":
+            kratzerml.oracle.roots_genlaguerre is scipy.special.roots_genlaguerre,
+        "momentum.solve_ivp":
+            kratzerml.momentum.solve_ivp is scipy.integrate.solve_ivp,
+        "estimate.optimize": kratzerml.estimate.optimize is scipy.optimize,
+    },
+}))
+"""
+
+
+def test_closed_form_commands_leave_scipy_unloaded(tmp_path):
+    mol = Molecule("synth", 45000.0, 1.1, 1.2)
+    lines = ["n,l,E_cm1"]
+    for n in range(2):
+        for l in range(2):
+            level = energy_deformed(mol, 6.736924e41, QuantumNumbers(n, l))
+            lines.append(f"{n},{l},{energy_from_joule(level.e, 'cm-1')!r}")
+    levels = tmp_path / "synth.levels"
+    levels.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    src = str(Path(kratzerml.__file__).parent.parent)
+    out = subprocess.run(
+        [sys.executable, "-c", _STARTUP_SCRIPT, src, str(levels)],
+        capture_output=True, text=True, timeout=120,
+    )
+    assert out.returncode == 0, out.stderr
+    doc = json.loads(out.stdout)
+    assert doc["codes"] == [0, 0, 0, 0]
+    assert doc["scipy_after_closed_forms"] == []
+    assert doc["bound"] == dict.fromkeys(doc["bound"], True)
+
+
+def test_lazy_scipy_binding_is_never_rebound(monkeypatch):
+    """A wrapper put in place of a bound scipy name stays in use."""
+    state = make_radial_state(5.0, QuantumNumbers(0, 0), 1.0)
+    expectation_inverse_power(0, state)  # binds oracle.quad
+    calls = []
+    original = kratzerml.oracle.quad
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(kratzerml.oracle, "quad", counted)
+    expectation_inverse_power(0, state)
+    assert kratzerml.oracle.quad is counted
+    assert calls == [1]
