@@ -10,8 +10,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-import numpy as np
-
 from .physmodel import (
     ANGSTROM_TO_M,
     Molecule,
@@ -142,24 +140,25 @@ def fit_parameters(
     mu_amu: float,
     init: tuple[float, float, float],
     *,
-    xtol_rel: float = 1e-10,
     max_evaluations: int = 10_000,
 ) -> FitResult:
-    """Fit (De, re, beta) to observed levels by bounded simplex descent.
+    """Fit (De, re, beta) to observed levels by variable projection.
 
     levels: iterable of (n, l, E_obs_cm1) or (n, l, E_obs_cm1, weight)
         rows, each (n, l) at most once, at least four rows.  The rows
         are put in canonical (n, l) order before any arithmetic, so the
         result is bitwise independent of input permutation.
     init: (De_cm1, re_angstrom, beta_si) starting point; De and re must
-        be positive, beta nonnegative.
+        be positive, beta nonnegative.  beta is checked but not read.
 
     The objective is the weighted sum of squared residuals in cm^-1.
-    The simplex works in coordinates scaled by the starting point, so
-    the diameter cutoff xtol_rel is relative; beta is kept nonnegative
-    by projection and unphysical (De, re) trials score +inf.  Descent is
-    monotone in the best vertex; termination on simplex diameter or on
-    the evaluation budget, with converged=False in the latter case.
+    At fixed (De, re) each level is E0 + beta S, linear in beta, so the
+    best beta is one division, clamped at 0 (variable projection, Golub
+    & Pereyra 1973).  scipy's bounded trust-region least squares moves
+    (De, re), scaled by the start, on a finite-difference Jacobian.
+    max_evaluations caps its residual evaluations (one level per row
+    each, the two per Jacobian not counted); running out gives
+    converged=False.  iterations counts the Jacobians.
     """
     rows = _canonical_levels(levels)
     de0, re0, beta0 = (float(v) for v in init)
@@ -170,82 +169,32 @@ def fit_parameters(
     if mu_amu <= 0.0:
         raise ValueError("reduced mass must be positive")
 
-    # beta axis scale: the starting beta when usable, otherwise the beta
-    # that shifts the ground level by 1e-3 De (detectability scale)
-    if beta0 > 0.0:
-        beta_scale = beta0
-    else:
-        probe = Molecule(name="fit", de_cm1=de0, re_angstrom=re0, mu_amu=mu_amu)
-        unit_shift = correction_general(
-            couplings_from_kratzer(probe), probe.mu_kg, 1.0, QuantumNumbers(0, 0)
-        )
-        beta_scale = 1e-3 * probe.de_joule / unit_shift
-
-    def objective(x: np.ndarray) -> float:
-        de = de0 * x[0]
-        re = re0 * x[1]
-        beta = max(0.0, beta_scale * x[2])
-        if de <= 0.0 or re <= 0.0:
-            return math.inf
-        mol = Molecule(name="fit", de_cm1=de, re_angstrom=re, mu_amu=mu_amu)
-        rss = 0.0
+    def project(x) -> tuple[float, list[float]]:
+        # a, b: weighted unit slopes S and gaps E_obs - E0 of every level
+        a, b = [], []
         try:
+            mol = Molecule(name="fit", de_cm1=de0 * float(x[0]),
+                           re_angstrom=re0 * float(x[1]), mu_amu=mu_amu)
             for n, l, e_obs, weight in rows:
-                level = energy_deformed(mol, beta, QuantumNumbers(n, l))
-                resid = energy_from_joule(level.e, "cm-1") - e_obs
-                rss += weight * resid * resid
+                level = energy_deformed(mol, 1.0, QuantumNumbers(n, l))
+                root_w = math.sqrt(weight)
+                a.append(root_w * energy_from_joule(level.de, "cm-1"))
+                b.append(root_w * (e_obs - energy_from_joule(level.e0, "cm-1")))
         except ValueError:
-            return math.inf  # lambda guard or non-perturbative corner
-        return rss
+            return math.nan, [math.inf] * len(rows)  # no defined level
+        beta = max(0.0, sum(p * q for p, q in zip(a, b)) / sum(p * p for p in a))
+        return beta, [beta * p - q for p, q in zip(a, b)]
 
-    x = np.array([1.0, 1.0, beta0 / beta_scale if beta0 > 0.0 else 0.0])
-    total_iter = 0
-    total_evals = 0
-    converged = False
-    best = objective(x)
-    total_evals += 1
     global optimize
     if optimize is None:
         from scipy import optimize
-    # a fresh simplex around the previous best recovers progress when a
-    # collapsed simplex stops short of the minimum
-    for _ in range(4):
-        budget = max_evaluations - total_evals
-        if budget <= 3:
-            break
-        result = optimize.minimize(
-            objective,
-            x,
-            method="Nelder-Mead",
-            options={
-                "xatol": xtol_rel,
-                "fatol": math.inf,
-                "maxfev": budget,
-                "adaptive": False,
-            },
-        )
-        total_iter += int(result.nit)
-        total_evals += int(result.nfev)
-        if result.fun <= best:
-            x = np.asarray(result.x)
-            improved = best - result.fun
-            best = float(result.fun)
-        else:
-            improved = 0.0
-        if result.success:
-            converged = True
-            if improved == 0.0 or best == 0.0:
-                break
-        else:
-            converged = False
-            break
-
-    beta_fit = max(0.0, beta_scale * float(x[2]))
+    # scipy's 1e-8 defaults leave beta up to 1e-5 off on undeformed truths
+    result = optimize.least_squares(
+        lambda x: project(x)[1], [1.0, 1.0], bounds=(0.0, math.inf), method="trf",
+        xtol=1e-12, ftol=1e-15, gtol=1e-15, max_nfev=max_evaluations,
+    )
     return FitResult(
-        de_cm1=de0 * float(x[0]),
-        re_angstrom=re0 * float(x[1]),
-        beta=beta_fit,
-        rss_cm2=best,
-        iterations=total_iter,
-        converged=converged,
+        de_cm1=de0 * float(result.x[0]), re_angstrom=re0 * float(result.x[1]),
+        beta=project(result.x)[0], rss_cm2=float(result.fun @ result.fun),
+        iterations=int(result.njev), converged=result.status > 0,
     )

@@ -30,13 +30,11 @@ __all__ = [
     "HeunParams",
     "HeunParamsIS",
     "HypergeometricParams",
-    "RegularizationReport",
     "ode_rhs_deformed",
     "default_p_range",
     "integrate_branch",
     "fit_slope",
     "indicial_exponents",
-    "regularization_witness",
     "quantize_swave",
     "heun_params_general",
     "heun_params_inverse_square",
@@ -320,63 +318,6 @@ def fit_slope(solution: OdeSolution, window_decades: float = 1.0) -> float:
         raise ValueError("|psi| vanishes inside the fit window")
     slope, _ = np.polyfit(np.log(p[mask]), np.log(mag[mask]), 1)
     return float(slope)
-
-
-@dataclass(frozen=True)
-class RegularizationReport:
-    """Exponent-gap evidence that the deformation regularizes the problem."""
-
-    sigma1: float
-    deformed_exponents: tuple[float, float]
-    deformed_gap: float
-    deformed_selects_unique: bool
-    undeformed_exponents: tuple[complex, complex]
-    undeformed_regime: str
-    undeformed_selects_unique: bool
-    summary: str
-
-
-def regularization_witness(sigma1: float) -> RegularizationReport:
-    """Compare branch selection with and without the deformation.
-
-    Deformed decay exponents are {-10/3, -2} for every sigma1, so the
-    faster branch is always uniquely selected by p^2 psi -> 0.  Without
-    the deformation the exponents -5/2 -+ nu separate only for
-    sigma1 > -1/4; at -1/4 they degenerate and below it they form a
-    complex pair of equal modulus, leaving no decay-based selection.
-    """
-    fast, slow = _DEFORMED_EXPONENTS
-    undeformed = _undeformed_exponents(sigma1)
-    radicand = 0.25 + sigma1
-    if radicand > 0.0:
-        regime = "real-separated"
-        unique = True
-        tail = "the undeformed exponents are real and separated"
-    elif radicand == 0.0:
-        regime = "degenerate"
-        unique = False
-        tail = "the undeformed exponents degenerate at -5/2 (boundary case)"
-    else:
-        regime = "complex"
-        unique = False
-        tail = (
-            "the undeformed exponents are complex conjugates of equal "
-            "modulus; both branches are admissible"
-        )
-    summary = (
-        f"sigma1 = {sigma1:g}: deformed decay exponents -10/3 and -2 "
-        f"(gap 4/3) select a unique branch for any coupling; {tail}."
-    )
-    return RegularizationReport(
-        sigma1=sigma1,
-        deformed_exponents=(fast, slow),
-        deformed_gap=slow - fast,
-        deformed_selects_unique=True,
-        undeformed_exponents=undeformed,
-        undeformed_regime=regime,
-        undeformed_selects_unique=unique,
-        summary=summary,
-    )
 
 
 def quantize_swave(prob: MomentumProblem, n_max: int, mu: float) -> list[float]:

@@ -297,12 +297,14 @@ def correction_via_expectations(
     beta: float,
     spec: QuadratureSpec = QuadratureSpec(),
 ) -> QuadratureResult:
-    """First-order shift 4 beta mu [E0^2 - 2 E0 <V> + <V^2>] in J.
+    """First-order shift 4 beta mu <(E0 - V)^2> in J.
 
     <p^4> = 4 mu^2 <(E0 - V)^2> for an eigenstate, so the shift needs
-    only potential moments; those come from quadrature here, making this
-    an end-to-end check on the closed-form correction.  The bracket is
-    the expectation of a square, so the result is nonnegative.
+    only the potential; the moment comes from quadrature here, making
+    this an end-to-end check on the closed-form correction.  The square
+    is formed pointwise and integrated once: assembling it as
+    E0^2 - 2 E0 <V> + <V^2> from separate moments cancels the O(gamma^2)
+    terms and loses digits as gamma grows.  The result is nonnegative.
     """
     if mu <= 0.0:
         raise ValueError("reduced mass must be positive")
@@ -312,10 +314,16 @@ def correction_via_expectations(
     n = state.qn.n
     s = mu * c.g2 / (HBAR * HBAR)
     e0 = -(HBAR * s) ** 2 / (2.0 * mu * (lam + n) ** 2)
-    pot = expectation_potential(state, c, spec)
-    pot_sq = expectation_potential_sq(state, c, spec)
-    value = 4.0 * beta * mu * (e0 * e0 - 2.0 * e0 * pot.value + pot_sq.value)
-    err = 4.0 * beta * mu * (
-        2.0 * abs(e0) * pot.error_estimate + pot_sq.error_estimate
+
+    def weight(r: float) -> float:
+        gap = e0 - (c.g1 / r - c.g2) / r
+        return gap * gap
+
+    power = 4 if c.g1 != 0.0 else 2
+    moment = _moment(state, weight, power, power, spec, "<(E0 - V)^2>")
+    scale = 4.0 * beta * mu
+    return QuadratureResult(
+        value=scale * moment.value,
+        error_estimate=scale * moment.error_estimate,
+        scheme=spec.scheme,
     )
-    return QuadratureResult(value=value, error_estimate=err, scheme=spec.scheme)

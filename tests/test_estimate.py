@@ -2,6 +2,7 @@ import math
 
 import pytest
 
+from kratzerml import estimate
 from kratzerml.estimate import (
     ATTRIBUTION_LABEL,
     NoPositiveGapError,
@@ -163,5 +164,34 @@ def test_fit_input_validation():
 
 
 def test_fit_budget_exhaustion_reported():
-    out = fit_parameters(LEVELS, 1.2, (52000.0, 1.0, 0.0), max_evaluations=10)
+    out = fit_parameters(LEVELS, 1.2, (52000.0, 1.0, 0.0), max_evaluations=3)
     assert not out.converged
+
+
+def test_fit_ignores_initial_beta():
+    """beta is projected out, so its starting value cannot change a bit."""
+    a = fit_parameters(LEVELS, 1.2, (52000.0, 1.0, 0.0))
+    b = fit_parameters(LEVELS, 1.2, (52000.0, 1.0, 10.0 * BETA0))
+    assert a == b
+
+
+def test_fit_recovers_zero_beta():
+    """An undeformed truth comes back at beta 0 up to roundoff."""
+    out = fit_parameters(synthetic_levels(MOL0, 0.0), 1.2, (52000.0, 1.0, 0.0))
+    assert out.converged
+    assert out.de_cm1 == pytest.approx(45000.0, rel=1e-6)
+    assert out.re_angstrom == pytest.approx(1.1, rel=1e-6)
+    assert 0.0 <= out.beta <= 1e-9 * BETA0
+
+
+def test_fit_level_evaluation_budget(monkeypatch):
+    """The 12-level fit needs a few hundred closed-form levels, not ~11k."""
+    calls = []
+
+    def counted(mol, beta, qn):
+        calls.append(qn)
+        return energy_deformed(mol, beta, qn)
+
+    monkeypatch.setattr(estimate, "energy_deformed", counted)
+    assert fit_parameters(LEVELS, 1.2, (52000.0, 1.0, 0.0)).converged
+    assert len(calls) <= 600

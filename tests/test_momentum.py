@@ -18,7 +18,6 @@ from kratzerml.momentum import (
     indicial_exponents,
     integrate_branch,
     quantize_swave,
-    regularization_witness,
 )
 from kratzerml.physmodel import (
     AMU_TO_KG,
@@ -77,15 +76,22 @@ def test_rhs_rejects_origin():
 
 
 def test_indicial_exponents_deformed():
-    """{-10/3, -2} regardless of couplings: 3s(s-1) + 13s + 7 = 0 shifted."""
-    for sigma1, sigma2 in ((0.0, 0.0), (-5.0, 3.0), (100.0, 0.1)):
+    """{-10/3, -2} regardless of couplings: 3s(s-1) + 13s + 7 = 0 shifted.
+
+    The gap 4/3 separates the branches at every sigma1, including the
+    degenerate -1/4 and the complex regime below it, so the deformation
+    always selects a unique decaying branch.
+    """
+    for sigma1, sigma2 in ((0.0, 0.0), (-5.0, 3.0), (100.0, 0.1),
+                           (2.0, 1.0), (-0.25, 1.0), (-2.0, 1.0)):
         prob = MomentumProblem(sigma1=sigma1, sigma2=sigma2, k=1.0, beta=2.0)
         fast, slow = indicial_exponents(prob, "deformed")
-        assert fast == pytest.approx(-10.0 / 3.0, rel=1e-15)
-        assert slow == -2.0 + 0.0j
+        assert (fast, slow) == (complex(-10.0 / 3.0), -2.0 + 0.0j)
+        assert (slow - fast).real == pytest.approx(4.0 / 3.0, rel=1e-15)
 
 
 def test_indicial_exponents_undeformed():
+    # real and separated above sigma1 = -1/4
     prob = MomentumProblem(sigma1=2.0, sigma2=1.0, k=1.0)
     assert indicial_exponents(prob, "undeformed") == (-4.0 + 0.0j, -1.0 + 0.0j)
     # nu = 1/2 at sigma1 = 0; the pair degenerates at sigma1 = -1/4
@@ -97,6 +103,12 @@ def test_indicial_exponents_undeformed():
     fast, slow = indicial_exponents(sing, "undeformed")
     assert fast == pytest.approx(-2.5 - 1j * math.sqrt(0.75))
     assert slow == fast.conjugate()
+    # below -1/4 the pair is complex with equal modulus: decay selects
+    # neither branch without the deformation
+    deep = MomentumProblem(sigma1=-2.0, sigma2=1.0, k=1.0)
+    fast, slow = indicial_exponents(deep, "undeformed")
+    assert fast.imag != 0.0 and slow == fast.conjugate()
+    assert abs(fast) == pytest.approx(abs(slow), rel=1e-15)
     with pytest.raises(ValueError):
         indicial_exponents(prob, "weird")
 
@@ -207,26 +219,6 @@ def test_fit_slope_validation():
         fit_slope(sol, window_decades=0.0)
     with pytest.raises(ValueError):
         fit_slope(sol, window_decades=1e-9)
-
-
-def test_regularization_witness_regimes():
-    clean = regularization_witness(2.0)
-    assert clean.undeformed_regime == "real-separated"
-    assert clean.undeformed_selects_unique
-    edge = regularization_witness(-0.25)
-    assert edge.undeformed_regime == "degenerate"
-    assert not edge.undeformed_selects_unique
-    deep = regularization_witness(-2.0)
-    assert deep.undeformed_regime == "complex"
-    assert not deep.undeformed_selects_unique
-    a, b = deep.undeformed_exponents
-    assert a == b.conjugate()
-    assert abs(a) == pytest.approx(abs(b), rel=1e-15)
-    for report in (clean, edge, deep):
-        assert report.deformed_selects_unique
-        assert report.deformed_exponents == (-10.0 / 3.0, -2.0)
-        assert report.deformed_gap == pytest.approx(4.0 / 3.0, rel=1e-15)
-        assert "unique" in report.summary
 
 
 def test_quantize_swave_values():
