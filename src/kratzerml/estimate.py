@@ -169,7 +169,7 @@ def fit_parameters(
     if mu_amu <= 0.0:
         raise ValueError("reduced mass must be positive")
 
-    def project(x) -> tuple[float, list[float]]:
+    def project(x, *, trial=True) -> tuple[float, list[float]]:
         # a, b: weighted unit slopes S and gaps E_obs - E0 of every level
         a, b = [], []
         try:
@@ -181,10 +181,14 @@ def fit_parameters(
                 a.append(root_w * energy_from_joule(level.de, "cm-1"))
                 b.append(root_w * (e_obs - energy_from_joule(level.e0, "cm-1")))
         except ValueError:
+            if not trial:
+                raise
             return math.nan, [math.inf] * len(rows)  # no defined level
         beta = max(0.0, sum(p * q for p, q in zip(a, b)) / sum(p * p for p in a))
         return beta, [beta * p - q for p, q in zip(a, b)]
 
+    # a start with an undefined level fails here, with the level's reason
+    project([1.0, 1.0], trial=False)
     global optimize
     if optimize is None:
         from scipy import optimize

@@ -17,7 +17,7 @@ import math
 import sys
 from pathlib import Path
 
-from . import verify
+from . import PRESETS
 from .estimate import (
     NoPositiveGapError,
     beta_upper_bound,
@@ -412,6 +412,8 @@ def cmd_verify(args) -> int:
     preset = args.grid_preset
     if args.tol is not None and not _positive_finite(args.tol):
         raise UsageError("--tol must be a positive finite number")
+    from . import verify  # numpy and the oracles: imported only to verify
+
     results = verify.run_checks(preset, args.tol)
     offenders = [res for res in results if not res.passed]
     all_passed = not offenders
@@ -603,7 +605,7 @@ def build_parser() -> argparse.ArgumentParser:
     vf = sub.add_parser("verify", help="run the self-check suites")
     vf.add_argument(
         "--grid-preset",
-        choices=verify.PRESETS,
+        choices=PRESETS,
         default="small",
         help="comparison grid size",
     )

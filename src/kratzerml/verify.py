@@ -15,6 +15,7 @@ from typing import Callable
 
 import numpy as np
 
+from . import PRESETS
 from .momentum import (
     BRANCHES,
     VARIANTS,
@@ -50,8 +51,6 @@ from .spectrum import (
 from .wavefunctions import make_radial_state
 
 __all__ = ["PRESETS", "CheckResult", "Check", "CHECKS", "run_checks"]
-
-PRESETS = ("small", "paper")
 
 
 @dataclass(frozen=True)

@@ -47,8 +47,8 @@ def test_problem_from_couplings():
     energy = -1e-19
     prob = MomentumProblem.from_couplings(c, mu, energy, beta=1e40)
     assert prob.sigma1 == pytest.approx(c.sigma1(mu), rel=1e-15)
-    assert prob.sigma2 == pytest.approx(c.sigma2(mu), rel=1e-15)
-    assert prob.k == pytest.approx(math.sqrt(2.0 * mu * 1e-19), rel=1e-15)
+    assert prob.sigma2 == pytest.approx(c.sigma2(mu), rel=1e-15, abs=0.0)
+    assert prob.k == pytest.approx(math.sqrt(2.0 * mu * 1e-19), rel=1e-15, abs=0.0)
     with pytest.raises(ValueError):
         MomentumProblem.from_couplings(c, mu, 1e-19)
     with pytest.raises(ValueError):
@@ -244,7 +244,7 @@ def test_quantize_swave_matches_closed_spectrum():
         energies = quantize_swave(prob, 10, mu)
         for n, e in enumerate(energies):
             assert e == pytest.approx(
-                energy_unperturbed(mol, QuantumNumbers(n, 0)), rel=1e-12
+                energy_unperturbed(mol, QuantumNumbers(n, 0)), rel=1e-12, abs=0.0
             )
 
 

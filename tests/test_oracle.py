@@ -118,7 +118,7 @@ def test_potential_assembly_cross_check():
         whole = expectation_potential(state, c, spec).value
         m1 = expectation_inverse_power(1, state, spec).value
         m2 = expectation_inverse_power(2, state, spec).value
-        assert whole == pytest.approx(c.g1 * m2 - c.g2 * m1, rel=1e-9)
+        assert whole == pytest.approx(c.g1 * m2 - c.g2 * m1, rel=1e-9, abs=0.0)
 
 
 def test_potential_sq_assembly_cross_check():
@@ -129,7 +129,7 @@ def test_potential_sq_assembly_cross_check():
         p: expectation_inverse_power(p, state).value for p in (2, 3, 4)
     }
     assembled = c.g1**2 * m[4] - 2.0 * c.g1 * c.g2 * m[3] + c.g2**2 * m[2]
-    assert whole == pytest.approx(assembled, rel=1e-9)
+    assert whole == pytest.approx(assembled, rel=1e-9, abs=0.0)
 
 
 def test_ground_state_sits_above_potential_mean():

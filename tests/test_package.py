@@ -1,5 +1,7 @@
 import ast
+import importlib
 import json
+import os
 import subprocess
 import sys
 from pathlib import Path
@@ -13,7 +15,8 @@ from kratzerml.wavefunctions import make_radial_state
 
 def test_submodule_names_resolve_on_the_package():
     seen = []
-    for module in kratzerml._MODULES:
+    for module_name in kratzerml._MODULES:
+        module = importlib.import_module(f"kratzerml.{module_name}")
         for name in module.__all__:
             assert getattr(kratzerml, name) is getattr(module, name), name
             seen.append(name)
@@ -59,8 +62,13 @@ def test_unused_import_guard_sees_unused_names():
     assert _unused_imports(tree) == ["math (line 1)"]
 
 
-def _import_time_scipy_imports(tree: ast.Module) -> list[str]:
-    """scipy imports that run when the module is imported.
+# modules that may import numpy at import time: only verify and the
+# momentum-space ODEs reach it, and no CLI command but verify loads them
+_NUMPY_AT_IMPORT = {"momentum.py", "verify.py"}
+
+
+def _import_time_imports(tree: ast.Module, roots: set[str]) -> list[str]:
+    """Imports of the packages in roots that run when the module is imported.
 
     Everything outside a function body runs at import, class bodies and
     if/try blocks included.
@@ -79,15 +87,16 @@ def _import_time_scipy_imports(tree: ast.Module) -> list[str]:
             pending.extend(ast.iter_child_nodes(node))
             continue
         found += [f"{name} (line {node.lineno})" for name in names
-                  if name == "scipy" or name.startswith("scipy.")]
+                  if name.split(".")[0] in roots]
     return sorted(found)
 
 
 def test_no_module_imports_scipy_at_import_time():
     package = Path(kratzerml.__file__).parent
     for path in sorted(package.glob("*.py")):
+        roots = {"scipy"} if path.name in _NUMPY_AT_IMPORT else {"scipy", "numpy"}
         tree = ast.parse(path.read_text(encoding="utf-8"))
-        assert _import_time_scipy_imports(tree) == [], path.name
+        assert _import_time_imports(tree, roots) == [], path.name
 
 
 def test_scipy_import_guard_sees_top_level_imports():
@@ -96,19 +105,36 @@ def test_scipy_import_guard_sees_top_level_imports():
         "if math.pi:\n    import scipy.special\n"
         "def f():\n    from scipy.integrate import quad\n"
     )
-    assert _import_time_scipy_imports(tree) == [
+    assert _import_time_imports(tree, {"scipy"}) == [
         "scipy (line 2)", "scipy.special (line 4)",
     ]
 
 
-# Runs in a fresh interpreter: bound and spectrum must leave scipy
-# unloaded; verify, fit and a Gauss-Laguerre moment then bind each lazy
-# scipy name as a module global holding the scipy object itself, which
-# is what a tracer wraps.
+def test_numpy_import_guard_sees_top_level_imports():
+    tree = ast.parse(
+        "import math\nimport numpy as np\nimport numpyish\n"
+        "try:\n    from numpy.linalg import norm\nexcept ImportError:\n    pass\n"
+        "def f():\n    import numpy\n"
+    )
+    assert _import_time_imports(tree, {"scipy", "numpy"}) == [
+        "numpy (line 2)", "numpy.linalg (line 5)",
+    ]
+
+
+# Runs in a fresh interpreter: importing the package and running bound
+# and spectrum must leave numpy and scipy unloaded; verify, fit and a
+# Gauss-Laguerre moment then bind each lazy scipy name as a module
+# global holding the scipy object itself, which is what a tracer wraps.
 _STARTUP_SCRIPT = """
 import contextlib, io, json, sys
 sys.path.insert(0, sys.argv[1])
+
+def heavy_modules():
+    return sorted(m for m in sys.modules
+                  if m.split(".")[0] in ("numpy", "scipy"))
+
 import kratzerml
+heavy_after_import = heavy_modules()
 from kratzerml import shell
 
 def run(*argv):
@@ -120,9 +146,7 @@ codes = [
     run("spectrum", "H2", "--nmax", "2", "--lmax", "1",
         "--min-length", "0.01", "--json"),
 ]
-scipy_after_closed_forms = sorted(
-    m for m in sys.modules if m == "scipy" or m.startswith("scipy.")
-)
+heavy_after_closed_forms = heavy_modules()
 codes.append(run("verify", "--json"))
 codes.append(run("fit", sys.argv[2], "--mu", "1.2",
                  "--init", "52000,1.0,0", "--json"))
@@ -133,7 +157,8 @@ kratzerml.expectation_inverse_power(
 import scipy.integrate, scipy.optimize, scipy.special
 print(json.dumps({
     "codes": codes,
-    "scipy_after_closed_forms": scipy_after_closed_forms,
+    "heavy_after_import": heavy_after_import,
+    "heavy_after_closed_forms": heavy_after_closed_forms,
     "bound": {
         "oracle.quad": kratzerml.oracle.quad is scipy.integrate.quad,
         "oracle.roots_genlaguerre":
@@ -163,7 +188,8 @@ def test_closed_form_commands_leave_scipy_unloaded(tmp_path):
     assert out.returncode == 0, out.stderr
     doc = json.loads(out.stdout)
     assert doc["codes"] == [0, 0, 0, 0]
-    assert doc["scipy_after_closed_forms"] == []
+    assert doc["heavy_after_import"] == []
+    assert doc["heavy_after_closed_forms"] == []
     assert doc["bound"] == dict.fromkeys(doc["bound"], True)
 
 
@@ -182,3 +208,59 @@ def test_lazy_scipy_binding_is_never_rebound(monkeypatch):
     expectation_inverse_power(0, state)
     assert kratzerml.oracle.quad is counted
     assert calls == [1]
+
+
+# Runs in a fresh interpreter, so that dir() and __all__ are computed by
+# the lazy module __getattr__ rather than read from modules that other
+# tests imported.
+_SURFACE_SCRIPT = """
+import importlib, json
+import kratzerml
+listed = dir(kratzerml)
+exported = kratzerml.__all__
+union = ["__version__"] + [
+    name for module_name in kratzerml._MODULES
+    for name in importlib.import_module("kratzerml." + module_name).__all__
+]
+try:
+    kratzerml.no_such_name
+    missing = None
+except Exception as exc:
+    missing = type(exc).__name__
+print(json.dumps({"dir": listed, "all": exported, "union": union,
+                  "missing": missing}))
+"""
+
+
+def _python(*args):
+    """A fresh interpreter that imports kratzerml from this checkout."""
+    env = dict(os.environ, COLUMNS="80")
+    return subprocess.run(
+        [sys.executable, *args], capture_output=True, text=True, timeout=120,
+        env=env, cwd=Path(kratzerml.__file__).parent.parent,
+    )
+
+
+def test_lazy_package_surface():
+    out = _python("-c", _SURFACE_SCRIPT)
+    assert out.returncode == 0, out.stderr
+    doc = json.loads(out.stdout)
+    assert doc["all"] == doc["union"]
+    assert doc["dir"] == sorted(doc["union"])
+    assert doc["missing"] == "AttributeError"
+
+
+def test_verify_parser_keeps_its_preset_text():
+    shown = _python("-m", "kratzerml.shell", "verify", "--help")
+    assert (shown.returncode, shown.stderr) == (0, "")
+    assert shown.stdout.startswith(
+        "usage: kratzerml verify [-h] [--grid-preset {small,paper}]"
+    )
+    assert "  --grid-preset {small,paper}\n" in shown.stdout
+    refused = _python("-m", "kratzerml.shell", "verify", "--grid-preset", "bogus")
+    assert (refused.returncode, refused.stdout) == (2, "")
+    error = refused.stderr.splitlines()[-1]
+    assert error.startswith(
+        "kratzerml verify: error: argument --grid-preset: invalid choice: 'bogus'"
+    )
+    assert "small" in error and "paper" in error

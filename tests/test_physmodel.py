@@ -108,7 +108,9 @@ def test_shape_numbers_properties(gamma, n, l):
     assert shape.lam == pytest.approx(
         0.5 + math.hypot(l + 0.5, gamma), rel=1e-15
     )
-    assert shape.alpha == pytest.approx(gamma * gamma / (shape.lam + n), rel=1e-15)
+    assert shape.alpha == pytest.approx(
+        gamma * gamma / (shape.lam + n), rel=1e-15, abs=0.0
+    )
 
 
 def test_shape_numbers_never_raises_at_gamma_zero():
@@ -142,7 +144,9 @@ def test_deformation_specialized_and_min_length():
 
 @given(x=st.floats(min_value=1e-15, max_value=1e-10))
 def test_min_length_round_trip(x):
-    assert minimal_length(beta_from_min_length(x)) == pytest.approx(x, rel=1e-12)
+    assert minimal_length(beta_from_min_length(x)) == pytest.approx(
+        x, rel=1e-12, abs=0.0
+    )
 
 
 def test_deformation_validation():

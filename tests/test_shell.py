@@ -1,4 +1,5 @@
 import json
+import warnings
 
 import pytest
 
@@ -266,7 +267,7 @@ def test_spectrum_units_conversion(capsys):
         e_cm * WAVENUMBER_TO_JOULE / EV_TO_JOULE, rel=1e-12
     )
     assert jj["levels"][0]["e0"]["value"] == pytest.approx(
-        e_cm * WAVENUMBER_TO_JOULE, rel=1e-12
+        e_cm * WAVENUMBER_TO_JOULE, rel=1e-12, abs=0.0
     )
 
 
@@ -436,6 +437,20 @@ def test_fit_cli_usage_errors(capsys, tmp_path, levels_file):
     assert main(["fit", str(levels_file), "--mu", "1.2",
                  "--init=-1,1,0"]) == 2
     capsys.readouterr()
+
+
+def test_fit_cli_undefined_start_names_the_guard(capsys, levels_file):
+    # at mu = 1e-6 amu the start's gamma is tiny and every l = 0 level
+    # sits on the lambda = 1 singularity
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code = main(["fit", str(levels_file), "--mu", "1e-6", "--init", "1,1,0"])
+    captured = capsys.readouterr()
+    assert code == 1
+    assert captured.out == ""
+    assert captured.err.startswith("error: lambda = ")
+    assert "of the singular value 1.0" in captured.err
+    assert caught == []
 
 
 @pytest.mark.parametrize(

@@ -181,7 +181,7 @@ def test_dual_forms_agree():
         de_coupling = correction_general(
             couplings_from_kratzer(mol), mol.mu_kg, beta, qn
         )
-        assert de_param == pytest.approx(de_coupling, rel=1e-12)
+        assert de_param == pytest.approx(de_coupling, rel=1e-12, abs=0.0)
 
 
 def test_hydrogen_dispatch_is_exact():
@@ -214,7 +214,7 @@ def test_hydrogen_limit_value():
     t = mu * g2 / (HBAR * qn.principal)
     expected = 4.0 * beta * t**4 / mu * (qn.principal / (qn.l + 0.5) - 0.75)
     assert correction_hydrogen_limit(g2, mu, beta, qn) == pytest.approx(
-        expected, rel=1e-14
+        expected, rel=1e-14, abs=0.0
     )
 
 
@@ -287,4 +287,4 @@ def test_expansion_tracks_closed_form_with_beta():
         beta = 1e-4 / (mol.mu_kg * mol.de_joule)
         lev = energy_deformed(mol, beta, qn)
         series = energy_expansion(mol, beta, qn)
-        assert series == pytest.approx(lev.e, rel=tol)
+        assert series == pytest.approx(lev.e, rel=tol, abs=0.0)
