@@ -187,14 +187,21 @@ def fit_parameters(
         beta = max(0.0, sum(p * q for p, q in zip(a, b)) / sum(p * p for p in a))
         return beta, [beta * p - q for p, q in zip(a, b)]
 
-    # a start with an undefined level fails here, with the level's reason
-    project([1.0, 1.0], trial=False)
+    # a start with an undefined level fails here, with the level's reason;
+    # the solver's first call is at the same start and takes these residuals
+    start = (1.0, 1.0)
+    known = {start: project(start, trial=False)[1]}
+
+    def residuals(x) -> list[float]:
+        hit = known.pop(tuple(x.tolist()), None)
+        return hit if hit is not None else project(x)[1]
+
     global optimize
     if optimize is None:
         from scipy import optimize
     # scipy's 1e-8 defaults leave beta up to 1e-5 off on undeformed truths
     result = optimize.least_squares(
-        lambda x: project(x)[1], [1.0, 1.0], bounds=(0.0, math.inf), method="trf",
+        residuals, start, bounds=(0.0, math.inf), method="trf",
         xtol=1e-12, ftol=1e-15, gtol=1e-15, max_nfev=max_evaluations,
     )
     return FitResult(

@@ -12,6 +12,7 @@ density (exact once the rule outgrows the polynomial part).
 from __future__ import annotations
 
 import math
+import weakref
 from dataclasses import dataclass
 
 from .physmodel import HBAR, KratzerCouplings
@@ -36,6 +37,26 @@ quad = None
 roots_genlaguerre = None
 
 SCHEMES = ("adaptive", "gauss-laguerre")
+
+
+#: {r: R(r)} of each live state: QUADPACK visits a state's abscissae
+#: once per weight it integrates, so the values are computed once and
+#: shared; a table goes when its state does, so no value outlives it
+_AMPLITUDES: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
+
+
+def _amplitude(state: RadialState):
+    """r -> R(r) of state, each abscissa computed once while state lives."""
+    table = _AMPLITUDES.setdefault(state, {})
+
+    def amp(r: float) -> float:
+        value = table.get(r)
+        if value is None:
+            # looked up at call time, so a wrapped module global sees misses
+            value = table[r] = radial_wavefunction(state, r)
+        return value
+
+    return amp
 
 
 class NonIntegrableError(ValueError):
@@ -216,10 +237,11 @@ def _moment(
     """
     _require_integrable(state.shape.lam, power, label)
     if spec.scheme == "adaptive":
+        amp = _amplitude(state)
 
         def density(r: float) -> float:
-            amp = radial_wavefunction(state, r)
-            return amp * amp * r * r * weight(r)
+            value = amp(r)
+            return value * value * r * r * weight(r)
 
         result = _adaptive_integral(state.re, density, spec)
     else:
@@ -251,10 +273,10 @@ def radial_overlap(state_a: RadialState, state_b: RadialState) -> QuadratureResu
     abs_tol + rel_tol |value| by up to 7.7e12).  Judge the value against
     an absolute tolerance instead.
     """
+    amp_a, amp_b = _amplitude(state_a), _amplitude(state_b)
 
     def g(r: float) -> float:
-        amp_a = radial_wavefunction(state_a, r)
-        return amp_a * radial_wavefunction(state_b, r) * r * r
+        return amp_a(r) * amp_b(r) * r * r
 
     return _adaptive_integral(state_a.re, g, QuadratureSpec())
 

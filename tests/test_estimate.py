@@ -195,3 +195,17 @@ def test_fit_level_evaluation_budget(monkeypatch):
     monkeypatch.setattr(estimate, "energy_deformed", counted)
     assert fit_parameters(LEVELS, 1.2, (52000.0, 1.0, 0.0)).converged
     assert len(calls) <= 600
+
+
+def test_fit_evaluates_the_start_once(monkeypatch):
+    """The strict start check's residuals are the solver's first call."""
+    points = []
+
+    def counted(mol, beta, qn):
+        points.append((mol.de_cm1, mol.re_angstrom))
+        return energy_deformed(mol, beta, qn)
+
+    monkeypatch.setattr(estimate, "energy_deformed", counted)
+    result = fit_parameters(LEVELS, 1.2, (52000.0, 1.0, 0.0))
+    assert result.converged
+    assert points.count((52000.0, 1.0)) == len(LEVELS)

@@ -1,7 +1,9 @@
+import gc
 import math
 
 import pytest
 
+from kratzerml import oracle
 from kratzerml.oracle import (
     NonIntegrableError,
     QuadratureResult,
@@ -26,6 +28,7 @@ from kratzerml.spectrum import (
     energy_unperturbed,
     matrix_element_closed,
 )
+from kratzerml.verify import run_checks
 from kratzerml.wavefunctions import make_radial_state
 
 H2 = Molecule("H2", 78844.9005, 0.73652, 0.5039, zpe_exp_cm1=2179.3)
@@ -267,3 +270,85 @@ def test_starved_adaptive_rule_fails_loudly():
         expectation_inverse_power(
             4, state, QuadratureSpec(subdivisions=2, rel_tol=1e-10)
         )
+
+
+def _memo_quantities(gamma: float, n: int, l: int, fresh: bool) -> list[float]:
+    """<1/r^p> for p = 0..4, the shift and one overlap, in that order.
+
+    fresh=False runs them all on one state, so every call after the
+    first reads a warm amplitude table; fresh=True builds an equal state
+    for each, once the previous one is gone and no table is left.
+    """
+    re, mu = 0.74e-10, 1.0e-27
+    g1 = (HBAR * gamma) ** 2 / (2.0 * mu)
+    c = KratzerCouplings(g1=g1, g2=2.0 * g1 / re)
+    runs = [lambda s, p=p: expectation_inverse_power(p, s).value for p in range(5)]
+    runs.append(lambda s: correction_via_expectations(s, c, mu, 1e-46).value)
+    runs.append(lambda s: radial_overlap(
+        s, make_radial_state(gamma, QuantumNumbers(n + 1, l), re)
+    ).value)
+    state = make_radial_state(gamma, QuantumNumbers(n, l), re)
+    out = []
+    for run in runs:
+        if fresh:
+            del state
+            gc.collect()
+            state = make_radial_state(gamma, QuantumNumbers(n, l), re)
+            assert state not in oracle._AMPLITUDES
+        out.append(run(state))
+    return out
+
+
+@pytest.mark.parametrize("gamma", [2.0, 35.755])
+@pytest.mark.parametrize("n", [0, 3])
+@pytest.mark.parametrize("l", [0, 3])
+def test_amplitude_table_keeps_every_value(gamma, n, l):
+    """Warm and cold amplitude tables give bitwise the same integrals."""
+    warm = _memo_quantities(gamma, n, l, fresh=False)
+    cold = _memo_quantities(gamma, n, l, fresh=True)
+    assert warm == cold
+
+
+def _count_amplitudes(monkeypatch) -> list[int]:
+    calls = [0]
+    real = oracle.radial_wavefunction
+
+    def counted(state, r):
+        calls[0] += 1
+        return real(state, r)
+
+    monkeypatch.setattr(oracle, "radial_wavefunction", counted)
+    return calls
+
+
+def test_amplitude_table_shares_values_across_weights(monkeypatch):
+    """p = 1..4 on one state evaluate R far fewer than 4x as often as p = 1.
+
+    The counter is patched in after the state's table is built and must
+    still see the misses of p = 2..4: the table looks the module global
+    up at call time, which is what lets a tracer wrap it.
+    """
+    qn = QuantumNumbers(2, 1)
+    state = make_radial_state(35.755, qn, 1.0)
+    expectation_inverse_power(1, state)
+    calls = _count_amplitudes(monkeypatch)
+    for p in (2, 3, 4):
+        expectation_inverse_power(p, state)
+    misses = calls[0]
+    del state
+    calls[0] = 0
+    expectation_inverse_power(1, make_radial_state(35.755, qn, 1.0))
+    alone = calls[0]
+    assert 0 < misses and alone + misses < 4 * alone
+
+
+def test_no_amplitude_table_outlives_its_state(monkeypatch):
+    """A second verify run recomputes every value: no cross-run cache."""
+    calls = _count_amplitudes(monkeypatch)
+    counts = []
+    for _ in range(2):
+        calls[0] = 0
+        run_checks("small")
+        counts.append(calls[0])
+        assert len(oracle._AMPLITUDES) == 0
+    assert counts[0] == counts[1] > 0
