@@ -188,13 +188,16 @@ def fit_parameters(
         return beta, [beta * p - q for p, q in zip(a, b)]
 
     # a start with an undefined level fails here, with the level's reason;
-    # the solver's first call is at the same start and takes these residuals
+    # every point is projected once: the solver's first call is at the
+    # start, and the returned x is a point it has evaluated
     start = (1.0, 1.0)
-    known = {start: project(start, trial=False)[1]}
+    evaluated = {start: project(start, trial=False)}
 
     def residuals(x) -> list[float]:
-        hit = known.pop(tuple(x.tolist()), None)
-        return hit if hit is not None else project(x)[1]
+        key = tuple(x.tolist())
+        if key not in evaluated:
+            evaluated[key] = project(x)
+        return evaluated[key][1]
 
     global optimize
     if optimize is None:
@@ -206,6 +209,7 @@ def fit_parameters(
     )
     return FitResult(
         de_cm1=de0 * float(result.x[0]), re_angstrom=re0 * float(result.x[1]),
-        beta=project(result.x)[0], rss_cm2=float(result.fun @ result.fun),
+        beta=evaluated[tuple(result.x.tolist())][0],
+        rss_cm2=float(result.fun @ result.fun),
         iterations=int(result.njev), converged=result.status > 0,
     )

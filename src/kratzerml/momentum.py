@@ -137,7 +137,9 @@ def ode_rhs_deformed(
         - 4.0j * beta * prob.sigma2 * p
         - prob.sigma1
     )
-    return -(b * dphi + c * phi) / a
+    # times the reciprocal, as numpy divides a complex by a real: the
+    # same bits on numpy and on Python scalars
+    return -(b * dphi + c * phi) * (1.0 / a)
 
 
 def default_p_range(prob: MomentumProblem) -> tuple[float, float]:
@@ -270,7 +272,9 @@ def integrate_branch(
         dphi0 = dphi_raw / norm
 
     def rhs(p: float, y: np.ndarray) -> list[complex]:
-        return [y[1], ode_rhs_deformed(prob, p, y[0], y[1])]
+        # Python scalars: numpy scalar arithmetic costs ~4x more per call
+        phi, dphi = y.tolist()
+        return [dphi, ode_rhs_deformed(prob, float(p), phi, dphi)]
 
     n_points = int(math.ceil(points_per_decade * decades)) + 1
     grid = np.geomspace(p_min, p_max, n_points)

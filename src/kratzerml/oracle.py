@@ -16,7 +16,7 @@ import weakref
 from dataclasses import dataclass
 
 from .physmodel import HBAR, KratzerCouplings
-from .wavefunctions import RadialState, kummer_polynomial, radial_wavefunction
+from .wavefunctions import RadialState, _kummer_sum, radial_wavefunction
 
 __all__ = [
     "SCHEMES",
@@ -191,18 +191,18 @@ def _gl_density_integral(
     global roots_genlaguerre
     if roots_genlaguerre is None:
         from scipy.special import roots_genlaguerre
-    n = state.qn.n
     lam = state.shape.lam
+    steps = state.kummer_steps
     two_kappa = 2.0 * state.shape.alpha / state.re
     log_w = _gl_log_weight(state)
     alpha_gl = 2.0 * lam - power
-    m = _gl_rule_size(state, spec, 2 * n + degree)
+    m = _gl_rule_size(state, spec, 2 * state.qn.n + degree)
 
     def run(size: int) -> float:
         nodes, weights = roots_genlaguerre(size, alpha_gl)
         acc = 0.0
         for x, w in zip(nodes.tolist(), weights.tolist()):
-            base = kummer_polynomial(n, 2.0 * lam, x)
+            base = _kummer_sum(steps, x)
             acc += w * (x**power * weight(x / two_kappa)) * base * base
         if not math.isfinite(acc):
             # the weights sum to Gamma(alpha + 1), which overflows past
@@ -237,10 +237,13 @@ def _moment(
     """
     _require_integrable(state.shape.lam, power, label)
     if spec.scheme == "adaptive":
-        amp = _amplitude(state)
+        table = _AMPLITUDES.setdefault(state, {})
 
         def density(r: float) -> float:
-            value = amp(r)
+            # _amplitude inlined: this is the integrand of every moment
+            value = table.get(r)
+            if value is None:
+                value = table[r] = radial_wavefunction(state, r)
             return value * value * r * r * weight(r)
 
         result = _adaptive_integral(state.re, density, spec)

@@ -12,7 +12,7 @@ overflows double precision already for gamma around 36.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 from .physmodel import QuantumNumbers, ShapeNumbers, shape_numbers
 
@@ -35,6 +35,30 @@ class NonQuantizedError(ValueError):
     """Momentum k does not satisfy the s-wave quantization condition."""
 
 
+def _kummer_steps(n: int, b: float) -> tuple[tuple[float, float], ...]:
+    # the checks of kummer_polynomial, then its recurrence as the pairs
+    # (k - n, (b + k)(k + 1)), k = 0..n-1
+    if not isinstance(n, int) or n < 0:
+        raise ValueError("polynomial degree n must be a nonnegative integer")
+    if not math.isfinite(b):
+        raise ValueError("parameter b must be finite")
+    if abs(b - round(b)) < 1.0e-12 and round(b) <= 0:
+        raise KummerParameterError(
+            f"b = {b!r} is within 1e-12 of a nonpositive integer"
+        )
+    return tuple((float(k - n), (b + k) * (k + 1.0)) for k in range(n))
+
+
+def _kummer_sum(steps: tuple[tuple[float, float], ...], z: float) -> float:
+    # the terms t_{k+1} = t_k (k - n) z / ((b + k)(k + 1)), summed exactly
+    terms = [1.0]
+    t = 1.0
+    for num, den in steps:
+        t *= num * z / den
+        terms.append(t)
+    return math.fsum(terms)
+
+
 def kummer_polynomial(n: int, b: float, z: float) -> float:
     """Terminating Kummer function M(-n, b; z) summed by forward recurrence.
 
@@ -54,23 +78,11 @@ def kummer_polynomial(n: int, b: float, z: float) -> float:
 
     The terms are generated by the stable ratio recurrence
     t_{k+1} = t_k * (k - n) * z / ((b + k) (k + 1)) and accumulated with
-    compensated summation.
+    compensated summation.  A RadialState precomputes this recurrence
+    for its (n, 2 lam) once, so its wavefunction values run the same
+    sum without repeating the set-up or the checks.
     """
-    if n < 0 or not isinstance(n, int):
-        raise ValueError("polynomial degree n must be a nonnegative integer")
-    if not math.isfinite(b):
-        raise ValueError("parameter b must be finite")
-    if abs(b - round(b)) < 1.0e-12 and round(b) <= 0:
-        raise KummerParameterError(
-            f"b = {b!r} is within 1e-12 of a nonpositive integer"
-        )
-    terms = []
-    t = 1.0
-    for k in range(n):
-        terms.append(t)
-        t *= (k - n) * z / ((b + k) * (k + 1.0))
-    terms.append(t)
-    return math.fsum(terms)
+    return _kummer_sum(_kummer_steps(n, b), z)
 
 
 @dataclass(frozen=True)
@@ -87,12 +99,26 @@ class RadialState:
     log_norm : float
         log N, with N the normalization constant in m^(-3/2); N itself
         overflows a double for heavy molecules (gamma ~ 700 at re = 0.74 A).
+
+    The Kummer recurrence of M(-n, 2 lam; .), 2 alpha and lam - 1 are
+    derived once, at construction; equality and hashing ignore them.
     """
 
     qn: QuantumNumbers
     shape: ShapeNumbers
     re: float
     log_norm: float
+    kummer_steps: tuple[tuple[float, float], ...] = field(
+        init=False, compare=False, repr=False
+    )
+    two_alpha: float = field(init=False, compare=False, repr=False)
+    lam_minus_one: float = field(init=False, compare=False, repr=False)
+
+    def __post_init__(self) -> None:
+        lam = self.shape.lam
+        object.__setattr__(self, "kummer_steps", _kummer_steps(self.qn.n, 2.0 * lam))
+        object.__setattr__(self, "two_alpha", 2.0 * self.shape.alpha)
+        object.__setattr__(self, "lam_minus_one", lam - 1.0)
 
 
 def _log_norm(qn: QuantumNumbers, shape: ShapeNumbers, re: float) -> float:
@@ -124,12 +150,16 @@ def radial_wavefunction(state: RadialState, r: float) -> float:
     """Radial wavefunction R(r) in m^(-3/2), assembled in log space."""
     if r <= 0.0:
         raise ValueError("r must be positive")
-    lam, alpha, n = state.shape.lam, state.shape.alpha, state.qn.n
     u = r / state.re
-    poly = kummer_polynomial(n, 2.0 * lam, 2.0 * alpha * u)
+    poly = _kummer_sum(state.kummer_steps, state.two_alpha * u)
     if poly == 0.0:
         return 0.0
-    log_mag = state.log_norm + (lam - 1.0) * math.log(u) - alpha * u + math.log(abs(poly))
+    log_mag = (
+        state.log_norm
+        + state.lam_minus_one * math.log(u)
+        - state.shape.alpha * u
+        + math.log(abs(poly))
+    )
     return math.copysign(math.exp(log_mag), poly)
 
 

@@ -209,3 +209,21 @@ def test_fit_evaluates_the_start_once(monkeypatch):
     result = fit_parameters(LEVELS, 1.2, (52000.0, 1.0, 0.0))
     assert result.converged
     assert points.count((52000.0, 1.0)) == len(LEVELS)
+
+
+@pytest.mark.parametrize("max_evaluations", [1, 3, 10_000])
+def test_fit_evaluates_the_end_point_once(monkeypatch, max_evaluations):
+    """The returned beta comes from the solver's own evaluation of x."""
+    points = []
+
+    def counted(mol, beta, qn):
+        points.append((mol.de_cm1, mol.re_angstrom))
+        return energy_deformed(mol, beta, qn)
+
+    monkeypatch.setattr(estimate, "energy_deformed", counted)
+    result = fit_parameters(
+        LEVELS, 1.2, (52000.0, 1.0, 0.0), max_evaluations=max_evaluations
+    )
+    assert result.converged == (max_evaluations == 10_000)
+    end = (result.de_cm1, result.re_angstrom)
+    assert points.count(end) == len(LEVELS)

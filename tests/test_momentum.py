@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from kratzerml.momentum import (
     BRANCHES,
@@ -458,3 +459,31 @@ def test_heun_residual_zero_solution():
     sol = OdeSolution(grid=grid, values=zeros, derivs=zeros, branch="fast-decay")
     params = heun_params_inverse_square(2.0, 1.0, -0.5, 0.05)
     assert heun_residual(params, sol) == 0.0
+
+
+_finite = st.floats(min_value=-1e3, max_value=1e3)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    p=st.floats(min_value=1e-6, max_value=1e6),
+    phi=st.tuples(_finite, _finite),
+    dphi=st.tuples(_finite, _finite),
+    sigma1=st.floats(min_value=-5.0, max_value=50.0),
+    sigma2=st.floats(min_value=0.0, max_value=50.0),
+    k=st.floats(min_value=1e-3, max_value=1e3),
+    beta=st.floats(min_value=0.0, max_value=10.0),
+)
+def test_rhs_same_bits_on_numpy_and_python_scalars(
+    p, phi, dphi, sigma1, sigma2, k, beta
+):
+    """integrate_branch hands the RHS Python scalars; solve_ivp's own
+    numpy scalars must give the same bits, so the final division has to
+    round as numpy's complex-by-real one does."""
+    prob = MomentumProblem(sigma1=sigma1, sigma2=sigma2, k=k, beta=beta)
+    py = ode_rhs_deformed(prob, p, complex(*phi), complex(*dphi))
+    npy = ode_rhs_deformed(
+        prob, np.float64(p), np.complex128(complex(*phi)),
+        np.complex128(complex(*dphi)),
+    )
+    assert (float(npy.real), float(npy.imag)) == (py.real, py.imag)

@@ -10,6 +10,8 @@ from kratzerml.physmodel import QuantumNumbers
 from kratzerml.wavefunctions import (
     KummerParameterError,
     NonQuantizedError,
+    _kummer_steps,
+    _kummer_sum,
     kummer_polynomial,
     make_radial_state,
     momentum_wavefunction_undeformed,
@@ -69,8 +71,61 @@ def test_kummer_parameter_validation():
         kummer_polynomial(2, 5e-13, 1.0)
     with pytest.raises(ValueError):
         kummer_polynomial(-1, 2.0, 1.0)
+    with pytest.raises(ValueError):
+        kummer_polynomial("3", 1.5, 1.0)
+    with pytest.raises(ValueError):
+        kummer_polynomial(None, 1.5, 1.0)
     # b just above the guard is accepted
     kummer_polynomial(2, 1e-11, 1.0)
+
+
+def _forward_recurrence(n, b, z):
+    # M(-n, b; z) as the textbook ratio recurrence, summed exactly
+    terms = []
+    t = 1.0
+    for k in range(n):
+        terms.append(t)
+        t *= (k - n) * z / ((b + k) * (k + 1.0))
+    terms.append(t)
+    return math.fsum(terms)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    n=st.integers(min_value=0, max_value=20),
+    b=st.floats(min_value=1.0, max_value=4000.0),
+    z=st.floats(min_value=0.0, max_value=1e4),
+)
+def test_kummer_sum_is_the_forward_recurrence(n, b, z):
+    """The precomputed pairs sum to the same bits as the recurrence."""
+    assert _kummer_sum(_kummer_steps(n, b), z) == _forward_recurrence(n, b, z)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    gamma=st.floats(min_value=0.1, max_value=1000.0),
+    n=st.integers(min_value=0, max_value=20),
+    l=st.integers(min_value=0, max_value=10),
+    re=st.floats(min_value=1e-11, max_value=1e-9),
+    u=st.floats(min_value=1e-4, max_value=50.0),
+)
+def test_radial_wavefunction_bits(gamma, n, l, re, u):
+    """R(r) from the state's precomputed recurrence is bitwise the
+    formula evaluated from scratch at every r."""
+    state = make_radial_state(gamma, QuantumNumbers(n, l), re)
+    r = u * re
+    lam, alpha = state.shape.lam, state.shape.alpha
+    x = r / state.re
+    poly = _forward_recurrence(n, 2.0 * lam, 2.0 * alpha * x)
+    if poly == 0.0:
+        expected = 0.0
+    else:
+        log_mag = (
+            state.log_norm + (lam - 1.0) * math.log(x) - alpha * x
+            + math.log(abs(poly))
+        )
+        expected = math.copysign(math.exp(log_mag), poly)
+    assert radial_wavefunction(state, r) == expected
 
 
 def test_norm_matches_direct_gamma_evaluation():
