@@ -220,6 +220,7 @@ def integrate_branch(
     rtol: float = 1e-10,
     points_per_decade: int = MIN_POINTS_PER_DECADE,
     ic: tuple[complex, complex] | None = None,
+    p_stop: float | None = None,
 ) -> OdeSolution:
     """Integrate one decay branch inward from p_max.
 
@@ -237,6 +238,16 @@ def integrate_branch(
     at the given rtol; output on a log grid with points_per_decade
     (>= 200) nodes per decade.  Raises StiffnessError if the integrator
     gives up.
+
+    p_stop (< p_max) ends the integration early: the solution then holds
+    the grid points from the last one at or below p_stop up to p_max,
+    and every value is == the same point of the full integration.  The
+    grid is still laid over the whole p_range (it is anchored at p_min),
+    and a terminal event between that point and the one below it ends
+    the run.  The adaptive steps above the event do not depend on where
+    the run would have ended, and each grid point is read from the same
+    step's interpolant as in the full run.  p_stop <= p_min gives the
+    full solution.
     """
     if branch not in BRANCHES:
         raise ValueError(f"branch must be one of {BRANCHES}, got {branch!r}")
@@ -247,6 +258,8 @@ def integrate_branch(
     p_min, p_max = p_range
     if not (0.0 < p_min < p_max):
         raise ValueError("p_range must satisfy 0 < p_min < p_max")
+    if p_stop is not None and not p_stop < p_max:
+        raise ValueError("p_stop must lie below p_max")
     decades = math.log10(p_max / p_min)
     if ic is None and decades < 3.0 * (1.0 - 1e-12):
         raise ValueError(
@@ -278,6 +291,20 @@ def integrate_branch(
 
     n_points = int(math.ceil(points_per_decade * decades)) + 1
     grid = np.geomspace(p_min, p_max, n_points)
+    # the last grid point at or below p_stop is the last one emitted: the
+    # terminal event sits between it and the grid point below it
+    first = 0
+    if p_stop is not None:
+        first = max(int(np.searchsorted(grid, p_stop, side="right")) - 1, 0)
+    events = None
+    if first:
+        p_event = math.sqrt(grid[first - 1] * grid[first])
+
+        def stop(p: float, y: np.ndarray) -> float:
+            return p - p_event
+
+        stop.terminal = True
+        events = stop
     global solve_ivp
     if solve_ivp is None:
         from scipy.integrate import solve_ivp
@@ -290,12 +317,14 @@ def integrate_branch(
         atol=1e-12,
         t_eval=grid[::-1],
         dense_output=False,
+        events=events,
     )
     if not result.success:
         raise StiffnessError(
             f"integration failed between p = {p_max:g} and {p_min:g}: "
             f"{result.message}"
         )
+    grid = grid[first:]
     phi = result.y[0][::-1] * scale
     dphi = result.y[1][::-1] * scale
     psi = phi / grid
@@ -309,13 +338,17 @@ def fit_slope(solution: OdeSolution, window_decades: float = 1.0) -> float:
     The window is anchored at the top of the grid because the power laws
     are asymptotic statements; the default single decade is where the
     branch exponents are clean of both subleading terms and the
-    contamination that inward integration leaves near p_min.
+    contamination that inward integration leaves near p_min.  A window
+    reaching below the grid (a solution cut short by p_stop) is refused.
     """
     if window_decades <= 0.0:
         raise ValueError("window_decades must be positive")
     p = solution.grid
+    p_low = p[-1] / 10.0**window_decades
+    if p[0] > p_low * (1.0 + 1e-12):
+        raise ValueError("the fit window reaches below the solution's grid")
     mag = np.abs(solution.values)
-    mask = p >= p[-1] / 10.0**window_decades
+    mask = p >= p_low
     if int(mask.sum()) < 2:
         raise ValueError("fewer than two points in the fit window")
     if np.any(mag[mask] == 0.0):

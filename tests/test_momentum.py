@@ -222,6 +222,63 @@ def test_fit_slope_validation():
         fit_slope(sol, window_decades=1e-9)
 
 
+def test_fit_slope_refuses_window_below_grid():
+    grid, values, derivs = _dense_solution()
+    sol = OdeSolution(grid=grid, values=values, derivs=derivs, branch="fast-decay")
+    with pytest.raises(ValueError):
+        fit_slope(sol, window_decades=2.0)
+
+
+def _same_tail(full: OdeSolution, cut: OdeSolution) -> bool:
+    m = cut.grid.size
+    return (
+        bool(np.all(full.grid[-m:] == cut.grid))
+        and bool(np.all(full.values[-m:] == cut.values))
+        and bool(np.all(full.derivs[-m:] == cut.derivs))
+    )
+
+
+@settings(max_examples=50, deadline=None)
+@given(
+    branch=st.sampled_from(BRANCHES),
+    sigma1=st.floats(min_value=-2.0, max_value=10.0),
+    beta=st.one_of(st.just(0.0), st.floats(min_value=0.1, max_value=2.0)),
+    p_stop=st.floats(min_value=0.5, max_value=2e3, exclude_max=True),
+)
+def test_p_stop_keeps_the_bits_of_the_full_integration(
+    branch, sigma1, beta, p_stop
+):
+    """A run cut at p_stop is the top of the full run, bit for bit."""
+    prob = MomentumProblem(sigma1=sigma1, sigma2=0.4, k=1.0, beta=beta)
+    full = integrate_branch(prob, branch, (0.5, 2e3))
+    cut = integrate_branch(prob, branch, (0.5, 2e3), p_stop=p_stop)
+    assert _same_tail(full, cut)
+    # the cut run keeps the last grid point at or below p_stop, no more
+    assert cut.grid[0] <= p_stop
+    assert cut.grid.size == full.grid.size or cut.grid[1] > p_stop
+    window = math.log10(2e3 / cut.grid[0])
+    assert fit_slope(cut, window) == fit_slope(full, window)
+
+
+def test_p_stop_preconditions():
+    prob = MomentumProblem(sigma1=2.0, sigma2=0.4, k=1.0, beta=1.0)
+    for p_stop in (2e3, 3e3, math.nan):
+        with pytest.raises(ValueError):
+            integrate_branch(prob, "fast-decay", (1.0, 2e3), p_stop=p_stop)
+    full = integrate_branch(prob, "fast-decay", (1.0, 2e3))
+    for p_stop in (1.0, 0.5, -1.0):
+        at_or_below = integrate_branch(
+            prob, "fast-decay", (1.0, 2e3), p_stop=p_stop
+        )
+        assert at_or_below.grid.size == full.grid.size
+        assert _same_tail(full, at_or_below)
+    ic = (1.0, -4.0 / 50.0)
+    full_ic = integrate_branch(prob, "slow-decay", (0.5, 50.0), ic=ic)
+    cut_ic = integrate_branch(prob, "slow-decay", (0.5, 50.0), ic=ic, p_stop=5.0)
+    assert cut_ic.grid[0] <= 5.0 < cut_ic.grid[1]
+    assert _same_tail(full_ic, cut_ic)
+
+
 def test_quantize_swave_values():
     prob = MomentumProblem(sigma1=2.0, sigma2=1.5, k=1.0)
     mu = 0.8

@@ -1,5 +1,12 @@
 import pytest
 
+from kratzerml.momentum import (
+    BRANCHES,
+    MomentumProblem,
+    fit_slope,
+    indicial_exponents,
+    integrate_branch,
+)
 from kratzerml.verify import CHECKS, run_checks
 
 NAMES = [
@@ -37,6 +44,33 @@ def test_every_check_passes(preset_results):
     _, results = preset_results
     for res in results:
         assert res.passed, f"{res.name}: {res.worst:.3e} > {res.tolerance:.3e}"
+
+
+def test_exponent_checks_match_full_range_slopes():
+    """The exponent checks integrate only the fitted decade; their worst
+    deviations are == the ones of full-range integrations."""
+    grids = {check.name: check.grids["small"] for check in CHECKS}
+    expected = {"exponents-deformed": 0.0, "exponents-undeformed": 0.0}
+    for sigma1 in grids["exponents-deformed"]:
+        prob = MomentumProblem(sigma1=sigma1, sigma2=0.4, k=1.0, beta=1.0)
+        targets = indicial_exponents(prob, "deformed")
+        for branch, target in zip(BRANCHES, targets):
+            slope = fit_slope(integrate_branch(prob, branch, (1.0, 2.0e3)))
+            expected["exponents-deformed"] = max(
+                expected["exponents-deformed"], abs(slope - target)
+            )
+    for branch, sigmas in grids["exponents-undeformed"].items():
+        for sigma1 in sigmas:
+            prob = MomentumProblem(sigma1=sigma1, sigma2=0.4, k=1.0)
+            target = dict(zip(BRANCHES, indicial_exponents(prob, "undeformed")))
+            slope = fit_slope(integrate_branch(prob, branch, (0.5, 2.0e3)))
+            expected["exponents-undeformed"] = max(
+                expected["exponents-undeformed"], abs(slope - target[branch])
+            )
+    worst = {
+        res.name: res.worst for res in run_checks("small") if res.name in expected
+    }
+    assert worst == expected
 
 
 def test_tolerance_override_and_preset_validation():
