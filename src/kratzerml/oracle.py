@@ -12,7 +12,6 @@ density (exact once the rule outgrows the polynomial part).
 from __future__ import annotations
 
 import math
-import weakref
 from dataclasses import dataclass
 
 from .physmodel import HBAR, KratzerCouplings
@@ -26,8 +25,6 @@ __all__ = [
     "QuadratureResult",
     "expectation_inverse_power",
     "radial_overlap",
-    "expectation_potential",
-    "expectation_potential_sq",
     "correction_via_expectations",
 ]
 
@@ -37,26 +34,6 @@ quad = None
 roots_genlaguerre = None
 
 SCHEMES = ("adaptive", "gauss-laguerre")
-
-
-#: {r: R(r)} of each live state: QUADPACK visits a state's abscissae
-#: once per weight it integrates, so the values are computed once and
-#: shared; a table goes when its state does, so no value outlives it
-_AMPLITUDES: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
-
-
-def _amplitude(state: RadialState):
-    """r -> R(r) of state, each abscissa computed once while state lives."""
-    table = _AMPLITUDES.setdefault(state, {})
-
-    def amp(r: float) -> float:
-        value = table.get(r)
-        if value is None:
-            # looked up at call time, so a wrapped module global sees misses
-            value = table[r] = radial_wavefunction(state, r)
-        return value
-
-    return amp
 
 
 class NonIntegrableError(ValueError):
@@ -79,7 +56,7 @@ class QuadratureSpec:
     rel_tol, abs_tol : acceptance thresholds for the error estimate
         (defaults 1e-10 and 1e-300: relative control with headroom over
         the 1e-8 agreement targets).
-    subdivisions : interval limit for the adaptive backend.
+    subdivisions : interval limit for the adaptive backend, at least 2.
     nodes : rule size for gauss-laguerre; None picks n + 24.
     """
 
@@ -92,10 +69,14 @@ class QuadratureSpec:
     def __post_init__(self) -> None:
         if self.scheme not in SCHEMES:
             raise ValueError(f"unknown scheme {self.scheme!r}; use one of {SCHEMES}")
+        if not (math.isfinite(self.rel_tol) and math.isfinite(self.abs_tol)):
+            raise ValueError("rel_tol and abs_tol must be finite")
         if self.rel_tol < 1e-12:
             raise ValueError("rel_tol below 1e-12 is not certifiable in doubles")
         if self.abs_tol < 0.0:
             raise ValueError("abs_tol must be nonnegative")
+        if self.subdivisions < 2:
+            raise ValueError("subdivisions must be at least 2")
 
 
 @dataclass(frozen=True)
@@ -128,17 +109,34 @@ def _certified(result: QuadratureResult, spec: QuadratureSpec, label: str):
     return result
 
 
-def _adaptive_integral(re: float, g, spec: QuadratureSpec) -> QuadratureResult:
-    """integral of g(r) dr over r > 0 on the compactified axis r = re u/(1-u)."""
+def _adaptive_integral(
+    state_a: RadialState, state_b: RadialState, weight, spec: QuadratureSpec
+) -> QuadratureResult:
+    """integral of R_a R_b r^2 weight(r) dr on the axis r = re u/(1-u).
+
+    QUADPACK visits a state's abscissae once per weight it integrates on
+    that state, so each R value is kept in its state's amplitude table
+    and computed once; the table goes when its state does.
+    """
     global quad
     if quad is None:
         from scipy.integrate import quad
+    re = state_a.re
+    table_a, table_b = state_a.amplitudes, state_b.amplitudes
 
     def integrand(u: float) -> float:
         if u <= 0.0 or u >= 1.0:
             return 0.0
         r = re * u / (1.0 - u)
-        return g(r) * re / (1.0 - u) ** 2
+        # radial_wavefunction is looked up at call time, so a wrapped
+        # module global sees the misses
+        a = table_a.get(r)
+        if a is None:
+            a = table_a[r] = radial_wavefunction(state_a, r)
+        b = table_b.get(r)
+        if b is None:
+            b = table_b[r] = radial_wavefunction(state_b, r)
+        return a * b * r * r * weight(r) * re / (1.0 - u) ** 2
 
     out = quad(
         integrand,
@@ -237,16 +235,7 @@ def _moment(
     """
     _require_integrable(state.shape.lam, power, label)
     if spec.scheme == "adaptive":
-        table = _AMPLITUDES.setdefault(state, {})
-
-        def density(r: float) -> float:
-            # _amplitude inlined: this is the integrand of every moment
-            value = table.get(r)
-            if value is None:
-                value = table[r] = radial_wavefunction(state, r)
-            return value * value * r * r * weight(r)
-
-        result = _adaptive_integral(state.re, density, spec)
+        result = _adaptive_integral(state, state, weight, spec)
     else:
         result = _gl_density_integral(state, weight, power, degree, spec)
     return _certified(result, spec, label)
@@ -276,43 +265,7 @@ def radial_overlap(state_a: RadialState, state_b: RadialState) -> QuadratureResu
     abs_tol + rel_tol |value| by up to 7.7e12).  Judge the value against
     an absolute tolerance instead.
     """
-    amp_a, amp_b = _amplitude(state_a), _amplitude(state_b)
-
-    def g(r: float) -> float:
-        return amp_a(r) * amp_b(r) * r * r
-
-    return _adaptive_integral(state_a.re, g, QuadratureSpec())
-
-
-def expectation_potential(
-    state: RadialState,
-    c: KratzerCouplings,
-    spec: QuadratureSpec = QuadratureSpec(),
-) -> QuadratureResult:
-    """<V> in J, integrating the assembled g1/r^2 - g2/r weight directly.
-
-    A deliberately different path from summing 1/r^p moments, so the two
-    can disagree if either is wrong.
-    """
-    power = 2 if c.g1 != 0.0 else 1
-    return _moment(
-        state, lambda r: (c.g1 / r - c.g2) / r, power, power - 1, spec, "<V>"
-    )
-
-
-def expectation_potential_sq(
-    state: RadialState,
-    c: KratzerCouplings,
-    spec: QuadratureSpec = QuadratureSpec(),
-) -> QuadratureResult:
-    """<V^2> in J^2, again integrating the assembled square directly."""
-    power = 4 if c.g1 != 0.0 else 2
-
-    def weight(r: float) -> float:
-        v = (c.g1 / r - c.g2) / r
-        return v * v
-
-    return _moment(state, weight, power, power - 2, spec, "<V^2>")
+    return _adaptive_integral(state_a, state_b, lambda r: 1.0, QuadratureSpec())
 
 
 def correction_via_expectations(

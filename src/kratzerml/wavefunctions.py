@@ -101,7 +101,9 @@ class RadialState:
         overflows a double for heavy molecules (gamma ~ 700 at re = 0.74 A).
 
     The Kummer recurrence of M(-n, 2 lam; .), 2 alpha and lam - 1 are
-    derived once, at construction; equality and hashing ignore them.
+    derived once, at construction; amplitudes is the {r: R(r)} table the
+    quadrature oracle fills, so its values live and die with the state.
+    Equality and hashing ignore all four.
     """
 
     qn: QuantumNumbers
@@ -113,6 +115,9 @@ class RadialState:
     )
     two_alpha: float = field(init=False, compare=False, repr=False)
     lam_minus_one: float = field(init=False, compare=False, repr=False)
+    amplitudes: dict = field(
+        init=False, compare=False, repr=False, default_factory=dict
+    )
 
     def __post_init__(self) -> None:
         lam = self.shape.lam
@@ -140,7 +145,7 @@ def _log_norm(qn: QuantumNumbers, shape: ShapeNumbers, re: float) -> float:
 
 def make_radial_state(gamma: float, qn: QuantumNumbers, re: float) -> RadialState:
     """Build the radial state for shape number gamma and length scale re."""
-    if re <= 0.0:
+    if not (math.isfinite(re) and re > 0.0):
         raise ValueError("length scale re must be positive")
     shape = shape_numbers(gamma, qn)
     return RadialState(qn=qn, shape=shape, re=re, log_norm=_log_norm(qn, shape, re))

@@ -1,9 +1,9 @@
-import gc
 import math
+import weakref
 
 import pytest
 
-from kratzerml import oracle
+from kratzerml import oracle, verify
 from kratzerml.oracle import (
     NonIntegrableError,
     QuadratureResult,
@@ -11,8 +11,6 @@ from kratzerml.oracle import (
     ToleranceError,
     correction_via_expectations,
     expectation_inverse_power,
-    expectation_potential,
-    expectation_potential_sq,
     radial_overlap,
 )
 from kratzerml.physmodel import (
@@ -25,7 +23,6 @@ from kratzerml.physmodel import (
 )
 from kratzerml.spectrum import (
     correction_general,
-    energy_unperturbed,
     matrix_element_closed,
 )
 from kratzerml.verify import run_checks
@@ -43,6 +40,15 @@ def test_spec_validation():
         QuadratureSpec(rel_tol=1e-13)
     with pytest.raises(ValueError):
         QuadratureSpec(abs_tol=-1.0)
+    # a non-finite tolerance would certify anything or fail only later
+    for bad in (math.inf, math.nan):
+        with pytest.raises(ValueError, match="finite"):
+            QuadratureSpec(rel_tol=bad)
+        with pytest.raises(ValueError, match="finite"):
+            QuadratureSpec(abs_tol=bad)
+    for bad in (1, 0):
+        with pytest.raises(ValueError, match="subdivisions"):
+            QuadratureSpec(subdivisions=bad)
     default = QuadratureSpec()
     assert default.scheme == "adaptive"
     assert default.rel_tol == 1e-10
@@ -107,53 +113,13 @@ def test_shallow_state_not_integrable():
     state = make_radial_state(0.5, QuantumNumbers(0, 0), 1.0)
     with pytest.raises(NonIntegrableError):
         expectation_inverse_power(4, state)
+    # so does the shift, whose (E0 - V)^2 weight goes like r^-4 for g1 != 0
     with pytest.raises(NonIntegrableError):
-        expectation_potential_sq(state, KratzerCouplings(g1=1.0, g2=1.0))
+        correction_via_expectations(
+            state, KratzerCouplings(g1=1.0, g2=1.0), 1.0, 1e-46
+        )
     # the r^-3 moment is still fine there
     expectation_inverse_power(3, state)
-
-
-def test_potential_assembly_cross_check():
-    """<V> integrated whole equals g1 <r^-2> - g2 <r^-1> to 1e-9."""
-    c = couplings_from_kratzer(H2)
-    state = make_radial_state(gamma_of(H2), QuantumNumbers(1, 0), H2.re_m)
-    for spec in (QuadratureSpec(), GL):
-        whole = expectation_potential(state, c, spec).value
-        m1 = expectation_inverse_power(1, state, spec).value
-        m2 = expectation_inverse_power(2, state, spec).value
-        assert whole == pytest.approx(c.g1 * m2 - c.g2 * m1, rel=1e-9, abs=0.0)
-
-
-def test_potential_sq_assembly_cross_check():
-    c = couplings_from_kratzer(H2)
-    state = make_radial_state(gamma_of(H2), QuantumNumbers(0, 1), H2.re_m)
-    whole = expectation_potential_sq(state, c).value
-    m = {
-        p: expectation_inverse_power(p, state).value for p in (2, 3, 4)
-    }
-    assembled = c.g1**2 * m[4] - 2.0 * c.g1 * c.g2 * m[3] + c.g2**2 * m[2]
-    assert whole == pytest.approx(assembled, rel=1e-9, abs=0.0)
-
-
-def test_ground_state_sits_above_potential_mean():
-    """<V> <= E0 < 0 for the nodeless state: kinetic energy is positive."""
-    c = couplings_from_kratzer(H2)
-    for l in (0, 1, 3):
-        qn = QuantumNumbers(0, l)
-        state = make_radial_state(gamma_of(H2), qn, H2.re_m)
-        e0 = energy_unperturbed(H2, qn)
-        v = expectation_potential(state, c).value
-        assert v <= e0 < 0.0
-
-
-def test_potential_linear_in_g2():
-    """d<V>/dg2 = -<1/r> with the state held fixed."""
-    state = make_radial_state(5.0, QuantumNumbers(1, 1), 1.0)
-    g1 = 0.3
-    a = expectation_potential(state, KratzerCouplings(g1=g1, g2=1.0)).value
-    b = expectation_potential(state, KratzerCouplings(g1=g1, g2=2.5)).value
-    m1 = expectation_inverse_power(1, state).value
-    assert (b - a) / 1.5 == pytest.approx(-m1, rel=1e-8)
 
 
 def test_correction_matches_closed_form_across_beta():
@@ -163,10 +129,11 @@ def test_correction_matches_closed_form_across_beta():
     for qn in (QuantumNumbers(0, 0), QuantumNumbers(2, 1)):
         state = make_radial_state(gamma_of(H2), qn, H2.re_m)
         for beta in (1e-50, 1e-46, 1e-42):
-            via_quad = correction_via_expectations(state, c, mu, beta)
             closed = correction_general(c, mu, beta, qn)
-            assert via_quad.value == pytest.approx(closed, rel=1e-8, abs=0.0)
-            assert via_quad.value >= 0.0
+            for spec in (QuadratureSpec(), GL):
+                via_quad = correction_via_expectations(state, c, mu, beta, spec)
+                assert via_quad.value == pytest.approx(closed, rel=1e-8, abs=0.0)
+                assert via_quad.value >= 0.0
 
 
 def test_correction_holds_at_heavy_gamma():
@@ -277,7 +244,7 @@ def _memo_quantities(gamma: float, n: int, l: int, fresh: bool) -> list[float]:
 
     fresh=False runs them all on one state, so every call after the
     first reads a warm amplitude table; fresh=True builds an equal state
-    for each, once the previous one is gone and no table is left.
+    for each, which starts with an empty table of its own.
     """
     re, mu = 0.74e-10, 1.0e-27
     g1 = (HBAR * gamma) ** 2 / (2.0 * mu)
@@ -291,10 +258,8 @@ def _memo_quantities(gamma: float, n: int, l: int, fresh: bool) -> list[float]:
     out = []
     for run in runs:
         if fresh:
-            del state
-            gc.collect()
             state = make_radial_state(gamma, QuantumNumbers(n, l), re)
-            assert state not in oracle._AMPLITUDES
+            assert not state.amplitudes
         out.append(run(state))
     return out
 
@@ -343,12 +308,27 @@ def test_amplitude_table_shares_values_across_weights(monkeypatch):
 
 
 def test_no_amplitude_table_outlives_its_state(monkeypatch):
-    """A second verify run recomputes every value: no cross-run cache."""
+    """A second verify run recomputes every value: no cross-run cache.
+
+    Every state a run builds starts with an empty table and is gone, with
+    its table, once the run returns.
+    """
     calls = _count_amplitudes(monkeypatch)
+    real = verify.make_radial_state
+    built = []
+
+    def tracked(*args):
+        state = real(*args)
+        assert not state.amplitudes
+        built.append(weakref.ref(state))
+        return state
+
+    monkeypatch.setattr(verify, "make_radial_state", tracked)
     counts = []
     for _ in range(2):
         calls[0] = 0
+        built.clear()
         run_checks("small")
         counts.append(calls[0])
-        assert len(oracle._AMPLITUDES) == 0
+        assert built and all(ref() is None for ref in built)
     assert counts[0] == counts[1] > 0

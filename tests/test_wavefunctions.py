@@ -202,8 +202,9 @@ def test_radial_wavefunction_domain():
         radial_wavefunction(state, 0.0)
     with pytest.raises(ValueError):
         radial_wavefunction(state, -1.0)
-    with pytest.raises(ValueError):
-        make_radial_state(2.0, QuantumNumbers(0, 0), -1.0)
+    for re in (-1.0, math.nan, math.inf):
+        with pytest.raises(ValueError, match="re must be positive"):
+            make_radial_state(2.0, QuantumNumbers(0, 0), re)
 
 
 def _quantized_problem(sigma1, sigma2, n):
