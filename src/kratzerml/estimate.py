@@ -18,6 +18,7 @@ from .physmodel import (
     energy_from_joule,
     energy_to_joule,
     minimal_length,
+    require_beta,
 )
 from .spectrum import correction_general, energy_deformed
 
@@ -46,8 +47,10 @@ class NoPositiveGapError(ValueError):
 
 @dataclass(frozen=True)
 class BoundResult:
-    """Gap, largest admissible beta, and the length bound it implies."""
+    """G(beta = 0), the gap to experiment, the largest admissible beta,
+    and the length bound it implies."""
 
+    g_theory_cm1: float
     delta_cm1: float
     beta_max: float
     min_length_max_angstrom: float
@@ -88,7 +91,8 @@ def beta_upper_bound(mol: Molecule) -> BoundResult:
     """
     if mol.zpe_exp_cm1 is None:
         raise ValueError(f"molecule {mol.name!r} has no experimental ZPE")
-    delta_cm1 = mol.zpe_exp_cm1 - zpe_theoretical(mol, 0.0)
+    g_theory_cm1 = zpe_theoretical(mol, 0.0)
+    delta_cm1 = mol.zpe_exp_cm1 - g_theory_cm1
     if delta_cm1 <= 0.0:
         raise NoPositiveGapError(
             f"G_exp - G(beta=0) = {delta_cm1:.6g} cm^-1 is not positive; "
@@ -100,6 +104,7 @@ def beta_upper_bound(mol: Molecule) -> BoundResult:
     beta_max = energy_to_joule(delta_cm1, "cm-1") / unit_shift
     x_max = minimal_length(beta_max)
     return BoundResult(
+        g_theory_cm1=g_theory_cm1,
         delta_cm1=delta_cm1,
         beta_max=beta_max,
         min_length_max_angstrom=x_max / ANGSTROM_TO_M,
@@ -118,7 +123,11 @@ def _canonical_levels(levels):
             raise ValueError(
                 f"level {idx}: expected (n, l, E_cm1) or (n, l, E_cm1, weight)"
             )
-        if int(n) != n or int(l) != l or n < 0 or l < 0:
+        try:
+            whole = int(n) == n and int(l) == l
+        except (OverflowError, ValueError):  # int() of an infinity or a NaN
+            whole = False
+        if not whole or n < 0 or l < 0:
             raise ValueError(f"level {idx}: n and l must be nonnegative integers")
         e_obs, weight = float(e_obs), float(weight)
         if not math.isfinite(e_obs):
@@ -149,7 +158,8 @@ def fit_parameters(
         are put in canonical (n, l) order before any arithmetic, so the
         result is bitwise independent of input permutation.
     init: (De_cm1, re_angstrom, beta_si) starting point; De and re must
-        be positive, beta nonnegative.  beta is checked but not read.
+        be positive, beta finite and nonnegative.  beta is checked but not
+        read.
 
     The objective is the weighted sum of squared residuals in cm^-1.
     At fixed (De, re) each level is E0 + beta S, linear in beta, so the
@@ -164,8 +174,7 @@ def fit_parameters(
     de0, re0, beta0 = (float(v) for v in init)
     if de0 <= 0.0 or re0 <= 0.0:
         raise ValueError("initial De and re must be positive")
-    if beta0 < 0.0:
-        raise ValueError("initial beta must be nonnegative")
+    require_beta(beta0)
     if mu_amu <= 0.0:
         raise ValueError("reduced mass must be positive")
 

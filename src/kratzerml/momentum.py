@@ -16,11 +16,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .physmodel import KratzerCouplings
+from .physmodel import KratzerCouplings, require_beta
 
 __all__ = [
     "BRANCHES",
-    "REGIMES",
     "VARIANTS",
     "GridError",
     "QuantizationBreakdownError",
@@ -47,7 +46,6 @@ __all__ = [
 solve_ivp = None
 
 BRANCHES = ("fast-decay", "slow-decay")
-REGIMES = ("deformed", "undeformed")
 VARIANTS = ("as-printed", "dimensional")
 
 #: density floor for solution grids
@@ -87,10 +85,11 @@ class MomentumProblem:
     beta: float = 0.0
 
     def __post_init__(self) -> None:
-        if not self.k > 0.0:
-            raise ValueError("k must be positive for bound-state analyses")
-        if self.beta < 0.0:
-            raise ValueError("beta must be nonnegative")
+        if not (math.isfinite(self.sigma1) and math.isfinite(self.sigma2)):
+            raise ValueError("sigma1 and sigma2 must be finite")
+        if not (math.isfinite(self.k) and self.k > 0.0):
+            raise ValueError("k must be positive and finite")
+        require_beta(self.beta)
 
     @classmethod
     def from_couplings(
@@ -151,33 +150,23 @@ def default_p_range(prob: MomentumProblem) -> tuple[float, float]:
     return 1e-3 * prob.k, 1e3 * top
 
 
-def indicial_exponents(
-    prob: MomentumProblem, regime: str
-) -> tuple[complex, complex]:
+def indicial_exponents(prob: MomentumProblem) -> tuple[complex, complex]:
     """Large-p power-law exponents of psi, as a (fast, slow) pair.
 
-    Deformed: {-10/3, -2} independent of sigma1, sigma2.  Undeformed:
-    -5/2 -+ nu with nu = sqrt(1/4 + sigma1), a complex-conjugate pair
-    once sigma1 < -1/4.
+    The regime follows from prob.beta.  Deformed (beta > 0): {-10/3, -2},
+    independent of sigma1 and sigma2.  Undeformed (beta = 0): -5/2 -+ nu
+    with nu = sqrt(1/4 + sigma1), a complex-conjugate pair once
+    sigma1 < -1/4.
     """
-    if regime == "deformed":
+    if prob.beta > 0.0:
         fast, slow = _DEFORMED_EXPONENTS
         return (complex(fast), complex(slow))
-    if regime == "undeformed":
-        return _undeformed_exponents(prob.sigma1)
-    raise ValueError(f"regime must be one of {REGIMES}, got {regime!r}")
-
-
-def _undeformed_exponents(sigma1: float) -> tuple[complex, complex]:
-    # -5/2 -+ nu; nu = sqrt(1/4 + sigma1) turns imaginary below -1/4
-    nu = cmath.sqrt(0.25 + sigma1)
+    nu = cmath.sqrt(0.25 + prob.sigma1)
     return (-2.5 - nu, -2.5 + nu)
 
 
 def _branch_phi_exponent(prob: MomentumProblem, branch: str) -> complex:
-    regime = "deformed" if prob.beta > 0.0 else "undeformed"
-    fast, slow = indicial_exponents(prob, regime)
-    s = fast if branch == "fast-decay" else slow
+    s = indicial_exponents(prob)[BRANCHES.index(branch)]
     return s + 1.0  # psi -> phi = p psi raises the exponent by one
 
 
@@ -413,13 +402,23 @@ class HeunParams:
     def fuchsian_residual(self) -> float:
         return abs(self.a + self.b + 1.0 - (self.c + self.d + self.e + self.f))
 
+    def _fuchsian_form(self, p: np.ndarray, psi: np.ndarray):
+        z = 0.5 * (1.0 - 1.0j * math.sqrt(6.0 * self.beta) * p)
+        return (
+            z,
+            p * psi,
+            (0.0, 1.0, self.z1, self.z2),
+            (self.c, self.d, self.e, self.f),
+            self.a * self.b * z * z + self.rho1 * z + self.rho2,
+        )
+
 
 @dataclass(frozen=True)
 class HeunParamsIS:
     """Four-regular-point form of the sigma2 = 0 (inverse-square) case.
 
-    The substitution record documents the chart: the equation lives in
-    xi = 6 beta p^2/(1 + 6 beta p^2) with psi = (1 - xi) phi.
+    The equation lives in the chart xi = 6 beta p^2/(1 + 6 beta p^2),
+    with psi = (1 - xi) phi.
     """
 
     a: float
@@ -432,13 +431,20 @@ class HeunParamsIS:
     mu: float
     energy: float
     beta: float
-    substitution: tuple[str, str] = (
-        "xi = 6 beta p^2 / (1 + 6 beta p^2)",
-        "psi = (1 - xi) phi",
-    )
 
     def fuchsian_residual(self) -> float:
         return abs(self.a + self.b + 1.0 - (self.c + self.d + self.e))
+
+    def _fuchsian_form(self, p: np.ndarray, psi: np.ndarray):
+        blow = 1.0 + 6.0 * self.beta * p * p
+        xi = 6.0 * self.beta * p * p / blow
+        return (
+            xi,
+            psi * blow,
+            (0.0, 1.0, self.xi0),
+            (self.c, self.d, self.e),
+            self.a * self.b * xi + self.q,
+        )
 
 
 @dataclass(frozen=True)
@@ -446,13 +452,24 @@ class HypergeometricParams:
     """beta = 0 reduction: phi = p psi in x = 1/2 + i p/(2 k).
 
     a b = 2 - sigma1 and a + b = 3; a, b turn complex together with nu
-    in the singular regime.
+    in the singular regime.  Divided by x (1 - x), the hypergeometric
+    equation has the weights c and a + b + 1 - c at x = 0 and 1 and the
+    accessory numerator a b over x (x - 1).
     """
 
     a: complex
     b: complex
     c: float
     k: float
+
+    def _fuchsian_form(self, p: np.ndarray, psi: np.ndarray):
+        return (
+            0.5 + 0.5j * p / self.k,
+            p * psi,
+            (0.0, 1.0),
+            (self.c, self.a + self.b + 1.0 - self.c),
+            self.a * self.b,
+        )
 
 
 def heun_params_general(
@@ -544,7 +561,7 @@ def hypergeometric_params(prob: MomentumProblem) -> HypergeometricParams:
     """
     if prob.beta != 0.0:
         raise ValueError("the hypergeometric reduction holds only at beta = 0")
-    fast, slow = _undeformed_exponents(prob.sigma1)
+    fast, slow = indicial_exponents(prob)
     return HypergeometricParams(
         a=-1.0 - fast, b=-1.0 - slow, c=2.0 + prob.sigma2 / prob.k, k=prob.k
     )
@@ -583,54 +600,28 @@ def heun_residual(
 ) -> float:
     """Max normalized residual of a transformed solution in the Heun form.
 
-    Pushes the numerical (p, psi) data through the substitution matching
-    the params type and differentiates by finite differences on the
-    transformed abscissae, so the check is independent of the original
-    equation.  The residual at each interior node is |sum of the three
-    terms| / (sum of their moduli); an identically-zero solution gives 0.
-    Raises GridError when the grid has too few points for the stencils;
-    OdeSolution already guarantees MIN_POINTS_PER_DECADE density.
+    Pushes the numerical (p, psi) data through the chart of the params
+    object and differentiates by finite differences on the transformed
+    abscissae, so the check is independent of the original equation.
+    Each params type gives its equation in the one Fuchsian form
+
+        f'' + sum_j w_j/(x - x_j) f' + N(x)/prod_j (x - x_j) f = 0
+
+    as the chart x(p), f, the singular points x_j, their weights w_j and
+    the accessory numerator N(x).  The residual at each interior node is
+    |sum of the three terms| / (sum of their moduli); an identically-zero
+    solution gives 0.  Raises GridError when the grid has too few points
+    for the stencils; OdeSolution already guarantees
+    MIN_POINTS_PER_DECADE density.
     """
     p = solution.grid
     if p.size < 5:
         raise GridError("need at least 5 grid points for finite differences")
-    psi = solution.values
-    if isinstance(params, HeunParams):
-        x = 0.5 * (1.0 - 1.0j * math.sqrt(6.0 * params.beta) * p)
-        f = p * psi
-        d1, d2 = _fd_derivatives(x, f)
-        xm = x[1:-1]
-        fm = f[1:-1]
-        pre = (
-            params.c / xm
-            + params.d / (xm - 1.0)
-            + params.e / (xm - params.z1)
-            + params.f / (xm - params.z2)
-        )
-        rat = (params.a * params.b * xm * xm + params.rho1 * xm + params.rho2) / (
-            xm * (xm - 1.0) * (xm - params.z1) * (xm - params.z2)
-        )
-        return _max_normalized_residual(d2, pre * d1, rat * fm)
-    if isinstance(params, HeunParamsIS):
-        blow = 1.0 + 6.0 * params.beta * p * p
-        x = 6.0 * params.beta * p * p / blow
-        f = psi * blow  # psi = (1 - xi) phi
-        d1, d2 = _fd_derivatives(x.astype(complex), f)
-        xm = x[1:-1]
-        fm = f[1:-1]
-        pre = params.c / xm + params.d / (xm - 1.0) + params.e / (xm - params.xi0)
-        rat = (params.a * params.b * xm + params.q) / (
-            xm * (xm - 1.0) * (xm - params.xi0)
-        )
-        return _max_normalized_residual(d2, pre * d1, rat * fm)
-    if isinstance(params, HypergeometricParams):
-        x = 0.5 + 0.5j * p / params.k
-        f = p * psi
-        d1, d2 = _fd_derivatives(x, f)
-        xm = x[1:-1]
-        fm = f[1:-1]
-        t1 = xm * (1.0 - xm) * d2
-        t2 = (params.c - (params.a + params.b + 1.0) * xm) * d1
-        t3 = -params.a * params.b * fm
-        return _max_normalized_residual(t1, t2, t3)
-    raise TypeError(f"unsupported parameter object {type(params).__name__}")
+    form = getattr(params, "_fuchsian_form", None)
+    if form is None:
+        raise TypeError(f"unsupported parameter object {type(params).__name__}")
+    x, f, points, weights, numerator = form(p, solution.values)
+    d1, d2 = _fd_derivatives(x.astype(complex), f)
+    pre = sum(w / (x - xj) for w, xj in zip(weights, points))
+    rat = numerator / math.prod(x - xj for xj in points)
+    return _max_normalized_residual(d2, pre[1:-1] * d1, (rat * f)[1:-1])

@@ -14,8 +14,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .physmodel import HBAR, KratzerCouplings
-from .wavefunctions import RadialState, _kummer_sum, radial_wavefunction
+from .physmodel import HBAR, KratzerCouplings, require_beta
+from .wavefunctions import RadialState, kummer_polynomial, radial_wavefunction
 
 __all__ = [
     "SCHEMES",
@@ -189,18 +189,18 @@ def _gl_density_integral(
     global roots_genlaguerre
     if roots_genlaguerre is None:
         from scipy.special import roots_genlaguerre
+    n = state.qn.n
     lam = state.shape.lam
-    steps = state.kummer_steps
     two_kappa = 2.0 * state.shape.alpha / state.re
     log_w = _gl_log_weight(state)
     alpha_gl = 2.0 * lam - power
-    m = _gl_rule_size(state, spec, 2 * state.qn.n + degree)
+    m = _gl_rule_size(state, spec, 2 * n + degree)
 
     def run(size: int) -> float:
         nodes, weights = roots_genlaguerre(size, alpha_gl)
         acc = 0.0
         for x, w in zip(nodes.tolist(), weights.tolist()):
-            base = _kummer_sum(steps, x)
+            base = kummer_polynomial(n, 2.0 * lam, x)
             acc += w * (x**power * weight(x / two_kappa)) * base * base
         if not math.isfinite(acc):
             # the weights sum to Gamma(alpha + 1), which overflows past
@@ -286,8 +286,7 @@ def correction_via_expectations(
     """
     if mu <= 0.0:
         raise ValueError("reduced mass must be positive")
-    if beta < 0.0:
-        raise ValueError("beta must be nonnegative")
+    require_beta(beta)
     lam = state.shape.lam
     n = state.qn.n
     s = mu * c.g2 / (HBAR * HBAR)

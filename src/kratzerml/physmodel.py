@@ -7,7 +7,7 @@ mass units and electronvolts appear only at input/output boundaries.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 __all__ = [
     "PLANCK_H",
@@ -30,6 +30,7 @@ __all__ = [
     "gamma_of",
     "couplings_from_kratzer",
     "shape_numbers",
+    "require_beta",
     "minimal_length",
     "beta_from_min_length",
 ]
@@ -121,10 +122,10 @@ class Molecule:
     """
 
     name: str
-    de_cm1: float = field(metadata={"unit": "cm^-1"})
-    re_angstrom: float = field(metadata={"unit": "angstrom"})
-    mu_amu: float = field(metadata={"unit": "amu"})
-    zpe_exp_cm1: float | None = field(default=None, metadata={"unit": "cm^-1"})
+    de_cm1: float
+    re_angstrom: float
+    mu_amu: float
+    zpe_exp_cm1: float | None = None
 
     def __post_init__(self) -> None:
         for label, value in (
@@ -171,15 +172,16 @@ class QuantumNumbers:
 
 @dataclass(frozen=True)
 class KratzerCouplings:
-    """Couplings of the general potential V(r) = g1/r^2 - g2/r, in SI.
+    """Couplings of the general potential V(r) = g1/r^2 - g2/r, in SI
+    (g1 in J m^2, g2 in J m).
 
     The molecular branch has g1 = De re^2 and g2 = 2 De re, both positive.
     The general branch admits any real g1 (the strongly attractive regime
     sigma1 <= -1/4 included) and g2 >= 0.
     """
 
-    g1: float = field(metadata={"unit": "J m^2"})
-    g2: float = field(metadata={"unit": "J m"})
+    g1: float
+    g2: float
 
     def __post_init__(self) -> None:
         if not (math.isfinite(self.g1) and math.isfinite(self.g2)):
@@ -241,6 +243,12 @@ def shape_numbers(gamma: float, qn: QuantumNumbers) -> ShapeNumbers:
     return ShapeNumbers(gamma=gamma, lam=lam, alpha=alpha)
 
 
+def require_beta(beta: float) -> None:
+    """Check that beta is a valid deformation: finite and nonnegative."""
+    if not (math.isfinite(beta) and beta >= 0.0):
+        raise ValueError(f"beta must be nonnegative and finite, got {beta!r}")
+
+
 def minimal_length(beta: float) -> float:
     """Minimal position uncertainty hbar sqrt(3 beta + beta'), in m.
 
@@ -250,8 +258,7 @@ def minimal_length(beta: float) -> float:
     quarter of random beta, and the reports are pinned to the unfolded
     form bit for bit.
     """
-    if beta < 0.0:
-        raise ValueError("deformation parameter beta must be nonnegative")
+    require_beta(beta)
     return HBAR * math.sqrt(3.0 * beta + 2.0 * beta)
 
 

@@ -18,12 +18,7 @@ import sys
 from pathlib import Path
 
 from . import PRESETS
-from .estimate import (
-    NoPositiveGapError,
-    beta_upper_bound,
-    fit_parameters,
-    zpe_theoretical,
-)
+from .estimate import NoPositiveGapError, beta_upper_bound, fit_parameters
 from .physmodel import (
     ANGSTROM_TO_M,
     ENERGY_UNITS,
@@ -77,6 +72,21 @@ class UsageError(ValueError):
 # ---------------------------------------------------------------- files
 
 
+def _content_lines(path: Path) -> list[tuple[int, str]]:
+    """(line number, text) of every line of path that holds more than a
+    '#' comment, the comment and surrounding blanks stripped."""
+    try:
+        text = path.read_text(encoding="utf-8")
+    except OSError as exc:
+        raise FileFormatError(f"{path}: {exc.strerror or exc}") from None
+    lines = []
+    for lineno, raw in enumerate(text.splitlines(), start=1):
+        line = raw.split("#", 1)[0].strip()
+        if line:
+            lines.append((lineno, line))
+    return lines
+
+
 def parse_molecule_file(path: Path) -> Molecule:
     """Read a key = value molecule file ('#' starts a comment).
 
@@ -84,15 +94,8 @@ def parse_molecule_file(path: Path) -> Molecule:
     (defaults to the file stem) and zpe_exp_cm1.  Unknown or duplicate
     keys are rejected with their line number.
     """
-    try:
-        text = path.read_text(encoding="utf-8")
-    except OSError as exc:
-        raise FileFormatError(f"{path}: {exc.strerror or exc}") from None
     found: dict[str, tuple[str, int]] = {}
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
+    for lineno, line in _content_lines(path):
         key, sep, value = line.partition("=")
         if not sep:
             raise FileFormatError(
@@ -167,17 +170,10 @@ def parse_levels_file(path: Path) -> list[tuple[int, int, float, float]]:
     Header: n,l,E_cm1 with an optional trailing weight column; comma or
     tab delimited (detected per line).  (n, l) pairs must be unique.
     """
-    try:
-        text = path.read_text(encoding="utf-8")
-    except OSError as exc:
-        raise FileFormatError(f"{path}: {exc.strerror or exc}") from None
     header: list[str] | None = None
     seen: dict[tuple[int, int], int] = {}
     rows: list[tuple[int, int, float, float]] = []
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
+    for lineno, line in _content_lines(path):
         delim = "\t" if "\t" in line else ","
         parts = [part.strip() for part in line.split(delim)]
         if header is None:
@@ -379,13 +375,12 @@ def cmd_bound(args) -> int:
             f"molecule {mol.name!r} has no zpe_exp_cm1; the bound needs an "
             "experimental zero-point energy"
         )
-    g_theory = zpe_theoretical(mol, 0.0)
     result = beta_upper_bound(mol)
     doc = {
         "schema": SCHEMA,
         "command": "bound",
         "molecule": _molecule_doc(mol),
-        "g_theory": _tagged(g_theory, "cm-1"),
+        "g_theory": _tagged(result.g_theory_cm1, "cm-1"),
         "g_exp": _tagged(mol.zpe_exp_cm1, "cm-1"),
         "delta": _tagged(result.delta_cm1, "cm-1"),
         "beta_max": _tagged(result.beta_max, BETA_UNIT),
@@ -394,7 +389,7 @@ def cmd_bound(args) -> int:
     }
     human = [
         f"molecule {mol.name}",
-        f"zero-point energy, theory (beta = 0): {g_theory:.4f} cm-1",
+        f"zero-point energy, theory (beta = 0): {result.g_theory_cm1:.4f} cm-1",
         f"zero-point energy, experiment:        {mol.zpe_exp_cm1:.4f} cm-1",
         f"gap delta = {result.delta_cm1:.4f} cm-1",
         f"beta_max = {result.beta_max:.6e} {BETA_UNIT}",

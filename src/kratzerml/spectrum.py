@@ -17,6 +17,7 @@ from .physmodel import (
     QuantumNumbers,
     ShapeNumbers,
     gamma_of,
+    require_beta,
     require_lambda_regular,
     shape_numbers,
 )
@@ -115,8 +116,7 @@ def correction_hydrogen_limit(
 
     (4 beta mu^3 g2^4 / (hbar^4 np^4)) * (-3/4 + np / (l + 1/2))
     """
-    if beta < 0.0:
-        raise ValueError("beta must be nonnegative")
+    require_beta(beta)
     np_ = qn.principal
     t = mu * g2 / (HBAR * np_)          # momentum scale, kg m/s
     return 4.0 * (beta * t * t) * (t * t / mu) * (-0.75 + np_ / (qn.l + 0.5))
@@ -132,8 +132,7 @@ def correction_general(
     even though their weighted sum stays finite, so the formal expression
     would be a 0 * inf product there.
     """
-    if beta < 0.0:
-        raise ValueError("beta must be nonnegative")
+    require_beta(beta)
     if c.g1 == 0.0:
         return correction_hydrogen_limit(c.g2, mu, beta, qn)
     sigma1 = c.sigma1(mu)
@@ -157,8 +156,7 @@ def energy_deformed(mol: Molecule, beta: float, qn: QuantumNumbers) -> EnergyLev
     Numerically identical to energy_unperturbed + correction_general to
     relative 1e-12; the two differ only in floating-point grouping.
     """
-    if beta < 0.0:
-        raise ValueError("beta must be nonnegative")
+    require_beta(beta)
     gamma = gamma_of(mol)
     shape = shape_numbers(gamma, qn)
     lam = shape.lam
@@ -203,8 +201,7 @@ def term_decomposition(
     pieces affecting the harmonic, coupling and anharmonic parts.  The
     sum of the values equals energy_expansion bitwise.
     """
-    if beta < 0.0:
-        raise ValueError("beta must be nonnegative")
+    require_beta(beta)
     gamma = gamma_of(mol)
     de_j = mol.de_joule
     nh = qn.n + 0.5

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import partial
 from itertools import combinations
 from typing import Callable
 
@@ -188,24 +189,16 @@ def _branch_slope(
     return fit_slope(solution, _SLOPE_DECADES)
 
 
-def _exponents_deformed(sigmas) -> tuple[float, int]:
-    devs = []
-    for sigma1 in sigmas:
-        prob = MomentumProblem(sigma1=sigma1, sigma2=0.4, k=1.0, beta=1.0)
-        for branch, target in zip(BRANCHES, indicial_exponents(prob, "deformed")):
-            slope = _branch_slope(prob, branch, (1.0, 2.0e3))
-            devs.append(abs(slope - target))
-    return max(devs), len(devs)
-
-
-def _exponents_undeformed(cases) -> tuple[float, int]:
+def _exponents(
+    beta: float, p_range: tuple[float, float], cases
+) -> tuple[float, int]:
+    # cases: {branch: sigma1 values}
     devs = []
     for branch, sigmas in cases.items():
         for sigma1 in sigmas:
-            prob = MomentumProblem(sigma1=sigma1, sigma2=0.4, k=1.0, beta=0.0)
-            fast, slow = indicial_exponents(prob, "undeformed")
-            target = fast if branch == "fast-decay" else slow
-            slope = _branch_slope(prob, branch, (0.5, 2.0e3))
+            prob = MomentumProblem(sigma1=sigma1, sigma2=0.4, k=1.0, beta=beta)
+            target = indicial_exponents(prob)[BRANCHES.index(branch)]
+            slope = _branch_slope(prob, branch, p_range)
             devs.append(abs(slope - target))
     return max(devs), len(devs)
 
@@ -277,9 +270,9 @@ CHECKS = (
           _quantization),
     Check("exponents-deformed", 0.02,
           "fitted |psi| slopes vs {-10/3, -2}, sigma1-independent",
-          {"paper": (-2.0, -1.0, -0.26, 0.0, 2.0, 10.0),
-           "small": (-1.0, 0.0, 2.0)},
-          _exponents_deformed),
+          {"paper": dict.fromkeys(BRANCHES, (-2.0, -1.0, -0.26, 0.0, 2.0, 10.0)),
+           "small": dict.fromkeys(BRANCHES, (-1.0, 0.0, 2.0))},
+          partial(_exponents, 1.0, (1.0, 2.0e3))),
     # the slow branch amplifies initial-condition error by (p_max/p)^(2 nu)
     # going inward, so its slope fit is only meaningful for moderate nu;
     # the inward-stable fast branch has no such restriction
@@ -287,8 +280,8 @@ CHECKS = (
           "fitted |psi| slopes vs -5/2 -+ nu",
           {"paper": {"fast-decay": (0.0, 0.75, 2.0, 6.0),
                      "slow-decay": (0.0, 0.75, 2.0)},
-           "small": {"fast-decay": (0.0, 2.0), "slow-decay": (0.0, 2.0)}},
-          _exponents_undeformed),
+           "small": dict.fromkeys(BRANCHES, (0.0, 2.0))},
+          partial(_exponents, 0.0, (0.5, 2.0e3))),
     Check("fuchsian", 1e-12,
           "sum rules of both Heun-type parameterizations",
           {"paper": 1000, "small": 100}, _fuchsian),

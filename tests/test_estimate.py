@@ -155,8 +155,13 @@ def test_fit_input_validation():
         fit_parameters(LEVELS, 1.2, (-52000.0, 1.0, 0.0))
     with pytest.raises(ValueError):
         fit_parameters(LEVELS, 1.2, (52000.0, 0.0, 0.0))
-    with pytest.raises(ValueError):
-        fit_parameters(LEVELS, 1.2, (52000.0, 1.0, -1.0))
+    for beta0 in (-1.0, math.nan, math.inf):
+        with pytest.raises(ValueError):
+            fit_parameters(LEVELS, 1.2, (52000.0, 1.0, beta0))
+    for bad in ((math.inf, 0, -40000.0), (0, math.inf, -40000.0),
+                (math.nan, 0, -40000.0), (0, math.nan, -40000.0)):
+        with pytest.raises(ValueError, match="nonnegative integers"):
+            fit_parameters([bad] + LEVELS[1:], 1.2, (52000.0, 1.0, 0.0))
     for bad in ((0, 0, math.nan), (0, 0, -math.inf),
                 (0, 0, -40000.0, math.inf), (0, 0, -40000.0, math.nan)):
         with pytest.raises(ValueError, match="finite"):

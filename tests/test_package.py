@@ -62,6 +62,34 @@ def test_unused_import_guard_sees_unused_names():
     assert _unused_imports(tree) == ["math (line 1)"]
 
 
+def _private_imports(tree: ast.Module) -> list[str]:
+    """Single-underscore names a module imports from the package."""
+    return [
+        f"{alias.name} (line {node.lineno})"
+        for node in ast.walk(tree)
+        if isinstance(node, ast.ImportFrom)
+        and (node.level > 0 or (node.module or "").split(".")[0] == "kratzerml")
+        for alias in node.names
+        if alias.name.startswith("_") and not alias.name.startswith("__")
+    ]
+
+
+def test_no_module_imports_another_modules_private_name():
+    package = Path(kratzerml.__file__).parent
+    for path in sorted(package.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        assert _private_imports(tree) == [], path.name
+
+
+def test_private_import_guard_sees_private_names():
+    tree = ast.parse(
+        "from .wavefunctions import RadialState, _kummer_sum\n"
+        "from kratzerml.oracle import _moment\n"
+        "from . import __version__\nfrom os import _exit\n"
+    )
+    assert _private_imports(tree) == ["_kummer_sum (line 1)", "_moment (line 2)"]
+
+
 # modules that may import numpy at import time: only verify and the
 # momentum-space ODEs reach it, and no CLI command but verify loads them
 _NUMPY_AT_IMPORT = {"momentum.py", "verify.py"}

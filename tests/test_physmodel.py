@@ -150,8 +150,9 @@ def test_min_length_round_trip(x):
 
 
 def test_deformation_validation():
-    with pytest.raises(ValueError):
-        minimal_length(-1.0)
+    for beta in (-1.0, math.nan, math.inf):
+        with pytest.raises(ValueError):
+            minimal_length(beta)
     with pytest.raises(ValueError):
         beta_from_min_length(-1e-12)
     assert beta_from_min_length(0.0) == 0.0

@@ -167,6 +167,15 @@ def test_negative_beta_rejected():
         correction_hydrogen_limit(1e-28, MU_E, -1.0, qn)
 
 
+@pytest.mark.parametrize("beta", [math.nan, math.inf])
+def test_nonfinite_beta_rejected(beta):
+    qn = QuantumNumbers(0, 0)
+    with pytest.raises(ValueError, match="finite"):
+        energy_deformed(H2, beta, qn)
+    with pytest.raises(ValueError, match="finite"):
+        correction_general(couplings_from_kratzer(H2), H2.mu_kg, beta, qn)
+
+
 def test_dual_forms_agree():
     """(De, re) form vs general-coupling form, across the parameter box."""
     rng = np.random.default_rng(20260814)

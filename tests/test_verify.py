@@ -51,22 +51,15 @@ def test_exponent_checks_match_full_range_slopes():
     deviations are == the ones of full-range integrations."""
     grids = {check.name: check.grids["small"] for check in CHECKS}
     expected = {"exponents-deformed": 0.0, "exponents-undeformed": 0.0}
-    for sigma1 in grids["exponents-deformed"]:
-        prob = MomentumProblem(sigma1=sigma1, sigma2=0.4, k=1.0, beta=1.0)
-        targets = indicial_exponents(prob, "deformed")
-        for branch, target in zip(BRANCHES, targets):
-            slope = fit_slope(integrate_branch(prob, branch, (1.0, 2.0e3)))
-            expected["exponents-deformed"] = max(
-                expected["exponents-deformed"], abs(slope - target)
-            )
-    for branch, sigmas in grids["exponents-undeformed"].items():
-        for sigma1 in sigmas:
-            prob = MomentumProblem(sigma1=sigma1, sigma2=0.4, k=1.0)
-            target = dict(zip(BRANCHES, indicial_exponents(prob, "undeformed")))
-            slope = fit_slope(integrate_branch(prob, branch, (0.5, 2.0e3)))
-            expected["exponents-undeformed"] = max(
-                expected["exponents-undeformed"], abs(slope - target[branch])
-            )
+    setups = {"exponents-deformed": (1.0, (1.0, 2.0e3)),
+              "exponents-undeformed": (0.0, (0.5, 2.0e3))}
+    for name, (beta, p_range) in setups.items():
+        for branch, sigmas in grids[name].items():
+            for sigma1 in sigmas:
+                prob = MomentumProblem(sigma1=sigma1, sigma2=0.4, k=1.0, beta=beta)
+                target = dict(zip(BRANCHES, indicial_exponents(prob)))[branch]
+                slope = fit_slope(integrate_branch(prob, branch, p_range))
+                expected[name] = max(expected[name], abs(slope - target))
     worst = {
         res.name: res.worst for res in run_checks("small") if res.name in expected
     }
