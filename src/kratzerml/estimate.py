@@ -175,7 +175,7 @@ def fit_parameters(
     if de0 <= 0.0 or re0 <= 0.0:
         raise ValueError("initial De and re must be positive")
     require_beta(beta0)
-    if mu_amu <= 0.0:
+    if not mu_amu > 0.0:
         raise ValueError("reduced mass must be positive")
 
     def project(x, *, trial=True) -> tuple[float, list[float]]:

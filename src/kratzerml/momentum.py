@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .physmodel import KratzerCouplings, require_beta
+from .physmodel import require_beta
 
 __all__ = [
     "BRANCHES",
@@ -30,7 +30,6 @@ __all__ = [
     "HeunParamsIS",
     "HypergeometricParams",
     "ode_rhs_deformed",
-    "default_p_range",
     "integrate_branch",
     "fit_slope",
     "indicial_exponents",
@@ -91,22 +90,6 @@ class MomentumProblem:
             raise ValueError("k must be positive and finite")
         require_beta(self.beta)
 
-    @classmethod
-    def from_couplings(
-        cls, c: KratzerCouplings, mu: float, energy: float, beta: float = 0.0
-    ) -> "MomentumProblem":
-        """Problem at a given bound-state energy E < 0 (SI units)."""
-        if mu <= 0.0:
-            raise ValueError("reduced mass must be positive")
-        if energy >= 0.0:
-            raise ValueError("bound states require energy < 0")
-        return cls(
-            sigma1=c.sigma1(mu),
-            sigma2=c.sigma2(mu),
-            k=math.sqrt(-2.0 * mu * energy),
-            beta=beta,
-        )
-
 
 def ode_rhs_deformed(
     prob: MomentumProblem, p: float, phi: complex, dphi: complex
@@ -141,15 +124,6 @@ def ode_rhs_deformed(
     return -(b * dphi + c * phi) * (1.0 / a)
 
 
-def default_p_range(prob: MomentumProblem) -> tuple[float, float]:
-    """(1e-3 k, 1e3 max(k, 1/sqrt(6 beta))): three-plus decades with the
-    top well inside the asymptotic power-law regime."""
-    top = prob.k
-    if prob.beta > 0.0:
-        top = max(top, 1.0 / math.sqrt(6.0 * prob.beta))
-    return 1e-3 * prob.k, 1e3 * top
-
-
 def indicial_exponents(prob: MomentumProblem) -> tuple[complex, complex]:
     """Large-p power-law exponents of psi, as a (fast, slow) pair.
 
@@ -172,21 +146,19 @@ def _branch_phi_exponent(prob: MomentumProblem, branch: str) -> complex:
 
 @dataclass(frozen=True)
 class OdeSolution:
-    """psi(p) and psi'(p) on an ascending log-spaced grid."""
+    """psi(p) on an ascending log-spaced grid."""
 
     grid: np.ndarray
     values: np.ndarray
-    derivs: np.ndarray
     branch: str
 
     def __post_init__(self) -> None:
         grid = np.array(self.grid, dtype=float)
         values = np.array(self.values, dtype=complex)
-        derivs = np.array(self.derivs, dtype=complex)
         if grid.ndim != 1 or grid.size < 2:
             raise ValueError("grid must be one-dimensional with >= 2 points")
-        if values.shape != grid.shape or derivs.shape != grid.shape:
-            raise ValueError("values and derivs must match the grid shape")
+        if values.shape != grid.shape:
+            raise ValueError("values must match the grid shape")
         if np.any(np.diff(grid) <= 0.0):
             raise ValueError("grid must be strictly increasing")
         steps = np.diff(np.log10(grid))
@@ -194,7 +166,7 @@ class OdeSolution:
             raise ValueError(
                 f"grid coarser than {MIN_POINTS_PER_DECADE} points per decade"
             )
-        for name, arr in (("grid", grid), ("values", values), ("derivs", derivs)):
+        for name, arr in (("grid", grid), ("values", values)):
             arr.flags.writeable = False
             object.__setattr__(self, name, arr)
         if self.branch not in BRANCHES:
@@ -204,7 +176,7 @@ class OdeSolution:
 def integrate_branch(
     prob: MomentumProblem,
     branch: str,
-    p_range: tuple[float, float] | None = None,
+    p_range: tuple[float, float],
     *,
     rtol: float = 1e-10,
     points_per_decade: int = MIN_POINTS_PER_DECADE,
@@ -242,8 +214,6 @@ def integrate_branch(
         raise ValueError(f"branch must be one of {BRANCHES}, got {branch!r}")
     if points_per_decade < MIN_POINTS_PER_DECADE:
         raise ValueError(f"points_per_decade must be >= {MIN_POINTS_PER_DECADE}")
-    if p_range is None:
-        p_range = default_p_range(prob)
     p_min, p_max = p_range
     if not (0.0 < p_min < p_max):
         raise ValueError("p_range must satisfy 0 < p_min < p_max")
@@ -314,11 +284,8 @@ def integrate_branch(
             f"{result.message}"
         )
     grid = grid[first:]
-    phi = result.y[0][::-1] * scale
-    dphi = result.y[1][::-1] * scale
-    psi = phi / grid
-    dpsi = dphi / grid - phi / grid**2
-    return OdeSolution(grid=grid, values=psi, derivs=dpsi, branch=branch)
+    psi = result.y[0][::-1] * scale / grid
+    return OdeSolution(grid=grid, values=psi, branch=branch)
 
 
 def fit_slope(solution: OdeSolution, window_decades: float = 1.0) -> float:
@@ -362,7 +329,7 @@ def quantize_swave(prob: MomentumProblem, n_max: int, mu: float) -> list[float]:
         raise ValueError("sigma2 must be positive for an attractive tail")
     if n_max < 0:
         raise ValueError("n_max must be nonnegative")
-    if mu <= 0.0:
+    if not mu > 0.0:
         raise ValueError("reduced mass must be positive")
     nu = math.sqrt(0.25 + prob.sigma1)
     energies = []
@@ -376,13 +343,14 @@ def quantize_swave(prob: MomentumProblem, n_max: int, mu: float) -> list[float]:
 class HeunParams:
     """Five-regular-point form in z = (1 - i sqrt(6 beta) p)/2, phi = p psi.
 
-    Two parameter readings are carried: "as-printed" keeps sigma1 in the
-    c, d, e, f, rho1 slots and the sqrt(beta) part of rho2 (with sigma2
-    in the flat part), exactly as the source prints them; "dimensional"
-    swaps sigma1 and sigma2 throughout those slots, which is what
-    dimensional analysis demands (sigma1 sqrt(beta) and sigma1/k are not
-    dimensionless) and what the numerical residual check confirms.
-    Neither is silently corrected into the other.
+    heun_params_general builds it from either of two parameter readings:
+    "as-printed" keeps sigma1 in the c, d, e, f, rho1 slots and the
+    sqrt(beta) part of rho2 (with sigma2 in the flat part), exactly as
+    the source prints them; "dimensional" swaps sigma1 and sigma2
+    throughout those slots, which is what dimensional analysis demands
+    (sigma1 sqrt(beta) and sigma1/k are not dimensionless) and what the
+    numerical residual check confirms.  Neither is silently corrected
+    into the other.
     """
 
     a: float
@@ -395,8 +363,6 @@ class HeunParams:
     rho2: float
     z1: float
     z2: float
-    variant: str
-    k: float
     beta: float
 
     def fuchsian_residual(self) -> float:
@@ -428,8 +394,6 @@ class HeunParamsIS:
     e: float
     q: float
     xi0: float
-    mu: float
-    energy: float
     beta: float
 
     def fuchsian_residual(self) -> float:
@@ -513,8 +477,6 @@ def heun_params_general(
         + 0.25 * s_rho2_flat,
         z1=0.5 + 0.5 * k * root,
         z2=0.5 - 0.5 * k * root,
-        variant=variant,
-        k=k,
         beta=beta,
     )
 
@@ -523,11 +485,11 @@ def heun_params_inverse_square(
     sigma1: float, mu: float, energy: float, beta: float
 ) -> HeunParamsIS:
     """Parameters of the four-point form on the sigma2 = 0 branch."""
-    if mu <= 0.0:
+    if not mu > 0.0:
         raise ValueError("reduced mass must be positive")
-    if energy >= 0.0:
+    if not energy < 0.0:
         raise ValueError("bound states require energy < 0")
-    if beta <= 0.0:
+    if not beta > 0.0:
         raise ValueError("beta must be positive for the deformed chart")
     denom = 1.0 + 12.0 * mu * beta * energy
     if abs(denom) < 1e-12:
@@ -546,8 +508,6 @@ def heun_params_inverse_square(
         e=2.0,
         q=-1.5 + 0.25 * sigma1 / denom,
         xi0=xi0,
-        mu=mu,
-        energy=energy,
         beta=beta,
     )
 

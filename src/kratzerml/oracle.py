@@ -53,28 +53,22 @@ class QuadratureSpec:
         into ordinary endpoints; "gauss-laguerre" uses the generalized
         rule whose weight matches the density exactly, with the shift
         between two rule sizes as the error probe.
-    rel_tol, abs_tol : acceptance thresholds for the error estimate
-        (defaults 1e-10 and 1e-300: relative control with headroom over
-        the 1e-8 agreement targets).
+    rel_tol : acceptance threshold for the error estimate relative to
+        |value| (default 1e-10: headroom over the 1e-8 agreement targets).
     subdivisions : interval limit for the adaptive backend, at least 2.
-    nodes : rule size for gauss-laguerre; None picks n + 24.
     """
 
     scheme: str = "adaptive"
     rel_tol: float = 1e-10
-    abs_tol: float = 1e-300
     subdivisions: int = 200
-    nodes: int | None = None
 
     def __post_init__(self) -> None:
         if self.scheme not in SCHEMES:
             raise ValueError(f"unknown scheme {self.scheme!r}; use one of {SCHEMES}")
-        if not (math.isfinite(self.rel_tol) and math.isfinite(self.abs_tol)):
-            raise ValueError("rel_tol and abs_tol must be finite")
+        if not math.isfinite(self.rel_tol):
+            raise ValueError("rel_tol must be finite")
         if self.rel_tol < 1e-12:
             raise ValueError("rel_tol below 1e-12 is not certifiable in doubles")
-        if self.abs_tol < 0.0:
-            raise ValueError("abs_tol must be nonnegative")
         if self.subdivisions < 2:
             raise ValueError("subdivisions must be at least 2")
 
@@ -88,7 +82,7 @@ class QuadratureResult:
     scheme: str
 
     def within(self, spec: QuadratureSpec) -> bool:
-        return self.error_estimate <= spec.abs_tol + spec.rel_tol * abs(self.value)
+        return self.error_estimate <= spec.rel_tol * abs(self.value)
 
 
 def _require_integrable(lam: float, power: int, label: str) -> None:
@@ -104,7 +98,7 @@ def _certified(result: QuadratureResult, spec: QuadratureSpec, label: str):
     if not result.within(spec):
         raise ToleranceError(
             f"{label}: error estimate {result.error_estimate:.3e} exceeds "
-            f"abs {spec.abs_tol:.3e} + rel {spec.rel_tol:.3e} * |value|"
+            f"{spec.rel_tol:.3e} * |value|"
         )
     return result
 
@@ -142,7 +136,7 @@ def _adaptive_integral(
         integrand,
         0.0,
         1.0,
-        epsabs=spec.abs_tol,
+        epsabs=0.0,
         epsrel=spec.rel_tol,
         limit=spec.subdivisions,
         points=[0.5],
@@ -166,25 +160,15 @@ def _gl_log_weight(state: RadialState) -> float:
     )
 
 
-def _gl_rule_size(state: RadialState, spec: QuadratureSpec, degree: int) -> int:
-    m = spec.nodes if spec.nodes is not None else state.qn.n + 24
-    needed = degree // 2 + 1
-    if m < needed:
-        raise ValueError(
-            f"need at least {needed} nodes for a degree-{degree} integrand"
-        )
-    return m
-
-
 def _gl_density_integral(
-    state: RadialState, weight, power: int, degree: int, spec: QuadratureSpec
+    state: RadialState, weight, power: int
 ) -> QuadratureResult:
     """integral of |R|^2 r^2 weight(r) dr by the generalized rule.
 
     Under x = 2 (alpha/re) r this is W x^(2 lam - power) e^-x times
-    x^power weight(r) M(-n, 2 lam, x)^2, a polynomial of degree
-    2n + degree; the rule is exact for it, so the difference between two
-    rule sizes probes only roundoff.
+    x^power weight(r) M(-n, 2 lam, x)^2, a polynomial of degree at most
+    2n + 4; the n + 24 point rule (n + 3 would do) is exact for it, so
+    the difference between two rule sizes probes only roundoff.
     """
     global roots_genlaguerre
     if roots_genlaguerre is None:
@@ -194,7 +178,7 @@ def _gl_density_integral(
     two_kappa = 2.0 * state.shape.alpha / state.re
     log_w = _gl_log_weight(state)
     alpha_gl = 2.0 * lam - power
-    m = _gl_rule_size(state, spec, 2 * n + degree)
+    m = n + 24
 
     def run(size: int) -> float:
         nodes, weights = roots_genlaguerre(size, alpha_gl)
@@ -223,13 +207,12 @@ def _moment(
     state: RadialState,
     weight,
     power: int,
-    degree: int,
     spec: QuadratureSpec,
     label: str,
 ) -> QuadratureResult:
     """integral of |R|^2 r^2 weight(r) dr on the spec's backend, certified.
 
-    weight(r) r^power must be a polynomial of the given degree in r:
+    weight(r) r^power must be a polynomial of degree at most 4 in r:
     power is how fast the weight diverges at the origin, which decides
     integrability there and the Gauss-Laguerre weight exponent.
     """
@@ -237,7 +220,7 @@ def _moment(
     if spec.scheme == "adaptive":
         result = _adaptive_integral(state, state, weight, spec)
     else:
-        result = _gl_density_integral(state, weight, power, degree, spec)
+        result = _gl_density_integral(state, weight, power)
     return _certified(result, spec, label)
 
 
@@ -252,7 +235,7 @@ def expectation_inverse_power(
     """
     if p < 0 or p > 4:
         raise ValueError(f"p must be an integer in 0..4, got {p!r}")
-    return _moment(state, lambda r: r ** (-p), p, 0, spec, f"<1/r^{p}>")
+    return _moment(state, lambda r: r ** (-p), p, spec, f"<1/r^{p}>")
 
 
 def radial_overlap(state_a: RadialState, state_b: RadialState) -> QuadratureResult:
@@ -262,7 +245,7 @@ def radial_overlap(state_a: RadialState, state_b: RadialState) -> QuadratureResu
     expectation values pass: for two orthogonal states the value is
     roundoff, and an overlap near 1e-16 cannot meet a bound relative to
     itself (on the paper verify grid the estimate exceeds
-    abs_tol + rel_tol |value| by up to 7.7e12).  Judge the value against
+    rel_tol |value| by up to 7.7e12).  Judge the value against
     an absolute tolerance instead.
     """
     return _adaptive_integral(state_a, state_b, lambda r: 1.0, QuadratureSpec())
@@ -284,7 +267,7 @@ def correction_via_expectations(
     E0^2 - 2 E0 <V> + <V^2> from separate moments cancels the O(gamma^2)
     terms and loses digits as gamma grows.  The result is nonnegative.
     """
-    if mu <= 0.0:
+    if not mu > 0.0:
         raise ValueError("reduced mass must be positive")
     require_beta(beta)
     lam = state.shape.lam
@@ -297,7 +280,7 @@ def correction_via_expectations(
         return gap * gap
 
     power = 4 if c.g1 != 0.0 else 2
-    moment = _moment(state, weight, power, power, spec, "<(E0 - V)^2>")
+    moment = _moment(state, weight, power, spec, "<(E0 - V)^2>")
     scale = 4.0 * beta * mu
     return QuadratureResult(
         value=scale * moment.value,

@@ -69,15 +69,17 @@ def require_lambda_regular(lam: float, minimum: float) -> None:
     `minimum` is the largest denominator pivot appearing in the closed
     form being evaluated (one of 1/2, 1, 3/2).  Values of lambda at or
     below the pivot, or within LAMBDA_GUARD_TOL of any pivot up to it,
-    raise LambdaGuardError instead of returning a poisoned float.
+    raise LambdaGuardError instead of returning a poisoned float.  The
+    pivots sit 1/2 apart, so both cases come to lam <= minimum + TOL;
+    the error names the pivot whose window holds lam, else `minimum`.
     """
-    for pivot in _SINGULAR_LAMBDAS:
-        if pivot > minimum + LAMBDA_GUARD_TOL:
-            break
-        if lam <= pivot + LAMBDA_GUARD_TOL and lam >= pivot - LAMBDA_GUARD_TOL:
-            raise LambdaGuardError(lam, pivot)
-        if pivot == minimum and lam <= pivot:
-            raise LambdaGuardError(lam, pivot)
+    if lam <= minimum + LAMBDA_GUARD_TOL:
+        pivot = next(
+            (p for p in _SINGULAR_LAMBDAS if p <= minimum
+             and p - LAMBDA_GUARD_TOL <= lam <= p + LAMBDA_GUARD_TOL),
+            minimum,
+        )
+        raise LambdaGuardError(lam, pivot)
 
 
 #: size of each energy unit accepted at I/O boundaries, in J
@@ -263,7 +265,21 @@ def minimal_length(beta: float) -> float:
 
 
 def beta_from_min_length(x_min_m: float) -> float:
-    """Invert hbar sqrt(5 beta) = x_min (in m) for beta in (kg m/s)^-2."""
+    """Invert hbar sqrt(5 beta) = x_min (in m) for beta in (kg m/s)^-2.
+
+    Raises ValueError for a non-finite length and for one whose beta
+    overflows double precision (x_min / hbar beyond ~1.3e154).
+    """
+    if not math.isfinite(x_min_m):
+        raise ValueError(f"minimal length must be finite, got {x_min_m!r}")
     if x_min_m < 0.0:
         raise ValueError("minimal length must be nonnegative")
-    return (x_min_m / HBAR) ** 2 / 5.0
+    try:
+        beta = (x_min_m / HBAR) ** 2 / 5.0
+    except OverflowError:
+        beta = math.inf
+    if not math.isfinite(beta):
+        raise ValueError(
+            f"minimal length {x_min_m!r} m overflows beta in double precision"
+        )
+    return beta

@@ -250,9 +250,9 @@ def _molecule_doc(mol: Molecule) -> dict:
 
 def _emit(doc: dict, human: list[str], args) -> None:
     payload = json.dumps(doc, indent=2) + "\n"
-    if getattr(args, "out", None):
+    if args.out:
         Path(args.out).write_text(payload, encoding="utf-8")
-    if getattr(args, "json", False):
+    if args.json:
         sys.stdout.write(payload)
     else:
         sys.stdout.write("\n".join(human) + "\n")
@@ -262,11 +262,11 @@ def _emit(doc: dict, human: list[str], args) -> None:
 
 
 def _beta_from_args(args) -> float:
-    if getattr(args, "min_length", None) is not None:
+    if args.min_length is not None:
         if not (math.isfinite(args.min_length) and args.min_length >= 0.0):
             raise UsageError("--min-length must be a nonnegative finite number")
         return beta_from_min_length(args.min_length * ANGSTROM_TO_M)
-    if getattr(args, "beta", None) is not None:
+    if args.beta is not None:
         if not (math.isfinite(args.beta) and args.beta >= 0.0):
             raise UsageError("--beta must be a nonnegative finite number")
         return args.beta

@@ -41,7 +41,6 @@ from .physmodel import (
     QuantumNumbers,
     couplings_from_kratzer,
     energy_from_joule,
-    shape_numbers,
 )
 from .spectrum import (
     correction_general,
@@ -109,10 +108,9 @@ def _oracle_moments(grid) -> tuple[float, int]:
         for l in ls:
             for n in ns:
                 qn = QuantumNumbers(n, l)
-                shape = shape_numbers(gamma, qn)
                 state = make_radial_state(gamma, qn, mol.re_m)
                 for p in (1, 2, 3, 4):
-                    closed = matrix_element_closed(p, qn, shape, scale)
+                    closed = matrix_element_closed(p, qn, state.shape, scale)
                     numeric = expectation_inverse_power(p, state).value
                     devs.append(_rel_dev(closed, numeric))
     return max(devs), len(devs)

@@ -149,8 +149,9 @@ def test_fit_input_validation():
     with pytest.raises(ValueError):
         fit_parameters([(0, 0, -40000.0, 1.0, 9)] + LEVELS[1:], 1.2,
                        (52000.0, 1.0, 0.0))
-    with pytest.raises(ValueError):
-        fit_parameters(LEVELS, -1.2, (52000.0, 1.0, 0.0))
+    for mu_amu in (-1.2, math.nan):
+        with pytest.raises(ValueError, match="reduced mass"):
+            fit_parameters(LEVELS, mu_amu, (52000.0, 1.0, 0.0))
     with pytest.raises(ValueError):
         fit_parameters(LEVELS, 1.2, (-52000.0, 1.0, 0.0))
     with pytest.raises(ValueError):

@@ -10,7 +10,6 @@ from kratzerml.momentum import (
     MomentumProblem,
     OdeSolution,
     QuantizationBreakdownError,
-    default_p_range,
     fit_slope,
     heun_params_general,
     heun_params_inverse_square,
@@ -51,20 +50,6 @@ def test_problem_rejects_nonfinite(name, value):
     params = {"sigma1": 0.0, "sigma2": 1.0, "k": 1.0, "beta": 0.0, name: value}
     with pytest.raises(ValueError):
         MomentumProblem(**params)
-
-
-def test_problem_from_couplings():
-    c = couplings_from_kratzer(Molecule("X", 40000.0, 1.0, 1.0))
-    mu = AMU_TO_KG
-    energy = -1e-19
-    prob = MomentumProblem.from_couplings(c, mu, energy, beta=1e40)
-    assert prob.sigma1 == pytest.approx(c.sigma1(mu), rel=1e-15)
-    assert prob.sigma2 == pytest.approx(c.sigma2(mu), rel=1e-15, abs=0.0)
-    assert prob.k == pytest.approx(math.sqrt(2.0 * mu * 1e-19), rel=1e-15, abs=0.0)
-    with pytest.raises(ValueError):
-        MomentumProblem.from_couplings(c, mu, 1e-19)
-    with pytest.raises(ValueError):
-        MomentumProblem.from_couplings(c, -mu, energy)
 
 
 def test_rhs_beta_zero_reduction():
@@ -123,41 +108,30 @@ def test_indicial_exponents_undeformed():
     assert abs(fast) == pytest.approx(abs(slow), rel=1e-15)
 
 
-def test_default_p_range():
-    flat = MomentumProblem(sigma1=0.0, sigma2=1.0, k=2.0)
-    assert default_p_range(flat) == (2e-3, 2e3)
-    deformed = MomentumProblem(sigma1=0.0, sigma2=1.0, k=2.0, beta=1e-4)
-    top = 1e3 / math.sqrt(6e-4)
-    assert default_p_range(deformed) == pytest.approx((2e-3, top), rel=1e-15)
-
-
 def _dense_solution():
     grid = np.geomspace(1.0, 10.0, 201)
     values = (grid.astype(complex)) ** -2.0
-    derivs = -2.0 * grid ** -3.0 + 0.0j
-    return grid, values, derivs
+    return grid, values
 
 
 def test_solution_validation():
-    grid, values, derivs = _dense_solution()
-    sol = OdeSolution(grid=grid, values=values, derivs=derivs, branch="slow-decay")
+    grid, values = _dense_solution()
+    sol = OdeSolution(grid=grid, values=values, branch="slow-decay")
     assert sol.branch in BRANCHES
     with pytest.raises(ValueError):
-        OdeSolution(grid=grid[::-1], values=values, derivs=derivs,
-                    branch="slow-decay")
+        OdeSolution(grid=grid[::-1], values=values, branch="slow-decay")
     with pytest.raises(ValueError):
-        OdeSolution(grid=grid, values=values[:-1], derivs=derivs,
-                    branch="slow-decay")
+        OdeSolution(grid=grid, values=values[:-1], branch="slow-decay")
     with pytest.raises(ValueError):
         OdeSolution(grid=np.geomspace(1.0, 10.0, 21), values=values[:21],
-                    derivs=derivs[:21], branch="slow-decay")
+                    branch="slow-decay")
     with pytest.raises(ValueError):
-        OdeSolution(grid=grid, values=values, derivs=derivs, branch="rising")
+        OdeSolution(grid=grid, values=values, branch="rising")
 
 
 def test_solution_is_frozen():
-    grid, values, derivs = _dense_solution()
-    sol = OdeSolution(grid=grid, values=values, derivs=derivs, branch="fast-decay")
+    grid, values = _dense_solution()
+    sol = OdeSolution(grid=grid, values=values, branch="fast-decay")
     with pytest.raises(ValueError):
         sol.grid[0] = 99.0
     with pytest.raises(ValueError):
@@ -167,9 +141,11 @@ def test_solution_is_frozen():
 def test_integrate_branch_preconditions():
     prob = MomentumProblem(sigma1=2.0, sigma2=1.0, k=1.0)
     with pytest.raises(ValueError):
-        integrate_branch(prob, "sideways")
+        integrate_branch(prob, "sideways", (1e-3, 1e3))
     with pytest.raises(ValueError):
-        integrate_branch(prob, "fast-decay", points_per_decade=100)
+        integrate_branch(
+            prob, "fast-decay", (1e-3, 1e3), points_per_decade=100
+        )
     with pytest.raises(ValueError):
         integrate_branch(prob, "fast-decay", (0.0, 10.0))
     with pytest.raises(ValueError):
@@ -222,8 +198,8 @@ def test_undeformed_slopes():
 
 
 def test_fit_slope_validation():
-    grid, values, derivs = _dense_solution()
-    sol = OdeSolution(grid=grid, values=values, derivs=derivs, branch="fast-decay")
+    grid, values = _dense_solution()
+    sol = OdeSolution(grid=grid, values=values, branch="fast-decay")
     assert fit_slope(sol) == pytest.approx(-2.0, abs=1e-12)
     with pytest.raises(ValueError):
         fit_slope(sol, window_decades=0.0)
@@ -232,8 +208,8 @@ def test_fit_slope_validation():
 
 
 def test_fit_slope_refuses_window_below_grid():
-    grid, values, derivs = _dense_solution()
-    sol = OdeSolution(grid=grid, values=values, derivs=derivs, branch="fast-decay")
+    grid, values = _dense_solution()
+    sol = OdeSolution(grid=grid, values=values, branch="fast-decay")
     with pytest.raises(ValueError):
         fit_slope(sol, window_decades=2.0)
 
@@ -243,7 +219,6 @@ def _same_tail(full: OdeSolution, cut: OdeSolution) -> bool:
     return (
         bool(np.all(full.grid[-m:] == cut.grid))
         and bool(np.all(full.values[-m:] == cut.values))
-        and bool(np.all(full.derivs[-m:] == cut.derivs))
     )
 
 
@@ -322,8 +297,10 @@ def test_quantize_swave_validation():
         quantize_swave(MomentumProblem(sigma1=1.0, sigma2=0.0, k=1.0), 2, 1.0)
     with pytest.raises(ValueError):
         quantize_swave(MomentumProblem(sigma1=1.0, sigma2=1.0, k=1.0), -1, 1.0)
-    with pytest.raises(ValueError):
-        quantize_swave(MomentumProblem(sigma1=1.0, sigma2=1.0, k=1.0), 2, 0.0)
+    regular = MomentumProblem(sigma1=1.0, sigma2=1.0, k=1.0)
+    for mu in (0.0, math.nan):
+        with pytest.raises(ValueError, match="reduced mass"):
+            quantize_swave(regular, 2, mu)
 
 
 def test_ode_matches_closed_wavefunction():
@@ -449,6 +426,13 @@ def test_heun_inverse_square_validation():
         heun_params_inverse_square(2.0, 1.0, -1.0, 1.0 / 12.0)  # pole
     with pytest.raises(ValueError):
         heun_params_inverse_square(2.0, 1.0, -1.0, 0.1)  # xi0 > 0
+    # NaN fails every comparison, so each guard must reject it explicitly
+    with pytest.raises(ValueError, match="reduced mass"):
+        heun_params_inverse_square(2.0, math.nan, -1.0, 1e-3)
+    with pytest.raises(ValueError, match="energy < 0"):
+        heun_params_inverse_square(2.0, 1.0, math.nan, 1e-3)
+    with pytest.raises(ValueError, match="beta must be positive"):
+        heun_params_inverse_square(2.0, 1.0, -1.0, math.nan)
 
 
 def test_hypergeometric_params():
@@ -469,13 +453,12 @@ def test_hypergeometric_params():
 def test_heun_residual_grid_checks():
     grid = np.geomspace(1.0, 1.001, 4)
     values = np.ones(4, dtype=complex)
-    sol = OdeSolution(grid=grid, values=values, derivs=values, branch="fast-decay")
+    sol = OdeSolution(grid=grid, values=values, branch="fast-decay")
     params = heun_params_inverse_square(2.0, 1.0, -0.5, 0.05)
     with pytest.raises(GridError):
         heun_residual(params, sol)
     dense = _dense_solution()
-    sol200 = OdeSolution(grid=dense[0], values=dense[1], derivs=dense[2],
-                         branch="fast-decay")
+    sol200 = OdeSolution(grid=dense[0], values=dense[1], branch="fast-decay")
     with pytest.raises(TypeError):
         heun_residual("not-params", sol200)
 
@@ -521,7 +504,7 @@ def test_heun_residual_adjudicates_variants():
 def test_heun_residual_zero_solution():
     grid = np.geomspace(1.0, 10.0, 201)
     zeros = np.zeros(201, dtype=complex)
-    sol = OdeSolution(grid=grid, values=zeros, derivs=zeros, branch="fast-decay")
+    sol = OdeSolution(grid=grid, values=zeros, branch="fast-decay")
     params = heun_params_inverse_square(2.0, 1.0, -0.5, 0.05)
     assert heun_residual(params, sol) == 0.0
 

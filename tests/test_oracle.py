@@ -38,14 +38,10 @@ def test_spec_validation():
         QuadratureSpec(scheme="monte-carlo")
     with pytest.raises(ValueError):
         QuadratureSpec(rel_tol=1e-13)
-    with pytest.raises(ValueError):
-        QuadratureSpec(abs_tol=-1.0)
     # a non-finite tolerance would certify anything or fail only later
     for bad in (math.inf, math.nan):
         with pytest.raises(ValueError, match="finite"):
             QuadratureSpec(rel_tol=bad)
-        with pytest.raises(ValueError, match="finite"):
-            QuadratureSpec(abs_tol=bad)
     for bad in (1, 0):
         with pytest.raises(ValueError, match="subdivisions"):
             QuadratureSpec(subdivisions=bad)
@@ -168,8 +164,10 @@ def test_correction_exactly_linear_in_beta():
 def test_correction_input_validation():
     c = couplings_from_kratzer(H2)
     state = make_radial_state(gamma_of(H2), QuantumNumbers(0, 0), H2.re_m)
-    with pytest.raises(ValueError):
-        correction_via_expectations(state, c, -1.0, 1e-46)
+    # NaN must fail the guard, not reach the integrator as a NaN weight
+    for mu in (-1.0, math.nan):
+        with pytest.raises(ValueError, match="reduced mass"):
+            correction_via_expectations(state, c, mu, 1e-46)
     with pytest.raises(ValueError):
         correction_via_expectations(state, c, H2.mu_kg, -1e-46)
 
@@ -186,14 +184,6 @@ def test_error_estimates_are_honest():
             p, state, QuadratureSpec(rel_tol=1e-10)
         )
         assert abs(loose.value - tight.value) < loose.error_estimate
-
-
-def test_gl_rule_size_floor():
-    state = make_radial_state(5.0, QuantumNumbers(5, 0), 1.0)
-    with pytest.raises(ValueError):
-        expectation_inverse_power(0, state, QuadratureSpec(
-            scheme="gauss-laguerre", nodes=3
-        ))
 
 
 def test_gl_overflow_names_the_cause():

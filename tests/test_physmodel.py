@@ -11,6 +11,7 @@ from kratzerml.physmodel import (
     PLANCK_H,
     SPEED_OF_LIGHT,
     WAVENUMBER_TO_JOULE,
+    LAMBDA_GUARD_TOL,
     KratzerCouplings,
     LambdaGuardError,
     Molecule,
@@ -132,6 +133,47 @@ def test_lambda_guard():
     require_lambda_regular(1.2, 1.0)
 
 
+def _lambda_guard_by_pivot_walk(lam: float, minimum: float) -> None:
+    # the guard as a walk over the pivots, kept as the reference for the
+    # single comparison that require_lambda_regular makes
+    for pivot in (0.5, 1.0, 1.5):
+        if pivot > minimum + LAMBDA_GUARD_TOL:
+            break
+        if lam <= pivot + LAMBDA_GUARD_TOL and lam >= pivot - LAMBDA_GUARD_TOL:
+            raise LambdaGuardError(lam, pivot)
+        if pivot == minimum and lam <= pivot:
+            raise LambdaGuardError(lam, pivot)
+
+
+def _guard_outcome(guard, lam, minimum):
+    try:
+        guard(lam, minimum)
+    except LambdaGuardError as exc:
+        return type(exc), exc.pivot, str(exc)
+    return None
+
+
+def test_lambda_guard_matches_the_pivot_walk():
+    """One comparison names the same pivot, in the same words, as the walk."""
+    tol = LAMBDA_GUARD_TOL
+    lams = [math.nan, -math.inf, math.inf, 0.0, 0.500001, 1.000001]
+    for pivot in (0.5, 1.0, 1.5):
+        for edge in (pivot - tol, pivot, pivot + tol):
+            lams += [edge, math.nextafter(edge, -math.inf),
+                     math.nextafter(edge, math.inf)]
+    lams += [k / 4096.0 for k in range(10 * 1024 + 1)]  # 0 .. 2.5
+    raised = 0
+    for minimum in (0.5, 1.0, 1.5):
+        for lam in lams:
+            got = _guard_outcome(require_lambda_regular, lam, minimum)
+            want = _guard_outcome(_lambda_guard_by_pivot_walk, lam, minimum)
+            assert got == want, (lam, minimum)
+            raised += got is not None
+    assert 0 < raised < 3 * len(lams)
+    # |lam - pivot| <= tol would name 1.0 here: 0.500001 - 0.5 > 1e-6
+    assert _guard_outcome(require_lambda_regular, 0.500001, 1.0)[1] == 0.5
+
+
 def test_deformation_specialized_and_min_length():
     # minimal length hbar sqrt(3 beta + beta') = hbar sqrt(5 beta) at beta' = 2 beta
     beta = 4.0e43
@@ -156,3 +198,9 @@ def test_deformation_validation():
     with pytest.raises(ValueError):
         beta_from_min_length(-1e-12)
     assert beta_from_min_length(0.0) == 0.0
+    # non-finite lengths, and one whose beta overflows, are refused
+    for x in (math.nan, math.inf, 1e150):
+        with pytest.raises(ValueError, match="minimal length"):
+            beta_from_min_length(x)
+    # the largest lengths that fit keep the plain formula's bits
+    assert beta_from_min_length(1e120) == (1e120 / HBAR) ** 2 / 5.0

@@ -257,6 +257,16 @@ def test_spectrum_flags_are_exclusive():
     assert err.value.code == 2
 
 
+def test_overflowing_min_length_is_an_error_line(capsys):
+    # beta = (x/hbar)^2/5 overflows double precision past ~1e130 angstrom
+    code = main(["spectrum", "H2", "--min-length", "1e160"])
+    captured = capsys.readouterr()
+    assert code == 1
+    assert captured.out == ""
+    assert captured.err.startswith("error: minimal length")
+    assert captured.err.count("\n") == 1
+
+
 def test_spectrum_units_conversion(capsys):
     _, cm, _ = run_json(capsys, ["spectrum", "H2", "--json"])
     _, ev, _ = run_json(capsys, ["spectrum", "H2", "--json", "--units", "eV"])
