@@ -258,10 +258,16 @@ def minimal_length(beta: float) -> float:
     the length is hbar sqrt(5 beta).  The sum is kept unfolded: in
     float64 3 beta + 2 beta and 5 beta differ in the last bit for about a
     quarter of random beta, and the reports are pinned to the unfolded
-    form bit for bit.
+    form bit for bit.  Raises ValueError for a beta whose sum overflows
+    double precision (beta beyond ~3.6e307).
     """
     require_beta(beta)
-    return HBAR * math.sqrt(3.0 * beta + 2.0 * beta)
+    total = 3.0 * beta + 2.0 * beta
+    if total == math.inf:
+        raise ValueError(
+            f"minimal length overflows double precision at beta = {beta!r}"
+        )
+    return HBAR * math.sqrt(total)
 
 
 def beta_from_min_length(x_min_m: float) -> float:

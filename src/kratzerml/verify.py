@@ -103,16 +103,19 @@ def _oracle_moments(grid) -> tuple[float, int]:
     gammas, ns, ls = grid
     devs = []
     for gamma in gammas:
+        # one gamma row per quadrature call
         mol = _synthetic_molecule(gamma)
         scale = gamma * gamma / mol.re_m  # mu g2 / hbar^2
-        for l in ls:
-            for n in ns:
-                qn = QuantumNumbers(n, l)
-                state = make_radial_state(gamma, qn, mol.re_m)
-                for p in (1, 2, 3, 4):
-                    closed = matrix_element_closed(p, qn, state.shape, scale)
-                    numeric = expectation_inverse_power(p, state).value
-                    devs.append(_rel_dev(closed, numeric))
+        states = [
+            make_radial_state(gamma, QuantumNumbers(n, l), mol.re_m)
+            for l in ls for n in ns
+        ]
+        ps = (1, 2, 3, 4) * len(states)
+        row = [state for state in states for _ in range(4)]
+        numeric = expectation_inverse_power(ps, row)
+        for p, state, result in zip(ps, row, numeric):
+            closed = matrix_element_closed(p, state.qn, state.shape, scale)
+            devs.append(_rel_dev(closed, result.value))
     return max(devs), len(devs)
 
 
@@ -123,15 +126,14 @@ def _oracle_correction(grid) -> tuple[float, int]:
     for gamma in gammas:
         mol = _synthetic_molecule(gamma)
         c = couplings_from_kratzer(mol)
-        for l in ls:
-            for n in ns:
-                qn = QuantumNumbers(n, l)
-                state = make_radial_state(gamma, qn, mol.re_m)
-                closed = correction_general(c, mol.mu_kg, beta, qn)
-                numeric = correction_via_expectations(
-                    state, c, mol.mu_kg, beta
-                ).value
-                devs.append(_rel_dev(closed, numeric))
+        states = [
+            make_radial_state(gamma, QuantumNumbers(n, l), mol.re_m)
+            for l in ls for n in ns
+        ]
+        numeric = correction_via_expectations(states, c, mol.mu_kg, beta)
+        for state, result in zip(states, numeric):
+            closed = correction_general(c, mol.mu_kg, beta, state.qn)
+            devs.append(_rel_dev(closed, result.value))
     return max(devs), len(devs)
 
 
@@ -223,12 +225,11 @@ def _normalization(grid) -> tuple[float, int]:
     gammas, n_max = grid
     devs = []
     for gamma in gammas:
-        for l in (0, 3):
-            for n in range(n_max + 1):
-                qn = QuantumNumbers(n, l)
-                state = make_radial_state(gamma, qn, ANGSTROM_TO_M)
-                norm = expectation_inverse_power(0, state).value
-                devs.append(abs(norm - 1.0))
+        states = [
+            make_radial_state(gamma, QuantumNumbers(n, l), ANGSTROM_TO_M)
+            for l in (0, 3) for n in range(n_max + 1)
+        ]
+        devs += [abs(r.value - 1.0) for r in expectation_inverse_power(0, states)]
     return max(devs), len(devs)
 
 
@@ -236,13 +237,15 @@ def _orthogonality(grid) -> tuple[float, int]:
     gammas, n_max = grid
     devs = []
     for gamma in gammas:
+        pairs = []
         for l in (0, 2):
             states = [
                 make_radial_state(gamma, QuantumNumbers(n, l), ANGSTROM_TO_M)
                 for n in range(n_max + 1)
             ]
-            for state_a, state_b in combinations(states, 2):
-                devs.append(abs(radial_overlap(state_a, state_b).value))
+            pairs += combinations(states, 2)
+        firsts, seconds = zip(*pairs)
+        devs += [abs(r.value) for r in radial_overlap(firsts, seconds)]
     return max(devs), len(devs)
 
 

@@ -101,9 +101,7 @@ class RadialState:
         overflows a double for heavy molecules (gamma ~ 700 at re = 0.74 A).
 
     The Kummer recurrence of M(-n, 2 lam; .), 2 alpha and lam - 1 are
-    derived once, at construction; amplitudes is the {r: R(r)} table the
-    quadrature oracle fills, so its values live and die with the state.
-    Equality and hashing ignore all four.
+    derived once, at construction.  Equality and hashing ignore all three.
     """
 
     qn: QuantumNumbers
@@ -115,9 +113,6 @@ class RadialState:
     )
     two_alpha: float = field(init=False, compare=False, repr=False)
     lam_minus_one: float = field(init=False, compare=False, repr=False)
-    amplitudes: dict = field(
-        init=False, compare=False, repr=False, default_factory=dict
-    )
 
     def __post_init__(self) -> None:
         lam = self.shape.lam

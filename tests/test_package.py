@@ -188,7 +188,7 @@ print(json.dumps({
     "heavy_after_import": heavy_after_import,
     "heavy_after_closed_forms": heavy_after_closed_forms,
     "bound": {
-        "oracle.quad": kratzerml.oracle.quad is scipy.integrate.quad,
+        "oracle.tanhsinh": kratzerml.oracle.tanhsinh is scipy.integrate.tanhsinh,
         "oracle.roots_genlaguerre":
             kratzerml.oracle.roots_genlaguerre is scipy.special.roots_genlaguerre,
         "momentum.solve_ivp":
@@ -224,17 +224,17 @@ def test_closed_form_commands_leave_scipy_unloaded(tmp_path):
 def test_lazy_scipy_binding_is_never_rebound(monkeypatch):
     """A wrapper put in place of a bound scipy name stays in use."""
     state = make_radial_state(5.0, QuantumNumbers(0, 0), 1.0)
-    expectation_inverse_power(0, state)  # binds oracle.quad
+    expectation_inverse_power(0, state)  # binds oracle.tanhsinh
     calls = []
-    original = kratzerml.oracle.quad
+    original = kratzerml.oracle.tanhsinh
 
     def counted(*args, **kwargs):
         calls.append(1)
         return original(*args, **kwargs)
 
-    monkeypatch.setattr(kratzerml.oracle, "quad", counted)
+    monkeypatch.setattr(kratzerml.oracle, "tanhsinh", counted)
     expectation_inverse_power(0, state)
-    assert kratzerml.oracle.quad is counted
+    assert kratzerml.oracle.tanhsinh is counted
     assert calls == [1]
 
 

@@ -204,3 +204,13 @@ def test_deformation_validation():
             beta_from_min_length(x)
     # the largest lengths that fit keep the plain formula's bits
     assert beta_from_min_length(1e120) == (1e120 / HBAR) ** 2 / 5.0
+
+
+def test_overflowing_minimal_length_is_refused():
+    # 3 beta + 2 beta overflows past beta ~3.6e307 although beta is finite
+    for beta in (1e308, 3.6e307, 1.7976931348623157e308):
+        with pytest.raises(ValueError, match="minimal length overflows"):
+            minimal_length(beta)
+    # finite sums keep the unfolded bits, up to the largest that fits
+    for beta in (3.5e307, 1e-46, 0.0):
+        assert minimal_length(beta) == HBAR * math.sqrt(3.0 * beta + 2.0 * beta)

@@ -267,6 +267,16 @@ def test_overflowing_min_length_is_an_error_line(capsys):
     assert captured.err.count("\n") == 1
 
 
+def test_overflowing_beta_is_an_error_line(capsys):
+    # beta = 1e308 is finite, but its minimal length sqrt(5 beta) overflows
+    code = main(["spectrum", "H2", "--beta", "1e308", "--json"])
+    captured = capsys.readouterr()
+    assert code == 1
+    assert captured.out == ""
+    assert captured.err.startswith("error: minimal length overflows")
+    assert captured.err.count("\n") == 1
+
+
 def test_spectrum_units_conversion(capsys):
     _, cm, _ = run_json(capsys, ["spectrum", "H2", "--json"])
     _, ev, _ = run_json(capsys, ["spectrum", "H2", "--json", "--units", "eV"])
