@@ -17,7 +17,7 @@ from collections.abc import Sequence
 from dataclasses import dataclass
 
 from .physmodel import HBAR, KratzerCouplings, require_beta
-from .wavefunctions import RadialState, kummer_polynomial
+from .wavefunctions import RadialState, kummer_sum
 
 __all__ = [
     "SCHEMES",
@@ -109,18 +109,20 @@ class QuadratureResult:
 
 @dataclass(frozen=True)
 class _Integral:
-    """integral of R_a R_b r^2 r^-p (c0 + c1/r + c2/r^2)^2 dr, named label.
-
-    power is how fast r^-p times the gap^2 diverges at the origin, which
-    decides integrability there and the Gauss-Laguerre weight exponent.
-    """
+    """integral of R_a R_b r^2 r^-p (c0 + c1/r + c2/r^2)^2 dr, named label."""
 
     a: RadialState
     b: RadialState
     p: int
-    power: int
     label: str
     gap: tuple[float, float, float] = _NO_GAP
+
+    @property
+    def power(self) -> int:
+        """How fast r^-p gap^2 diverges at the origin, which decides
+        integrability there and the Gauss-Laguerre weight exponent."""
+        _, c1, c2 = self.gap
+        return self.p + (4 if c2 != 0.0 else 2 if c1 != 0.0 else 0)
 
 
 def _batch(item) -> list:
@@ -164,10 +166,9 @@ class _Density:
     density(x, rows) is R_a R_b r^(2 - p) gap^2 re, the integrand per
     unit x = r/re, on row i of x for integral rows[i].  In x,
     R(r) = exp(log N + (lam - 1) log x - alpha x) M(-n, 2 lam; 2 alpha x),
-    with M summed term by term from each state's own Kummer recurrence,
-    as radial_wavefunction does; the exponentials of both states and of
-    re^(3 - p) x^(2 - p) are taken as one, and the gap as
-    (c0 x^2 + c1/re x + c2/re^2)^2 / x^4.
+    with M from kummer_sum, as in radial_wavefunction; the exponentials
+    of both states and of re^(3 - p) x^(2 - p) are taken as one, and the
+    gap as (c0 x^2 + c1/re x + c2/re^2)^2 / x^4.
     """
 
     def __init__(self, integrals: list[_Integral]) -> None:
@@ -201,29 +202,17 @@ class _Density:
 
     @staticmethod
     def _kummer_columns(states: list[RadialState]):
-        # 2 alpha and the recurrence (k - n, (b + k)(k + 1)), padded to the
-        # longest by (0, 1), which leaves every later term 0
+        # n, 2 lam and 2 alpha of each state: M(-n, 2 lam; 2 alpha x)
         import numpy as np
 
-        width = max(len(s.kummer_steps) for s in states)
-        steps = np.zeros((len(states), width, 2))
-        steps[:, :, 1] = 1.0
-        for i, s in enumerate(states):
-            if s.kummer_steps:
-                steps[i, : len(s.kummer_steps)] = s.kummer_steps
-        two_alpha = np.array([s.two_alpha for s in states])[:, None]
-        return two_alpha, steps
+        return np.array(
+            [(s.qn.n, 2.0 * s.shape.lam, 2.0 * s.shape.alpha) for s in states]
+        ).T[:, :, None]
 
     @staticmethod
     def _kummer(columns, rows, x):
-        two_alpha, steps = columns
-        z = two_alpha[rows] * x
-        steps = steps[rows]
-        term = acc = 1.0
-        for k in range(steps.shape[1]):
-            term = term * (steps[:, k, 0:1] * z / steps[:, k, 1:2])
-            acc = acc + term
-        return acc
+        n, b, rate = columns[:, rows]
+        return kummer_sum(n, b, rate * x)
 
     def __call__(self, x, rows):
         import numpy as np
@@ -379,9 +368,9 @@ def _gl_density_integral(
 
     def run(size: int) -> float:
         nodes, weights = roots_genlaguerre(size, alpha_gl)
+        bases = kummer_sum(n, 2.0 * lam, nodes)
         acc = 0.0
-        for x, w in zip(nodes.tolist(), weights.tolist()):
-            base = kummer_polynomial(n, 2.0 * lam, x)
+        for x, w, base in zip(nodes.tolist(), weights.tolist(), bases.tolist()):
             acc += w * (x**power * weight(x / two_kappa)) * base * base
         if not math.isfinite(acc):
             # the weights sum to Gamma(alpha + 1), which overflows past
@@ -445,7 +434,7 @@ def expectation_inverse_power(
         if power not in range(5):
             raise ValueError(f"p must be an integer in 0..4, got {power!r}")
     integrals = [
-        _Integral(s, s, power, power, f"<1/r^{power}>") for power, s in pairs
+        _Integral(s, s, power, f"<1/r^{power}>") for power, s in pairs
     ]
     return _unbatched(_density_moments(integrals, spec), p, state)
 
@@ -462,7 +451,7 @@ def radial_overlap(state_a, state_b):
     against an absolute tolerance too.
     """
     pairs = _paired(_batch(state_a), _batch(state_b))
-    integrals = [_Integral(a, b, 0, 0, "overlap") for a, b in pairs]
+    integrals = [_Integral(a, b, 0, "overlap") for a, b in pairs]
     results = _tanh_sinh(integrals, QuadratureSpec(), atol=_OVERLAP_ATOL)
     return _unbatched([result for result, _ in results], state_a, state_b)
 
@@ -489,14 +478,12 @@ def correction_via_expectations(
         raise ValueError("reduced mass must be positive")
     require_beta(beta)
     s = mu * c.g2 / (HBAR * HBAR)
-    # (E0 - V)^2 goes like r^-4 at the origin, like r^-2 without g1
-    power = 4 if c.g1 != 0.0 else 2
     integrals = []
     for st in _batch(state):
         e0 = -(HBAR * s) ** 2 / (2.0 * mu * (st.shape.lam + st.qn.n) ** 2)
         # E0 - V = e0 + g2/r - g1/r^2
         gap = (e0, c.g2, -c.g1)
-        integrals.append(_Integral(st, st, 0, power, "<(E0 - V)^2>", gap))
+        integrals.append(_Integral(st, st, 0, "<(E0 - V)^2>", gap))
     scale = 4.0 * beta * mu
     results = [
         QuadratureResult(

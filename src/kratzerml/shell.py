@@ -294,6 +294,12 @@ def cmd_spectrum(args) -> int:
             }
             try:
                 level = energy_deformed(mol, beta, qn)
+                if not level.e < 0.0:
+                    raise ValueError(
+                        f"first-order level E = E0 + dE is at or above the "
+                        f"dissociation limit (dE = {level.de / -level.e0:.3g} "
+                        f"|E0|); the level is not bound"
+                    )
             except (LambdaGuardError, ValueError) as exc:
                 entry["error"] = str(exc)
                 failed += 1

@@ -12,7 +12,7 @@ overflows double precision already for gamma around 36.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .physmodel import QuantumNumbers, ShapeNumbers, shape_numbers
 
@@ -21,6 +21,7 @@ __all__ = [
     "NonQuantizedError",
     "RadialState",
     "kummer_polynomial",
+    "kummer_sum",
     "make_radial_state",
     "radial_wavefunction",
     "momentum_wavefunction_undeformed",
@@ -35,32 +36,28 @@ class NonQuantizedError(ValueError):
     """Momentum k does not satisfy the s-wave quantization condition."""
 
 
-def _kummer_steps(n: int, b: float) -> tuple[tuple[float, float], ...]:
-    # the checks of kummer_polynomial, then its recurrence as the pairs
-    # (k - n, (b + k)(k + 1)), k = 0..n-1
-    if not isinstance(n, int) or n < 0:
-        raise ValueError("polynomial degree n must be a nonnegative integer")
-    if not math.isfinite(b):
-        raise ValueError("parameter b must be finite")
-    if abs(b - round(b)) < 1.0e-12 and round(b) <= 0:
-        raise KummerParameterError(
-            f"b = {b!r} is within 1e-12 of a nonpositive integer"
-        )
-    return tuple((float(k - n), (b + k) * (k + 1.0)) for k in range(n))
+def kummer_sum(n, b, z):
+    """M(-n, b; z) as the terms t_{k+1} = t_k (k - n) z / ((b + k)(k + 1)),
+    t_0 = 1, summed in order; the arguments are not checked.
 
+    n, b and z are numbers or numpy arrays that broadcast together, and
+    the result has their broadcast shape.  Rows of smaller n need no
+    padding: at k = n the factor k - n zeroes every later term.
+    """
+    degree = n if isinstance(n, int) else int(n.max())
+    term = acc = 1.0
+    for k in range(degree):
+        term = term * ((k - n) * z / ((b + k) * (k + 1.0)))
+        acc = acc + term
+    if degree == 0 and not all(isinstance(v, (int, float)) for v in (n, b, z)):
+        import numpy as np
 
-def _kummer_sum(steps: tuple[tuple[float, float], ...], z: float) -> float:
-    # the terms t_{k+1} = t_k (k - n) z / ((b + k)(k + 1)), summed exactly
-    terms = [1.0]
-    t = 1.0
-    for num, den in steps:
-        t *= num * z / den
-        terms.append(t)
-    return math.fsum(terms)
+        return np.ones(np.broadcast_shapes(*map(np.shape, (n, b, z))))
+    return acc
 
 
 def kummer_polynomial(n: int, b: float, z: float) -> float:
-    """Terminating Kummer function M(-n, b; z) summed by forward recurrence.
+    """Terminating Kummer function M(-n, b; z), checked, by kummer_sum.
 
     Parameters
     ----------
@@ -77,12 +74,17 @@ def kummer_polynomial(n: int, b: float, z: float) -> float:
         sum_{k=0}^{n} [(-n)_k / (b)_k] z^k / k!
 
     The terms are generated by the stable ratio recurrence
-    t_{k+1} = t_k * (k - n) * z / ((b + k) (k + 1)) and accumulated with
-    compensated summation.  A RadialState precomputes this recurrence
-    for its (n, 2 lam) once, so its wavefunction values run the same
-    sum without repeating the set-up or the checks.
+    t_{k+1} = t_k * (k - n) * z / ((b + k) (k + 1)) and summed in order.
     """
-    return _kummer_sum(_kummer_steps(n, b), z)
+    if not isinstance(n, int) or n < 0:
+        raise ValueError("polynomial degree n must be a nonnegative integer")
+    if not math.isfinite(b):
+        raise ValueError("parameter b must be finite")
+    if abs(b - round(b)) < 1.0e-12 and round(b) <= 0:
+        raise KummerParameterError(
+            f"b = {b!r} is within 1e-12 of a nonpositive integer"
+        )
+    return kummer_sum(n, b, z)
 
 
 @dataclass(frozen=True)
@@ -99,26 +101,12 @@ class RadialState:
     log_norm : float
         log N, with N the normalization constant in m^(-3/2); N itself
         overflows a double for heavy molecules (gamma ~ 700 at re = 0.74 A).
-
-    The Kummer recurrence of M(-n, 2 lam; .), 2 alpha and lam - 1 are
-    derived once, at construction.  Equality and hashing ignore all three.
     """
 
     qn: QuantumNumbers
     shape: ShapeNumbers
     re: float
     log_norm: float
-    kummer_steps: tuple[tuple[float, float], ...] = field(
-        init=False, compare=False, repr=False
-    )
-    two_alpha: float = field(init=False, compare=False, repr=False)
-    lam_minus_one: float = field(init=False, compare=False, repr=False)
-
-    def __post_init__(self) -> None:
-        lam = self.shape.lam
-        object.__setattr__(self, "kummer_steps", _kummer_steps(self.qn.n, 2.0 * lam))
-        object.__setattr__(self, "two_alpha", 2.0 * self.shape.alpha)
-        object.__setattr__(self, "lam_minus_one", lam - 1.0)
 
 
 def _log_norm(qn: QuantumNumbers, shape: ShapeNumbers, re: float) -> float:
@@ -150,14 +138,15 @@ def radial_wavefunction(state: RadialState, r: float) -> float:
     """Radial wavefunction R(r) in m^(-3/2), assembled in log space."""
     if r <= 0.0:
         raise ValueError("r must be positive")
+    lam, alpha = state.shape.lam, state.shape.alpha
     u = r / state.re
-    poly = _kummer_sum(state.kummer_steps, state.two_alpha * u)
+    poly = kummer_sum(state.qn.n, 2.0 * lam, 2.0 * alpha * u)
     if poly == 0.0:
         return 0.0
     log_mag = (
         state.log_norm
-        + state.lam_minus_one * math.log(u)
-        - state.shape.alpha * u
+        + (lam - 1.0) * math.log(u)
+        - alpha * u
         + math.log(abs(poly))
     )
     return math.copysign(math.exp(log_mag), poly)

@@ -342,6 +342,21 @@ def test_spectrum_reports_guarded_levels(capsys, tmp_path):
     assert "1.5" in doc["levels"][0]["error"]
 
 
+@pytest.mark.parametrize("min_length", ["10", "1.4e130"])
+def test_spectrum_reports_unbound_levels(capsys, min_length):
+    # the first-order shift lifts the H2 ground state to E = E0 + dE >= 0:
+    # 55 |E0| at a 10 angstrom minimal length, 1e260 |E0| just under the
+    # overflow of beta; such a level is an error, not a bound level
+    argv = ["spectrum", "H2", "--min-length", min_length, "--nmax", "0",
+            "--lmax", "0"]
+    code, doc, _ = run_json(capsys, argv + ["--json"])
+    assert code == 1
+    assert set(doc["levels"][0]) == {"n", "l", "lambda", "error"}
+    assert "dissociation limit" in doc["levels"][0]["error"]
+    assert main(argv) == 1
+    assert "0 error: first-order level" in capsys.readouterr().out
+
+
 # ---------------------------------------------------------------- bound
 
 

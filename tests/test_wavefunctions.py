@@ -1,5 +1,6 @@
 import math
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -10,9 +11,8 @@ from kratzerml.physmodel import QuantumNumbers
 from kratzerml.wavefunctions import (
     KummerParameterError,
     NonQuantizedError,
-    _kummer_steps,
-    _kummer_sum,
     kummer_polynomial,
+    kummer_sum,
     make_radial_state,
     momentum_wavefunction_undeformed,
     radial_wavefunction,
@@ -90,15 +90,61 @@ def _forward_recurrence(n, b, z):
     return math.fsum(terms)
 
 
+_EPS = 2.0**-52
+
+
 @settings(max_examples=300, deadline=None)
 @given(
     n=st.integers(min_value=0, max_value=20),
     b=st.floats(min_value=1.0, max_value=4000.0),
     z=st.floats(min_value=0.0, max_value=1e4),
 )
-def test_kummer_sum_is_the_forward_recurrence(n, b, z):
-    """The precomputed pairs sum to the same bits as the recurrence."""
-    assert _kummer_sum(_kummer_steps(n, b), z) == _forward_recurrence(n, b, z)
+def test_kummer_sum_is_the_recurrence_summed_in_order(n, b, z):
+    """Summed in order, the recurrence's terms stay within (n + 1) ulps of
+    their sum of magnitudes from the exactly summed recurrence."""
+    bound = (n + 1) * _EPS * _kummer_term_scale(n, b, z)
+    assert abs(kummer_sum(n, b, z) - _forward_recurrence(n, b, z)) <= bound
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    n=st.integers(min_value=0, max_value=20),
+    b=st.floats(min_value=1.0, max_value=4000.0),
+    z=st.floats(min_value=0.0, max_value=1e4),
+    peak=st.none() | st.floats(min_value=0.8, max_value=1.2),
+)
+def test_kummer_sum_matches_high_precision(n, b, z, peak):
+    """M(-n, b; z) against 50-digit mpmath.hyp1f1, with z uniform on
+    [0, 1e4] or near the states' peak z ~ b, to 3 (n + 1) ulps of the sum
+    of term magnitudes: each term carries up to 5 roundings per step of
+    the recurrence and the in-order sum up to n more, (6n + 1)/2 ulps of
+    that sum in all."""
+    if peak is not None:
+        z = peak * b
+    with mpmath.workdps(50):
+        # an exact zero of M, as M(-1, 1; 1), reads as 0 to 50 digits
+        exact = mpmath.hyp1f1(-n, b, z, zeroprec=mpmath.mp.prec)
+        error = abs(mpmath.mpf(kummer_sum(n, b, z)) - exact)
+    assert error <= 3 * (n + 1) * _EPS * _kummer_term_scale(n, b, z)
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    rows=st.lists(
+        st.tuples(st.integers(0, 20), st.floats(1.0, 4000.0)),
+        min_size=1, max_size=6,
+    ),
+    z=st.lists(st.floats(0.0, 1e4), min_size=1, max_size=6),
+)
+def test_kummer_sum_rows_of_mixed_degree_are_their_scalars(rows, z):
+    """A row of smaller n in an array call is bitwise its scalar sum, and
+    the result has the broadcast shape even when every n is 0."""
+    n = np.array([row[0] for row in rows])[:, None]
+    b = np.array([row[1] for row in rows])[:, None]
+    got = kummer_sum(n, b, np.array(z))
+    assert got.shape == (len(rows), len(z))
+    assert got.tolist() == [[kummer_sum(m, c, x) for x in z] for m, c in rows]
+    assert kummer_sum(0, 2.0, np.array(z)).shape == (len(z),)
 
 
 @settings(max_examples=300, deadline=None)
@@ -110,13 +156,12 @@ def test_kummer_sum_is_the_forward_recurrence(n, b, z):
     u=st.floats(min_value=1e-4, max_value=50.0),
 )
 def test_radial_wavefunction_bits(gamma, n, l, re, u):
-    """R(r) from the state's precomputed recurrence is bitwise the
-    formula evaluated from scratch at every r."""
+    """R(r) is bitwise the formula evaluated with kummer_sum."""
     state = make_radial_state(gamma, QuantumNumbers(n, l), re)
     r = u * re
     lam, alpha = state.shape.lam, state.shape.alpha
     x = r / state.re
-    poly = _forward_recurrence(n, 2.0 * lam, 2.0 * alpha * x)
+    poly = kummer_sum(n, 2.0 * lam, 2.0 * alpha * x)
     if poly == 0.0:
         expected = 0.0
     else:
