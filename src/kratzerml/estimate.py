@@ -36,9 +36,12 @@ __all__ = [
 #: label travels with every bound so reports cannot drop the caveat
 ATTRIBUTION_LABEL = "upper bound under full-attribution assumption"
 
-# imported on first use, so that the closed-form paths never pay for
-# scipy; the name stays a module global so that it can be wrapped
-optimize = None
+#: ln gamma increment of the fit's forward-difference derivative; within
+#: it the residuals are linear in ln gamma to ~1e-7, so a shorter step
+#: that does not descend has met roundoff, not curvature
+_FD_STEP = 1e-7
+#: largest ln gamma move of one Gauss-Newton step
+_MAX_STEP = 0.5
 
 
 class NoPositiveGapError(ValueError):
@@ -67,6 +70,46 @@ class FitResult:
     rss_cm2: float
     iterations: int
     converged: bool
+
+
+@dataclass(frozen=True)
+class _Projection:
+    """One level set at gamma = gamma0 e^s and De0, and its best fit.
+
+    a, b and gap are the weighted E0, shift at beta = 1 and E0 - E_obs of
+    each level; De = De0 (1 + u) and beta De^2 = c De0^2 fit them best, in
+    residuals res with sum of squares rss.
+    """
+
+    s: float
+    a: list[float]
+    b: list[float]
+    gap: list[float]
+    u: float
+    c: float
+    res: list[float]
+    rss: float
+
+
+def _solve_linear(
+    s: float, a: list[float], b: list[float], gap: list[float], clamp: bool
+) -> _Projection:
+    # b is orthogonalised against a (Gram-Schmidt), not put through the
+    # normal equations; clamp holds c at 0 when it comes out negative.
+    # Each residual is summed as gap + u a + c b, terms small next to E0,
+    # so forming it adds roundoff far below an ulp of the level
+    aa = math.fsum(p * p for p in a)
+    u = -math.fsum(p * g for p, g in zip(a, gap)) / aa
+    along = math.fsum(p * q for p, q in zip(a, b)) / aa
+    b_perp = [q - along * p for p, q in zip(a, b)]
+    c = -math.fsum(q * (g + u * p) for p, q, g in zip(a, b_perp, gap))
+    c /= math.fsum(q * q for q in b_perp)
+    if clamp and c < 0.0:
+        c = 0.0
+    else:
+        u -= c * along
+    res = [g + u * p + c * q for p, q, g in zip(a, b, gap)]
+    return _Projection(s, a, b, gap, u, c, res, math.fsum(r * r for r in res))
 
 
 def zpe_theoretical(mol: Molecule, beta: float) -> float:
@@ -162,13 +205,17 @@ def fit_parameters(
         read.
 
     The objective is the weighted sum of squared residuals in cm^-1.
-    At fixed (De, re) each level is E0 + beta S, linear in beta, so the
-    best beta is one division, clamped at 0 (variable projection, Golub
-    & Pereyra 1973).  scipy's bounded trust-region least squares moves
-    (De, re), scaled by the start, on a finite-difference Jacobian.
-    max_evaluations caps its residual evaluations (one level per row
-    each, the two per Jacobian not counted); running out gives
-    converged=False.  iterations counts the Jacobians.
+    At fixed gamma and mu each level is De a + c b with c = beta De^2,
+    linear in (De, c), so both are one 2x2 least-squares solve (variable
+    projection, Golub & Pereyra 1973); re follows from gamma, De and mu.
+    That leaves one unknown, ln gamma, which Gauss-Newton steps with step
+    halving move, on a forward-difference derivative of the projected
+    residuals.  c is fitted free first; only if its best value is
+    negative is the search rerun with c clamped at 0 wherever it comes
+    out negative.  max_evaluations caps the level sets evaluated (one
+    level per row each, derivatives included); running out gives
+    converged=False.  iterations counts the level sets.  Levels that fit
+    De <= 0 raise ValueError.
     """
     rows = _canonical_levels(levels)
     de0, re0, beta0 = (float(v) for v in init)
@@ -177,48 +224,70 @@ def fit_parameters(
     require_beta(beta0)
     if not mu_amu > 0.0:
         raise ValueError("reduced mass must be positive")
+    if max_evaluations < 1:
+        raise ValueError("max_evaluations must be at least 1")
 
-    def project(x, *, trial=True) -> tuple[float, list[float]]:
-        # a, b: weighted unit slopes S and gaps E_obs - E0 of every level
-        a, b = [], []
+    def project(s: float, clamp: bool) -> _Projection:
+        # at fixed De0 and mu, gamma is proportional to re
+        mol = Molecule(name="fit", de_cm1=de0, re_angstrom=re0 * math.exp(s),
+                       mu_amu=mu_amu)
+        a, b, gap = [], [], []
+        for n, l, e_obs, weight in rows:
+            level = energy_deformed(mol, 1.0, QuantumNumbers(n, l))
+            e0 = energy_from_joule(level.e0, "cm-1")
+            root_w = math.sqrt(weight)
+            a.append(root_w * e0)
+            b.append(root_w * energy_from_joule(level.de, "cm-1"))
+            gap.append(root_w * (e0 - e_obs))
+        return _solve_linear(s, a, b, gap, clamp)
+
+    used = 1  # level sets evaluated
+
+    def trial(s: float, clamp: bool) -> _Projection | None:
+        nonlocal used
+        used += 1
         try:
-            mol = Molecule(name="fit", de_cm1=de0 * float(x[0]),
-                           re_angstrom=re0 * float(x[1]), mu_amu=mu_amu)
-            for n, l, e_obs, weight in rows:
-                level = energy_deformed(mol, 1.0, QuantumNumbers(n, l))
-                root_w = math.sqrt(weight)
-                a.append(root_w * energy_from_joule(level.de, "cm-1"))
-                b.append(root_w * (e_obs - energy_from_joule(level.e0, "cm-1")))
-        except ValueError:
-            if not trial:
-                raise
-            return math.nan, [math.inf] * len(rows)  # no defined level
-        beta = max(0.0, sum(p * q for p, q in zip(a, b)) / sum(p * p for p in a))
-        return beta, [beta * p - q for p, q in zip(a, b)]
+            return project(s, clamp)
+        except ValueError:  # a level has no defined value at this gamma
+            return None
+
+    def descend(cur: _Projection, clamp: bool) -> tuple[_Projection, bool]:
+        # Gauss-Newton on the projected residuals; a step that does not
+        # lower the RSS is halved until it is shorter than _FD_STEP
+        while used < max_evaluations:
+            probe = trial(cur.s + _FD_STEP, clamp)
+            if probe is None:
+                break
+            slope = [(p - q) / _FD_STEP for p, q in zip(probe.res, cur.res)]
+            step = -math.fsum(p * r for p, r in zip(slope, cur.res))
+            step /= math.fsum(p * p for p in slope)
+            step = max(-_MAX_STEP, min(_MAX_STEP, step))
+            if cur.s + step == cur.s:
+                return cur, True
+            while used < max_evaluations:
+                nxt = trial(cur.s + step, clamp)
+                if nxt is not None and nxt.rss < cur.rss:
+                    cur = nxt
+                    break
+                if abs(step) < _FD_STEP:
+                    return cur, True
+                step *= 0.5
+        return cur, False
 
     # a start with an undefined level fails here, with the level's reason;
-    # every point is projected once: the solver's first call is at the
-    # start, and the returned x is a point it has evaluated
-    start = (1.0, 1.0)
-    evaluated = {start: project(start, trial=False)}
-
-    def residuals(x) -> list[float]:
-        key = tuple(x.tolist())
-        if key not in evaluated:
-            evaluated[key] = project(x)
-        return evaluated[key][1]
-
-    global optimize
-    if optimize is None:
-        from scipy import optimize
-    # scipy's 1e-8 defaults leave beta up to 1e-5 off on undeformed truths
-    result = optimize.least_squares(
-        residuals, start, bounds=(0.0, math.inf), method="trf",
-        xtol=1e-12, ftol=1e-15, gtol=1e-15, max_nfev=max_evaluations,
-    )
+    # the rerun with c clamped at 0 starts from the free search's levels
+    cur, converged = descend(project(0.0, clamp=False), clamp=False)
+    if cur.c < 0.0:
+        cur, converged = descend(
+            _solve_linear(cur.s, cur.a, cur.b, cur.gap, clamp=True), clamp=True
+        )
+    scale = 1.0 + cur.u  # De / De0
+    if not scale > 0.0:
+        raise ValueError(
+            f"the levels fit De = {de0 * scale!r} cm^-1; bound levels give De > 0"
+        )
     return FitResult(
-        de_cm1=de0 * float(result.x[0]), re_angstrom=re0 * float(result.x[1]),
-        beta=evaluated[tuple(result.x.tolist())][0],
-        rss_cm2=float(result.fun @ result.fun),
-        iterations=int(result.njev), converged=result.status > 0,
+        de_cm1=de0 * scale, re_angstrom=re0 * math.exp(cur.s) / math.sqrt(scale),
+        beta=cur.c / (scale * scale), rss_cm2=cur.rss,
+        iterations=used, converged=converged,
     )

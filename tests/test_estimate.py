@@ -10,7 +10,12 @@ from kratzerml.estimate import (
     fit_parameters,
     zpe_theoretical,
 )
-from kratzerml.physmodel import Molecule, QuantumNumbers, energy_from_joule
+from kratzerml.physmodel import (
+    Molecule,
+    QuantumNumbers,
+    energy_from_joule,
+    gamma_of,
+)
 from kratzerml.spectrum import energy_deformed
 
 H2 = Molecule("H2", 78844.9005, 0.73652, 0.5039, zpe_exp_cm1=2179.3)
@@ -115,6 +120,24 @@ def test_fit_round_trip_from_nonzero_beta():
     assert out.beta == pytest.approx(BETA0, rel=1e-6)
 
 
+# gamma = 1000.5, where the float64 brace of the shift loses the most
+# digits; beta is 10^-2.5 / (mu De), as in the benchmark's fit sweep
+HEAVY = Molecule("heavy", 50000.0, 2.5, 54.0)
+BETA_HEAVY = 3.5e40
+
+
+@pytest.mark.parametrize("beta", [BETA_HEAVY, 0.0], ids=["deformed", "undeformed"])
+def test_fit_round_trip_heavy(beta):
+    out = fit_parameters(synthetic_levels(HEAVY, beta), 54.0, (55000.0, 2.3, 0.0))
+    assert out.converged
+    assert out.de_cm1 == pytest.approx(50000.0, rel=1e-6)
+    assert out.re_angstrom == pytest.approx(2.5, rel=1e-6)
+    if beta:
+        assert out.beta == pytest.approx(beta, rel=1e-6)
+    else:
+        assert 0.0 <= out.beta <= 1e-9 * BETA_HEAVY
+
+
 def test_fit_permutation_invariance():
     """Input order cannot change a single bit of the fit result."""
     shuffled = [LEVELS[i] for i in (7, 2, 11, 0, 5, 9, 1, 10, 4, 8, 3, 6)]
@@ -159,6 +182,13 @@ def test_fit_input_validation():
     for beta0 in (-1.0, math.nan, math.inf):
         with pytest.raises(ValueError):
             fit_parameters(LEVELS, 1.2, (52000.0, 1.0, beta0))
+    with pytest.raises(ValueError, match="De > 0"):
+        fit_parameters([(n, l, -e) for n, l, e in LEVELS], 1.2,
+                       (52000.0, 1.0, 0.0))
+    for budget in (0, -1):
+        with pytest.raises(ValueError, match="max_evaluations"):
+            fit_parameters(LEVELS, 1.2, (52000.0, 1.0, 0.0),
+                           max_evaluations=budget)
     for bad in ((math.inf, 0, -40000.0), (0, math.inf, -40000.0),
                 (math.nan, 0, -40000.0), (0, math.nan, -40000.0)):
         with pytest.raises(ValueError, match="nonnegative integers"):
@@ -191,7 +221,7 @@ def test_fit_recovers_zero_beta():
 
 
 def test_fit_level_evaluation_budget(monkeypatch):
-    """The 12-level fit needs a few hundred closed-form levels, not ~11k."""
+    """The 12-level fit takes 11 level sets of 12 levels each."""
     calls = []
 
     def counted(mol, beta, qn):
@@ -199,12 +229,14 @@ def test_fit_level_evaluation_budget(monkeypatch):
         return energy_deformed(mol, beta, qn)
 
     monkeypatch.setattr(estimate, "energy_deformed", counted)
-    assert fit_parameters(LEVELS, 1.2, (52000.0, 1.0, 0.0)).converged
-    assert len(calls) <= 600
+    out = fit_parameters(LEVELS, 1.2, (52000.0, 1.0, 0.0))
+    assert out.converged
+    assert out.iterations <= 11
+    assert len(calls) == out.iterations * len(LEVELS)
 
 
 def test_fit_evaluates_the_start_once(monkeypatch):
-    """The strict start check's residuals are the solver's first call."""
+    """The strict start check's levels are the search's first level set."""
     points = []
 
     def counted(mol, beta, qn):
@@ -214,16 +246,18 @@ def test_fit_evaluates_the_start_once(monkeypatch):
     monkeypatch.setattr(estimate, "energy_deformed", counted)
     result = fit_parameters(LEVELS, 1.2, (52000.0, 1.0, 0.0))
     assert result.converged
+    assert points[:len(LEVELS)] == [(52000.0, 1.0)] * len(LEVELS)
     assert points.count((52000.0, 1.0)) == len(LEVELS)
 
 
 @pytest.mark.parametrize("max_evaluations", [1, 3, 10_000])
 def test_fit_evaluates_the_end_point_once(monkeypatch, max_evaluations):
-    """The returned beta comes from the solver's own evaluation of x."""
-    points = []
+    """The returned beta and RSS come from the search's own level set at
+    the returned gamma: no level is evaluated outside the counted sets."""
+    gammas = []
 
     def counted(mol, beta, qn):
-        points.append((mol.de_cm1, mol.re_angstrom))
+        gammas.append(gamma_of(mol))
         return energy_deformed(mol, beta, qn)
 
     monkeypatch.setattr(estimate, "energy_deformed", counted)
@@ -231,5 +265,12 @@ def test_fit_evaluates_the_end_point_once(monkeypatch, max_evaluations):
         LEVELS, 1.2, (52000.0, 1.0, 0.0), max_evaluations=max_evaluations
     )
     assert result.converged == (max_evaluations == 10_000)
-    end = (result.de_cm1, result.re_angstrom)
-    assert points.count(end) == len(LEVELS)
+    assert len(gammas) == result.iterations * len(LEVELS)
+    assert result.iterations <= max_evaluations
+    sets = [gammas[i:i + len(LEVELS)] for i in range(0, len(gammas), len(LEVELS))]
+    assert all(len(set(one)) == 1 for one in sets)
+    # the returned (De, re) give back the set's gamma to a few ulps, while the
+    # search's last sets lie ~20 ulps apart
+    end = gamma_of(Molecule("fit", result.de_cm1, result.re_angstrom, 1.2))
+    near = [one for one in sets if abs(one[0] - end) <= 1e-15 * end]
+    assert len(near) == 1

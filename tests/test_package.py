@@ -149,8 +149,8 @@ def test_numpy_import_guard_sees_top_level_imports():
     ]
 
 
-# Runs in a fresh interpreter: importing the package and running bound
-# and spectrum must leave numpy and scipy unloaded; verify, fit and a
+# Runs in a fresh interpreter: importing the package and running bound,
+# spectrum and fit must leave numpy and scipy unloaded; verify and a
 # Gauss-Laguerre moment then bind each lazy scipy name as a module
 # global holding the scipy object itself, which is what a tracer wraps.
 _STARTUP_SCRIPT = """
@@ -173,16 +173,15 @@ codes = [
     run("bound", "H2", "--json"),
     run("spectrum", "H2", "--nmax", "2", "--lmax", "1",
         "--min-length", "0.01", "--json"),
+    run("fit", sys.argv[2], "--mu", "1.2", "--init", "52000,1.0,0", "--json"),
 ]
 heavy_after_closed_forms = heavy_modules()
 codes.append(run("verify", "--json"))
-codes.append(run("fit", sys.argv[2], "--mu", "1.2",
-                 "--init", "52000,1.0,0", "--json"))
 state = kratzerml.make_radial_state(5.0, kratzerml.QuantumNumbers(0, 0), 1.0)
 kratzerml.expectation_inverse_power(
     0, state, kratzerml.QuadratureSpec(scheme="gauss-laguerre")
 )
-import scipy.integrate, scipy.optimize, scipy.special
+import scipy.integrate, scipy.special
 print(json.dumps({
     "codes": codes,
     "heavy_after_import": heavy_after_import,
@@ -193,7 +192,6 @@ print(json.dumps({
             kratzerml.oracle.roots_genlaguerre is scipy.special.roots_genlaguerre,
         "momentum.solve_ivp":
             kratzerml.momentum.solve_ivp is scipy.integrate.solve_ivp,
-        "estimate.optimize": kratzerml.estimate.optimize is scipy.optimize,
     },
 }))
 """
