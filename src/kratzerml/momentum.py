@@ -13,6 +13,7 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
@@ -91,34 +92,73 @@ class MomentumProblem:
         require_beta(self.beta)
 
 
+class _Coefficients(NamedTuple):
+    """The p-independent parts of the deformed equation's coefficients.
+
+    (p^2 + k^2)(1 + 6 beta p^2) phi'' + b phi' + c phi = 0 expands to
+
+        a = k^2 + (1 + 6 beta k^2) p^2 + 6 beta p^4
+        b = 2 i sigma2 + (4 + 2 beta k^2) p + 6 i beta sigma2 p^2 + 26 beta p^3
+        c = (2 - sigma1 - 2 beta k^2) - 4 i beta sigma2 p + 14 beta p^2
+
+    Each field is a scalar for one problem, or a numpy column over a
+    batch.
+    """
+
+    a0: float
+    a2: float
+    a4: float
+    b0: complex
+    b1: float
+    b2: complex
+    b3: float
+    c0: float
+    c1: complex
+    c2: float
+
+
+def _coefficients(probs) -> _Coefficients:
+    """Scalars for one MomentumProblem, numpy columns for a sequence."""
+    if not isinstance(probs, MomentumProblem):
+        columns = zip(*(_coefficients(prob) for prob in probs))
+        return _Coefficients(*(np.array(column) for column in columns))
+    beta = probs.beta
+    k2 = probs.k * probs.k
+    sigma2 = probs.sigma2
+    return _Coefficients(
+        a0=k2,
+        a2=1.0 + 6.0 * beta * k2,
+        a4=6.0 * beta,
+        b0=complex(0.0, 2.0 * sigma2),
+        b1=4.0 + 2.0 * beta * k2,
+        b2=complex(0.0, 6.0 * beta * sigma2),
+        b3=26.0 * beta,
+        c0=2.0 - probs.sigma1 - 2.0 * beta * k2,
+        c1=complex(0.0, -4.0 * beta * sigma2),
+        c2=14.0 * beta,
+    )
+
+
 def ode_rhs_deformed(
-    prob: MomentumProblem, p: float, phi: complex, dphi: complex
+    prob: MomentumProblem | _Coefficients, p: float, phi: complex, dphi: complex
 ) -> complex:
     """phi'' solved from the deformed equation for phi = p psi.
 
-    At beta = 0 the coefficients reduce to the undeformed ones,
-    (p^2 + k^2) phi'' + (4 p + 2 i sigma2) phi' + (2 - sigma1) phi = 0,
-    with no special-casing.  p = 0 is a singular point of the
-    coefficients: start integrations at p > 0.
+    prob is a MomentumProblem, or the coefficients of a batch of them
+    (integrate_branch passes numpy columns with phi and dphi as columns
+    of the same length).  Each call evaluates only the polynomials in p
+    of _Coefficients.  At beta = 0 they reduce to the undeformed
+    equation, (p^2 + k^2) phi'' + (4 p + 2 i sigma2) phi' +
+    (2 - sigma1) phi = 0, with no special-casing.  p = 0 is a singular
+    point of the coefficients: start integrations at p > 0.
     """
     if p <= 0.0:
         raise ValueError("p must be positive; p = 0 is a singular point")
-    beta = prob.beta
-    k2 = prob.k * prob.k
+    co = prob if isinstance(prob, _Coefficients) else _coefficients(prob)
     p2 = p * p
-    a = (p2 + k2) * (1.0 + 6.0 * beta * p2)
-    b = (
-        2.0 * beta * p * (p2 + k2)
-        + 4.0 * p * (1.0 + 6.0 * beta * p2)
-        + 2.0j * prob.sigma2 * (1.0 + 3.0 * beta * p2)
-    )
-    c = (
-        4.0 * (1.0 + 7.0 * beta * p2)
-        - 2.0 * beta * (p2 + k2)
-        - 2.0 * (1.0 + 6.0 * beta * p2)
-        - 4.0j * beta * prob.sigma2 * p
-        - prob.sigma1
-    )
+    a = co.a0 + (co.a2 + co.a4 * p2) * p2
+    b = co.b0 + (co.b1 + (co.b2 + co.b3 * p) * p) * p
+    c = co.c0 + (co.c1 + co.c2 * p) * p
     # times the reciprocal, as numpy divides a complex by a real: the
     # same bits on numpy and on Python scalars
     return -(b * dphi + c * phi) * (1.0 / a)
@@ -173,45 +213,75 @@ class OdeSolution:
             raise ValueError(f"branch must be one of {BRANCHES}, got {self.branch!r}")
 
 
+def _batch(prob, branch) -> tuple[list[MomentumProblem], list[str]]:
+    # a single item pairs with every member of the other argument
+    probs = [prob] if isinstance(prob, MomentumProblem) else list(prob)
+    branches = [branch] if isinstance(branch, str) else list(branch)
+    if isinstance(prob, MomentumProblem):
+        probs *= len(branches)
+    elif isinstance(branch, str):
+        branches *= len(probs)
+    elif len(probs) != len(branches):
+        raise ValueError(
+            f"a batch pairs problems and branches one to one; got "
+            f"{len(probs)} problems and {len(branches)} branches"
+        )
+    if not probs:
+        raise ValueError("the batch is empty")
+    for member in branches:
+        if member not in BRANCHES:
+            raise ValueError(f"branch must be one of {BRANCHES}, got {member!r}")
+    return probs, branches
+
+
 def integrate_branch(
-    prob: MomentumProblem,
-    branch: str,
+    prob: MomentumProblem | Sequence[MomentumProblem],
+    branch: str | Sequence[str],
     p_range: tuple[float, float],
     *,
     rtol: float = 1e-10,
     points_per_decade: int = MIN_POINTS_PER_DECADE,
     ic: tuple[complex, complex] | None = None,
     p_stop: float | None = None,
-) -> OdeSolution:
-    """Integrate one decay branch inward from p_max.
+) -> OdeSolution | list[OdeSolution]:
+    """Integrate decay branches inward from p_max.
+
+    prob and branch are each one item or a sequence, paired element by
+    element; a single item pairs with every element of the other, and
+    sequences of unequal length are refused.  The members share p_range,
+    the grid and p_stop, and are integrated as one stacked system: a call
+    with only single items returns one OdeSolution, any other a list in
+    batch order.  The stacked members share one adaptive step sequence,
+    chosen by an error norm over all of them, so a member's bits depend
+    on its batch-mates, within rtol; a single problem is a batch of one.
 
     Initial conditions at p_max follow the branch's asymptotic power law
     phi = p^s, phi' = s p^(s-1) with s = -7/3 (fast) or -1 (slow) when
     beta > 0 and s = -3/2 -+ nu when beta = 0; pass ic=(phi, dphi) to
-    override them (used by continuity checks that pin identical starting
-    data on two problems).  Inward integration is the stable direction:
-    the fast branch grows relative to the slow one as p decreases, so
-    contamination decays; integrating outward would bury it.
+    override them for every member (used by continuity checks that pin
+    identical starting data on two problems).  Inward integration is the
+    stable direction: the fast branch grows relative to the slow one as
+    p decreases, so contamination decays; integrating outward would
+    bury it.
 
     The range must span at least three decades when the power-law
     initial conditions are used, so that p_max sits in the asymptotic
     regime.  Adaptive 8th-order Runge-Kutta with embedded error control
     at the given rtol; output on a log grid with points_per_decade
-    (>= 200) nodes per decade.  Raises StiffnessError if the integrator
-    gives up.
+    (>= 200) nodes per decade.  Raises StiffnessError, naming the
+    batch's sigma1 range, if the integrator gives up.
 
-    p_stop (< p_max) ends the integration early: the solution then holds
+    p_stop (< p_max) ends the integration early: each solution then holds
     the grid points from the last one at or below p_stop up to p_max,
-    and every value is == the same point of the full integration.  The
-    grid is still laid over the whole p_range (it is anchored at p_min),
-    and a terminal event between that point and the one below it ends
-    the run.  The adaptive steps above the event do not depend on where
-    the run would have ended, and each grid point is read from the same
-    step's interpolant as in the full run.  p_stop <= p_min gives the
-    full solution.
+    and every value is == the same point of the full integration of the
+    same batch.  The grid is still laid over the whole p_range (it is
+    anchored at p_min), and a terminal event between that point and the
+    one below it ends the run.  The adaptive steps above the event do not
+    depend on where the run would have ended, and each grid point is read
+    from the same step's interpolant as in the full run.  p_stop <= p_min
+    gives the full solution.
     """
-    if branch not in BRANCHES:
-        raise ValueError(f"branch must be one of {BRANCHES}, got {branch!r}")
+    probs, branches = _batch(prob, branch)
     if points_per_decade < MIN_POINTS_PER_DECADE:
         raise ValueError(f"points_per_decade must be >= {MIN_POINTS_PER_DECADE}")
     p_min, p_max = p_range
@@ -225,28 +295,36 @@ def integrate_branch(
             "p_range must span >= 3 decades for asymptotic initial conditions"
         )
 
+    size = len(probs)
+    scales = np.empty(size, dtype=complex)
+    y0 = np.empty(2 * size, dtype=complex)
     if ic is None:
-        s = _branch_phi_exponent(prob, branch)
-        log0 = s * cmath.log(p_max)
-        # integrate the unit-normalized ray and restore the power-law
-        # amplitude afterwards; skip the restore only if p_max^s is not
-        # representable (the ray is the same up to that constant)
-        scale = cmath.exp(log0) if abs(log0.real) < 690.0 else 1.0 + 0.0j
-        phi0 = 1.0 + 0.0j
-        dphi0 = s / p_max
+        for i, (member, member_branch) in enumerate(zip(probs, branches)):
+            s = _branch_phi_exponent(member, member_branch)
+            log0 = s * cmath.log(p_max)
+            # integrate the unit-normalized ray and restore the power-law
+            # amplitude afterwards; skip the restore only if p_max^s is
+            # not representable (the ray is the same up to that constant)
+            scales[i] = cmath.exp(log0) if abs(log0.real) < 690.0 else 1.0
+            y0[i] = 1.0
+            y0[size + i] = s / p_max
     else:
         phi_raw, dphi_raw = complex(ic[0]), complex(ic[1])
         norm = max(abs(phi_raw), abs(dphi_raw) * p_max)
         if norm == 0.0:
             raise ValueError("initial conditions must not both vanish")
-        scale = complex(norm)
-        phi0 = phi_raw / norm
-        dphi0 = dphi_raw / norm
+        scales[:] = norm
+        y0[:size] = phi_raw / norm
+        y0[size:] = dphi_raw / norm
 
-    def rhs(p: float, y: np.ndarray) -> list[complex]:
-        # Python scalars: numpy scalar arithmetic costs ~4x more per call
-        phi, dphi = y.tolist()
-        return [dphi, ode_rhs_deformed(prob, float(p), phi, dphi)]
+    coefficients = _coefficients(probs)
+
+    def rhs(p: float, y: np.ndarray) -> np.ndarray:
+        # y stacks the members' phi, then their phi'
+        phi, dphi = y[:size], y[size:]
+        return np.concatenate(
+            (dphi, ode_rhs_deformed(coefficients, p, phi, dphi))
+        )
 
     n_points = int(math.ceil(points_per_decade * decades)) + 1
     grid = np.geomspace(p_min, p_max, n_points)
@@ -270,7 +348,7 @@ def integrate_branch(
     result = solve_ivp(
         rhs,
         (p_max, p_min),
-        np.array([phi0, dphi0], dtype=complex),
+        y0,
         method="DOP853",
         rtol=rtol,
         atol=1e-12,
@@ -279,13 +357,22 @@ def integrate_branch(
         events=events,
     )
     if not result.success:
+        low = min(member.sigma1 for member in probs)
+        high = max(member.sigma1 for member in probs)
+        span = f"= {low:g}" if low == high else f"in [{low:g}, {high:g}]"
         raise StiffnessError(
-            f"integration failed between p = {p_max:g} and {p_min:g}: "
-            f"{result.message}"
+            f"integration failed between p = {p_max:g} and {p_min:g} "
+            f"(sigma1 {span}): {result.message}"
         )
     grid = grid[first:]
-    psi = result.y[0][::-1] * scale / grid
-    return OdeSolution(grid=grid, values=psi, branch=branch)
+    psi = result.y[:size, ::-1] * scales[:, None] / grid
+    solutions = [
+        OdeSolution(grid=grid, values=values, branch=member_branch)
+        for values, member_branch in zip(psi, branches)
+    ]
+    if isinstance(prob, MomentumProblem) and isinstance(branch, str):
+        return solutions[0]
+    return solutions
 
 
 def fit_slope(solution: OdeSolution, window_decades: float = 1.0) -> float:

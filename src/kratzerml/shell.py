@@ -249,13 +249,15 @@ def _molecule_doc(mol: Molecule) -> dict:
 
 
 def _emit(doc: dict, human: list[str], args) -> None:
-    payload = json.dumps(doc, indent=2) + "\n"
-    if args.out:
-        Path(args.out).write_text(payload, encoding="utf-8")
-    if args.json:
-        sys.stdout.write(payload)
-    else:
-        sys.stdout.write("\n".join(human) + "\n")
+    # serialised only when asked for: indent= turns off the C encoder
+    if args.json or args.out:
+        payload = json.dumps(doc, indent=2) + "\n"
+        if args.out:
+            Path(args.out).write_text(payload, encoding="utf-8")
+        if args.json:
+            sys.stdout.write(payload)
+            return
+    sys.stdout.write("\n".join(human) + "\n")
 
 
 # ------------------------------------------------------------- spectrum

@@ -175,31 +175,27 @@ def _quantization(grid) -> tuple[float, int]:
     return max(devs), len(devs)
 
 
-#: decades at the top of a branch that its slope is fitted on; the branch
-#: is integrated only down to there, which leaves the slope's bits as they
+#: decades at the top of a branch that its slope is fitted on; the branches
+#: are integrated only down to there, which leaves the slopes' bits as they
 #: are on the full range
 _SLOPE_DECADES = 1.0
-
-
-def _branch_slope(
-    prob: MomentumProblem, branch: str, p_range: tuple[float, float]
-) -> float:
-    p_stop = p_range[1] / 10.0**_SLOPE_DECADES
-    solution = integrate_branch(prob, branch, p_range, p_stop=p_stop)
-    return fit_slope(solution, _SLOPE_DECADES)
 
 
 def _exponents(
     beta: float, p_range: tuple[float, float], cases
 ) -> tuple[float, int]:
-    # cases: {branch: sigma1 values}
+    # cases: {branch: sigma1 values}, integrated as one batch
+    branches = [branch for branch, sigmas in cases.items() for _ in sigmas]
+    probs = [
+        MomentumProblem(sigma1=sigma1, sigma2=0.4, k=1.0, beta=beta)
+        for sigmas in cases.values() for sigma1 in sigmas
+    ]
+    p_stop = p_range[1] / 10.0**_SLOPE_DECADES
+    solutions = integrate_branch(probs, branches, p_range, p_stop=p_stop)
     devs = []
-    for branch, sigmas in cases.items():
-        for sigma1 in sigmas:
-            prob = MomentumProblem(sigma1=sigma1, sigma2=0.4, k=1.0, beta=beta)
-            target = indicial_exponents(prob)[BRANCHES.index(branch)]
-            slope = _branch_slope(prob, branch, p_range)
-            devs.append(abs(slope - target))
+    for prob, branch, solution in zip(probs, branches, solutions):
+        target = indicial_exponents(prob)[BRANCHES.index(branch)]
+        devs.append(abs(fit_slope(solution, _SLOPE_DECADES) - target))
     return max(devs), len(devs)
 
 

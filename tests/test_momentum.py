@@ -1,15 +1,18 @@
 import math
+import sys
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import kratzerml.momentum
 from kratzerml.momentum import (
     BRANCHES,
     GridError,
     MomentumProblem,
     OdeSolution,
     QuantizationBreakdownError,
+    StiffnessError,
     fit_slope,
     heun_params_general,
     heun_params_inverse_square,
@@ -222,26 +225,97 @@ def _same_tail(full: OdeSolution, cut: OdeSolution) -> bool:
     )
 
 
+_member = st.tuples(
+    st.sampled_from(BRANCHES),
+    st.floats(min_value=-2.0, max_value=10.0),
+    st.one_of(st.just(0.0), st.floats(min_value=0.1, max_value=2.0)),
+)
+
+
 @settings(max_examples=50, deadline=None)
 @given(
-    branch=st.sampled_from(BRANCHES),
-    sigma1=st.floats(min_value=-2.0, max_value=10.0),
-    beta=st.one_of(st.just(0.0), st.floats(min_value=0.1, max_value=2.0)),
+    members=st.lists(_member, min_size=1, max_size=3),
     p_stop=st.floats(min_value=0.5, max_value=2e3, exclude_max=True),
 )
-def test_p_stop_keeps_the_bits_of_the_full_integration(
-    branch, sigma1, beta, p_stop
-):
-    """A run cut at p_stop is the top of the full run, bit for bit."""
-    prob = MomentumProblem(sigma1=sigma1, sigma2=0.4, k=1.0, beta=beta)
-    full = integrate_branch(prob, branch, (0.5, 2e3))
-    cut = integrate_branch(prob, branch, (0.5, 2e3), p_stop=p_stop)
-    assert _same_tail(full, cut)
-    # the cut run keeps the last grid point at or below p_stop, no more
-    assert cut.grid[0] <= p_stop
-    assert cut.grid.size == full.grid.size or cut.grid[1] > p_stop
-    window = math.log10(2e3 / cut.grid[0])
-    assert fit_slope(cut, window) == fit_slope(full, window)
+def test_p_stop_keeps_the_bits_of_the_full_integration(members, p_stop):
+    """A run cut at p_stop is the top of the full run of the same batch,
+    bit for bit, for every member; one member is passed as single items."""
+    branches = [branch for branch, _, _ in members]
+    probs = [
+        MomentumProblem(sigma1=sigma1, sigma2=0.4, k=1.0, beta=beta)
+        for _, sigma1, beta in members
+    ]
+    if len(members) == 1:
+        probs, branches = probs[0], branches[0]
+    full = integrate_branch(probs, branches, (0.5, 2e3))
+    cut = integrate_branch(probs, branches, (0.5, 2e3), p_stop=p_stop)
+    if len(members) == 1:
+        full, cut = [full], [cut]
+    assert len(full) == len(cut) == len(members)
+    for full_member, cut_member in zip(full, cut):
+        assert _same_tail(full_member, cut_member)
+        # the cut run keeps the last grid point at or below p_stop, no more
+        assert cut_member.grid[0] <= p_stop
+        assert (cut_member.grid.size == full_member.grid.size
+                or cut_member.grid[1] > p_stop)
+        window = math.log10(2e3 / cut_member.grid[0])
+        assert fit_slope(cut_member, window) == fit_slope(full_member, window)
+
+
+def test_batch_pairing():
+    """Sequences pair element by element, a single item pairs with every
+    element of the other, and only single items give a bare solution."""
+    probs = [MomentumProblem(sigma1=s, sigma2=0.4, k=1.0, beta=1.0)
+             for s in (-1.0, 2.0)]
+    single = integrate_branch(probs[0], "slow-decay", (1.0, 2e3), p_stop=200.0)
+    assert isinstance(single, OdeSolution)
+    for prob, branch, expected in (
+        (probs, "slow-decay", ["slow-decay"] * 2),
+        (probs[0], list(BRANCHES), list(BRANCHES)),
+        (probs, list(BRANCHES), list(BRANCHES)),
+        ([probs[0]], ["slow-decay"], ["slow-decay"]),
+    ):
+        batch = integrate_branch(prob, branch, (1.0, 2e3), p_stop=200.0)
+        assert isinstance(batch, list)
+        assert [sol.branch for sol in batch] == expected
+        assert all(isinstance(sol, OdeSolution) for sol in batch)
+        assert all(np.all(sol.grid == single.grid) for sol in batch)
+
+
+def test_batch_refuses_unequal_lengths_and_bad_members():
+    probs = [MomentumProblem(sigma1=s, sigma2=0.4, k=1.0, beta=1.0)
+             for s in (-1.0, 0.0, 2.0)]
+    with pytest.raises(ValueError, match="3 problems and 2 branches"):
+        integrate_branch(probs, list(BRANCHES), (1.0, 2e3))
+    with pytest.raises(ValueError, match="1 problems and 2 branches"):
+        integrate_branch(probs[:1], list(BRANCHES), (1.0, 2e3))
+    with pytest.raises(ValueError, match="empty"):
+        integrate_branch([], "fast-decay", (1.0, 2e3))
+    with pytest.raises(ValueError, match="branch must be one of"):
+        integrate_branch(probs[0], ["fast-decay", "sideways"], (1.0, 2e3))
+
+
+def test_stiffness_error_names_the_batch_sigma1_range(monkeypatch):
+    """An integrator that gives up is reported with the batch's sigma1."""
+    integrate_branch(
+        MomentumProblem(sigma1=0.0, sigma2=0.4, k=1.0), "fast-decay",
+        (1.0, 2e3), p_stop=200.0,
+    )  # binds momentum.solve_ivp
+    original = kratzerml.momentum.solve_ivp
+
+    def giving_up(*args, **kwargs):
+        result = original(*args, **kwargs)
+        result.success = False
+        result.message = "Required step size is less than spacing between numbers."
+        return result
+
+    monkeypatch.setattr(kratzerml.momentum, "solve_ivp", giving_up)
+    probs = [MomentumProblem(sigma1=s, sigma2=0.4, k=1.0, beta=1.0)
+             for s in (2.0, -1.0, 0.5)]
+    with pytest.raises(StiffnessError, match=r"\(sigma1 in \[-1, 2\]\): Required"):
+        integrate_branch(probs, "fast-decay", (1.0, 2e3), p_stop=200.0)
+    with pytest.raises(StiffnessError, match=r"\(sigma1 = 0\.5\)"):
+        integrate_branch(probs[2], "fast-decay", (1.0, 2e3), p_stop=200.0)
 
 
 def test_p_stop_preconditions():
@@ -535,3 +609,49 @@ def test_rhs_same_bits_on_numpy_and_python_scalars(
         np.complex128(complex(*dphi)),
     )
     assert (float(npy.real), float(npy.imag)) == (py.real, py.imag)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    p=st.floats(min_value=1e-6, max_value=1e6),
+    phi=st.tuples(_finite, _finite),
+    dphi=st.tuples(_finite, _finite),
+    sigma1=st.floats(min_value=-5.0, max_value=50.0),
+    sigma2=st.floats(min_value=0.0, max_value=50.0),
+    k=st.floats(min_value=1e-3, max_value=1e3),
+    beta=st.floats(min_value=0.0, max_value=10.0),
+)
+def test_rhs_matches_the_expanded_equation(p, phi, dphi, sigma1, sigma2, k, beta):
+    """The coefficient form is the paper's equation for phi = p psi,
+
+        a = (p^2 + k^2)(1 + 6 beta p^2)
+        b = 2 beta p (p^2 + k^2) + 4 p (1 + 6 beta p^2)
+            + 2 i sigma2 (1 + 3 beta p^2)
+        c = 4 (1 + 7 beta p^2) - 2 beta (p^2 + k^2) - 2 (1 + 6 beta p^2)
+            - 4 i beta sigma2 p - sigma1,
+
+    to rounding.  The expanded b and c cancel, so the bound is a few
+    epsilon of the terms' magnitudes, not of the result (a random search
+    of 2e5 draws saw at most 4.0 epsilon)."""
+    prob = MomentumProblem(sigma1=sigma1, sigma2=sigma2, k=k, beta=beta)
+    phi, dphi = complex(*phi), complex(*dphi)
+    p2, k2 = p * p, k * k
+    a = (p2 + k2) * (1.0 + 6.0 * beta * p2)
+    b_terms = (
+        2.0 * beta * p * (p2 + k2),
+        4.0 * p * (1.0 + 6.0 * beta * p2),
+        2.0j * sigma2 * (1.0 + 3.0 * beta * p2),
+    )
+    c_terms = (
+        4.0 * (1.0 + 7.0 * beta * p2),
+        -2.0 * beta * (p2 + k2),
+        -2.0 * (1.0 + 6.0 * beta * p2),
+        -4.0j * beta * sigma2 * p,
+        -sigma1,
+    )
+    expanded = -(sum(b_terms) * dphi + sum(c_terms) * phi) / a
+    magnitude = (
+        sum(map(abs, b_terms)) * abs(dphi) + sum(map(abs, c_terms)) * abs(phi)
+    ) / a
+    got = ode_rhs_deformed(prob, p, phi, dphi)
+    assert abs(got - expanded) <= 8.0 * sys.float_info.epsilon * magnitude

@@ -235,6 +235,18 @@ def test_spectrum_out_file_matches_stdout(capsys, tmp_path):
     assert out.read_text(encoding="utf-8") == stdout
 
 
+def test_human_output_out_file_matches_json(capsys, tmp_path):
+    """--out without --json writes the JSON report and prints the table."""
+    argv = ["spectrum", "H2", "--min-length", "0.01"]
+    out = tmp_path / "report.json"
+    main([*argv, "--out", str(out)])
+    with_file = capsys.readouterr().out
+    main(argv)
+    assert with_file == capsys.readouterr().out
+    main([*argv, "--json"])
+    assert out.read_text(encoding="utf-8") == capsys.readouterr().out
+
+
 def test_min_length_beta_equivalence(capsys):
     x_m = 0.01 * 1e-10
     beta = (x_m / HBAR) ** 2 / 5.0

@@ -1,5 +1,6 @@
 import pytest
 
+import kratzerml.momentum
 from kratzerml.momentum import (
     BRANCHES,
     MomentumProblem,
@@ -46,24 +47,73 @@ def test_every_check_passes(preset_results):
         assert res.passed, f"{res.name}: {res.worst:.3e} > {res.tolerance:.3e}"
 
 
+def _exponent_batches(preset):
+    """(name, problems, branches, p_range) of each exponent check's grid."""
+    for check in CHECKS:
+        if check.name.startswith("exponents-"):
+            beta, p_range = check.run.args
+            cases = check.grids[preset]
+            branches = [branch for branch, sigmas in cases.items() for _ in sigmas]
+            probs = [
+                MomentumProblem(sigma1=sigma1, sigma2=0.4, k=1.0, beta=beta)
+                for sigmas in cases.values() for sigma1 in sigmas
+            ]
+            yield check.name, probs, branches, p_range
+
+
+def _deviations(probs, branches, solutions):
+    return [
+        abs(fit_slope(solution) - indicial_exponents(prob)[BRANCHES.index(branch)])
+        for prob, branch, solution in zip(probs, branches, solutions)
+    ]
+
+
 def test_exponent_checks_match_full_range_slopes():
     """The exponent checks integrate only the fitted decade; their worst
-    deviations are == the ones of full-range integrations."""
-    grids = {check.name: check.grids["small"] for check in CHECKS}
-    expected = {"exponents-deformed": 0.0, "exponents-undeformed": 0.0}
-    setups = {"exponents-deformed": (1.0, (1.0, 2.0e3)),
-              "exponents-undeformed": (0.0, (0.5, 2.0e3))}
-    for name, (beta, p_range) in setups.items():
-        for branch, sigmas in grids[name].items():
-            for sigma1 in sigmas:
-                prob = MomentumProblem(sigma1=sigma1, sigma2=0.4, k=1.0, beta=beta)
-                target = dict(zip(BRANCHES, indicial_exponents(prob)))[branch]
-                slope = fit_slope(integrate_branch(prob, branch, p_range))
-                expected[name] = max(expected[name], abs(slope - target))
-    worst = {
-        res.name: res.worst for res in run_checks("small") if res.name in expected
-    }
-    assert worst == expected
+    deviations are == the ones of a full-range integration of the same
+    batch."""
+    for preset in ("paper", "small"):
+        worst = {res.name: res.worst for res in run_checks(preset)}
+        for name, probs, branches, p_range in _exponent_batches(preset):
+            full = integrate_branch(probs, branches, p_range)
+            assert worst[name] == max(_deviations(probs, branches, full)), preset
+
+
+#: worst |slope - slope at rtol 1e-13| of a single-problem run at the
+#: default rtol 1e-10, over the paper grid (3.08e-10 and 1.01e-9 measured);
+#: a batch member must stay as close to its own rtol 1e-13 run (measured
+#: 1.0e-10 and 1.5e-10)
+_SOLO_SLOPE_ERROR = {"exponents-deformed": 3.1e-10, "exponents-undeformed": 1.0e-9}
+
+
+def test_batched_slopes_are_as_accurate_as_single_runs():
+    for name, probs, branches, p_range in _exponent_batches("paper"):
+        p_stop = p_range[1] / 10.0
+        batch = integrate_branch(probs, branches, p_range, p_stop=p_stop)
+        for prob, branch, solution in zip(probs, branches, batch):
+            reference = integrate_branch(
+                prob, branch, p_range, rtol=1e-13, p_stop=p_stop
+            )
+            error = abs(fit_slope(solution) - fit_slope(reference))
+            assert error <= _SOLO_SLOPE_ERROR[name], (name, branch, prob.sigma1)
+
+
+def test_paper_preset_makes_one_ode_solve_per_exponent_check(monkeypatch):
+    integrate_branch(
+        MomentumProblem(sigma1=0.0, sigma2=0.4, k=1.0), "fast-decay",
+        (1.0, 2e3), p_stop=200.0,
+    )  # binds momentum.solve_ivp
+    calls = []
+    original = kratzerml.momentum.solve_ivp
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(kratzerml.momentum, "solve_ivp", counted)
+    run_checks("paper")
+    assert kratzerml.momentum.solve_ivp is counted
+    assert len(calls) == 2
 
 
 def test_tolerance_override_and_preset_validation():
