@@ -20,7 +20,7 @@ from .physmodel import (
     minimal_length,
     require_beta,
 )
-from .spectrum import correction_general, energy_deformed
+from .spectrum import correction_general, energy_deformed, level_energies
 
 __all__ = [
     "ATTRIBUTION_LABEL",
@@ -227,17 +227,19 @@ def fit_parameters(
     if max_evaluations < 1:
         raise ValueError("max_evaluations must be at least 1")
 
+    nl = [(n, l) for n, l, _, _ in rows]
+    observed = [(e_obs, math.sqrt(weight)) for _, _, e_obs, weight in rows]
+
     def project(s: float, clamp: bool) -> _Projection:
         # at fixed De0 and mu, gamma is proportional to re
         mol = Molecule(name="fit", de_cm1=de0, re_angstrom=re0 * math.exp(s),
                        mu_amu=mu_amu)
         a, b, gap = [], [], []
-        for n, l, e_obs, weight in rows:
-            level = energy_deformed(mol, 1.0, QuantumNumbers(n, l))
-            e0 = energy_from_joule(level.e0, "cm-1")
-            root_w = math.sqrt(weight)
+        levels = level_energies(mol, 1.0, nl)
+        for (e0, de), (e_obs, root_w) in zip(levels, observed):
+            e0 = energy_from_joule(e0, "cm-1")
             a.append(root_w * e0)
-            b.append(root_w * energy_from_joule(level.de, "cm-1"))
+            b.append(root_w * energy_from_joule(de, "cm-1"))
             gap.append(root_w * (e0 - e_obs))
         return _solve_linear(s, a, b, gap, clamp)
 

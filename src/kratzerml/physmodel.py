@@ -28,6 +28,7 @@ __all__ = [
     "KratzerCouplings",
     "ShapeNumbers",
     "gamma_of",
+    "lambda_of",
     "couplings_from_kratzer",
     "shape_numbers",
     "require_beta",
@@ -225,6 +226,11 @@ def gamma_of(mol: Molecule) -> float:
     return gamma
 
 
+def lambda_of(gamma: float, l: int) -> float:
+    """Shape number lam = 1/2 + sqrt((l + 1/2)^2 + gamma^2), unchecked."""
+    return 0.5 + math.hypot(l + 0.5, gamma)
+
+
 def couplings_from_kratzer(mol: Molecule) -> KratzerCouplings:
     """Molecular-branch couplings g1 = De re^2, g2 = 2 De re in SI."""
     de = mol.de_joule
@@ -240,7 +246,7 @@ def shape_numbers(gamma: float, qn: QuantumNumbers) -> ShapeNumbers:
     """
     if not (math.isfinite(gamma) and gamma >= 0.0):
         raise ValueError("gamma must be a nonnegative finite number")
-    lam = 0.5 + math.hypot(qn.l + 0.5, gamma)
+    lam = lambda_of(gamma, qn.l)
     alpha = gamma * gamma / (lam + qn.n)
     return ShapeNumbers(gamma=gamma, lam=lam, alpha=alpha)
 

@@ -31,7 +31,12 @@ from .physmodel import (
     minimal_length,
     shape_numbers,
 )
-from .spectrum import energy_deformed, energy_expansion, term_decomposition
+from .spectrum import (
+    energy_deformed,
+    energy_expansion,
+    level_energies,
+    term_decomposition,
+)
 
 __all__ = [
     "SCHEMA",
@@ -487,11 +492,15 @@ def cmd_fit(args) -> int:
         re_angstrom=result.re_angstrom,
         mu_amu=args.mu,
     )
+    ordered = sorted(rows, key=lambda r: (r[0], r[1]))
+    # the levels at the printed parameters, not the fit's last level set:
+    # that set's gamma and De differ from the printed ones in the last bits
+    levels = level_energies(
+        fitted, result.beta, [(n, l) for n, l, _, _ in ordered]
+    )
     residuals = []
-    for n, l, e_obs, weight in sorted(rows, key=lambda r: (r[0], r[1])):
-        e_fit = energy_from_joule(
-            energy_deformed(fitted, result.beta, QuantumNumbers(n, l)).e, "cm-1"
-        )
+    for (n, l, e_obs, weight), (e0, de) in zip(ordered, levels):
+        e_fit = energy_from_joule(e0 + de, "cm-1")
         residuals.append(
             {
                 "n": n,
@@ -635,9 +644,16 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+#: the parser main builds on its first call and reuses: parse_args keeps
+#: no state between calls, each starts from a fresh namespace
+_PARSER: argparse.ArgumentParser | None = None
+
+
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    global _PARSER
+    if _PARSER is None:
+        _PARSER = build_parser()
+    args = _PARSER.parse_args(argv)
     try:
         return args.handler(args)
     except (FileFormatError, UsageError) as exc:

@@ -8,6 +8,7 @@ and the large-gamma rovibrational expansion with labeled terms.
 from __future__ import annotations
 
 import math
+from collections.abc import Iterable
 from dataclasses import dataclass
 
 from .physmodel import (
@@ -17,9 +18,9 @@ from .physmodel import (
     QuantumNumbers,
     ShapeNumbers,
     gamma_of,
+    lambda_of,
     require_beta,
     require_lambda_regular,
-    shape_numbers,
 )
 
 __all__ = [
@@ -29,6 +30,7 @@ __all__ = [
     "matrix_element_closed",
     "correction_general",
     "correction_hydrogen_limit",
+    "level_energies",
     "energy_deformed",
     "energy_expansion",
     "term_decomposition",
@@ -52,9 +54,7 @@ class EnergyLevel:
 
 def energy_unperturbed(mol: Molecule, qn: QuantumNumbers) -> float:
     """Unperturbed bound-state energy -gamma^2 De / (lam + n)^2 in J."""
-    gamma = gamma_of(mol)
-    shape = shape_numbers(gamma, qn)
-    return -gamma * gamma * mol.de_joule / (shape.lam + qn.n) ** 2
+    return level_energies(mol, 0.0, ((qn.n, qn.l),))[0][0]
 
 
 def matrix_element_closed(
@@ -148,30 +148,50 @@ def correction_general(
     return 4.0 * (beta * t * t) * (t * t / mu) * _correction_brace(lam, qn.n, u)
 
 
-def energy_deformed(mol: Molecule, beta: float, qn: QuantumNumbers) -> EnergyLevel:
-    """Complete level E = E0 + dE in the (De, re) parameter form.
+def level_energies(
+    mol: Molecule, beta: float, nl: Iterable[tuple[int, int]]
+) -> list[tuple[float, float]]:
+    """(E0, dE) in J of each (n, l) in nl, one molecule at one beta.
 
-    The correction is beta mu De^2 (2 gamma / (lam + n))^4 {...} with the
-    brace written in gamma^2/2 where the coupling form has mu g1/hbar^2.
-    Numerically identical to energy_unperturbed + correction_general to
-    relative 1e-12; the two differ only in floating-point grouping.
+    E0 = -gamma^2 De / (lam + n)^2, and dE = beta mu De^2
+    (2 gamma / (lam + n))^4 {...} is the first-order shift with the brace
+    written in gamma^2/2 where the coupling form has mu g1/hbar^2.  gamma
+    and the factors shared by every row are computed once per call, and
+    no per-row record is built.  n and l must be nonnegative integers;
+    they are not checked here.  At beta = 0 every dE is 0.0 and lambda
+    is not guarded; otherwise a row whose lambda fails
+    require_lambda_regular(lam, 3/2) raises LambdaGuardError.
     """
     require_beta(beta)
     gamma = gamma_of(mol)
-    shape = shape_numbers(gamma, qn)
-    lam = shape.lam
-    e0 = -gamma * gamma * mol.de_joule / (lam + qn.n) ** 2
+    de_j = mol.de_joule
+    top = -gamma * gamma * de_j
+    scale = beta * mol.mu_kg * de_j**2
+    two_gamma = 2.0 * gamma
+    u = 0.5 * gamma * gamma
+    out = []
+    for n, l in nl:
+        lam = lambda_of(gamma, l)
+        ln = lam + n
+        de = 0.0
+        if beta != 0.0:
+            require_lambda_regular(lam, 1.5)
+            de = scale * (two_gamma / ln) ** 4 * _correction_brace(lam, n, u)
+        out.append((top / ln**2, de))
+    return out
+
+
+def energy_deformed(mol: Molecule, beta: float, qn: QuantumNumbers) -> EnergyLevel:
+    """Complete level E = E0 + dE in the (De, re) parameter form.
+
+    The one-level case of level_energies, with a warning when the shift
+    is too large for first order.  Numerically identical to
+    energy_unperturbed + correction_general to relative 1e-12; the two
+    differ only in floating-point grouping.
+    """
+    ((e0, de),) = level_energies(mol, beta, ((qn.n, qn.l),))
     if beta == 0.0:
         return EnergyLevel(n=qn.n, l=qn.l, e0=e0, de=0.0, e=e0)
-    require_lambda_regular(lam, 1.5)
-    brace = _correction_brace(lam, qn.n, 0.5 * gamma * gamma)
-    de = (
-        beta
-        * mol.mu_kg
-        * mol.de_joule**2
-        * (2.0 * gamma / (lam + qn.n)) ** 4
-        * brace
-    )
     warning = None
     if abs(de) > PERTURBATIVE_WARN_RATIO * abs(e0):
         warning = (

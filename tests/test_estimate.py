@@ -5,6 +5,7 @@ import pytest
 from kratzerml import estimate
 from kratzerml.estimate import (
     ATTRIBUTION_LABEL,
+    FitResult,
     NoPositiveGapError,
     beta_upper_bound,
     fit_parameters,
@@ -16,7 +17,7 @@ from kratzerml.physmodel import (
     energy_from_joule,
     gamma_of,
 )
-from kratzerml.spectrum import energy_deformed
+from kratzerml.spectrum import energy_deformed, level_energies
 
 H2 = Molecule("H2", 78844.9005, 0.73652, 0.5039, zpe_exp_cm1=2179.3)
 
@@ -138,6 +139,27 @@ def test_fit_round_trip_heavy(beta):
         assert 0.0 <= out.beta <= 1e-9 * BETA_HEAVY
 
 
+@pytest.mark.parametrize(
+    "levels, mu_amu, init, expected",
+    [
+        (LEVELS, 1.2, (52000.0, 1.0, 0.0), FitResult(
+            de_cm1=45000.00000000001, re_angstrom=1.099999999999998,
+            beta=6.7369239999345496e+41, rss_cm2=1.4941527535550406e-22,
+            iterations=11, converged=True,
+        )),
+        (synthetic_levels(HEAVY, BETA_HEAVY), 54.0, (55000.0, 2.3, 0.0), FitResult(
+            de_cm1=50000.0, re_angstrom=2.5000000000002283,
+            beta=3.5000000099735204e+40, rss_cm2=2.7144833619574704e-22,
+            iterations=9, converged=True,
+        )),
+    ],
+    ids=["light", "heavy"],
+)
+def test_fit_frozen_values(levels, mu_amu, init, expected):
+    """Every bit of a light (gamma 62) and a heavy (gamma 1000) fit."""
+    assert fit_parameters(levels, mu_amu, init) == expected
+
+
 def test_fit_permutation_invariance():
     """Input order cannot change a single bit of the fit result."""
     shuffled = [LEVELS[i] for i in (7, 2, 11, 0, 5, 9, 1, 10, 4, 8, 3, 6)]
@@ -224,11 +246,11 @@ def test_fit_level_evaluation_budget(monkeypatch):
     """The 12-level fit takes 11 level sets of 12 levels each."""
     calls = []
 
-    def counted(mol, beta, qn):
-        calls.append(qn)
-        return energy_deformed(mol, beta, qn)
+    def counted(mol, beta, nl):
+        calls.extend(nl)
+        return level_energies(mol, beta, nl)
 
-    monkeypatch.setattr(estimate, "energy_deformed", counted)
+    monkeypatch.setattr(estimate, "level_energies", counted)
     out = fit_parameters(LEVELS, 1.2, (52000.0, 1.0, 0.0))
     assert out.converged
     assert out.iterations <= 11
@@ -239,11 +261,11 @@ def test_fit_evaluates_the_start_once(monkeypatch):
     """The strict start check's levels are the search's first level set."""
     points = []
 
-    def counted(mol, beta, qn):
-        points.append((mol.de_cm1, mol.re_angstrom))
-        return energy_deformed(mol, beta, qn)
+    def counted(mol, beta, nl):
+        points.extend((mol.de_cm1, mol.re_angstrom) for _ in nl)
+        return level_energies(mol, beta, nl)
 
-    monkeypatch.setattr(estimate, "energy_deformed", counted)
+    monkeypatch.setattr(estimate, "level_energies", counted)
     result = fit_parameters(LEVELS, 1.2, (52000.0, 1.0, 0.0))
     assert result.converged
     assert points[:len(LEVELS)] == [(52000.0, 1.0)] * len(LEVELS)
@@ -256,11 +278,11 @@ def test_fit_evaluates_the_end_point_once(monkeypatch, max_evaluations):
     the returned gamma: no level is evaluated outside the counted sets."""
     gammas = []
 
-    def counted(mol, beta, qn):
-        gammas.append(gamma_of(mol))
-        return energy_deformed(mol, beta, qn)
+    def counted(mol, beta, nl):
+        gammas.extend(gamma_of(mol) for _ in nl)
+        return level_energies(mol, beta, nl)
 
-    monkeypatch.setattr(estimate, "energy_deformed", counted)
+    monkeypatch.setattr(estimate, "level_energies", counted)
     result = fit_parameters(
         LEVELS, 1.2, (52000.0, 1.0, 0.0), max_evaluations=max_evaluations
     )

@@ -599,9 +599,10 @@ _finite = st.floats(min_value=-1e3, max_value=1e3)
 def test_rhs_same_bits_on_numpy_and_python_scalars(
     p, phi, dphi, sigma1, sigma2, k, beta
 ):
-    """integrate_branch hands the RHS Python scalars; solve_ivp's own
-    numpy scalars must give the same bits, so the final division has to
-    round as numpy's complex-by-real one does."""
+    """A direct call of the RHS on Python scalars gives the bits of the
+    same call on numpy scalars (integrate_branch hands it numpy columns),
+    so the final division has to round as numpy's complex-by-real one
+    does."""
     prob = MomentumProblem(sigma1=sigma1, sigma2=sigma2, k=k, beta=beta)
     py = ode_rhs_deformed(prob, p, complex(*phi), complex(*dphi))
     npy = ode_rhs_deformed(

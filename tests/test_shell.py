@@ -3,6 +3,7 @@ import warnings
 
 import pytest
 
+from kratzerml import shell
 from kratzerml.estimate import zpe_theoretical
 from kratzerml.physmodel import (
     AMU_TO_KG,
@@ -498,6 +499,43 @@ def test_fit_cli_undefined_start_names_the_guard(capsys, levels_file):
     assert captured.err.startswith("error: lambda = ")
     assert "of the singular value 1.0" in captured.err
     assert caught == []
+
+
+def test_main_reuses_one_parser(capsys, monkeypatch, levels_file):
+    """No option of one call leaks into the next through the shared parser."""
+    sequence = [
+        ["spectrum", "H2", "--beta", "1e43", "--nmax", "1", "--lmax", "1"],
+        ["spectrum", "H2"],
+        ["spectrum", "H2", "--min-length", "0.01", "--beta", "1e40"],
+        ["fit", str(levels_file), "--mu", "1.2", "--init", "52000,1.0,0"],
+        ["bound", "H2", "--json"],
+    ]
+
+    def run(argv):
+        try:
+            code = main(argv)
+        except SystemExit as exc:  # argparse rejects argv this way
+            code = exc.code
+        captured = capsys.readouterr()
+        return code, captured.out, captured.err
+
+    fresh = []
+    for argv in sequence:
+        monkeypatch.setattr(shell, "_PARSER", None)
+        fresh.append(run(argv))
+    assert [code for code, _, _ in fresh] == [0, 0, 2, 0, 0]
+
+    builds = []
+    build_parser = shell.build_parser
+
+    def counted():
+        builds.append(1)
+        return build_parser()
+
+    monkeypatch.setattr(shell, "build_parser", counted)
+    monkeypatch.setattr(shell, "_PARSER", None)
+    assert [run(argv) for argv in sequence] == fresh
+    assert len(builds) == 1
 
 
 @pytest.mark.parametrize(

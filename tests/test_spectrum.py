@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from kratzerml.physmodel import (
     AMU_TO_KG,
@@ -18,11 +19,13 @@ from kratzerml.physmodel import (
 )
 from kratzerml.spectrum import (
     PERTURBATIVE_WARN_RATIO,
+    _correction_brace,
     correction_general,
     correction_hydrogen_limit,
     energy_deformed,
     energy_expansion,
     energy_unperturbed,
+    level_energies,
     matrix_element_closed,
     term_decomposition,
 )
@@ -174,6 +177,60 @@ def test_nonfinite_beta_rejected(beta):
         energy_deformed(H2, beta, qn)
     with pytest.raises(ValueError, match="finite"):
         correction_general(couplings_from_kratzer(H2), H2.mu_kg, beta, qn)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    log_gamma=st.floats(min_value=math.log(2.0), max_value=math.log(5000.0)),
+    nl=st.lists(
+        st.tuples(st.integers(0, 20), st.integers(0, 20)), min_size=1, max_size=12
+    ),
+    beta=st.one_of(
+        st.just(0.0), st.floats(min_value=30.0, max_value=50.0).map(lambda e: 10.0**e)
+    ),
+)
+def test_level_energies_is_energy_deformed(log_gamma, nl, beta):
+    """Each row of the batched call is energy_deformed's level, bit for bit,
+    and both keep the grouping of the one-level-at-a-time reference."""
+    mol = synthetic(math.exp(log_gamma))
+
+    def reference(n, l):
+        gamma = gamma_of(mol)
+        lam = shape_numbers(gamma, QuantumNumbers(n, l)).lam
+        e0 = -gamma * gamma * mol.de_joule / (lam + n) ** 2
+        if beta == 0.0:
+            return e0, 0.0
+        brace = _correction_brace(lam, n, 0.5 * gamma * gamma)
+        return e0, (
+            beta * mol.mu_kg * mol.de_joule**2 * (2.0 * gamma / (lam + n)) ** 4
+            * brace
+        )
+
+    levels = [energy_deformed(mol, beta, QuantumNumbers(n, l)) for n, l in nl]
+    expected = [reference(n, l) for n, l in nl]
+    assert [(lev.e0, lev.de) for lev in levels] == expected
+    assert level_energies(mol, beta, nl) == expected
+
+
+@pytest.mark.parametrize(
+    "mol, beta, error",
+    [
+        (synthetic(0.8), 1e40, LambdaGuardError),  # lam(l = 0) = 1.44
+        (synthetic(2.0), -1.0, ValueError),
+        (synthetic(2.0), math.nan, ValueError),
+        (synthetic(2.0), math.inf, ValueError),
+        (Molecule("huge", 1e300, 1e300, 1e300), 0.0, ValueError),  # gamma = inf
+    ],
+)
+def test_level_energies_raises_as_energy_deformed(mol, beta, error):
+    def raised(call):
+        with pytest.raises(ValueError) as info:
+            call()
+        return type(info.value)
+
+    assert raised(lambda: energy_deformed(mol, beta, QuantumNumbers(0, 0))) is error
+    # the first row passes every guard; the second fails like the single level
+    assert raised(lambda: level_energies(mol, beta, [(1, 1), (0, 0)])) is error
 
 
 def test_dual_forms_agree():
