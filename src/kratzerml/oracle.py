@@ -3,11 +3,9 @@
 Everything here recomputes moments of the bound-state density by
 numerical integration of the normalized wavefunction, never from the
 closed forms in spectrum, so the two routes stay independent and can be
-played against each other as a cross-check.  Two backends that share no
-failure mode: tanh-sinh quadrature on a compactified axis, many
-integrals per call, and a fixed-order rule with the exponential weight
-matched to the density (exact once the rule outgrows the polynomial
-part).
+played against each other as a cross-check.  One backend: tanh-sinh
+quadrature on a compactified axis, many integrals per call, each result
+certified against its own error estimate.
 """
 
 from __future__ import annotations
@@ -20,7 +18,6 @@ from .physmodel import HBAR, KratzerCouplings, require_beta
 from .wavefunctions import RadialState, kummer_sum
 
 __all__ = [
-    "SCHEMES",
     "NonIntegrableError",
     "ToleranceError",
     "QuadratureSpec",
@@ -31,11 +28,8 @@ __all__ = [
 ]
 
 # imported on first use, so that the closed-form paths never pay for
-# scipy; each name stays a module global so that it can be wrapped
+# scipy; the name stays a module global so that it can be wrapped
 tanhsinh = None
-roots_genlaguerre = None
-
-SCHEMES = ("adaptive", "gauss-laguerre")
 
 #: the tanh-sinh level of the first convergence test: every level below
 #: it is evaluated in the first call.  Testing from level 2, the error
@@ -66,25 +60,21 @@ class ToleranceError(RuntimeError):
 class QuadratureSpec:
     """How to integrate.
 
-    scheme : "adaptive" runs tanh-sinh on r = re u/(1-u), u in [0, 1),
-        which folds the infinite tail and the integrable origin
-        singularity into ordinary endpoints, doubling the abscissae per
-        level until its error estimate meets rel_tol; "gauss-laguerre"
-        uses the generalized rule whose weight matches the density
-        exactly, with the shift between two rule sizes as the error probe.
+    Tanh-sinh runs on r = re u/(1-u), u in [0, 1), which folds the
+    infinite tail and the integrable origin singularity into ordinary
+    endpoints, doubling the abscissae per level until its error estimate
+    meets rel_tol.
+
     rel_tol : acceptance threshold for the error estimate relative to
         |value| (default 1e-10: headroom over the 1e-8 agreement targets).
-    max_level : last tanh-sinh level of the adaptive backend, 2 to 12;
-        level k evaluates ~2^(k+4) abscissae per integral.
+    max_level : last tanh-sinh level, 2 to 12; level k evaluates
+        ~2^(k+4) abscissae per integral.
     """
 
-    scheme: str = "adaptive"
     rel_tol: float = 1e-10
     max_level: int = 10
 
     def __post_init__(self) -> None:
-        if self.scheme not in SCHEMES:
-            raise ValueError(f"unknown scheme {self.scheme!r}; use one of {SCHEMES}")
         if not math.isfinite(self.rel_tol):
             raise ValueError("rel_tol must be finite")
         if self.rel_tol < 1e-12:
@@ -97,11 +87,10 @@ class QuadratureSpec:
 
 @dataclass(frozen=True)
 class QuadratureResult:
-    """Integral value with the backend's own error estimate."""
+    """Integral value with the integrator's own error estimate."""
 
     value: float
     error_estimate: float
-    scheme: str
 
     def within(self, spec: QuadratureSpec) -> bool:
         return self.error_estimate <= spec.rel_tol * abs(self.value)
@@ -120,7 +109,7 @@ class _Integral:
     @property
     def power(self) -> int:
         """How fast r^-p gap^2 diverges at the origin, which decides
-        integrability there and the Gauss-Laguerre weight exponent."""
+        integrability there."""
         _, c1, c2 = self.gap
         return self.p + (4 if c2 != 0.0 else 2 if c1 != 0.0 else 0)
 
@@ -286,7 +275,7 @@ def _tanh_sinh(
             atol=atol,
         )
         out += [
-            (QuadratureResult(value=v, error_estimate=abs(e), scheme="adaptive"), s)
+            (QuadratureResult(value=v, error_estimate=abs(e)), s)
             for v, e, s in zip(
                 res.integral.tolist(), res.error.tolist(), res.status.tolist()
             )
@@ -321,6 +310,8 @@ def _certified(
     elif status != 0:
         why = "did not converge: the estimate is not finite"
     else:
+        # tanh-sinh stops once its estimate meets rel_tol, so a converged
+        # result lands here only at a rounding edge; the recheck stays
         why = (
             f"missed rel_tol: error estimate {result.error_estimate:.3e} "
             f"exceeds {spec.rel_tol:.3e} * |value|"
@@ -332,88 +323,13 @@ def _certified(
     )
 
 
-def _gl_log_weight(state: RadialState) -> float:
-    # log W where |R|^2 r^2 dr = W x^(2 lam) e^-x M(-n, 2 lam, x)^2 dx
-    # under x = 2 (alpha/re) r; W follows from the closed normalization
-    n = state.qn.n
-    lam = state.shape.lam
-    return (
-        -2.0 * math.lgamma(2.0 * lam)
-        + math.lgamma(2.0 * lam + n)
-        - math.log(2.0)
-        - math.lgamma(n + 1.0)
-        - math.log(lam + n)
-    )
-
-
-def _gl_density_integral(
-    state: RadialState, weight, power: int
-) -> QuadratureResult:
-    """integral of |R|^2 r^2 weight(r) dr by the generalized rule.
-
-    Under x = 2 (alpha/re) r this is W x^(2 lam - power) e^-x times
-    x^power weight(r) M(-n, 2 lam, x)^2, a polynomial of degree at most
-    2n + 4; the n + 24 point rule (n + 3 would do) is exact for it, so
-    the difference between two rule sizes probes only roundoff.
-    """
-    global roots_genlaguerre
-    if roots_genlaguerre is None:
-        from scipy.special import roots_genlaguerre
-    n = state.qn.n
-    lam = state.shape.lam
-    two_kappa = 2.0 * state.shape.alpha / state.re
-    log_w = _gl_log_weight(state)
-    alpha_gl = 2.0 * lam - power
-    m = n + 24
-
-    def run(size: int) -> float:
-        nodes, weights = roots_genlaguerre(size, alpha_gl)
-        bases = kummer_sum(n, 2.0 * lam, nodes)
-        acc = 0.0
-        for x, w, base in zip(nodes.tolist(), weights.tolist(), bases.tolist()):
-            acc += w * (x**power * weight(x / two_kappa)) * base * base
-        if not math.isfinite(acc):
-            # the weights sum to Gamma(alpha + 1), which overflows past
-            # alpha ~ 170; the products can overflow a little earlier
-            raise ValueError(
-                f"Gauss-Laguerre sum overflows double precision at "
-                f"alpha = 2 lam - {power} = {alpha_gl:.6g}; use the adaptive "
-                f"scheme for this state"
-            )
-        return math.exp(log_w) * acc
-
-    coarse = run(m)
-    fine = run(m + 8)
-    return QuadratureResult(
-        value=fine, error_estimate=abs(fine - coarse), scheme="gauss-laguerre"
-    )
-
-
-def _gl_weight(it: _Integral):
-    # r^-p (c0 + c1/r + c2/r^2)^2 as the Gauss-Laguerre backend's weight(r)
-    p, (c0, c1, c2) = it.p, it.gap
-
-    def weight(r: float) -> float:
-        gap = c0 + (c1 + c2 / r) / r
-        return r ** (-p) * gap * gap
-
-    return weight
-
-
 def _density_moments(
     integrals: list[_Integral], spec: QuadratureSpec
 ) -> list[QuadratureResult]:
-    """The density integrals (a is b) on the spec's backend, certified."""
+    """The density integrals (a is b) by tanh-sinh, certified."""
     for it in integrals:
         _require_integrable(it.a.shape.lam, it.power, it.label)
-    if spec.scheme == "adaptive":
-        results = _tanh_sinh(integrals, spec)
-    else:
-        results = [
-            (_gl_density_integral(it.a, _gl_weight(it), it.power), 0)
-            for it in integrals
-        ]
-    return _certified(integrals, results, spec)
+    return _certified(integrals, _tanh_sinh(integrals, spec), spec)
 
 
 def expectation_inverse_power(
@@ -427,7 +343,7 @@ def expectation_inverse_power(
     QuadratureResult when both are single, else a list in pair order.
     p = 0 returns the normalization integral (1 up to quadrature error).
     Raises NonIntegrableError when 2 lam <= p - 1 and ToleranceError when
-    the backend's error estimate misses the spec thresholds.
+    the error estimate misses the spec thresholds.
     """
     pairs = _paired(_batch(p), _batch(state))
     for power, _ in pairs:
@@ -440,7 +356,7 @@ def expectation_inverse_power(
 
 
 def radial_overlap(state_a, state_b):
-    """integral of R_a(r) R_b(r) r^2 dr by the adaptive backend, uncertified.
+    """integral of R_a(r) R_b(r) r^2 dr by tanh-sinh, uncertified.
 
     state_a and state_b are states or sequences of them, paired as in
     expectation_inverse_power.  The result is returned without the
@@ -489,7 +405,6 @@ def correction_via_expectations(
         QuadratureResult(
             value=scale * m.value,
             error_estimate=scale * m.error_estimate,
-            scheme=spec.scheme,
         )
         for m in _density_moments(integrals, spec)
     ]

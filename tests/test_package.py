@@ -150,9 +150,9 @@ def test_numpy_import_guard_sees_top_level_imports():
 
 
 # Runs in a fresh interpreter: importing the package and running bound,
-# spectrum and fit must leave numpy and scipy unloaded; verify and a
-# Gauss-Laguerre moment then bind each lazy scipy name as a module
-# global holding the scipy object itself, which is what a tracer wraps.
+# spectrum and fit must leave numpy and scipy unloaded; verify then binds
+# each lazy scipy name as a module global holding the scipy object
+# itself, which is what a tracer wraps.
 _STARTUP_SCRIPT = """
 import contextlib, io, json, sys
 sys.path.insert(0, sys.argv[1])
@@ -177,19 +177,13 @@ codes = [
 ]
 heavy_after_closed_forms = heavy_modules()
 codes.append(run("verify", "--json"))
-state = kratzerml.make_radial_state(5.0, kratzerml.QuantumNumbers(0, 0), 1.0)
-kratzerml.expectation_inverse_power(
-    0, state, kratzerml.QuadratureSpec(scheme="gauss-laguerre")
-)
-import scipy.integrate, scipy.special
+import scipy.integrate
 print(json.dumps({
     "codes": codes,
     "heavy_after_import": heavy_after_import,
     "heavy_after_closed_forms": heavy_after_closed_forms,
     "bound": {
         "oracle.tanhsinh": kratzerml.oracle.tanhsinh is scipy.integrate.tanhsinh,
-        "oracle.roots_genlaguerre":
-            kratzerml.oracle.roots_genlaguerre is scipy.special.roots_genlaguerre,
         "momentum.solve_ivp":
             kratzerml.momentum.solve_ivp is scipy.integrate.solve_ivp,
     },

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import hypervirial
 from kratzerml.physmodel import (
     AMU_TO_KG,
     HBAR,
@@ -102,6 +103,34 @@ def test_matrix_element_coulomb_reduction():
         got = matrix_element_closed(2, qn, shape, s)
         n_p = n + l + 1
         assert got == pytest.approx(s * s / ((l + 0.5) * n_p**3), rel=1e-14)
+
+
+_EPS = 2.0**-52
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    log_gamma=st.floats(min_value=math.log(2.0), max_value=math.log(5000.0)),
+    n=st.integers(0, 20),
+    l=st.integers(0, 20),
+    re=st.sampled_from([1.0, 1e-10, 0.74e-10]),
+)
+def test_matrix_element_matches_hypervirial(log_gamma, n, l, re):
+    """<1/r^p>, p = 1..4, is the 60-digit hypervirial value to 10 eps.
+
+    Both sides take the same float scale s = gamma^2 / re, so what is
+    left is the rounding of lam and of the closed form's own arithmetic:
+    measured at most 7.63 eps (p = 4) over 240,000 random draws of this
+    box.  gamma >= 2 keeps lam >= 2.56, clear of every guard.
+    """
+    gamma = math.exp(log_gamma)
+    qn = QuantumNumbers(n, l)
+    shape = shape_numbers(gamma, qn)
+    scale = gamma * gamma / re
+    exact = hypervirial.inverse_power_moments(gamma, n, l, scale)
+    for p in (1, 2, 3, 4):
+        got = matrix_element_closed(p, qn, shape, scale)
+        assert abs(got - exact[p - 1]) <= 10.0 * _EPS * exact[p - 1], p
 
 
 def test_matrix_element_guards():
