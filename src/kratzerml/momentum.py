@@ -21,7 +21,6 @@ from .physmodel import require_beta
 
 __all__ = [
     "BRANCHES",
-    "VARIANTS",
     "GridError",
     "QuantizationBreakdownError",
     "StiffnessError",
@@ -46,7 +45,6 @@ __all__ = [
 solve_ivp = None
 
 BRANCHES = ("fast-decay", "slow-decay")
-VARIANTS = ("as-printed", "dimensional")
 
 #: density floor for solution grids
 MIN_POINTS_PER_DECADE = 200
@@ -430,14 +428,8 @@ def quantize_swave(prob: MomentumProblem, n_max: int, mu: float) -> list[float]:
 class HeunParams:
     """Five-regular-point form in z = (1 - i sqrt(6 beta) p)/2, phi = p psi.
 
-    heun_params_general builds it from either of two parameter readings:
-    "as-printed" keeps sigma1 in the c, d, e, f, rho1 slots and the
-    sqrt(beta) part of rho2 (with sigma2 in the flat part), exactly as
-    the source prints them; "dimensional" swaps sigma1 and sigma2
-    throughout those slots, which is what dimensional analysis demands
-    (sigma1 sqrt(beta) and sigma1/k are not dimensionless) and what the
-    numerical residual check confirms.  Neither is silently corrected
-    into the other.
+    The source prints them with sigma1 and sigma2 exchanged; that reading is
+    heun_params_general of the swapped problem, and heun_residual rejects it.
     """
 
     a: float
@@ -523,35 +515,27 @@ class HypergeometricParams:
         )
 
 
-def heun_params_general(
-    prob: MomentumProblem, variant: str = "dimensional"
-) -> HeunParams:
+def heun_params_general(prob: MomentumProblem) -> HeunParams:
     """Parameters of the five-point form for beta > 0.
 
-    Both variants give c + d = 1/3 and e + f = 4 exactly (the sigma
-    terms cancel pairwise), hence the same Fuchsian sum 13/3.
+    c + d = 1/3 and e + f = 4 exactly (the sigma2 terms cancel
+    pairwise), hence the Fuchsian sum 13/3.
     """
-    if variant not in VARIANTS:
-        raise ValueError(f"variant must be one of {VARIANTS}, got {variant!r}")
     if prob.beta <= 0.0:
         raise ValueError(
             "beta must be positive: at beta = 0 the singular points "
             "coalesce; use hypergeometric_params instead"
         )
+    sigma1 = prob.sigma1
+    sigma2 = prob.sigma2
     k = prob.k
     beta = prob.beta
     root = math.sqrt(6.0 * beta)
     denom = 1.0 - 6.0 * beta * k * k
     if abs(denom) < 1e-12:
         raise ValueError("parameter pole: 6 beta k^2 = 1")
-    if variant == "as-printed":
-        s_cd = s_ef = s_rho1 = s_rho2_root = prob.sigma1
-        s_rho2_flat = prob.sigma2
-    else:
-        s_cd = s_ef = s_rho1 = s_rho2_root = prob.sigma2
-        s_rho2_flat = prob.sigma1
-    half_cd = 0.5 * s_cd * root / denom
-    half_ef = (s_ef / k) * (1.0 - 3.0 * beta * k * k) / denom
+    half_cd = 0.5 * sigma2 * root / denom
+    half_ef = (sigma2 / k) * (1.0 - 3.0 * beta * k * k) / denom
     return HeunParams(
         a=1.0,
         b=7.0 / 3.0,
@@ -559,29 +543,28 @@ def heun_params_general(
         d=1.0 / 6.0 - half_cd,
         e=2.0 + half_ef,
         f=2.0 - half_ef,
-        rho1=-7.0 / 3.0 - (s_rho1 / 3.0) * root,
-        rho2=0.5 * beta * k * k + (s_rho2_root / 6.0) * root + 1.0 / 12.0
-        + 0.25 * s_rho2_flat,
+        rho1=-7.0 / 3.0 - (sigma2 / 3.0) * root,
+        rho2=0.5 * beta * k * k + (sigma2 / 6.0) * root + 1.0 / 12.0
+        + 0.25 * sigma1,
         z1=0.5 + 0.5 * k * root,
         z2=0.5 - 0.5 * k * root,
         beta=beta,
     )
 
 
-def heun_params_inverse_square(
-    sigma1: float, mu: float, energy: float, beta: float
-) -> HeunParamsIS:
+def heun_params_inverse_square(prob: MomentumProblem) -> HeunParamsIS:
     """Parameters of the four-point form on the sigma2 = 0 branch."""
-    if not mu > 0.0:
-        raise ValueError("reduced mass must be positive")
-    if not energy < 0.0:
-        raise ValueError("bound states require energy < 0")
+    if prob.sigma2 != 0.0:
+        raise ValueError("the four-point form holds only at sigma2 = 0")
+    k = prob.k
+    beta = prob.beta
     if not beta > 0.0:
         raise ValueError("beta must be positive for the deformed chart")
-    denom = 1.0 + 12.0 * mu * beta * energy
+    six_bk2 = 6.0 * beta * (k * k)
+    denom = 1.0 - six_bk2
     if abs(denom) < 1e-12:
-        raise ValueError("parameter pole: 1 + 12 mu beta E = 0")
-    xi0 = 12.0 * mu * beta * energy / denom
+        raise ValueError("parameter pole: 6 beta k^2 = 1")
+    xi0 = -six_bk2 / denom
     if xi0 >= 0.0:
         raise ValueError(
             "xi0 must be negative for a bound-state chart; "
@@ -593,7 +576,7 @@ def heun_params_inverse_square(
         c=1.5,
         d=1.0 / 3.0,
         e=2.0,
-        q=-1.5 + 0.25 * sigma1 / denom,
+        q=-1.5 + 0.25 * prob.sigma1 / denom,
         xi0=xi0,
         beta=beta,
     )

@@ -28,8 +28,8 @@ from .physmodel import (
     beta_from_min_length,
     energy_from_joule,
     gamma_of,
+    lambda_of,
     minimal_length,
-    shape_numbers,
 )
 from .spectrum import (
     energy_deformed,
@@ -291,13 +291,13 @@ def cmd_spectrum(args) -> int:
     levels = []
     failed = 0
     for l in range(args.lmax + 1):
+        lam = lambda_of(gamma, l)
         for n in range(args.nmax + 1):
             qn = QuantumNumbers(n, l)
-            shape = shape_numbers(gamma, qn)
             entry: dict = {
                 "n": n,
                 "l": l,
-                "lambda": _tagged(shape.lam, "dimensionless"),
+                "lambda": _tagged(lam, "dimensionless"),
             }
             try:
                 level = energy_deformed(mol, beta, qn)

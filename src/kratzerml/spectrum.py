@@ -190,8 +190,6 @@ def energy_deformed(mol: Molecule, beta: float, qn: QuantumNumbers) -> EnergyLev
     differ only in floating-point grouping.
     """
     ((e0, de),) = level_energies(mol, beta, ((qn.n, qn.l),))
-    if beta == 0.0:
-        return EnergyLevel(n=qn.n, l=qn.l, e0=e0, de=0.0, e=e0)
     warning = None
     if abs(de) > PERTURBATIVE_WARN_RATIO * abs(e0):
         warning = (

@@ -19,7 +19,6 @@ import numpy as np
 from . import PRESETS
 from .momentum import (
     BRANCHES,
-    VARIANTS,
     MomentumProblem,
     fit_slope,
     heun_params_general,
@@ -208,10 +207,12 @@ def _fuchsian(draws: int) -> tuple[float, int]:
         k = math.exp(rng.uniform(math.log(1e-2), math.log(1e2)))
         crowding = 10.0 ** rng.uniform(-6.0, math.log10(0.5))
         beta = crowding / (6.0 * k * k)
-        prob = MomentumProblem(sigma1=sigma1, sigma2=sigma2, k=k, beta=beta)
-        params = [heun_params_general(prob, variant) for variant in VARIANTS]
-        params.append(
-            heun_params_inverse_square(sigma1, 1.0, -0.5 * k * k, beta)
+        # the problem, its sigma-swapped twin (the source's printed
+        # reading) and the sigma2 = 0 problem of the four-point form
+        params = (
+            heun_params_general(MomentumProblem(sigma1, sigma2, k, beta)),
+            heun_params_general(MomentumProblem(sigma2, sigma1, k, beta)),
+            heun_params_inverse_square(MomentumProblem(sigma1, 0.0, k, beta)),
         )
         devs.append(max(par.fuchsian_residual() for par in params))
     return max(devs), len(devs)

@@ -195,15 +195,17 @@ def test_criterion_08_fuchsian_conditions():
             k=k,
             beta=beta,
         )
-        for variant in ("as-printed", "dimensional"):
-            residual = heun_params_general(prob, variant).fuchsian_residual()
+        twin = MomentumProblem(prob.sigma2, prob.sigma1, prob.k, prob.beta)
+        for member in (prob, twin):
+            residual = heun_params_general(member).fuchsian_residual()
             worst_general = max(worst_general, residual)
         mu = 10.0 ** rng.uniform(-1.0, 1.0)
         energy = -(10.0 ** rng.uniform(-1.0, 1.0))
         share = rng.uniform(1e-6, 0.5)
         beta_is = share / (12.0 * mu * abs(energy))
+        k_is = math.sqrt(2.0 * mu * abs(energy))
         params = heun_params_inverse_square(
-            rng.uniform(-3.0, 3.0), mu, energy, beta_is
+            MomentumProblem(rng.uniform(-3.0, 3.0), 0.0, k_is, beta_is)
         )
         worst_is = max(worst_is, params.fuchsian_residual())
     ok = worst_general <= 1e-12 and worst_is <= 1e-12

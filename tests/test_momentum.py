@@ -9,6 +9,7 @@ import kratzerml.momentum
 from kratzerml.momentum import (
     BRANCHES,
     GridError,
+    HeunParams,
     MomentumProblem,
     OdeSolution,
     QuantizationBreakdownError,
@@ -46,8 +47,8 @@ def test_problem_validation():
 
 @pytest.mark.parametrize("name, value", [
     ("sigma1", math.nan), ("sigma1", -math.inf), ("sigma2", math.nan),
-    ("sigma2", math.inf), ("k", math.inf), ("beta", math.nan),
-    ("beta", math.inf),
+    ("sigma2", math.inf), ("k", math.inf), ("k", math.nan),
+    ("beta", math.nan), ("beta", math.inf),
 ])
 def test_problem_rejects_nonfinite(name, value):
     params = {"sigma1": 0.0, "sigma2": 1.0, "k": 1.0, "beta": 0.0, name: value}
@@ -428,10 +429,42 @@ def test_beta_continuity():
             assert float(dev.max()) < 1e-4, (sigma1, sigma2)
 
 
+def _swapped(prob):
+    """The problem with sigma1 and sigma2 exchanged: the printed reading."""
+    return MomentumProblem(prob.sigma2, prob.sigma1, prob.k, prob.beta)
+
+
+def _as_printed(prob):
+    """The five-point parameters with the source's printed sigma slots.
+
+    sigma1 sits in c, d, e, f, rho1 and the sqrt(beta) part of rho2, and
+    sigma2 in the flat part of rho2, grouped as heun_params_general.
+    """
+    k, beta = prob.k, prob.beta
+    root = math.sqrt(6.0 * beta)
+    denom = 1.0 - 6.0 * beta * k * k
+    half_cd = 0.5 * prob.sigma1 * root / denom
+    half_ef = (prob.sigma1 / k) * (1.0 - 3.0 * beta * k * k) / denom
+    return HeunParams(
+        a=1.0,
+        b=7.0 / 3.0,
+        c=1.0 / 6.0 + half_cd,
+        d=1.0 / 6.0 - half_cd,
+        e=2.0 + half_ef,
+        f=2.0 - half_ef,
+        rho1=-7.0 / 3.0 - (prob.sigma1 / 3.0) * root,
+        rho2=0.5 * beta * k * k + (prob.sigma1 / 6.0) * root + 1.0 / 12.0
+        + 0.25 * prob.sigma2,
+        z1=0.5 + 0.5 * k * root,
+        z2=0.5 - 0.5 * k * root,
+        beta=beta,
+    )
+
+
 def test_heun_params_general_structure():
     prob = MomentumProblem(sigma1=3.0, sigma2=0.9, k=0.5, beta=0.8)
-    for variant in ("as-printed", "dimensional"):
-        params = heun_params_general(prob, variant)
+    for member in (prob, _swapped(prob)):
+        params = heun_params_general(member)
         assert params.a == 1.0 and params.b == pytest.approx(7.0 / 3.0)
         assert params.c + params.d == pytest.approx(1.0 / 3.0, rel=1e-12)
         assert params.e + params.f == pytest.approx(4.0, rel=1e-12)
@@ -440,9 +473,9 @@ def test_heun_params_general_structure():
             prob.k * math.sqrt(6.0 * prob.beta), rel=1e-12
         )
         assert params.fuchsian_residual() < 1e-12
-    printed = heun_params_general(prob, "as-printed")
-    dim = heun_params_general(prob, "dimensional")
-    # the variants disagree whenever sigma1 != sigma2
+    printed = heun_params_general(_swapped(prob))
+    dim = heun_params_general(prob)
+    # the readings disagree whenever sigma1 != sigma2
     assert printed.c != dim.c
     assert printed.rho2 != dim.rho2
 
@@ -453,13 +486,13 @@ def test_heun_params_general_validation():
     pole = MomentumProblem(sigma1=0.0, sigma2=1.0, k=1.0, beta=1.0 / 6.0)
     with pytest.raises(ValueError):
         heun_params_general(pole)
-    prob = MomentumProblem(sigma1=0.0, sigma2=1.0, k=1.0, beta=1.0)
-    with pytest.raises(ValueError):
-        heun_params_general(prob, "corrected")
 
 
 def test_heun_fuchsian_relation_seeded():
-    """a + b + 1 = c + d + e + f across a random parameter box."""
+    """a + b + 1 = c + d + e + f across a random parameter box.
+
+    The printed reading is the swapped problem's parameters, bit for bit.
+    """
     rng = np.random.default_rng(19081887)
     for _ in range(200):
         k = 10.0 ** rng.uniform(-1.0, 1.0)
@@ -471,12 +504,13 @@ def test_heun_fuchsian_relation_seeded():
             k=k,
             beta=beta,
         )
-        for variant in ("as-printed", "dimensional"):
-            assert heun_params_general(prob, variant).fuchsian_residual() < 1e-12
+        for member in (prob, _swapped(prob)):
+            assert heun_params_general(member).fuchsian_residual() < 1e-12
+        assert heun_params_general(_swapped(prob)) == _as_printed(prob)
 
 
 def test_heun_inverse_square_params():
-    params = heun_params_inverse_square(2.0, 1.0, -0.5, 0.05)
+    params = heun_params_inverse_square(MomentumProblem(2.0, 0.0, 1.0, 0.05))
     assert (params.a, params.b, params.c, params.d, params.e) == (
         11.0 / 6.0,
         1.0,
@@ -490,23 +524,16 @@ def test_heun_inverse_square_params():
 
 
 def test_heun_inverse_square_validation():
-    with pytest.raises(ValueError):
-        heun_params_inverse_square(2.0, 0.0, -0.5, 0.05)
-    with pytest.raises(ValueError):
-        heun_params_inverse_square(2.0, 1.0, 0.5, 0.05)
-    with pytest.raises(ValueError):
-        heun_params_inverse_square(2.0, 1.0, -0.5, 0.0)
-    with pytest.raises(ValueError):
-        heun_params_inverse_square(2.0, 1.0, -1.0, 1.0 / 12.0)  # pole
-    with pytest.raises(ValueError):
-        heun_params_inverse_square(2.0, 1.0, -1.0, 0.1)  # xi0 > 0
-    # NaN fails every comparison, so each guard must reject it explicitly
-    with pytest.raises(ValueError, match="reduced mass"):
-        heun_params_inverse_square(2.0, math.nan, -1.0, 1e-3)
-    with pytest.raises(ValueError, match="energy < 0"):
-        heun_params_inverse_square(2.0, 1.0, math.nan, 1e-3)
+    with pytest.raises(ValueError, match="sigma2 = 0"):
+        heun_params_inverse_square(MomentumProblem(2.0, 0.5, 1.0, 0.05))
     with pytest.raises(ValueError, match="beta must be positive"):
-        heun_params_inverse_square(2.0, 1.0, -1.0, math.nan)
+        heun_params_inverse_square(MomentumProblem(2.0, 0.0, 1.0, 0.0))
+    with pytest.raises(ValueError, match="pole"):
+        heun_params_inverse_square(MomentumProblem(2.0, 0.0, 1.0, 1.0 / 6.0))
+    with pytest.raises(ValueError, match="xi0"):
+        heun_params_inverse_square(
+            MomentumProblem(2.0, 0.0, math.sqrt(2.0), 0.1)
+        )
 
 
 def test_hypergeometric_params():
@@ -528,7 +555,7 @@ def test_heun_residual_grid_checks():
     grid = np.geomspace(1.0, 1.001, 4)
     values = np.ones(4, dtype=complex)
     sol = OdeSolution(grid=grid, values=values, branch="fast-decay")
-    params = heun_params_inverse_square(2.0, 1.0, -0.5, 0.05)
+    params = heun_params_inverse_square(MomentumProblem(2.0, 0.0, 1.0, 0.05))
     with pytest.raises(GridError):
         heun_residual(params, sol)
     dense = _dense_solution()
@@ -546,8 +573,7 @@ def test_heun_residual_inverse_square_chart():
         prob, "fast-decay", (p0 / 40.0, 40.0 * p0),
         rtol=1e-12, points_per_decade=4000,
     )
-    params = heun_params_inverse_square(2.0, 1.0, -0.5, beta)
-    assert heun_residual(params, sol) < 1e-5
+    assert heun_residual(heun_params_inverse_square(prob), sol) < 1e-5
 
 
 def test_heun_residual_hypergeometric_chart():
@@ -561,15 +587,15 @@ def test_heun_residual_hypergeometric_chart():
 
 
 def test_heun_residual_adjudicates_variants():
-    """The numerical solution picks the dimensional parameter reading."""
+    """The numerical solution rejects the printed, sigma-swapped reading."""
     prob = MomentumProblem(sigma1=3.0, sigma2=0.9, k=0.5, beta=0.8)
     p0 = 1.0 / math.sqrt(6.0 * prob.beta)
     sol = integrate_branch(
         prob, "fast-decay", (p0 / 40.0, 40.0 * p0),
         rtol=1e-12, points_per_decade=8000,
     )
-    good = heun_residual(heun_params_general(prob, "dimensional"), sol)
-    bad = heun_residual(heun_params_general(prob, "as-printed"), sol)
+    good = heun_residual(heun_params_general(prob), sol)
+    bad = heun_residual(heun_params_general(_swapped(prob)), sol)
     assert good < 1e-5
     assert bad > 1e-2
     assert good < bad / 1e3
@@ -579,7 +605,7 @@ def test_heun_residual_zero_solution():
     grid = np.geomspace(1.0, 10.0, 201)
     zeros = np.zeros(201, dtype=complex)
     sol = OdeSolution(grid=grid, values=zeros, branch="fast-decay")
-    params = heun_params_inverse_square(2.0, 1.0, -0.5, 0.05)
+    params = heun_params_inverse_square(MomentumProblem(2.0, 0.0, 1.0, 0.05))
     assert heun_residual(params, sol) == 0.0
 
 
