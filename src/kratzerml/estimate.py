@@ -9,6 +9,8 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from operator import mul
+from typing import NamedTuple
 
 from .physmodel import (
     ANGSTROM_TO_M,
@@ -72,13 +74,13 @@ class FitResult:
     converged: bool
 
 
-@dataclass(frozen=True)
-class _Projection:
+class _Projection(NamedTuple):
     """One level set at gamma = gamma0 e^s and De0, and its best fit.
 
     a, b and gap are the weighted E0, shift at beta = 1 and E0 - E_obs of
     each level; De = De0 (1 + u) and beta De^2 = c De0^2 fit them best, in
-    residuals res with sum of squares rss.
+    residuals res with sum of squares rss.  A fit builds about eleven, and
+    a named tuple is built ~3x faster than a frozen dataclass.
     """
 
     s: float
@@ -98,18 +100,18 @@ def _solve_linear(
     # normal equations; clamp holds c at 0 when it comes out negative.
     # Each residual is summed as gap + u a + c b, terms small next to E0,
     # so forming it adds roundoff far below an ulp of the level
-    aa = math.fsum(p * p for p in a)
-    u = -math.fsum(p * g for p, g in zip(a, gap)) / aa
-    along = math.fsum(p * q for p, q in zip(a, b)) / aa
+    aa = math.fsum(map(mul, a, a))
+    u = -math.fsum(map(mul, a, gap)) / aa
+    along = math.fsum(map(mul, a, b)) / aa
     b_perp = [q - along * p for p, q in zip(a, b)]
-    c = -math.fsum(q * (g + u * p) for p, q, g in zip(a, b_perp, gap))
-    c /= math.fsum(q * q for q in b_perp)
+    c = -math.fsum(map(mul, b_perp, [g + u * p for p, g in zip(a, gap)]))
+    c /= math.fsum(map(mul, b_perp, b_perp))
     if clamp and c < 0.0:
         c = 0.0
     else:
         u -= c * along
     res = [g + u * p + c * q for p, q, g in zip(a, b, gap)]
-    return _Projection(s, a, b, gap, u, c, res, math.fsum(r * r for r in res))
+    return _Projection(s, a, b, gap, u, c, res, math.fsum(map(mul, res, res)))
 
 
 def zpe_theoretical(mol: Molecule, beta: float) -> float:
@@ -229,6 +231,9 @@ def fit_parameters(
 
     nl = [(n, l) for n, l, _, _ in rows]
     observed = [(e_obs, math.sqrt(weight)) for _, _, e_obs, weight in rows]
+    # J per cm^-1 from the unit table, looked up once: x / wavenumber is
+    # energy_from_joule(x, "cm-1") bit for bit
+    wavenumber = energy_to_joule(1.0, "cm-1")
 
     def project(s: float, clamp: bool) -> _Projection:
         # at fixed De0 and mu, gamma is proportional to re
@@ -237,9 +242,9 @@ def fit_parameters(
         a, b, gap = [], [], []
         levels = level_energies(mol, 1.0, nl)
         for (e0, de), (e_obs, root_w) in zip(levels, observed):
-            e0 = energy_from_joule(e0, "cm-1")
+            e0 /= wavenumber
             a.append(root_w * e0)
-            b.append(root_w * energy_from_joule(de, "cm-1"))
+            b.append(root_w * (de / wavenumber))
             gap.append(root_w * (e0 - e_obs))
         return _solve_linear(s, a, b, gap, clamp)
 
@@ -261,8 +266,8 @@ def fit_parameters(
             if probe is None:
                 break
             slope = [(p - q) / _FD_STEP for p, q in zip(probe.res, cur.res)]
-            step = -math.fsum(p * r for p, r in zip(slope, cur.res))
-            step /= math.fsum(p * p for p in slope)
+            step = -math.fsum(map(mul, slope, cur.res))
+            step /= math.fsum(map(mul, slope, slope))
             step = max(-_MAX_STEP, min(_MAX_STEP, step))
             if cur.s + step == cur.s:
                 return cur, True

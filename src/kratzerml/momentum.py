@@ -221,8 +221,8 @@ def _batch(prob, branch) -> tuple[list[MomentumProblem], list[str]]:
         branches *= len(probs)
     elif len(probs) != len(branches):
         raise ValueError(
-            f"a batch pairs problems and branches one to one; got "
-            f"{len(probs)} problems and {len(branches)} branches"
+            f"a batch pairs two sequences element by element; cannot pair "
+            f"{len(probs)} items with {len(branches)}"
         )
     if not probs:
         raise ValueError("the batch is empty")
@@ -246,12 +246,13 @@ def integrate_branch(
 
     prob and branch are each one item or a sequence, paired element by
     element; a single item pairs with every element of the other, and
-    sequences of unequal length are refused.  The members share p_range,
-    the grid and p_stop, and are integrated as one stacked system: a call
-    with only single items returns one OdeSolution, any other a list in
-    batch order.  The stacked members share one adaptive step sequence,
-    chosen by an error norm over all of them, so a member's bits depend
-    on its batch-mates, within rtol; a single problem is a batch of one.
+    sequences of unequal length and an empty batch are refused.  The
+    members share p_range, the grid and p_stop, and are integrated as one
+    stacked system: a call with only single items returns one
+    OdeSolution, any other a list in batch order.  The stacked members
+    share one adaptive step sequence, chosen by an error norm over all of
+    them, so a member's bits depend on its batch-mates, within rtol; a
+    single problem is a batch of one.
 
     Initial conditions at p_max follow the branch's asymptotic power law
     phi = p^s, phi' = s p^(s-1) with s = -7/3 (fast) or -1 (slow) when

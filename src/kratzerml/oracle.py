@@ -115,21 +115,27 @@ class _Integral:
 
 
 def _batch(item) -> list:
-    # one item is a batch of one; a sequence is its items
-    return list(item) if isinstance(item, Sequence) else [item]
+    # one item is a batch of one; a sequence is its items, at least one
+    items = list(item) if isinstance(item, Sequence) else [item]
+    if not items:
+        raise ValueError("the batch is empty")
+    return items
 
 
 def _paired(first, second) -> list[tuple]:
-    # two batches pair element by element; a batch of one pairs with all
-    if len(first) == 1:
-        first = first * len(second)
-    if len(second) == 1:
-        second = second * len(first)
-    if len(first) != len(second):
+    # a single item pairs with every member of the other argument; two
+    # sequences pair element by element, so their lengths must agree
+    firsts, seconds = _batch(first), _batch(second)
+    if not isinstance(first, Sequence):
+        firsts *= len(seconds)
+    elif not isinstance(second, Sequence):
+        seconds *= len(firsts)
+    elif len(firsts) != len(seconds):
         raise ValueError(
-            f"cannot pair {len(first)} items with {len(second)}"
+            f"a batch pairs two sequences element by element; cannot pair "
+            f"{len(firsts)} items with {len(seconds)}"
         )
-    return list(zip(first, second))
+    return list(zip(firsts, seconds))
 
 
 def _unbatched(results: list, *items) -> list | object:
@@ -338,14 +344,15 @@ def expectation_inverse_power(
     """<1/r^p> in m^-p for normalized bound states, by quadrature.
 
     state is one RadialState or a sequence of them, and p one power in
-    0..4 or a sequence of them; two sequences pair element by element,
-    and a single item pairs with every element of the other.  Returns one
+    0..4 or a sequence of them; two sequences pair element by element
+    and must have equal lengths, a single item pairs with every element of
+    the other, and an empty sequence is refused.  Returns one
     QuadratureResult when both are single, else a list in pair order.
     p = 0 returns the normalization integral (1 up to quadrature error).
     Raises NonIntegrableError when 2 lam <= p - 1 and ToleranceError when
     the error estimate misses the spec thresholds.
     """
-    pairs = _paired(_batch(p), _batch(state))
+    pairs = _paired(p, state)
     for power, _ in pairs:
         if power not in range(5):
             raise ValueError(f"p must be an integer in 0..4, got {power!r}")
@@ -366,7 +373,7 @@ def radial_overlap(state_a, state_b):
     1e-10 or at an absolute 1e-12, whichever comes first; judge the value
     against an absolute tolerance too.
     """
-    pairs = _paired(_batch(state_a), _batch(state_b))
+    pairs = _paired(state_a, state_b)
     integrals = [_Integral(a, b, 0, "overlap") for a, b in pairs]
     results = _tanh_sinh(integrals, QuadratureSpec(), atol=_OVERLAP_ATOL)
     return _unbatched([result for result, _ in results], state_a, state_b)
@@ -387,8 +394,8 @@ def correction_via_expectations(
     is formed pointwise and integrated once: assembling it as
     E0^2 - 2 E0 <V> + <V^2> from separate moments cancels the O(gamma^2)
     terms and loses digits as gamma grows.  The result is nonnegative.
-    state is one RadialState, giving one result, or a sequence of them,
-    giving a list.
+    state is one RadialState, giving one result, or a nonempty sequence
+    of them, giving a list.
     """
     if not mu > 0.0:
         raise ValueError("reduced mass must be positive")

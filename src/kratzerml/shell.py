@@ -12,9 +12,9 @@ error.
 from __future__ import annotations
 
 import argparse
-import json
 import math
 import sys
+from json.encoder import encode_basestring_ascii
 from pathlib import Path
 
 from . import PRESETS
@@ -253,10 +253,68 @@ def _molecule_doc(mol: Molecule) -> dict:
     return doc
 
 
+#: how json.encoder spells the floats that float.__repr__ writes as nan,
+#: inf and -inf
+_NONFINITE = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
+
+
+def _write_json(obj, newline: str, put) -> None:
+    # floats first: they are most of a report's leaves; bools before ints
+    if isinstance(obj, float):
+        text = float.__repr__(obj)
+        put(_NONFINITE.get(text, text))
+    elif isinstance(obj, str):
+        put(encode_basestring_ascii(obj))
+    elif isinstance(obj, dict):
+        if not obj:
+            put("{}")
+            return
+        inner = newline + "  "
+        sep = "{" + inner
+        for key, value in obj.items():
+            put(sep + encode_basestring_ascii(key) + ": ")
+            _write_json(value, inner, put)
+            sep = "," + inner
+        put(newline + "}")
+    elif isinstance(obj, (list, tuple)):
+        if not obj:
+            put("[]")
+            return
+        inner = newline + "  "
+        sep = "[" + inner
+        for value in obj:
+            put(sep)
+            _write_json(value, inner, put)
+            sep = "," + inner
+        put(newline + "]")
+    elif obj is None:
+        put("null")
+    elif obj is True:
+        put("true")
+    elif obj is False:
+        put("false")
+    elif isinstance(obj, int):
+        put(int.__repr__(obj))
+    else:
+        raise TypeError(
+            f"Object of type {type(obj).__name__} is not JSON serializable"
+        )
+
+
+def _indented_json(doc) -> str:
+    """json.dumps(doc, indent=2) for documents with string keys, byte for
+    byte, at about half its cost: indent= makes json.dumps use its
+    pure-Python encoder, while this walks only the containers in Python
+    and encodes every leaf with the functions the C encoder uses."""
+    parts: list[str] = []
+    _write_json(doc, "\n", parts.append)
+    return "".join(parts)
+
+
 def _emit(doc: dict, human: list[str], args) -> None:
-    # serialised only when asked for: indent= turns off the C encoder
+    # serialised only when --json or --out asks for it
     if args.json or args.out:
-        payload = json.dumps(doc, indent=2) + "\n"
+        payload = _indented_json(doc) + "\n"
         if args.out:
             Path(args.out).write_text(payload, encoding="utf-8")
         if args.json:

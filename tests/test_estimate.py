@@ -152,11 +152,24 @@ def test_fit_round_trip_heavy(beta):
             beta=3.5000000099735204e+40, rss_cm2=2.7144833619574704e-22,
             iterations=9, converged=True,
         )),
+        # free best beta De^2 < 0: the search reruns with it clamped at 0
+        (synthetic_levels(MOL0, 0.0), 1.2, (52000.0, 1.0, 0.0), FitResult(
+            de_cm1=45000.000000000015, re_angstrom=1.0999999999999979,
+            beta=0.0, rss_cm2=2.8537731133079455e-22,
+            iterations=17, converged=True,
+        )),
+        ([(n, l, e, 1.0 + 0.5 * n + 0.25 * l) for n, l, e in LEVELS], 1.2,
+         (52000.0, 1.0, 0.0), FitResult(
+            de_cm1=45000.000000000015, re_angstrom=1.0999999999999859,
+            beta=6.736923999634411e+41, rss_cm2=1.2582855368485914e-21,
+            iterations=11, converged=True,
+        )),
     ],
-    ids=["light", "heavy"],
+    ids=["light", "heavy", "clamped", "weighted"],
 )
 def test_fit_frozen_values(levels, mu_amu, init, expected):
-    """Every bit of a light (gamma 62) and a heavy (gamma 1000) fit."""
+    """Every bit of a light (gamma 62) and a heavy (gamma 1000) free fit,
+    of a fit that takes the clamped rerun and of a weighted fit."""
     assert fit_parameters(levels, mu_amu, init) == expected
 
 

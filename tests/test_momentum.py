@@ -286,9 +286,9 @@ def test_batch_pairing():
 def test_batch_refuses_unequal_lengths_and_bad_members():
     probs = [MomentumProblem(sigma1=s, sigma2=0.4, k=1.0, beta=1.0)
              for s in (-1.0, 0.0, 2.0)]
-    with pytest.raises(ValueError, match="3 problems and 2 branches"):
+    with pytest.raises(ValueError, match="cannot pair 3 items with 2"):
         integrate_branch(probs, list(BRANCHES), (1.0, 2e3))
-    with pytest.raises(ValueError, match="1 problems and 2 branches"):
+    with pytest.raises(ValueError, match="cannot pair 1 items with 2"):
         integrate_branch(probs[:1], list(BRANCHES), (1.0, 2e3))
     with pytest.raises(ValueError, match="empty"):
         integrate_branch([], "fast-decay", (1.0, 2e3))

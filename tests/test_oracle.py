@@ -322,6 +322,16 @@ def test_batches_pair_their_arguments():
     ]
     with pytest.raises(ValueError, match="cannot pair 2 items with 3"):
         expectation_inverse_power((1, 2), states)
+    # a one-element sequence is a sequence, not a single item
+    with pytest.raises(ValueError, match="cannot pair 1 items with 3"):
+        expectation_inverse_power([2], states)
+    with pytest.raises(ValueError, match="cannot pair 2 items with 1"):
+        radial_overlap(states[:2], states[:1])
+    for empty in ((2, []), ([], states[0]), ([], [])):
+        with pytest.raises(ValueError, match="empty"):
+            expectation_inverse_power(*empty)
+    with pytest.raises(ValueError, match="empty"):
+        radial_overlap(states[0], ())
     with pytest.raises(ValueError, match="p must be an integer"):
         expectation_inverse_power((1, 5, 2), states)
 

@@ -1,7 +1,9 @@
 import json
+import math
 import warnings
 
 import pytest
+from hypothesis import example, given, strategies as st
 
 from kratzerml import shell
 from kratzerml.estimate import zpe_theoretical
@@ -227,13 +229,6 @@ def test_spectrum_json_deterministic(capsys):
     main(argv)
     second = capsys.readouterr().out
     assert first == second
-
-
-def test_spectrum_out_file_matches_stdout(capsys, tmp_path):
-    out = tmp_path / "report.json"
-    main(["spectrum", "H2", "--json", "--out", str(out)])
-    stdout = capsys.readouterr().out
-    assert out.read_text(encoding="utf-8") == stdout
 
 
 def test_human_output_out_file_matches_json(capsys, tmp_path):
@@ -558,3 +553,57 @@ def test_non_finite_arguments_are_usage_errors(capsys, levels_file, argv):
     argv = [arg.format(levels=levels_file) for arg in argv]
     assert main(argv) == 2
     assert "finite" in capsys.readouterr().err
+
+
+# -------------------------------------------------------------- reports
+
+
+_JSON_LEAVES = st.one_of(
+    st.none(),
+    st.booleans(),
+    st.integers(),
+    st.floats(),  # NaN, the infinities and both zeros included
+    st.text(),  # control and non-ASCII characters included
+)
+_JSON_DOCS = st.recursive(
+    _JSON_LEAVES,
+    lambda inner: st.one_of(
+        st.lists(inner, max_size=4),
+        st.lists(inner, max_size=4).map(tuple),
+        st.dictionaries(st.text(), inner, max_size=4),
+    ),
+    max_leaves=30,
+)
+
+
+@given(_JSON_DOCS)
+@example({"\x00\x1f\"\\/\u00e9\u2028\U0001f600": [
+    0.0, -0.0, math.nan, math.inf, -math.inf, 1e300, 5e-324,
+    True, False, 0, -(10**30), None, (), {}, [], [()], {"": {}},
+]})
+def test_indented_writer_is_json_dumps(doc):
+    """The report writer gives the bytes of json.dumps(doc, indent=2)."""
+    assert shell._indented_json(doc) == json.dumps(doc, indent=2)
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["spectrum", "H2", "--nmax", "2", "--lmax", "1", "--min-length", "0.01",
+         "--expansion", "--decompose"],
+        ["spectrum", "H2", "--min-length", "10", "--nmax", "1", "--lmax", "0"],
+        ["bound", "H2"],
+        ["verify"],
+        ["fit", "{levels}", "--mu", "1.2", "--init", "52000,1.0,0"],
+    ],
+    ids=["spectrum", "spectrum-unbound", "bound", "verify", "fit"],
+)
+def test_report_is_its_own_indented_json(capsys, tmp_path, levels_file, argv):
+    """Every command prints json.dumps(json.loads(report), indent=2), and
+    --out writes the bytes that --json prints."""
+    argv = [arg.format(levels=levels_file) for arg in argv]
+    path = tmp_path / "report.json"
+    main([*argv, "--json", "--out", str(path)])
+    out = capsys.readouterr().out
+    assert out == json.dumps(json.loads(out), indent=2) + "\n"
+    assert path.read_text(encoding="utf-8") == out
