@@ -2,7 +2,8 @@
 
 Numerical integration of the deformed and undeformed momentum-space
 equations, large-momentum exponent analysis, the s-wave quantization
-rule, and the Heun-type parameterizations with their Fuchsian checks.
+rule with its closed-form wavefunction, and the Heun-type
+parameterizations with their Fuchsian checks.
 
 All integrations work on phi = p psi, which is regular at the origin
 where psi itself is not; solutions are reported as psi on the grid.
@@ -12,16 +13,18 @@ from __future__ import annotations
 
 import cmath
 import math
+from collections.abc import Iterable
 from dataclasses import dataclass
-from typing import NamedTuple, Sequence
+from typing import NamedTuple
 
 import numpy as np
 
-from .physmodel import require_beta
+from .physmodel import batch_columns, require_beta
 
 __all__ = [
     "BRANCHES",
     "GridError",
+    "NonQuantizedError",
     "QuantizationBreakdownError",
     "StiffnessError",
     "MomentumProblem",
@@ -34,6 +37,7 @@ __all__ = [
     "fit_slope",
     "indicial_exponents",
     "quantize_swave",
+    "momentum_wavefunction_undeformed",
     "heun_params_general",
     "heun_params_inverse_square",
     "hypergeometric_params",
@@ -59,8 +63,12 @@ class StiffnessError(RuntimeError):
     """The adaptive integrator collapsed its step size and gave up."""
 
 
-class QuantizationBreakdownError(ValueError):
-    """s-wave quantization requested in the singular regime sigma1 <= -1/4."""
+class NonQuantizedError(ValueError):
+    """Momentum k does not satisfy the s-wave quantization condition."""
+
+
+class QuantizationBreakdownError(NonQuantizedError):
+    """s-wave quantization requested in the singular regime sigma1 < -1/4."""
 
 
 class GridError(ValueError):
@@ -72,7 +80,7 @@ class MomentumProblem:
     """Parameter set of the momentum-space equation.
 
     sigma1 is the dimensionless inverse-square coupling 2 mu g1/hbar^2;
-    any sign is admissible, sigma1 <= -1/4 being the singular regime.
+    any sign is admissible, sigma1 < -1/4 being the singular regime.
     sigma2 = mu g2/hbar and k = sqrt(-2 mu E) carry momentum units and
     beta inverse momentum squared.
     """
@@ -211,30 +219,9 @@ class OdeSolution:
             raise ValueError(f"branch must be one of {BRANCHES}, got {self.branch!r}")
 
 
-def _batch(prob, branch) -> tuple[list[MomentumProblem], list[str]]:
-    # a single item pairs with every member of the other argument
-    probs = [prob] if isinstance(prob, MomentumProblem) else list(prob)
-    branches = [branch] if isinstance(branch, str) else list(branch)
-    if isinstance(prob, MomentumProblem):
-        probs *= len(branches)
-    elif isinstance(branch, str):
-        branches *= len(probs)
-    elif len(probs) != len(branches):
-        raise ValueError(
-            f"a batch pairs two sequences element by element; cannot pair "
-            f"{len(probs)} items with {len(branches)}"
-        )
-    if not probs:
-        raise ValueError("the batch is empty")
-    for member in branches:
-        if member not in BRANCHES:
-            raise ValueError(f"branch must be one of {BRANCHES}, got {member!r}")
-    return probs, branches
-
-
 def integrate_branch(
-    prob: MomentumProblem | Sequence[MomentumProblem],
-    branch: str | Sequence[str],
+    prob: MomentumProblem | Iterable[MomentumProblem],
+    branch: str | Iterable[str],
     p_range: tuple[float, float],
     *,
     rtol: float = 1e-10,
@@ -244,15 +231,12 @@ def integrate_branch(
 ) -> OdeSolution | list[OdeSolution]:
     """Integrate decay branches inward from p_max.
 
-    prob and branch are each one item or a sequence, paired element by
-    element; a single item pairs with every element of the other, and
-    sequences of unequal length and an empty batch are refused.  The
-    members share p_range, the grid and p_stop, and are integrated as one
-    stacked system: a call with only single items returns one
-    OdeSolution, any other a list in batch order.  The stacked members
-    share one adaptive step sequence, chosen by an error norm over all of
-    them, so a member's bits depend on its batch-mates, within rtol; a
-    single problem is a batch of one.
+    prob and branch are each one item or a batch, paired by
+    physmodel.batch_columns: one OdeSolution, or a list in batch order.
+    The members share p_range, the grid and p_stop, and are integrated as
+    one stacked system that shares one adaptive step sequence, chosen by
+    an error norm over all of them, so a member's bits depend on its
+    batch-mates, within rtol; a single problem is a batch of one.
 
     Initial conditions at p_max follow the branch's asymptotic power law
     phi = p^s, phi' = s p^(s-1) with s = -7/3 (fast) or -1 (slow) when
@@ -280,7 +264,10 @@ def integrate_branch(
     from the same step's interpolant as in the full run.  p_stop <= p_min
     gives the full solution.
     """
-    probs, branches = _batch(prob, branch)
+    (probs, branches), single = batch_columns(prob, branch)
+    for member in branches:
+        if member not in BRANCHES:
+            raise ValueError(f"branch must be one of {BRANCHES}, got {member!r}")
     if points_per_decade < MIN_POINTS_PER_DECADE:
         raise ValueError(f"points_per_decade must be >= {MIN_POINTS_PER_DECADE}")
     p_min, p_max = p_range
@@ -369,9 +356,7 @@ def integrate_branch(
         OdeSolution(grid=grid, values=values, branch=member_branch)
         for values, member_branch in zip(psi, branches)
     ]
-    if isinstance(prob, MomentumProblem) and isinstance(branch, str):
-        return solutions[0]
-    return solutions
+    return solutions[0] if single else solutions
 
 
 def fit_slope(solution: OdeSolution, window_decades: float = 1.0) -> float:
@@ -399,30 +384,83 @@ def fit_slope(solution: OdeSolution, window_decades: float = 1.0) -> float:
     return float(slope)
 
 
-def quantize_swave(prob: MomentumProblem, n_max: int, mu: float) -> list[float]:
-    """Bound energies from the s-wave pole condition, n = 0..n_max.
+def _require_undeformed(prob: MomentumProblem) -> None:
+    if prob.beta != 0.0:
+        raise ValueError(
+            f"beta = {prob.beta!r}: the hypergeometric reduction and the "
+            "s-wave pole condition hold only at beta = 0"
+        )
 
-    k_n = sigma2/(n + 1/2 + nu) and E_n = -k_n^2/(2 mu); the k field of
-    prob is not consulted (it is the unknown here).  Requires the
-    regular regime sigma1 > -1/4 where nu is real.
+
+def _swave_nu(prob: MomentumProblem) -> float:
+    """nu of the s-wave pole condition sigma2/k_n = n + 1/2 + nu.
+
+    It holds at beta = 0 for sigma1 >= -1/4, where nu = sqrt(1/4 + sigma1)
+    is real; the Hardy constant 1/4 is sharp, so the fall to the centre
+    begins strictly below -1/4.
     """
-    if prob.sigma1 <= -0.25:
+    _require_undeformed(prob)
+    if prob.sigma1 < -0.25:
         raise QuantizationBreakdownError(
-            "sigma1 <= -1/4: the pole condition no longer selects a "
+            "sigma1 < -1/4: the pole condition no longer selects a "
             "discrete real spectrum"
         )
+    return math.sqrt(0.25 + prob.sigma1)
+
+
+def quantize_swave(prob: MomentumProblem, n_max: int, mu: float) -> list[float]:
+    """Bound energies -k_n^2/(2 mu), n = 0..n_max, from the s-wave pole
+    condition sigma2/k_n = n + 1/2 + nu (beta = 0, sigma1 >= -1/4).
+
+    The k field of prob is not consulted: it is the unknown here.
+    """
+    nu = _swave_nu(prob)
     if prob.sigma2 <= 0.0:
         raise ValueError("sigma2 must be positive for an attractive tail")
     if n_max < 0:
         raise ValueError("n_max must be nonnegative")
     if not mu > 0.0:
         raise ValueError("reduced mass must be positive")
-    nu = math.sqrt(0.25 + prob.sigma1)
     energies = []
     for n in range(n_max + 1):
         k_n = prob.sigma2 / (n + 0.5 + nu)
         energies.append(-k_n * k_n / (2.0 * mu))
     return energies
+
+
+def _hyp2f1_terminating(a: complex, n: int, c: complex, z: complex) -> complex:
+    # F(a, -n; c; z) with integer n >= 0: finite Gauss series of degree n
+    total = complex(1.0)
+    term = complex(1.0)
+    for k in range(n):
+        term *= (a + k) * (k - n) * z / ((c + k) * (k + 1.0))
+        total += term
+    return total
+
+
+def momentum_wavefunction_undeformed(p: float, n: int, prob) -> complex:
+    """Unnormalized momentum-space s-wave bound state, beta = 0.
+
+    psi(p) = (1/p) (1 + i p/k)^(-3/2 - nu) F(3/2 + nu, -n, 1 + 2 nu; 2/(1 + i p/k))
+
+    k must be the n-th pole of quantize_swave, to within 1e-9 in sigma2/k,
+    so that the series terminates at degree n.  Complex powers are taken on
+    the principal branch, which 1 + i p/k (p real, k > 0) never leaves.
+    """
+    if p <= 0.0:
+        raise ValueError("p must be positive")
+    nu = _swave_nu(prob)
+    off = prob.sigma2 / prob.k - (n + 0.5 + nu)
+    if abs(off) > 1.0e-9:
+        raise NonQuantizedError(
+            f"k does not satisfy the quantization condition: "
+            f"sigma2/k - (n + 1/2 + nu) = {off!r} at n = {n}"
+        )
+    w = 1.0 + 1j * p / prob.k
+    a = 1.5 + nu
+    c = 1.0 + 2.0 * nu
+    poly = _hyp2f1_terminating(a, n, c, 2.0 / w)
+    return poly * w ** (-1.5 - nu) / p
 
 
 @dataclass(frozen=True)
@@ -590,8 +628,7 @@ def hypergeometric_params(prob: MomentumProblem) -> HypergeometricParams:
     phi = p psi decays as p^-a and p^-b, so a and b are minus the psi
     exponents of indicial_exponents, less one.
     """
-    if prob.beta != 0.0:
-        raise ValueError("the hypergeometric reduction holds only at beta = 0")
+    _require_undeformed(prob)
     fast, slow = indicial_exponents(prob)
     return HypergeometricParams(
         a=-1.0 - fast, b=-1.0 - slow, c=2.0 + prob.sigma2 / prob.k, k=prob.k

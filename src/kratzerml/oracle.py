@@ -11,10 +11,9 @@ certified against its own error estimate.
 from __future__ import annotations
 
 import math
-from collections.abc import Sequence
 from dataclasses import dataclass
 
-from .physmodel import HBAR, KratzerCouplings, require_beta
+from .physmodel import HBAR, KratzerCouplings, batch_columns, require_beta
 from .wavefunctions import RadialState, kummer_sum
 
 __all__ = [
@@ -112,37 +111,6 @@ class _Integral:
         integrability there."""
         _, c1, c2 = self.gap
         return self.p + (4 if c2 != 0.0 else 2 if c1 != 0.0 else 0)
-
-
-def _batch(item) -> list:
-    # one item is a batch of one; a sequence is its items, at least one
-    items = list(item) if isinstance(item, Sequence) else [item]
-    if not items:
-        raise ValueError("the batch is empty")
-    return items
-
-
-def _paired(first, second) -> list[tuple]:
-    # a single item pairs with every member of the other argument; two
-    # sequences pair element by element, so their lengths must agree
-    firsts, seconds = _batch(first), _batch(second)
-    if not isinstance(first, Sequence):
-        firsts *= len(seconds)
-    elif not isinstance(second, Sequence):
-        seconds *= len(firsts)
-    elif len(firsts) != len(seconds):
-        raise ValueError(
-            f"a batch pairs two sequences element by element; cannot pair "
-            f"{len(firsts)} items with {len(seconds)}"
-        )
-    return list(zip(firsts, seconds))
-
-
-def _unbatched(results: list, *items) -> list | object:
-    # a call whose arguments were all single items gets one result
-    if any(isinstance(item, Sequence) for item in items):
-        return results
-    return results[0]
 
 
 def _require_integrable(lam: float, power: int, label: str) -> None:
@@ -343,29 +311,28 @@ def expectation_inverse_power(
 ):
     """<1/r^p> in m^-p for normalized bound states, by quadrature.
 
-    state is one RadialState or a sequence of them, and p one power in
-    0..4 or a sequence of them; two sequences pair element by element
-    and must have equal lengths, a single item pairs with every element of
-    the other, and an empty sequence is refused.  Returns one
-    QuadratureResult when both are single, else a list in pair order.
-    p = 0 returns the normalization integral (1 up to quadrature error).
-    Raises NonIntegrableError when 2 lam <= p - 1 and ToleranceError when
-    the error estimate misses the spec thresholds.
+    p (0..4) and state are each one item or a batch, paired by
+    physmodel.batch_columns: one QuadratureResult, or a list in pair
+    order.  p = 0 returns the normalization integral (1 up to quadrature
+    error).  Raises NonIntegrableError when 2 lam <= p - 1 and
+    ToleranceError when the error estimate misses the spec thresholds.
     """
-    pairs = _paired(p, state)
-    for power, _ in pairs:
+    (powers, states), single = batch_columns(p, state)
+    for power in powers:
         if power not in range(5):
             raise ValueError(f"p must be an integer in 0..4, got {power!r}")
     integrals = [
-        _Integral(s, s, power, f"<1/r^{power}>") for power, s in pairs
+        _Integral(s, s, power, f"<1/r^{power}>")
+        for power, s in zip(powers, states)
     ]
-    return _unbatched(_density_moments(integrals, spec), p, state)
+    results = _density_moments(integrals, spec)
+    return results[0] if single else results
 
 
 def radial_overlap(state_a, state_b):
     """integral of R_a(r) R_b(r) r^2 dr by tanh-sinh, uncertified.
 
-    state_a and state_b are states or sequences of them, paired as in
+    state_a and state_b are each one state or a batch, paired as in
     expectation_inverse_power.  The result is returned without the
     error-estimate check the expectation values pass: for two orthogonal
     states the value is roundoff, and an overlap near 1e-16 cannot meet a
@@ -373,10 +340,11 @@ def radial_overlap(state_a, state_b):
     1e-10 or at an absolute 1e-12, whichever comes first; judge the value
     against an absolute tolerance too.
     """
-    pairs = _paired(state_a, state_b)
-    integrals = [_Integral(a, b, 0, "overlap") for a, b in pairs]
+    (firsts, seconds), single = batch_columns(state_a, state_b)
+    integrals = [_Integral(a, b, 0, "overlap") for a, b in zip(firsts, seconds)]
     results = _tanh_sinh(integrals, QuadratureSpec(), atol=_OVERLAP_ATOL)
-    return _unbatched([result for result, _ in results], state_a, state_b)
+    values = [result for result, _ in results]
+    return values[0] if single else values
 
 
 def correction_via_expectations(
@@ -394,15 +362,15 @@ def correction_via_expectations(
     is formed pointwise and integrated once: assembling it as
     E0^2 - 2 E0 <V> + <V^2> from separate moments cancels the O(gamma^2)
     terms and loses digits as gamma grows.  The result is nonnegative.
-    state is one RadialState, giving one result, or a nonempty sequence
-    of them, giving a list.
+    state is one RadialState or a batch, as in expectation_inverse_power.
     """
     if not mu > 0.0:
         raise ValueError("reduced mass must be positive")
     require_beta(beta)
     s = mu * c.g2 / (HBAR * HBAR)
+    (states,), single = batch_columns(state)
     integrals = []
-    for st in _batch(state):
+    for st in states:
         e0 = -(HBAR * s) ** 2 / (2.0 * mu * (st.shape.lam + st.qn.n) ** 2)
         # E0 - V = e0 + g2/r - g1/r^2
         gap = (e0, c.g2, -c.g1)
@@ -415,4 +383,4 @@ def correction_via_expectations(
         )
         for m in _density_moments(integrals, spec)
     ]
-    return _unbatched(results, state)
+    return results[0] if single else results

@@ -7,6 +7,7 @@ mass units and electronvolts appear only at input/output boundaries.
 from __future__ import annotations
 
 import math
+from collections.abc import Iterable
 from dataclasses import dataclass
 
 __all__ = [
@@ -52,16 +53,25 @@ LAMBDA_GUARD_TOL = 1.0e-6
 _SINGULAR_LAMBDAS = (0.5, 1.0, 1.5)
 
 
+def _near(lam: float, pivot: float) -> bool:
+    # lam lies in the guard window of pivot
+    return pivot - LAMBDA_GUARD_TOL <= lam <= pivot + LAMBDA_GUARD_TOL
+
+
 class LambdaGuardError(ValueError):
-    """Raised when lambda sits too close to a singular denominator value."""
+    """Raised when lambda sits too close to a singular denominator value,
+    or below the one a closed form needs it above."""
 
     def __init__(self, lam: float, pivot: float) -> None:
         self.lam = lam
         self.pivot = pivot
-        super().__init__(
-            f"lambda = {lam!r} is within {LAMBDA_GUARD_TOL} of the singular "
-            f"value {pivot}; closed-form denominators are unreliable here"
-        )
+        if _near(lam, pivot):
+            why = (f"is within {LAMBDA_GUARD_TOL} of the singular value "
+                   f"{pivot}; closed-form denominators are unreliable here")
+        else:
+            why = (f"is below the singular value {pivot}; the closed form "
+                   f"holds only above it")
+        super().__init__(f"lambda = {lam!r} {why}")
 
 
 def require_lambda_regular(lam: float, minimum: float) -> None:
@@ -76,8 +86,7 @@ def require_lambda_regular(lam: float, minimum: float) -> None:
     """
     if lam <= minimum + LAMBDA_GUARD_TOL:
         pivot = next(
-            (p for p in _SINGULAR_LAMBDAS if p <= minimum
-             and p - LAMBDA_GUARD_TOL <= lam <= p + LAMBDA_GUARD_TOL),
+            (p for p in _SINGULAR_LAMBDAS if p <= minimum and _near(lam, p)),
             minimum,
         )
         raise LambdaGuardError(lam, pivot)
@@ -255,6 +264,33 @@ def require_beta(beta: float) -> None:
     """Check that beta is a valid deformation: finite and nonnegative."""
     if not (math.isfinite(beta) and beta >= 0.0):
         raise ValueError(f"beta must be nonnegative and finite, got {beta!r}")
+
+
+def batch_columns(*args) -> tuple[list[list], bool]:
+    """One list per argument of a call that takes one item or a batch.
+
+    A str or any non-iterable is one item, which pairs with every member
+    of the other arguments; any other iterable is a batch, refused when
+    empty, and batches pair element by element, so their lengths must
+    agree.  Also returns whether every argument was one item: the caller
+    then returns its one result bare, else a list in batch order.
+    """
+    single = [isinstance(arg, str) or not isinstance(arg, Iterable)
+              for arg in args]
+    columns = [[arg] if one else list(arg) for arg, one in zip(args, single)]
+    if not all(columns):
+        raise ValueError("the batch is empty")
+    sizes = [len(column) for column, one in zip(columns, single) if not one]
+    for size in sizes:
+        if size != sizes[0]:
+            raise ValueError(
+                f"a batch pairs two sequences element by element; cannot "
+                f"pair {sizes[0]} items with {size}"
+            )
+    size = max(sizes, default=1)
+    return [
+        column * size if one else column for column, one in zip(columns, single)
+    ], all(single)
 
 
 def minimal_length(beta: float) -> float:

@@ -18,22 +18,16 @@ from .physmodel import QuantumNumbers, ShapeNumbers, shape_numbers
 
 __all__ = [
     "KummerParameterError",
-    "NonQuantizedError",
     "RadialState",
     "kummer_polynomial",
     "kummer_sum",
     "make_radial_state",
     "radial_wavefunction",
-    "momentum_wavefunction_undeformed",
 ]
 
 
 class KummerParameterError(ValueError):
     """Second Kummer parameter too close to a nonpositive integer."""
-
-
-class NonQuantizedError(ValueError):
-    """Momentum k does not satisfy the s-wave quantization condition."""
 
 
 def kummer_sum(n, b, z):
@@ -150,42 +144,3 @@ def radial_wavefunction(state: RadialState, r: float) -> float:
         + math.log(abs(poly))
     )
     return math.copysign(math.exp(log_mag), poly)
-
-
-def _hyp2f1_terminating(a: complex, n: int, c: complex, z: complex) -> complex:
-    # F(a, -n; c; z) with integer n >= 0: finite Gauss series of degree n
-    total = complex(1.0)
-    term = complex(1.0)
-    for k in range(n):
-        term *= (a + k) * (k - n) * z / ((c + k) * (k + 1.0))
-        total += term
-    return total
-
-
-def momentum_wavefunction_undeformed(p: float, n: int, prob) -> complex:
-    """Unnormalized momentum-space bound-state wavefunction, beta = 0.
-
-    psi(p) = (1/p) (1 + i p/k)^(-3/2 - nu) F(3/2 + nu, -n, 1 + 2 nu; 2/(1 + i p/k))
-
-    where nu = sqrt(1/4 + sigma1) must be real and k must satisfy the
-    s-wave quantization condition sigma2/k = n + 1/2 + nu to within 1e-9,
-    which makes the hypergeometric series terminate at degree n.  Complex
-    powers are taken on the principal branch; 1 + i p/k stays in the right
-    half-plane for p real and k > 0, so the branch is unambiguous.
-    """
-    if p <= 0.0:
-        raise ValueError("p must be positive")
-    if prob.sigma1 < -0.25:
-        raise NonQuantizedError("sigma1 < -1/4: no quantized s-wave states")
-    nu = math.sqrt(0.25 + prob.sigma1)
-    second = 0.5 - prob.sigma2 / prob.k + nu
-    if abs(second + n) > 1.0e-9:
-        raise NonQuantizedError(
-            f"k does not satisfy the quantization condition: "
-            f"1/2 - sigma2/k + nu = {second!r} is not -{n}"
-        )
-    w = 1.0 + 1j * p / prob.k
-    a = 1.5 + nu
-    c = 1.0 + 2.0 * nu
-    poly = _hyp2f1_terminating(a, n, c, 2.0 / w)
-    return poly * w ** (-1.5 - nu) / p

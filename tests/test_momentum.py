@@ -11,6 +11,7 @@ from kratzerml.momentum import (
     GridError,
     HeunParams,
     MomentumProblem,
+    NonQuantizedError,
     OdeSolution,
     QuantizationBreakdownError,
     StiffnessError,
@@ -21,6 +22,7 @@ from kratzerml.momentum import (
     hypergeometric_params,
     indicial_exponents,
     integrate_branch,
+    momentum_wavefunction_undeformed,
     quantize_swave,
 )
 from kratzerml.physmodel import (
@@ -32,7 +34,6 @@ from kratzerml.physmodel import (
     couplings_from_kratzer,
 )
 from kratzerml.spectrum import energy_unperturbed
-from kratzerml.wavefunctions import momentum_wavefunction_undeformed
 from kratzerml.momentum import ode_rhs_deformed
 
 
@@ -367,7 +368,9 @@ def test_quantize_swave_matches_closed_spectrum():
 
 def test_quantize_swave_validation():
     with pytest.raises(QuantizationBreakdownError):
-        quantize_swave(MomentumProblem(sigma1=-0.25, sigma2=1.0, k=1.0), 2, 1.0)
+        quantize_swave(
+            MomentumProblem(sigma1=-0.25 - 1e-12, sigma2=1.0, k=1.0), 2, 1.0
+        )
     with pytest.raises(ValueError):
         quantize_swave(MomentumProblem(sigma1=1.0, sigma2=0.0, k=1.0), 2, 1.0)
     with pytest.raises(ValueError):
@@ -376,6 +379,41 @@ def test_quantize_swave_validation():
     for mu in (0.0, math.nan):
         with pytest.raises(ValueError, match="reduced mass"):
             quantize_swave(regular, 2, mu)
+
+
+def test_swave_rule_at_and_below_the_hardy_constant():
+    """At sigma1 = -1/4 (nu = 0) the pole condition and the closed-form
+    wavefunction accept the same k_n; just below it both refuse with one
+    type, which a NonQuantizedError handler catches."""
+    mu = 0.8
+    edge = MomentumProblem(sigma1=-0.25, sigma2=1.0, k=1.0)
+    for n, e in enumerate(quantize_swave(edge, 3, mu)):
+        k_n = math.sqrt(-2.0 * mu * e)
+        assert k_n == pytest.approx(1.0 / (n + 0.5), rel=1e-15)
+        quantized = MomentumProblem(sigma1=-0.25, sigma2=1.0, k=k_n)
+        psi = momentum_wavefunction_undeformed(1.0, n, quantized)
+        assert math.isfinite(abs(psi))
+        with pytest.raises(NonQuantizedError, match="quantization condition"):
+            momentum_wavefunction_undeformed(
+                1.0, n, MomentumProblem(sigma1=-0.25, sigma2=1.0, k=1.01 * k_n)
+            )
+    below = MomentumProblem(sigma1=-0.25 - 1e-12, sigma2=1.0, k=2.0)
+    for call in (lambda: quantize_swave(below, 2, mu),
+                 lambda: momentum_wavefunction_undeformed(1.0, 0, below)):
+        with pytest.raises(NonQuantizedError) as caught:
+            call()
+        assert type(caught.value) is QuantizationBreakdownError
+
+
+def test_undeformed_forms_refuse_a_deformation():
+    """quantize_swave, the closed-form wavefunction and the hypergeometric
+    reduction all hold at beta = 0 only."""
+    prob = MomentumProblem(sigma1=2.0, sigma2=1.0, k=0.5, beta=0.3)
+    for call in (lambda: quantize_swave(prob, 2, 1.0),
+                 lambda: momentum_wavefunction_undeformed(1.0, 0, prob),
+                 lambda: hypergeometric_params(prob)):
+        with pytest.raises(ValueError, match="only at beta = 0"):
+            call()
 
 
 def test_ode_matches_closed_wavefunction():

@@ -6,9 +6,22 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
+import pytest
+
 import kratzerml
-from kratzerml.oracle import expectation_inverse_power
-from kratzerml.physmodel import Molecule, QuantumNumbers, energy_from_joule
+from kratzerml.momentum import MomentumProblem, OdeSolution, integrate_branch
+from kratzerml.oracle import (
+    correction_via_expectations,
+    expectation_inverse_power,
+    radial_overlap,
+)
+from kratzerml.physmodel import (
+    KratzerCouplings,
+    Molecule,
+    QuantumNumbers,
+    energy_from_joule,
+)
 from kratzerml.spectrum import energy_deformed
 from kratzerml.wavefunctions import make_radial_state
 
@@ -60,6 +73,49 @@ def test_unused_import_guard_sees_unused_names():
         "__all__ = ['sep']\nnp.zeros(path)\n"
     )
     assert _unused_imports(tree) == ["math (line 1)"]
+
+
+def _unread_private_names(trees: dict[str, ast.Module]) -> list[str]:
+    """Top-level single-underscore names that no module of trees reads."""
+    read = {
+        node.id if isinstance(node, ast.Name) else node.attr
+        for tree in trees.values() for node in ast.walk(tree)
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)
+        or isinstance(node, ast.Attribute)
+    }
+    unread = []
+    for module, tree in trees.items():
+        for node in tree.body:
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                names = [node.name]
+            elif isinstance(node, ast.Assign):
+                names = [t.id for t in node.targets if isinstance(t, ast.Name)]
+            elif isinstance(node, ast.AnnAssign):
+                names = [getattr(node.target, "id", "")]
+            else:
+                continue
+            unread += [f"{module}:{name}" for name in names
+                       if name.startswith("_") and not name.startswith("__")
+                       and name not in read]
+    return unread
+
+
+def test_every_private_name_is_read():
+    package = Path(kratzerml.__file__).parent
+    trees = {path.name: ast.parse(path.read_text(encoding="utf-8"))
+             for path in sorted(package.glob("*.py"))}
+    assert _unread_private_names(trees) == []
+
+
+def test_unread_name_guard_sees_unread_names():
+    trees = {
+        "a.py": ast.parse(
+            "_USED = 1\n_unused = 2\ndef _helper():\n    return _USED\n"
+            "class _Spare:\n    pass\n__all__ = []\n"
+        ),
+        "b.py": ast.parse("import a\na._helper()\n"),
+    }
+    assert _unread_private_names(trees) == ["a.py:_unused", "a.py:_Spare"]
 
 
 def _private_imports(tree: ast.Module) -> list[str]:
@@ -284,3 +340,59 @@ def test_verify_parser_keeps_its_preset_text():
         "kratzerml verify: error: argument --grid-preset: invalid choice: 'bogus'"
     )
     assert "small" in error and "paper" in error
+
+
+_STATES = [make_radial_state(5.0, QuantumNumbers(n, 1), 1.0) for n in range(3)]
+_PROBS = [MomentumProblem(sigma1=s, sigma2=0.4, k=1.0, beta=1.0)
+          for s in (-1.0, 0.0, 2.0)]
+
+#: each batch function with three members for each of its arguments
+_BATCH_FUNCTIONS = {
+    "expectation_inverse_power": (
+        expectation_inverse_power, ([0, 1, 2], _STATES)),
+    "radial_overlap": (radial_overlap, (_STATES, _STATES[::-1])),
+    "correction_via_expectations": (
+        lambda state: correction_via_expectations(
+            state, KratzerCouplings(1e-38, 1e-28), 1e-27, 1e40),
+        (_STATES,)),
+    "integrate_branch": (
+        lambda prob, branch: integrate_branch(
+            prob, branch, (1.0, 2e3), p_stop=200.0),
+        (_PROBS, ["fast-decay", "slow-decay", "fast-decay"])),
+}
+
+
+def _bits(result):
+    if isinstance(result, OdeSolution):
+        return result.branch, result.grid.tobytes(), result.values.tobytes()
+    return result
+
+
+@pytest.mark.parametrize("name", sorted(_BATCH_FUNCTIONS))
+def test_every_batch_function_follows_one_rule(name):
+    """A str or non-iterable is one item and any other iterable a batch;
+    batches pair element by element, a single item pairs with every
+    member, and only single items give a bare result."""
+    function, members = _BATCH_FUNCTIONS[name]
+    as_list = [_bits(r) for r in function(*members)]
+    assert len(as_list) == 3
+    for container in (tuple, iter, lambda items: np.array(items, dtype=object)):
+        got = function(*(container(items) for items in members))
+        assert isinstance(got, list), container
+        assert [_bits(r) for r in got] == as_list, container
+    single = function(*(items[0] for items in members))
+    one = function(*(items[:1] for items in members))
+    assert [_bits(single)] == [_bits(r) for r in one]
+    with pytest.raises(ValueError, match="the batch is empty"):
+        function(*([] for _ in members))
+    if len(members) == 2:
+        first, second = members
+        got = function(first[0], second)
+        assert isinstance(got, list) and len(got) == 3
+        with pytest.raises(ValueError, match="cannot pair 2 items with 3"):
+            function(first[:2], second)
+        # a one-element batch is a batch, not a single item
+        with pytest.raises(ValueError, match="cannot pair 1 items with 3"):
+            function(first[:1], second)
+        with pytest.raises(ValueError, match="the batch is empty"):
+            function(first[0], [])

@@ -123,10 +123,15 @@ def test_lambda_guard():
     require_lambda_regular(2.0, 1.5)  # fine
     with pytest.raises(LambdaGuardError):
         require_lambda_regular(1.5, 1.5)
-    with pytest.raises(LambdaGuardError):
+    with pytest.raises(LambdaGuardError, match="within 1e-06 of the singular"):
         require_lambda_regular(1.5 + 5e-7, 1.5)
-    with pytest.raises(LambdaGuardError):
-        require_lambda_regular(1.2, 1.5)  # below the largest pivot
+    # below the largest pivot and outside every window: no near miss
+    with pytest.raises(LambdaGuardError) as caught:
+        require_lambda_regular(1.2, 1.5)
+    assert str(caught.value) == (
+        "lambda = 1.2 is below the singular value 1.5; "
+        "the closed form holds only above it"
+    )
     with pytest.raises(LambdaGuardError):
         require_lambda_regular(1.0 + 5e-7, 1.0)
     # pivots above the requested minimum are not in play

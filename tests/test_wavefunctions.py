@@ -6,15 +6,17 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from scipy.integrate import quad
 
-from kratzerml.momentum import MomentumProblem
+from kratzerml.momentum import (
+    MomentumProblem,
+    NonQuantizedError,
+    momentum_wavefunction_undeformed,
+)
 from kratzerml.physmodel import QuantumNumbers
 from kratzerml.wavefunctions import (
     KummerParameterError,
-    NonQuantizedError,
     kummer_polynomial,
     kummer_sum,
     make_radial_state,
-    momentum_wavefunction_undeformed,
     radial_wavefunction,
 )
 
