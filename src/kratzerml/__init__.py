@@ -7,8 +7,10 @@ quadrature and momentum-space ODE cross-checks, and minimal-length
 upper bounds fitted to experimental rovibrational data.
 
 Submodules are imported on first use (PEP 562), so `import kratzerml`
-loads none of them and the closed-form CLI commands load neither numpy
-nor scipy.  kratzerml.X is the X that its submodule exports.
+loads none of them.  kratzerml.X is the X that its submodule exports,
+found by walking the submodules in order: the closed-form ones come
+first and import only the standard library, so their names resolve
+without numpy or scipy.  The numerical oracles import both at the top.
 """
 
 import importlib
@@ -16,12 +18,14 @@ import importlib
 __version__ = "1.0.0"
 
 # the verify grid presets; defined here so that the CLI parser can offer
-# them without importing verify, and with it numpy
+# them without importing verify, and with it numpy and scipy
 PRESETS = ("small", "paper")
 
-# the submodules whose __all__ lists make up the package's, in that order
-_MODULES = ("physmodel", "wavefunctions", "spectrum", "oracle", "momentum",
-            "estimate", "verify")
+# the submodules whose __all__ lists make up the package's, in that order:
+# physmodel, spectrum and estimate, which bound, spectrum and fit need,
+# before the modules that import numpy and scipy
+_MODULES = ("physmodel", "spectrum", "estimate", "wavefunctions", "oracle",
+            "momentum", "verify")
 
 
 def _module(name):

@@ -21,6 +21,7 @@ from .physmodel import (
     energy_to_joule,
     minimal_length,
     require_beta,
+    require_mass,
 )
 from .spectrum import correction_general, energy_deformed, level_energies
 
@@ -224,8 +225,7 @@ def fit_parameters(
     if de0 <= 0.0 or re0 <= 0.0:
         raise ValueError("initial De and re must be positive")
     require_beta(beta0)
-    if not mu_amu > 0.0:
-        raise ValueError("reduced mass must be positive")
+    require_mass(mu_amu)
     if max_evaluations < 1:
         raise ValueError("max_evaluations must be at least 1")
 

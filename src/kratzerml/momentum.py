@@ -18,8 +18,9 @@ from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
+from scipy.integrate import solve_ivp
 
-from .physmodel import batch_columns, require_beta
+from .physmodel import batch_columns, require_beta, require_mass
 
 __all__ = [
     "BRANCHES",
@@ -43,10 +44,6 @@ __all__ = [
     "hypergeometric_params",
     "heun_residual",
 ]
-
-# imported on first use, so that the closed-form paths never pay for
-# scipy; the name stays a module global so that it can be wrapped
-solve_ivp = None
 
 BRANCHES = ("fast-decay", "slow-decay")
 
@@ -328,9 +325,6 @@ def integrate_branch(
 
         stop.terminal = True
         events = stop
-    global solve_ivp
-    if solve_ivp is None:
-        from scipy.integrate import solve_ivp
     result = solve_ivp(
         rhs,
         (p_max, p_min),
@@ -419,8 +413,7 @@ def quantize_swave(prob: MomentumProblem, n_max: int, mu: float) -> list[float]:
         raise ValueError("sigma2 must be positive for an attractive tail")
     if n_max < 0:
         raise ValueError("n_max must be nonnegative")
-    if not mu > 0.0:
-        raise ValueError("reduced mass must be positive")
+    require_mass(mu)
     energies = []
     for n in range(n_max + 1):
         k_n = prob.sigma2 / (n + 0.5 + nu)
@@ -449,6 +442,8 @@ def momentum_wavefunction_undeformed(p: float, n: int, prob) -> complex:
     """
     if p <= 0.0:
         raise ValueError("p must be positive")
+    if not isinstance(n, int) or n < 0:
+        raise ValueError(f"n must be a nonnegative integer, got {n!r}")
     nu = _swave_nu(prob)
     off = prob.sigma2 / prob.k - (n + 0.5 + nu)
     if abs(off) > 1.0e-9:

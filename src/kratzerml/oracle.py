@@ -13,7 +13,10 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .physmodel import HBAR, KratzerCouplings, batch_columns, require_beta
+import numpy as np
+from scipy.integrate import tanhsinh
+
+from .physmodel import HBAR, KratzerCouplings, batch_columns, require_beta, require_mass
 from .wavefunctions import RadialState, kummer_sum
 
 __all__ = [
@@ -25,10 +28,6 @@ __all__ = [
     "radial_overlap",
     "correction_via_expectations",
 ]
-
-# imported on first use, so that the closed-form paths never pay for
-# scipy; the name stays a module global so that it can be wrapped
-tanhsinh = None
 
 #: the tanh-sinh level of the first convergence test: every level below
 #: it is evaluated in the first call.  Testing from level 2, the error
@@ -135,8 +134,6 @@ class _Density:
     """
 
     def __init__(self, integrals: list[_Integral]) -> None:
-        import numpy as np
-
         def column(values):
             return np.array(values, dtype=np.float64)[:, None]
 
@@ -166,8 +163,6 @@ class _Density:
     @staticmethod
     def _kummer_columns(states: list[RadialState]):
         # n, 2 lam and 2 alpha of each state: M(-n, 2 lam; 2 alpha x)
-        import numpy as np
-
         return np.array(
             [(s.qn.n, 2.0 * s.shape.lam, 2.0 * s.shape.alpha) for s in states]
         ).T[:, :, None]
@@ -178,8 +173,6 @@ class _Density:
         return kummer_sum(n, b, rate * x)
 
     def __call__(self, x, rows):
-        import numpy as np
-
         poly = self._kummer(self.kummer_a, rows, x)
         if self.same:
             poly = poly * poly
@@ -201,8 +194,6 @@ class _Density:
 
     def integrand(self, u, rows):
         """tanhsinh's f: the integrand on u in [0, 1], x = u/(1 - u)."""
-        import numpy as np
-
         # tanhsinh first calls f with one abscissa per row, then with a
         # row of abscissae per row
         flat = u.ndim == 1
@@ -229,11 +220,6 @@ def _tanh_sinh(
     Status 0 means converged; -2 that max_level was reached and -3 that
     a non-finite estimate stopped it (scipy.integrate.tanhsinh's codes).
     """
-    global tanhsinh
-    if tanhsinh is None:
-        from scipy.integrate import tanhsinh
-    import numpy as np
-
     out = []
     for start in range(0, len(integrals), _CHUNK):
         chunk = integrals[start : start + _CHUNK]
@@ -364,8 +350,7 @@ def correction_via_expectations(
     terms and loses digits as gamma grows.  The result is nonnegative.
     state is one RadialState or a batch, as in expectation_inverse_power.
     """
-    if not mu > 0.0:
-        raise ValueError("reduced mass must be positive")
+    require_mass(mu)
     require_beta(beta)
     s = mu * c.g2 / (HBAR * HBAR)
     (states,), single = batch_columns(state)

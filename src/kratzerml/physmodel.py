@@ -266,6 +266,12 @@ def require_beta(beta: float) -> None:
         raise ValueError(f"beta must be nonnegative and finite, got {beta!r}")
 
 
+def require_mass(mu: float) -> None:
+    """Check that mu is a valid reduced mass, in any unit: finite and > 0."""
+    if not (math.isfinite(mu) and mu > 0.0):
+        raise ValueError(f"reduced mass must be positive and finite, got {mu!r}")
+
+
 def batch_columns(*args) -> tuple[list[list], bool]:
     """One list per argument of a call that takes one item or a batch.
 

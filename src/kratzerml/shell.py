@@ -81,7 +81,7 @@ def _content_lines(path: Path) -> list[tuple[int, str]]:
     """(line number, text) of every line of path that holds more than a
     '#' comment, the comment and surrounding blanks stripped."""
     try:
-        text = path.read_text(encoding="utf-8")
+        text = path.read_text(encoding="utf-8-sig")
     except OSError as exc:
         raise FileFormatError(f"{path}: {exc.strerror or exc}") from None
     lines = []
@@ -478,7 +478,9 @@ def cmd_verify(args) -> int:
     preset = args.grid_preset
     if args.tol is not None and not _positive_finite(args.tol):
         raise UsageError("--tol must be a positive finite number")
-    from . import verify  # numpy and the oracles: imported only to verify
+    # the one place the package defers numpy and scipy: verify and the
+    # oracles import them at the top, and no other command loads those
+    from . import verify
 
     results = verify.run_checks(preset, args.tol)
     offenders = [res for res in results if not res.passed]

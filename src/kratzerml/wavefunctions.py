@@ -14,6 +14,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
+import numpy as np
+
 from .physmodel import QuantumNumbers, ShapeNumbers, shape_numbers
 
 __all__ = [
@@ -44,8 +46,6 @@ def kummer_sum(n, b, z):
         term = term * ((k - n) * z / ((b + k) * (k + 1.0)))
         acc = acc + term
     if degree == 0 and not all(isinstance(v, (int, float)) for v in (n, b, z)):
-        import numpy as np
-
         return np.ones(np.broadcast_shapes(*map(np.shape, (n, b, z))))
     return acc
 

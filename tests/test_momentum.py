@@ -299,10 +299,6 @@ def test_batch_refuses_unequal_lengths_and_bad_members():
 
 def test_stiffness_error_names_the_batch_sigma1_range(monkeypatch):
     """An integrator that gives up is reported with the batch's sigma1."""
-    integrate_branch(
-        MomentumProblem(sigma1=0.0, sigma2=0.4, k=1.0), "fast-decay",
-        (1.0, 2e3), p_stop=200.0,
-    )  # binds momentum.solve_ivp
     original = kratzerml.momentum.solve_ivp
 
     def giving_up(*args, **kwargs):
@@ -376,7 +372,7 @@ def test_quantize_swave_validation():
     with pytest.raises(ValueError):
         quantize_swave(MomentumProblem(sigma1=1.0, sigma2=1.0, k=1.0), -1, 1.0)
     regular = MomentumProblem(sigma1=1.0, sigma2=1.0, k=1.0)
-    for mu in (0.0, math.nan):
+    for mu in (0.0, math.nan, math.inf):
         with pytest.raises(ValueError, match="reduced mass"):
             quantize_swave(regular, 2, mu)
 
@@ -403,6 +399,17 @@ def test_swave_rule_at_and_below_the_hardy_constant():
         with pytest.raises(NonQuantizedError) as caught:
             call()
         assert type(caught.value) is QuantizationBreakdownError
+
+
+def test_swave_wavefunction_takes_only_a_nonnegative_integer_n():
+    """sigma2/k = n + 1/2 + nu also holds for some n < 0 (nu = 1/2 here),
+    but no bound state has such an n; a float n is refused too."""
+    for n, sigma2 in ((-1, 0.0), (-2, -1.0), (1.0, 2.0)):
+        prob = MomentumProblem(sigma1=0.0, sigma2=sigma2, k=1.0)
+        with pytest.raises(ValueError, match="nonnegative integer"):
+            momentum_wavefunction_undeformed(0.5, n, prob)
+    prob = MomentumProblem(sigma1=0.0, sigma2=2.0, k=1.0)
+    assert math.isfinite(abs(momentum_wavefunction_undeformed(0.5, 1, prob)))
 
 
 def test_undeformed_forms_refuse_a_deformation():

@@ -157,7 +157,7 @@ def test_correction_input_validation():
     c = couplings_from_kratzer(H2)
     state = make_radial_state(gamma_of(H2), QuantumNumbers(0, 0), H2.re_m)
     # NaN must fail the guard, not reach the integrator as a NaN weight
-    for mu in (-1.0, math.nan):
+    for mu in (-1.0, math.nan, math.inf):
         with pytest.raises(ValueError, match="reduced mass"):
             correction_via_expectations(state, c, mu, 1e-46)
     with pytest.raises(ValueError):

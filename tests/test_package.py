@@ -146,9 +146,12 @@ def test_private_import_guard_sees_private_names():
     assert _private_imports(tree) == ["_kummer_sum (line 1)", "_moment (line 2)"]
 
 
-# modules that may import numpy at import time: only verify and the
-# momentum-space ODEs reach it, and no CLI command but verify loads them
-_NUMPY_AT_IMPORT = {"momentum.py", "verify.py"}
+# the modules that bound, spectrum and fit load, none of which may import
+# numpy or scipy at import time; shell defers verify, and with it both, to
+# verify's command (the fresh-interpreter test below sees indirect imports)
+_CLOSED_FORM_MODULES = (
+    "__init__.py", "shell.py", "physmodel.py", "spectrum.py", "estimate.py",
+)
 
 
 def _import_time_imports(tree: ast.Module, roots: set[str]) -> list[str]:
@@ -175,12 +178,33 @@ def _import_time_imports(tree: ast.Module, roots: set[str]) -> list[str]:
     return sorted(found)
 
 
-def test_no_module_imports_scipy_at_import_time():
+def test_closed_form_modules_import_neither_numpy_nor_scipy():
     package = Path(kratzerml.__file__).parent
-    for path in sorted(package.glob("*.py")):
-        roots = {"scipy"} if path.name in _NUMPY_AT_IMPORT else {"scipy", "numpy"}
-        tree = ast.parse(path.read_text(encoding="utf-8"))
-        assert _import_time_imports(tree, roots) == [], path.name
+    for name in _CLOSED_FORM_MODULES:
+        tree = ast.parse((package / name).read_text(encoding="utf-8"))
+        assert _import_time_imports(tree, {"numpy", "scipy"}) == [], name
+
+
+def _deferred_imports(tree: ast.Module) -> list[str]:
+    """Import statements inside function bodies, as 'function: statement'."""
+    return [
+        f"{fn.name}: {ast.unparse(node)}"
+        for fn in ast.walk(tree)
+        if isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef))
+        for node in ast.walk(fn)
+        if isinstance(node, (ast.Import, ast.ImportFrom))
+    ]
+
+
+def test_the_verify_command_is_the_one_deferred_import():
+    package = Path(kratzerml.__file__).parent
+    deferred = {
+        path.name: _deferred_imports(ast.parse(path.read_text(encoding="utf-8")))
+        for path in sorted(package.glob("*.py"))
+    }
+    assert {name: found for name, found in deferred.items() if found} == {
+        "shell.py": ["cmd_verify: from . import verify"],
+    }
 
 
 def test_scipy_import_guard_sees_top_level_imports():
@@ -205,10 +229,10 @@ def test_numpy_import_guard_sees_top_level_imports():
     ]
 
 
-# Runs in a fresh interpreter: importing the package and running bound,
-# spectrum and fit must leave numpy and scipy unloaded; verify then binds
-# each lazy scipy name as a module global holding the scipy object
-# itself, which is what a tracer wraps.
+# Runs in a fresh interpreter: importing the package, looking up every
+# closed-form name on it and running bound, spectrum and fit must leave
+# numpy and scipy unloaded; after verify each scipy name is a module
+# global holding the scipy object itself, which is what a tracer wraps.
 _STARTUP_SCRIPT = """
 import contextlib, io, json, sys
 sys.path.insert(0, sys.argv[1])
@@ -219,7 +243,12 @@ def heavy_modules():
 
 import kratzerml
 heavy_after_import = heavy_modules()
-from kratzerml import shell
+from kratzerml import estimate, physmodel, shell, spectrum
+closed_forms = [name for module in (physmodel, spectrum, estimate)
+                for name in module.__all__]
+for name in closed_forms:
+    getattr(kratzerml, name)
+heavy_after_lookup = heavy_modules()
 
 def run(*argv):
     with contextlib.redirect_stdout(io.StringIO()):
@@ -237,6 +266,8 @@ import scipy.integrate
 print(json.dumps({
     "codes": codes,
     "heavy_after_import": heavy_after_import,
+    "looked_up": len(closed_forms),
+    "heavy_after_lookup": heavy_after_lookup,
     "heavy_after_closed_forms": heavy_after_closed_forms,
     "bound": {
         "oracle.tanhsinh": kratzerml.oracle.tanhsinh is scipy.integrate.tanhsinh,
@@ -265,14 +296,15 @@ def test_closed_form_commands_leave_scipy_unloaded(tmp_path):
     doc = json.loads(out.stdout)
     assert doc["codes"] == [0, 0, 0, 0]
     assert doc["heavy_after_import"] == []
+    assert doc["looked_up"] > 0
+    assert doc["heavy_after_lookup"] == []
     assert doc["heavy_after_closed_forms"] == []
     assert doc["bound"] == dict.fromkeys(doc["bound"], True)
 
 
-def test_lazy_scipy_binding_is_never_rebound(monkeypatch):
-    """A wrapper put in place of a bound scipy name stays in use."""
+def test_scipy_names_are_read_at_call_time(monkeypatch):
+    """A wrapper put in place of a module's scipy name is the one called."""
     state = make_radial_state(5.0, QuantumNumbers(0, 0), 1.0)
-    expectation_inverse_power(0, state)  # binds oracle.tanhsinh
     calls = []
     original = kratzerml.oracle.tanhsinh
 

@@ -128,6 +128,19 @@ def test_parse_levels(tmp_path):
     ]
 
 
+def test_files_with_a_byte_order_mark_parse_as_without(tmp_path):
+    """Some editors save UTF-8 with a leading BOM (U+FEFF)."""
+    h2 = (shell._DATA_DIR / "h2.molecule").read_text(encoding="utf-8")
+    plain, marked = tmp_path / "plain", tmp_path / "marked"
+    plain.mkdir()
+    marked.mkdir()
+    for name, text, parse in (("h2.molecule", h2, parse_molecule_file),
+                              ("x.levels", GOOD_LEVELS, parse_levels_file)):
+        (marked / name).write_text(text, encoding="utf-8-sig")
+        assert (marked / name).read_bytes().startswith(b"\xef\xbb\xbf")
+        assert parse(marked / name) == parse(write(plain, name, text))
+
+
 def test_parse_levels_tabs_and_weights(tmp_path):
     text = "n\tl\tE_cm1\tweight\n0\t0\t-76000.0\t2.5\n1\t0\t-72000.0\t1.5\n"
     rows = parse_levels_file(write(tmp_path, "t.levels", text))

@@ -104,10 +104,6 @@ def test_batched_slopes_are_as_accurate_as_single_runs():
 
 
 def test_paper_preset_makes_one_ode_solve_per_exponent_check(monkeypatch):
-    integrate_branch(
-        MomentumProblem(sigma1=0.0, sigma2=0.4, k=1.0), "fast-decay",
-        (1.0, 2e3), p_stop=200.0,
-    )  # binds momentum.solve_ivp
     calls = []
     original = kratzerml.momentum.solve_ivp
 
