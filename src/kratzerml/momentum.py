@@ -411,8 +411,8 @@ def quantize_swave(prob: MomentumProblem, n_max: int, mu: float) -> list[float]:
     nu = _swave_nu(prob)
     if prob.sigma2 <= 0.0:
         raise ValueError("sigma2 must be positive for an attractive tail")
-    if n_max < 0:
-        raise ValueError("n_max must be nonnegative")
+    if not isinstance(n_max, int) or n_max < 0:
+        raise ValueError(f"n_max must be a nonnegative integer, got {n_max!r}")
     require_mass(mu)
     energies = []
     for n in range(n_max + 1):

@@ -84,6 +84,8 @@ def _content_lines(path: Path) -> list[tuple[int, str]]:
         text = path.read_text(encoding="utf-8-sig")
     except OSError as exc:
         raise FileFormatError(f"{path}: {exc.strerror or exc}") from None
+    except UnicodeDecodeError as exc:
+        raise FileFormatError(f"{path}: not UTF-8 text: {exc}") from None
     lines = []
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
@@ -485,8 +487,10 @@ def cmd_verify(args) -> int:
     results = verify.run_checks(preset, args.tol)
     offenders = [res for res in results if not res.passed]
     all_passed = not offenders
+    # a NaN worst ranks above every finite excess
     worst_offender = (
-        max(offenders, key=lambda res: res.worst / res.tolerance).name
+        max(offenders, key=lambda res: (
+            math.isnan(res.worst), res.worst / res.tolerance)).name
         if offenders else None
     )
     doc = {

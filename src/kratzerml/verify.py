@@ -3,7 +3,8 @@
 One table of nine checks.  Each plays a closed form against a route
 that shares no code with it (quadrature, the s-wave pole condition,
 momentum-space ODE integration, Fuchsian sum rules) over a fixed grid
-chosen by the preset, and reports the worst deviation it saw.
+chosen by the preset, and yields one deviation per comparison;
+run_checks reports the worst of them, and a NaN deviation fails.
 """
 
 from __future__ import annotations
@@ -12,7 +13,7 @@ import math
 from dataclasses import dataclass
 from functools import partial
 from itertools import combinations
-from typing import Callable
+from typing import Callable, Iterable, Iterator
 
 import numpy as np
 
@@ -69,13 +70,21 @@ class CheckResult:
 
 @dataclass(frozen=True)
 class Check:
-    """One table row: run(grids[preset]) returns (worst, comparisons)."""
+    """One table row: run(grids[preset]) yields one deviation per
+    comparison."""
 
     name: str
     tolerance: float
     detail: str
     grids: dict
-    run: Callable[..., tuple[float, int]]
+    run: Callable[..., Iterator[float]]
+
+
+def _worst(deviations: Iterable[float]) -> float:
+    # the one reduction: max, but NaN if any deviation is NaN, where max
+    # would keep a NaN only in first place
+    deviations = list(deviations)
+    return math.nan if any(map(math.isnan, deviations)) else max(deviations)
 
 
 def _synthetic_molecule(
@@ -98,47 +107,43 @@ def _rel_dev(a: float, b: float) -> float:
     return abs(a - b) / scale if scale > 0.0 else 0.0
 
 
-def _oracle_moments(grid) -> tuple[float, int]:
+def _states(gamma: float, ns, ls) -> list:
+    # radial states of one gamma at re = 1 angstrom, l-major
+    return [
+        make_radial_state(gamma, QuantumNumbers(n, l), ANGSTROM_TO_M)
+        for l in ls for n in ns
+    ]
+
+
+def _oracle_moments(grid) -> Iterator[float]:
     gammas, ns, ls = grid
-    devs = []
     for gamma in gammas:
         # one gamma row per quadrature call
-        mol = _synthetic_molecule(gamma)
-        scale = gamma * gamma / mol.re_m  # mu g2 / hbar^2
-        states = [
-            make_radial_state(gamma, QuantumNumbers(n, l), mol.re_m)
-            for l in ls for n in ns
-        ]
+        scale = gamma * gamma / ANGSTROM_TO_M  # mu g2 / hbar^2 at re = 1 A
+        states = _states(gamma, ns, ls)
         ps = (1, 2, 3, 4) * len(states)
         row = [state for state in states for _ in range(4)]
         numeric = expectation_inverse_power(ps, row)
         for p, state, result in zip(ps, row, numeric):
             closed = matrix_element_closed(p, state.qn, state.shape, scale)
-            devs.append(_rel_dev(closed, result.value))
-    return max(devs), len(devs)
+            yield _rel_dev(closed, result.value)
 
 
-def _oracle_correction(grid) -> tuple[float, int]:
+def _oracle_correction(grid) -> Iterator[float]:
     gammas, ns, ls = grid
     beta = 1e-46
-    devs = []
     for gamma in gammas:
         mol = _synthetic_molecule(gamma)
         c = couplings_from_kratzer(mol)
-        states = [
-            make_radial_state(gamma, QuantumNumbers(n, l), mol.re_m)
-            for l in ls for n in ns
-        ]
+        states = _states(gamma, ns, ls)
         numeric = correction_via_expectations(states, c, mol.mu_kg, beta)
         for state, result in zip(states, numeric):
             closed = correction_general(c, mol.mu_kg, beta, state.qn)
-            devs.append(_rel_dev(closed, result.value))
-    return max(devs), len(devs)
+            yield _rel_dev(closed, result.value)
 
 
-def _dual_formula(draws: int) -> tuple[float, int]:
+def _dual_formula(draws: int) -> Iterator[float]:
     rng = np.random.default_rng(20260814)
-    devs = []
     for _ in range(draws):
         gamma = math.exp(rng.uniform(math.log(2.0), math.log(40.0)))
         re_angstrom = rng.uniform(0.5, 2.0)
@@ -154,13 +159,11 @@ def _dual_formula(draws: int) -> tuple[float, int]:
         beta = frac * abs(e0) / shift_unit
         via_kratzer = energy_deformed(mol, beta, qn).de
         via_couplings = correction_general(c, mol.mu_kg, beta, qn)
-        devs.append(_rel_dev(via_kratzer, via_couplings))
-    return max(devs), len(devs)
+        yield _rel_dev(via_kratzer, via_couplings)
 
 
-def _quantization(grid) -> tuple[float, int]:
+def _quantization(grid) -> Iterator[float]:
     gammas, n_max = grid
-    devs = []
     for gamma in gammas:
         mol = _synthetic_molecule(gamma)
         c = couplings_from_kratzer(mol)
@@ -170,8 +173,7 @@ def _quantization(grid) -> tuple[float, int]:
         energies = quantize_swave(prob, n_max, mol.mu_kg)
         for n, e_pole in enumerate(energies):
             e_closed = energy_unperturbed(mol, QuantumNumbers(n, 0))
-            devs.append(_rel_dev(e_pole, e_closed))
-    return max(devs), len(devs)
+            yield _rel_dev(e_pole, e_closed)
 
 
 #: decades at the top of a branch that its slope is fitted on; the branches
@@ -182,7 +184,7 @@ _SLOPE_DECADES = 1.0
 
 def _exponents(
     beta: float, p_range: tuple[float, float], cases
-) -> tuple[float, int]:
+) -> Iterator[float]:
     # cases: {branch: sigma1 values}, integrated as one batch
     branches = [branch for branch, sigmas in cases.items() for _ in sigmas]
     probs = [
@@ -191,16 +193,13 @@ def _exponents(
     ]
     p_stop = p_range[1] / 10.0**_SLOPE_DECADES
     solutions = integrate_branch(probs, branches, p_range, p_stop=p_stop)
-    devs = []
     for prob, branch, solution in zip(probs, branches, solutions):
         target = indicial_exponents(prob)[BRANCHES.index(branch)]
-        devs.append(abs(fit_slope(solution, _SLOPE_DECADES) - target))
-    return max(devs), len(devs)
+        yield abs(fit_slope(solution, _SLOPE_DECADES) - target)
 
 
-def _fuchsian(draws: int) -> tuple[float, int]:
+def _fuchsian(draws: int) -> Iterator[float]:
     rng = np.random.default_rng(19081887)
-    devs = []
     for _ in range(draws):
         sigma1 = rng.uniform(-5.0, 15.0)
         sigma2 = rng.uniform(0.0, 5.0)
@@ -214,36 +213,25 @@ def _fuchsian(draws: int) -> tuple[float, int]:
             heun_params_general(MomentumProblem(sigma2, sigma1, k, beta)),
             heun_params_inverse_square(MomentumProblem(sigma1, 0.0, k, beta)),
         )
-        devs.append(max(par.fuchsian_residual() for par in params))
-    return max(devs), len(devs)
+        yield _worst(par.fuchsian_residual() for par in params)
 
 
-def _normalization(grid) -> tuple[float, int]:
-    gammas, n_max = grid
-    devs = []
+def _normalization(grid) -> Iterator[float]:
+    gammas, ns, ls = grid
     for gamma in gammas:
-        states = [
-            make_radial_state(gamma, QuantumNumbers(n, l), ANGSTROM_TO_M)
-            for l in (0, 3) for n in range(n_max + 1)
+        for r in expectation_inverse_power(0, _states(gamma, ns, ls)):
+            yield abs(r.value - 1.0)
+
+
+def _orthogonality(grid) -> Iterator[float]:
+    # off-diagonal pairs within each l, one quadrature call per gamma
+    gammas, ns, ls = grid
+    for gamma in gammas:
+        pairs = [
+            pair for l in ls for pair in combinations(_states(gamma, ns, (l,)), 2)
         ]
-        devs += [abs(r.value - 1.0) for r in expectation_inverse_power(0, states)]
-    return max(devs), len(devs)
-
-
-def _orthogonality(grid) -> tuple[float, int]:
-    gammas, n_max = grid
-    devs = []
-    for gamma in gammas:
-        pairs = []
-        for l in (0, 2):
-            states = [
-                make_radial_state(gamma, QuantumNumbers(n, l), ANGSTROM_TO_M)
-                for n in range(n_max + 1)
-            ]
-            pairs += combinations(states, 2)
-        firsts, seconds = zip(*pairs)
-        devs += [abs(r.value) for r in radial_overlap(firsts, seconds)]
-    return max(devs), len(devs)
+        for r in radial_overlap(*zip(*pairs)):
+            yield abs(r.value)
 
 
 _LEVEL_GRIDS = {
@@ -285,11 +273,13 @@ CHECKS = (
           {"paper": 1000, "small": 100}, _fuchsian),
     Check("normalization", 1e-8,
           "|integral of R^2 r^2 dr - 1|",
-          {"paper": ((2.0, 5.0, 35.755), 6), "small": ((2.0, 35.755), 3)},
+          {"paper": ((2.0, 5.0, 35.755), range(7), (0, 3)),
+           "small": ((2.0, 35.755), range(4), (0, 3))},
           _normalization),
     Check("orthogonality", 1e-7,
           "off-diagonal radial overlaps at fixed l, gamma",
-          {"paper": ((2.0, 5.0, 35.755), 4), "small": ((2.0, 35.755), 2)},
+          {"paper": ((2.0, 5.0, 35.755), range(5), (0, 2)),
+           "small": ((2.0, 35.755), range(3), (0, 2))},
           _orthogonality),
 )
 
@@ -299,18 +289,21 @@ def run_checks(
 ) -> list[CheckResult]:
     """Run every check on the preset's grid, in table order.
 
-    tol, when given, replaces every check's default tolerance.
+    tol, when given, replaces every check's default tolerance and must
+    be positive and finite.
     """
     if preset not in PRESETS:
         raise ValueError(f"unknown preset {preset!r}; use one of {PRESETS}")
+    if tol is not None and not (math.isfinite(tol) and tol > 0.0):
+        raise ValueError(f"tol must be a positive finite number, got {tol!r}")
     results = []
     for check in CHECKS:
-        worst, comparisons = check.run(check.grids[preset])
+        deviations = list(check.run(check.grids[preset]))
         results.append(CheckResult(
             name=check.name,
-            worst=worst,
+            worst=_worst(deviations),
             tolerance=check.tolerance if tol is None else tol,
-            comparisons=comparisons,
+            comparisons=len(deviations),
             detail=check.detail,
         ))
     return results

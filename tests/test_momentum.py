@@ -369,9 +369,10 @@ def test_quantize_swave_validation():
         )
     with pytest.raises(ValueError):
         quantize_swave(MomentumProblem(sigma1=1.0, sigma2=0.0, k=1.0), 2, 1.0)
-    with pytest.raises(ValueError):
-        quantize_swave(MomentumProblem(sigma1=1.0, sigma2=1.0, k=1.0), -1, 1.0)
     regular = MomentumProblem(sigma1=1.0, sigma2=1.0, k=1.0)
+    for n_max in (-1, 2.0, 2.5):
+        with pytest.raises(ValueError, match="n_max"):
+            quantize_swave(regular, n_max, 1.0)
     for mu in (0.0, math.nan, math.inf):
         with pytest.raises(ValueError, match="reduced mass"):
             quantize_swave(regular, 2, mu)

@@ -141,6 +141,18 @@ def test_files_with_a_byte_order_mark_parse_as_without(tmp_path):
         assert parse(marked / name) == parse(write(plain, name, text))
 
 
+@pytest.mark.parametrize("suffix, text, argv", [
+    ("molecule", GOOD_MOLECULE, ["bound"]),
+    ("levels", GOOD_LEVELS, ["fit", "--mu", "1.2", "--init", "1,1,0"]),
+], ids=["molecule", "levels"])
+def test_non_utf8_files_exit_2_naming_the_file(capsys, tmp_path, suffix, text, argv):
+    """A file saved as Latin-1 is a file-format error, not a crash."""
+    path = tmp_path / f"cafe.{suffix}"
+    path.write_bytes(("# caf\u00e9\n" + text).encode("latin-1"))
+    assert main([argv[0], str(path), *argv[1:]]) == 2
+    assert f"error: {path}: not UTF-8 text" in capsys.readouterr().err
+
+
 def test_parse_levels_tabs_and_weights(tmp_path):
     text = "n\tl\tE_cm1\tweight\n0\t0\t-76000.0\t2.5\n1\t0\t-72000.0\t1.5\n"
     rows = parse_levels_file(write(tmp_path, "t.levels", text))

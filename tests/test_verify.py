@@ -1,4 +1,8 @@
+import inspect
+import json
+import math
 from dataclasses import replace
+from functools import partial
 
 import pytest
 
@@ -13,7 +17,8 @@ from kratzerml.momentum import (
     indicial_exponents,
     integrate_branch,
 )
-from kratzerml.verify import CHECKS, run_checks
+from kratzerml.shell import main
+from kratzerml.verify import CHECKS, _worst, run_checks
 
 NAMES = [
     "oracle-moments",
@@ -44,6 +49,14 @@ def test_table_pins_names_and_tolerances(preset_results):
     assert [res.tolerance for res in results] == TOLERANCES
     assert [res.comparisons for res in results] == COMPARISONS[preset]
     assert [res.detail for res in results] == [check.detail for check in CHECKS]
+
+
+def test_every_runner_yields_its_deviations():
+    """Runners yield one deviation per comparison and reduce nothing:
+    run_checks takes the worst of every check by one rule."""
+    for check in CHECKS:
+        run = check.run.func if isinstance(check.run, partial) else check.run
+        assert inspect.isgeneratorfunction(run), check.name
 
 
 def test_every_check_passes(preset_results):
@@ -121,6 +134,45 @@ def test_tolerance_override_and_preset_validation():
     assert {res.tolerance for res in run_checks("small", tol=0.5)} == {0.5}
     with pytest.raises(ValueError):
         run_checks("huge")
+    for tol in (-1.0, 0.0, math.nan, math.inf):
+        with pytest.raises(ValueError, match="tol"):
+            run_checks("small", tol=tol)
+
+
+def _nan_slope(original):
+    # the second slope fitted comes out NaN; max keeps a NaN only first
+    calls = []
+
+    def fit_slope(*args):
+        calls.append(None)
+        return math.nan if len(calls) == 2 else original(*args)
+    return fit_slope
+
+
+def _nan_overlap(original):
+    # the second overlap of every call comes out NaN
+    def radial_overlap(*args):
+        results = list(original(*args))
+        results[1] = replace(results[1], value=math.nan)
+        return results
+    return radial_overlap
+
+
+@pytest.mark.parametrize("name, target, mutant", [
+    ("exponents-deformed", "fit_slope", _nan_slope),
+    ("orthogonality", "radial_overlap", _nan_overlap),
+])
+def test_a_nan_comparison_fails_its_check(monkeypatch, capsys, name, target, mutant):
+    original = getattr(kratzerml.verify, target)
+    monkeypatch.setattr(kratzerml.verify, target, mutant(original))
+    result = next(res for res in run_checks("small") if res.name == name)
+    assert not result.passed
+    assert math.isnan(result.worst)
+    # at --tol 1e-15 finite deviations fail too, and the NaN outranks them
+    for argv in (["verify", "--json"], ["verify", "--json", "--tol", "1e-15"]):
+        monkeypatch.setattr(kratzerml.verify, target, mutant(original))
+        assert main(argv) == 1
+        assert json.loads(capsys.readouterr().out)["worst_offender"] == name
 
 
 def _times(factor):
@@ -197,7 +249,7 @@ def test_each_check_catches_its_mutant(monkeypatch, name, module, target, mutant
     it guards is perturbed by a plausible error (mutation testing)."""
     check = next(check for check in CHECKS if check.name == name)
     grid = check.grids["small"]
-    assert check.run(grid)[0] <= check.tolerance
+    assert _worst(check.run(grid)) <= check.tolerance
     monkeypatch.setattr(module, target, mutant(getattr(module, target)))
-    worst, _ = check.run(grid)
+    worst = _worst(check.run(grid))
     assert worst > check.tolerance, f"{name} misses {target}: {worst:.3e}"
