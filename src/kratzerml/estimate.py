@@ -21,6 +21,7 @@ from .physmodel import (
     energy_to_joule,
     minimal_length,
     require_beta,
+    require_int,
     require_mass,
 )
 from .spectrum import correction_general, energy_deformed, level_energies
@@ -204,8 +205,8 @@ def fit_parameters(
         are put in canonical (n, l) order before any arithmetic, so the
         result is bitwise independent of input permutation.
     init: (De_cm1, re_angstrom, beta_si) starting point; De and re must
-        be positive, beta finite and nonnegative.  beta is checked but not
-        read.
+        be positive and finite, beta finite and nonnegative.  beta is
+        checked but not read.
 
     The objective is the weighted sum of squared residuals in cm^-1.
     At fixed gamma and mu each level is De a + c b with c = beta De^2,
@@ -222,12 +223,11 @@ def fit_parameters(
     """
     rows = _canonical_levels(levels)
     de0, re0, beta0 = (float(v) for v in init)
-    if de0 <= 0.0 or re0 <= 0.0:
-        raise ValueError("initial De and re must be positive")
+    if not all(math.isfinite(v) and v > 0.0 for v in (de0, re0)):
+        raise ValueError("initial De and re must be positive and finite")
     require_beta(beta0)
     require_mass(mu_amu)
-    if max_evaluations < 1:
-        raise ValueError("max_evaluations must be at least 1")
+    max_evaluations = require_int(max_evaluations, "max_evaluations", 1)
 
     nl = [(n, l) for n, l, _, _ in rows]
     observed = [(e_obs, math.sqrt(weight)) for _, _, e_obs, weight in rows]

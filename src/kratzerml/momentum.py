@@ -20,7 +20,7 @@ from typing import NamedTuple
 import numpy as np
 from scipy.integrate import solve_ivp
 
-from .physmodel import batch_columns, require_beta, require_mass
+from .physmodel import batch_columns, require_beta, require_int, require_mass
 
 __all__ = [
     "BRANCHES",
@@ -411,8 +411,7 @@ def quantize_swave(prob: MomentumProblem, n_max: int, mu: float) -> list[float]:
     nu = _swave_nu(prob)
     if prob.sigma2 <= 0.0:
         raise ValueError("sigma2 must be positive for an attractive tail")
-    if not isinstance(n_max, int) or n_max < 0:
-        raise ValueError(f"n_max must be a nonnegative integer, got {n_max!r}")
+    n_max = require_int(n_max, "n_max")
     require_mass(mu)
     energies = []
     for n in range(n_max + 1):
@@ -442,8 +441,7 @@ def momentum_wavefunction_undeformed(p: float, n: int, prob) -> complex:
     """
     if p <= 0.0:
         raise ValueError("p must be positive")
-    if not isinstance(n, int) or n < 0:
-        raise ValueError(f"n must be a nonnegative integer, got {n!r}")
+    n = require_int(n, "n")
     nu = _swave_nu(prob)
     off = prob.sigma2 / prob.k - (n + 0.5 + nu)
     if abs(off) > 1.0e-9:

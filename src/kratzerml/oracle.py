@@ -16,7 +16,8 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.integrate import tanhsinh
 
-from .physmodel import HBAR, KratzerCouplings, batch_columns, require_beta, require_mass
+from .physmodel import HBAR, KratzerCouplings, batch_columns, nan_worst
+from .physmodel import require_beta, require_int, require_mass
 from .wavefunctions import RadialState, kummer_sum
 
 __all__ = [
@@ -79,8 +80,8 @@ class QuadratureSpec:
             raise ValueError("rel_tol below 1e-12 is not certifiable in doubles")
         # below level 2 there is no error estimate; above 12 a call of
         # _CHUNK integrals would hold millions of abscissae
-        if self.max_level not in range(2, 13):
-            raise ValueError("max_level must be an integer from 2 to 12")
+        object.__setattr__(
+            self, "max_level", require_int(self.max_level, "max_level", 2, 12))
 
 
 @dataclass(frozen=True)
@@ -250,21 +251,19 @@ def _certified(
 ) -> list[QuadratureResult]:
     """The results, or ToleranceError naming the worst one that fails."""
     failed = [
-        (i, status)
-        for i, (result, status) in enumerate(results)
+        (it, result, status)
+        for it, (result, status) in zip(integrals, results)
         if status != 0 or not result.within(spec)
     ]
     if not failed:
         return [result for result, _ in results]
 
-    def excess(entry) -> float:
-        result = results[entry[0]][0]
+    def excess(entry) -> tuple[bool, float]:
+        result = entry[1]
         bound = spec.rel_tol * abs(result.value)
-        ratio = result.error_estimate / bound if bound > 0.0 else math.inf
-        return ratio if ratio == ratio else math.inf
+        return nan_worst(result.error_estimate / bound if bound else math.inf)
 
-    i, status = max(failed, key=excess)
-    it, result = integrals[i], results[i][0]
+    it, result, status = max(failed, key=excess)
     if status == -2:
         why = f"did not converge by tanh-sinh level {spec.max_level}"
     elif status != 0:
@@ -304,9 +303,7 @@ def expectation_inverse_power(
     ToleranceError when the error estimate misses the spec thresholds.
     """
     (powers, states), single = batch_columns(p, state)
-    for power in powers:
-        if power not in range(5):
-            raise ValueError(f"p must be an integer in 0..4, got {power!r}")
+    powers = [require_int(power, "p", 0, 4) for power in powers]
     integrals = [
         _Integral(s, s, power, f"<1/r^{power}>")
         for power, s in zip(powers, states)

@@ -7,6 +7,7 @@ mass units and electronvolts appear only at input/output boundaries.
 from __future__ import annotations
 
 import math
+import operator
 from collections.abc import Iterable
 from dataclasses import dataclass
 
@@ -171,10 +172,8 @@ class QuantumNumbers:
     l: int
 
     def __post_init__(self) -> None:
-        if not (isinstance(self.n, int) and isinstance(self.l, int)):
-            raise TypeError("quantum numbers must be integers")
-        if self.n < 0 or self.l < 0:
-            raise ValueError("quantum numbers must be nonnegative")
+        object.__setattr__(self, "n", require_int(self.n, "n"))
+        object.__setattr__(self, "l", require_int(self.l, "l"))
 
     @property
     def principal(self) -> int:
@@ -270,6 +269,26 @@ def require_mass(mu: float) -> None:
     """Check that mu is a valid reduced mass, in any unit: finite and > 0."""
     if not (math.isfinite(mu) and mu > 0.0):
         raise ValueError(f"reduced mass must be positive and finite, got {mu!r}")
+
+
+def require_int(value, name: str, low: int = 0, high: int | None = None) -> int:
+    """value as a plain int: what operator.index takes but a bool, in
+    low..high (high None: no cap); else ValueError naming the argument."""
+    try:
+        number = None if isinstance(value, bool) else operator.index(value)
+    except TypeError:
+        number = None
+    if number is None or number < low or (high is not None and number > high):
+        span = (f"an integer in {low}..{high}" if high is not None
+                else "a nonnegative integer" if low == 0
+                else f"an integer >= {low}")
+        raise ValueError(f"{name} must be {span}, got {value!r}")
+    return number
+
+
+def nan_worst(value: float) -> tuple[bool, float]:
+    """max key ranking NaN above every number; bare max keeps it only first."""
+    return math.isnan(value), value
 
 
 def batch_columns(*args) -> tuple[list[list], bool]:

@@ -18,11 +18,10 @@ from json.encoder import encode_basestring_ascii
 from pathlib import Path
 
 from . import PRESETS
-from .estimate import NoPositiveGapError, beta_upper_bound, fit_parameters
+from .estimate import beta_upper_bound, fit_parameters
 from .physmodel import (
     ANGSTROM_TO_M,
     ENERGY_UNITS,
-    LambdaGuardError,
     Molecule,
     QuantumNumbers,
     beta_from_min_length,
@@ -367,7 +366,7 @@ def cmd_spectrum(args) -> int:
                         f"dissociation limit (dE = {level.de / -level.e0:.3g} "
                         f"|E0|); the level is not bound"
                     )
-            except (LambdaGuardError, ValueError) as exc:
+            except ValueError as exc:
                 entry["error"] = str(exc)
                 failed += 1
                 levels.append(entry)
@@ -485,14 +484,8 @@ def cmd_verify(args) -> int:
     from . import verify
 
     results = verify.run_checks(preset, args.tol)
-    offenders = [res for res in results if not res.passed]
-    all_passed = not offenders
-    # a NaN worst ranks above every finite excess
-    worst_offender = (
-        max(offenders, key=lambda res: (
-            math.isnan(res.worst), res.worst / res.tolerance)).name
-        if offenders else None
-    )
+    worst_offender = verify.worst_offender(results)
+    all_passed = worst_offender is None
     doc = {
         "schema": SCHEMA,
         "command": "verify",
@@ -723,8 +716,7 @@ def main(argv: list[str] | None = None) -> int:
     except (FileFormatError, UsageError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except (NoPositiveGapError, LambdaGuardError, ValueError,
-            RuntimeError, OSError) as exc:
+    except (ValueError, RuntimeError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_FAIL
 

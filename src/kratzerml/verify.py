@@ -41,6 +41,7 @@ from .physmodel import (
     QuantumNumbers,
     couplings_from_kratzer,
     energy_from_joule,
+    nan_worst,
 )
 from .spectrum import (
     correction_general,
@@ -50,7 +51,8 @@ from .spectrum import (
 )
 from .wavefunctions import make_radial_state
 
-__all__ = ["PRESETS", "CheckResult", "Check", "CHECKS", "run_checks"]
+__all__ = ["PRESETS", "CheckResult", "Check", "CHECKS", "run_checks",
+           "worst_offender"]
 
 
 @dataclass(frozen=True)
@@ -81,10 +83,8 @@ class Check:
 
 
 def _worst(deviations: Iterable[float]) -> float:
-    # the one reduction: max, but NaN if any deviation is NaN, where max
-    # would keep a NaN only in first place
-    deviations = list(deviations)
-    return math.nan if any(map(math.isnan, deviations)) else max(deviations)
+    # the one reduction: the largest deviation, NaN if any is NaN
+    return max(deviations, key=nan_worst)
 
 
 def _synthetic_molecule(
@@ -148,10 +148,8 @@ def _dual_formula(draws: int) -> Iterator[float]:
         gamma = math.exp(rng.uniform(math.log(2.0), math.log(40.0)))
         re_angstrom = rng.uniform(0.5, 2.0)
         mu_amu = math.exp(rng.uniform(math.log(0.2), math.log(20.0)))
-        n = int(rng.integers(0, 9))
-        l = int(rng.integers(0, 9))
+        qn = QuantumNumbers(rng.integers(0, 9), rng.integers(0, 9))
         mol = _synthetic_molecule(gamma, re_angstrom, mu_amu)
-        qn = QuantumNumbers(n, l)
         c = couplings_from_kratzer(mol)
         shift_unit = correction_general(c, mol.mu_kg, 1.0, qn)
         e0 = energy_unperturbed(mol, qn)
@@ -307,3 +305,10 @@ def run_checks(
             detail=check.detail,
         ))
     return results
+
+
+def worst_offender(results: Iterable[CheckResult]) -> str | None:
+    """Name of the failed check furthest over tolerance, NaN first, or None."""
+    worst = max((res for res in results if not res.passed), default=None,
+                key=lambda res: nan_worst(res.worst / res.tolerance))
+    return None if worst is None else worst.name

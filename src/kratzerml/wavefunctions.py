@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .physmodel import QuantumNumbers, ShapeNumbers, shape_numbers
+from .physmodel import QuantumNumbers, ShapeNumbers, require_int, shape_numbers
 
 __all__ = [
     "KummerParameterError",
@@ -70,8 +70,7 @@ def kummer_polynomial(n: int, b: float, z: float) -> float:
     The terms are generated by the stable ratio recurrence
     t_{k+1} = t_k * (k - n) * z / ((b + k) (k + 1)) and summed in order.
     """
-    if not isinstance(n, int) or n < 0:
-        raise ValueError("polynomial degree n must be a nonnegative integer")
+    n = require_int(n, "polynomial degree n")
     if not math.isfinite(b):
         raise ValueError("parameter b must be finite")
     if abs(b - round(b)) < 1.0e-12 and round(b) <= 0:

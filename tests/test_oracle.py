@@ -272,6 +272,21 @@ def test_missed_rel_tol_names_the_worst_integral():
         oracle._certified(integrals, results, spec)
 
 
+def test_a_nan_estimate_is_named_ahead_of_an_infinite_excess():
+    """A NaN ranks worst among failed integrals, above a zero value's
+    infinite excess, whichever comes first."""
+    state = make_radial_state(35.755, QuantumNumbers(1, 0), 1.0)
+    integrals = [oracle._Integral(state, state, p, f"<1/r^{p}>") for p in (1, 2)]
+    results = [(QuadratureResult(0.0, 1e-3), 0),
+               (QuadratureResult(2.0, math.nan), -3)]
+    with pytest.raises(
+        ToleranceError,
+        match=r"<1/r\^2> at gamma = 35\.755, \(n, l\) = \(1, 0\) did not "
+        r"converge: the estimate is not finite \(2 of 2 integrals failed\)",
+    ):
+        oracle._certified(integrals, results, QuadratureSpec())
+
+
 def _quantities(gamma: float, n: int, l: int, batched: bool) -> list[float]:
     """<1/r^p> for p = 0..4, the shift and one overlap, in that order.
 

@@ -2,6 +2,7 @@ import ast
 import importlib
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -10,8 +11,16 @@ import numpy as np
 import pytest
 
 import kratzerml
-from kratzerml.momentum import MomentumProblem, OdeSolution, integrate_branch
+from kratzerml.estimate import fit_parameters
+from kratzerml.momentum import (
+    MomentumProblem,
+    OdeSolution,
+    integrate_branch,
+    momentum_wavefunction_undeformed,
+    quantize_swave,
+)
 from kratzerml.oracle import (
+    QuadratureSpec,
     correction_via_expectations,
     expectation_inverse_power,
     radial_overlap,
@@ -23,7 +32,7 @@ from kratzerml.physmodel import (
     energy_from_joule,
 )
 from kratzerml.spectrum import energy_deformed
-from kratzerml.wavefunctions import make_radial_state
+from kratzerml.wavefunctions import kummer_polynomial, make_radial_state
 
 
 def test_submodule_names_resolve_on_the_package():
@@ -144,6 +153,37 @@ def test_private_import_guard_sees_private_names():
         "from . import __version__\nfrom os import _exit\n"
     )
     assert _private_imports(tree) == ["_kummer_sum (line 1)", "_moment (line 2)"]
+
+
+def _isnan_uses(tree: ast.Module) -> list[str]:
+    """Lines that name isnan: a call, a reference or an import."""
+    return [
+        f"line {node.lineno}"
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Name) and node.id == "isnan"
+        or isinstance(node, ast.Attribute) and node.attr == "isnan"
+        or isinstance(node, ast.ImportFrom)
+        and any(alias.name == "isnan" for alias in node.names)
+    ]
+
+
+def test_only_physmodel_spells_the_nan_rule():
+    """physmodel.nan_worst is the one place that asks whether a value is
+    NaN; every ranking that must put a NaN worst goes through it."""
+    package = Path(kratzerml.__file__).parent
+    for path in sorted(package.glob("*.py")):
+        if path.name != "physmodel.py":
+            tree = ast.parse(path.read_text(encoding="utf-8"))
+            assert _isnan_uses(tree) == [], path.name
+
+
+def test_isnan_guard_sees_planted_uses():
+    tree = ast.parse(
+        "import math\nimport numpy as np\nfrom math import isfinite, isnan\n"
+        "x = math.isnan(1.0)\ny = list(map(np.isnan, []))\n"
+        "z = isfinite(2.0)\n"
+    )
+    assert _isnan_uses(tree) == ["line 3", "line 4", "line 5"]
 
 
 # the modules that bound, spectrum and fit load, none of which may import
@@ -428,3 +468,53 @@ def test_every_batch_function_follows_one_rule(name):
             function(first[:1], second)
         with pytest.raises(ValueError, match="the batch is empty"):
             function(first[0], [])
+
+
+_POLE = MomentumProblem(sigma1=0.0, sigma2=3.0, k=1.0)  # k: the n = 2 pole
+_MOL = Molecule("m", 45000.0, 1.1, 1.2)
+_LEVELS = [
+    (n, l, energy_from_joule(energy_deformed(_MOL, 0.0, QuantumNumbers(n, l)).e,
+                             "cm-1"))
+    for n in range(2) for l in range(2)
+]
+
+#: each integer argument: (call, a valid value, one out of range, its name)
+_INTEGER_SITES = {
+    "QuantumNumbers.n": (lambda v: QuantumNumbers(v, 1), 2, -1, "n"),
+    "QuantumNumbers.l": (lambda v: QuantumNumbers(1, v), 2, -1, "l"),
+    "quantize_swave": (
+        lambda v: quantize_swave(_POLE, v, 1.0), 2, -1, "n_max"),
+    "momentum_wavefunction_undeformed": (
+        lambda v: momentum_wavefunction_undeformed(0.5, v, _POLE), 2, -1, "n"),
+    "kummer_polynomial": (lambda v: kummer_polynomial(v, 3.5, 1.2), 2, -1, "n"),
+    "expectation_inverse_power": (
+        lambda v: expectation_inverse_power(v, _STATES[0]), 2, 5, "p"),
+    "QuadratureSpec.max_level": (
+        lambda v: QuadratureSpec(max_level=v), 5, 13, "max_level"),
+    "fit_parameters": (
+        lambda v: fit_parameters(_LEVELS, 1.2, (50000.0, 1.0, 0.0),
+                                 max_evaluations=v),
+        3, 0, "max_evaluations"),
+}
+
+
+@pytest.mark.parametrize("site", sorted(_INTEGER_SITES))
+def test_every_integer_argument_follows_one_rule(site):
+    """What operator.index takes, numpy integers included, gives the
+    plain int's result; a bool, an integral float, a str and a value out
+    of range raise ValueError naming the argument and the value."""
+    call, valid, out_of_range, name = _INTEGER_SITES[site]
+    expected = call(valid)
+    for kind in (np.int64, np.intp):
+        assert call(kind(valid)) == expected, kind
+    for bad in (True, float(valid), str(valid), out_of_range):
+        with pytest.raises(
+            ValueError, match=rf"\b{name} must be .*, got {re.escape(repr(bad))}$"
+        ):
+            call(bad)
+
+
+def test_integer_records_store_a_plain_int():
+    qn = QuantumNumbers(np.int64(1), np.intp(0))
+    assert type(qn.n) is int and type(qn.l) is int
+    assert type(QuadratureSpec(max_level=np.int64(5)).max_level) is int

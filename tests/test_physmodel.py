@@ -77,7 +77,7 @@ def test_quantum_numbers():
     assert qn.principal == 6
     with pytest.raises(ValueError):
         QuantumNumbers(-1, 0)
-    with pytest.raises(TypeError):
+    with pytest.raises(ValueError):
         QuantumNumbers(1.5, 0)
 
 

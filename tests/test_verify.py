@@ -18,7 +18,7 @@ from kratzerml.momentum import (
     integrate_branch,
 )
 from kratzerml.shell import main
-from kratzerml.verify import CHECKS, _worst, run_checks
+from kratzerml.verify import CHECKS, CheckResult, _worst, run_checks, worst_offender
 
 NAMES = [
     "oracle-moments",
@@ -173,6 +173,22 @@ def test_a_nan_comparison_fails_its_check(monkeypatch, capsys, name, target, mut
         monkeypatch.setattr(kratzerml.verify, target, mutant(original))
         assert main(argv) == 1
         assert json.loads(capsys.readouterr().out)["worst_offender"] == name
+
+
+def test_worst_offender_ranks_a_nan_check_first():
+    def result(name, worst, tolerance=1e-7):
+        return CheckResult(name, worst, tolerance, 1, "")
+
+    passing = [result("a", 1e-8), result("b", 0.0)]
+    assert worst_offender(passing) is None
+    assert worst_offender([]) is None
+    far = result("far", 1e293)  # 1e300 times over its tolerance
+    unbounded = result("unbounded", math.inf)
+    lost = result("lost", math.nan)
+    assert worst_offender(passing + [far]) == "far"
+    assert worst_offender(passing + [far, unbounded]) == "unbounded"
+    assert worst_offender([far, unbounded, lost] + passing) == "lost"
+    assert worst_offender([lost, far, unbounded]) == "lost"
 
 
 def _times(factor):
