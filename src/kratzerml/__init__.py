@@ -10,7 +10,8 @@ Submodules are imported on first use (PEP 562), so `import kratzerml`
 loads none of them.  kratzerml.X is the X that its submodule exports,
 found by walking the submodules in order: the closed-form ones come
 first and import only the standard library, so their names resolve
-without numpy or scipy.  The numerical oracles import both at the top.
+without numpy or scipy.  The numerical oracles import numpy at the top,
+and momentum also scipy's solve_ivp.
 """
 
 import importlib

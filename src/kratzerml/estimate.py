@@ -170,8 +170,11 @@ def _canonical_levels(levels):
             raise ValueError(
                 f"level {idx}: expected (n, l, E_cm1) or (n, l, E_cm1, weight)"
             )
+        # integral floats are welcome in data rows, but a bool is refused,
+        # as physmodel.require_int refuses it
         try:
-            whole = int(n) == n and int(l) == l
+            whole = (not isinstance(n, bool) and not isinstance(l, bool)
+                     and int(n) == n and int(l) == l)
         except (OverflowError, ValueError):  # int() of an infinity or a NaN
             whole = False
         if not whole or n < 0 or l < 0:

@@ -3,18 +3,20 @@
 Everything here recomputes moments of the bound-state density by
 numerical integration of the normalized wavefunction, never from the
 closed forms in spectrum, so the two routes stay independent and can be
-played against each other as a cross-check.  One backend: tanh-sinh
-quadrature on a compactified axis, many integrals per call, each result
-certified against its own error estimate.
+played against each other as a cross-check.  One backend: the classical
+tanh-sinh (double-exponential) rule of Takahasi and Mori (1974), in the
+level-by-level form of Bailey, Jeyabalan and Li (Exp. Math. 14, 2005),
+written here in numpy on a compactified axis, many integrals per call,
+each result certified against its own error estimate.
 """
 
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.integrate import tanhsinh
 
 from .physmodel import HBAR, KratzerCouplings, batch_columns, nan_worst
 from .physmodel import require_beta, require_int, require_mass
@@ -30,14 +32,17 @@ __all__ = [
     "correction_via_expectations",
 ]
 
-#: the tanh-sinh level of the first convergence test: every level below
-#: it is evaluated in the first call.  Testing from level 2, the error
-#: estimate certified 5 of 2,160 moments (gamma in {2, 5, 10, 35.755},
-#: n, l <= 5, p = 0..4, three re) at rel_tol 1e-10 that were off by up to
-#: 1.1e-7; from level 5 none was off by more than 1.6e-12
+#: the tanh-sinh level of the first convergence test: every level up to
+#: it is evaluated in the first call.  Of 2,160 moments (gamma in
+#: {2, 5, 10, 35.755}, n, l <= 5, p = 0..4, three re) at rel_tol 1e-10,
+#: none converges before level 5 even when tested from level 2 (585 stop
+#: at 5, 1,536 at 6, 39 at 7), and no certified one is off by more than
+#: 2.4e-12 against the hypervirial moments.  (scipy's tanhsinh estimate,
+#: tested from level 2, certified 5 of them off by up to 1.1e-7.)
 _MIN_LEVEL = 5
-#: integrals per tanh-sinh call: verify's paper-grid moments raise peak
-#: memory by ~2.4 MB at 24 per call, by ~9 MB at 144 (a gamma row) per call
+#: integrals per tanh-sinh call: verify's paper-grid moments peak at
+#: ~0.8 MB of numpy memory (tracemalloc) at 24 per call, ~3.7 MB at 144
+#: (a gamma row) per call
 _CHUNK = 24
 #: absolute stop of an overlap, which is roundoff for orthogonal states
 #: and so has no relative accuracy; |integral R_a R_b r^2 dr| <= 1 by
@@ -45,6 +50,48 @@ _CHUNK = 24
 _OVERLAP_ATOL = 1e-12
 #: no gap: the weight (c0 + c1/r + c2/r^2)^2 of a plain moment
 _NO_GAP = (1.0, 0.0, 0.0)
+#: the tanh-sinh base step: the rule's nodes run out to t = 8 h0, where a
+#: node's distance from an end of [-1, 1], 2/(e^(pi sinh t) + 1), is
+#: 4 * the smallest normal double (scipy's choice), so that level k
+#: holds 2^(k+4) + 1 nodes, 8 * 2^k on either side of the midpoint
+_H0 = math.asinh(
+    math.log(2.0 / (4.0 * sys.float_info.min) - 1.0) / math.pi) / 8.0
+#: tanh-sinh level k -> its new nodes u in (0, 1), their 1 - u and their
+#: weights, filled on first use
+_LEVELS: dict[int, tuple[np.ndarray, np.ndarray, np.ndarray]] = {}
+
+
+def _level(k: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The nodes that tanh-sinh level k adds on u in [0, 1]: (u, 1 - u, w).
+
+    Level 0 holds t = j h0 for j = 0..8; level k >= 1 the odd multiples
+    of h0/2^k up to 8 h0.  The node t maps to u = (1 -+ tanh s)/2 with
+    s = pi/2 sinh t, and its distance from the near end, 1/(e^s cosh s)/2,
+    is taken from that formula rather than by subtraction, so that the
+    tail x = u/(1 - u) keeps its digits.  The weights are the derivative
+    of u in t, (pi/4) cosh t / cosh^2 s; the step h_k multiplies them in
+    _tanh_sinh.
+    """
+    nodes = _LEVELS.get(k)
+    if nodes is None:
+        h = _H0 / 2**k
+        j = np.arange(9.0) if k == 0 else np.arange(1.0, 8 * 2**k + 1, 2.0)
+        t = j * h
+        s = 0.5 * math.pi * np.sinh(t)
+        near = 0.5 / (np.exp(s) * np.cosh(s))
+        weight = 0.25 * math.pi * np.cosh(t) / np.cosh(s) ** 2
+        # level 0's t = 0 is the midpoint u = 1/2: one node, not one per side
+        mirror = slice(1, None) if k == 0 else slice(None)
+        far = 1.0 - near
+        nodes = (
+            np.concatenate((near, far[mirror])),
+            np.concatenate((far, near[mirror])),
+            np.concatenate((weight, weight[mirror])),
+        )
+        for column in nodes:  # shared by every later call
+            column.flags.writeable = False
+        _LEVELS[k] = nodes
+    return nodes
 
 
 class NonIntegrableError(ValueError):
@@ -193,52 +240,69 @@ class _Density:
             out *= np.square((gap[:, 0:1] * x + gap[:, 1:2]) * x + gap[:, 2:3])
         return out
 
-    def integrand(self, u, rows):
-        """tanhsinh's f: the integrand on u in [0, 1], x = u/(1 - u)."""
-        # tanhsinh first calls f with one abscissa per row, then with a
-        # row of abscissae per row
-        flat = u.ndim == 1
-        if flat:
-            u = u[:, None]
-        else:
-            rows = rows[:, 0]
+    def integrand(self, u, v, rows):
+        """The integrand on u in [0, 1], x = u/(1 - u), at the nodes u
+        with v = 1 - u, one row per integral rows[i]."""
         with np.errstate(all="ignore"):
-            w = 1.0 - u
-            out = self(u / w, rows) / (w * w)
+            out = self(u / v, rows) / (v * v)
         # far out on the tail (from x ~ 5e7 at gamma = 1000, n = 20) the
         # squared Kummer sum of a high-degree state overflows where
-        # exp(-alpha x) has long since underflowed, and the endpoints give
-        # log 0 and 1/0: each such abscissa's true value is 0
+        # exp(-alpha x) has long since underflowed, and the nodes next to
+        # the ends give 1/0: each such node's true value is 0
         out[~np.isfinite(out)] = 0.0
-        return out[:, 0] if flat else out
+        return out
 
 
 def _tanh_sinh(
     integrals: list[_Integral], spec: QuadratureSpec, atol: float = 0.0
 ) -> list[tuple[QuadratureResult, int]]:
-    """Every integral by tanh-sinh, _CHUNK per call, with its status.
+    """Every integral by tanh-sinh on u in [0, 1], _CHUNK per call, with
+    its status.
 
-    Status 0 means converged; -2 that max_level was reached and -3 that
-    a non-finite estimate stopped it (scipy.integrate.tanhsinh's codes).
+    Level k's estimate is S_k = S_(k-1)/2 + h_k sum f w over the level's
+    new nodes; its error estimate is |S_k - S_(k-1)|, first tested at
+    _MIN_LEVEL, and an integral stops once that is below rel_tol |S_k| or
+    atol.  Status 0 means converged; -2 that max_level was reached and -3
+    that a non-finite estimate stopped it.
     """
+    first = min(_MIN_LEVEL, spec.max_level)
+    # levels 0..first in one integrand call, the ones below first ahead
+    below = [_level(k) for k in range(first)]
+    u, v, w = (np.concatenate(parts) for parts in zip(*below, _level(first)))
+    split = sum(len(nodes[0]) for nodes in below)
     out = []
     for start in range(0, len(integrals), _CHUNK):
         chunk = integrals[start : start + _CHUNK]
         density = _Density(chunk)
-        res = tanhsinh(
-            density.integrand,
-            0.0,
-            1.0,
-            args=(np.arange(len(chunk)),),
-            minlevel=_MIN_LEVEL,
-            maxlevel=spec.max_level,
-            rtol=spec.rel_tol,
-            atol=atol,
-        )
+        rows = np.arange(len(chunk))
+        value = np.empty(len(chunk))
+        error = np.empty(len(chunk))
+        status = np.full(len(chunk), -2)
+        with np.errstate(all="ignore"):
+            fw = density.integrand(u, v, rows) * w
+            previous = _H0 / 2 ** (first - 1) * fw[:, :split].sum(axis=1)
+            estimate = previous / 2 + _H0 / 2**first * fw[:, split:].sum(axis=1)
+            level = first
+            while True:
+                d1 = np.abs(estimate - previous)
+                converged = (d1 < spec.rel_tol * np.abs(estimate)) | (d1 < atol)
+                broken = ~converged & ~np.isfinite(estimate)
+                status[rows[converged]] = 0
+                status[rows[broken]] = -3
+                stop = converged | broken | (level == spec.max_level)
+                value[rows[stop]] = estimate[stop]
+                error[rows[stop]] = d1[stop]
+                if stop.all():
+                    break
+                level += 1
+                rows, previous = rows[~stop], estimate[~stop]
+                u_k, v_k, w_k = _level(level)
+                fw = density.integrand(u_k, v_k, rows) * w_k
+                estimate = previous / 2 + _H0 / 2**level * fw.sum(axis=1)
         out += [
-            (QuadratureResult(value=v, error_estimate=abs(e)), s)
-            for v, e, s in zip(
-                res.integral.tolist(), res.error.tolist(), res.status.tolist()
+            (QuadratureResult(value=val, error_estimate=err), code)
+            for val, err, code in zip(
+                value.tolist(), error.tolist(), status.tolist()
             )
         ]
     return out
@@ -269,8 +333,9 @@ def _certified(
     elif status != 0:
         why = "did not converge: the estimate is not finite"
     else:
-        # tanh-sinh stops once its estimate meets rel_tol, so a converged
-        # result lands here only at a rounding edge; the recheck stays
+        # tanh-sinh converges only once its estimate is below rel_tol
+        # |value|, or below an atol the certified moments do not pass, so
+        # the rule never lands here itself; the recheck stays
         why = (
             f"missed rel_tol: error estimate {result.error_estimate:.3e} "
             f"exceeds {spec.rel_tol:.3e} * |value|"

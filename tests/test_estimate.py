@@ -186,6 +186,14 @@ def test_fit_permutation_invariance():
     )
 
 
+def test_fit_accepts_integral_floats_as_quantum_numbers():
+    """A data row may spell n and l as floats such as 2.0; the fit is the
+    one of the integer rows, bit for bit."""
+    floats = [(float(n), float(l), e) for n, l, e in LEVELS]
+    assert fit_parameters(floats, 1.2, (52000.0, 1.0, 0.0)) == fit_parameters(
+        LEVELS, 1.2, (52000.0, 1.0, 0.0))
+
+
 def test_fit_weights_accepted():
     weighted = [(n, l, e, 2.0) for n, l, e in LEVELS]
     out = fit_parameters(weighted, 1.2, (52000.0, 1.0, 0.0))
@@ -230,7 +238,8 @@ def test_fit_input_validation():
             fit_parameters(LEVELS, 1.2, (52000.0, 1.0, 0.0),
                            max_evaluations=budget)
     for bad in ((math.inf, 0, -40000.0), (0, math.inf, -40000.0),
-                (math.nan, 0, -40000.0), (0, math.nan, -40000.0)):
+                (math.nan, 0, -40000.0), (0, math.nan, -40000.0),
+                (True, 0, -40000.0), (0, False, -40000.0)):
         with pytest.raises(ValueError, match="nonnegative integers"):
             fit_parameters([bad] + LEVELS[1:], 1.2, (52000.0, 1.0, 0.0))
     for bad in ((0, 0, math.nan), (0, 0, -math.inf),

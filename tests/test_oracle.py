@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+import scipy.integrate
 from hypothesis import given, settings, strategies as st
 
 import hypervirial
@@ -185,10 +186,12 @@ def test_certified_moments_are_within_rel_tol():
     """Every certified moment of this sweep is within rel_tol of its
     closed form.
 
-    With the first convergence test at tanh-sinh level 2 (scipy's
-    default) 5 of these 2,160 passed at rel_tol 1e-10 while off by up to
-    1.1e-7, among them gamma = 2, re = 1 m, (n, l) = (1, 1), p = 4, whose
-    estimate read 3.5e-11; from level 5 the worst is 1.6e-12.
+    With scipy.integrate.tanhsinh's error estimate and its first
+    convergence test at level 2 (scipy's default) 5 of these 2,160 passed
+    at rel_tol 1e-10 while off by up to 1.1e-7, among them gamma = 2,
+    re = 1 m, (n, l) = (1, 1), p = 4, whose estimate read 3.5e-11; from
+    level 5 the worst was 1.6e-12.  With the package's estimate
+    |S_k - S_(k-1)| the worst is 2.4e-12 from any first level 2..5.
     """
     spec = QuadratureSpec()
     worst = 0.0
@@ -252,8 +255,8 @@ def test_missed_rel_tol_names_the_worst_integral():
     """A converged result whose estimate misses rel_tol is refused, and
     the error names the integral that misses it by the most.
 
-    tanh-sinh stops only once its estimate meets rel_tol, so this branch
-    is reached at a rounding edge at most; the results are built by hand.
+    tanh-sinh converges only once its estimate meets rel_tol, so the rule
+    does not reach this branch itself; the results are built by hand.
     """
     state = make_radial_state(35.755, QuantumNumbers(5, 2), 1.0)
     spec = QuadratureSpec(rel_tol=1e-12)
@@ -416,3 +419,90 @@ def test_array_density_matches_scalar_wavefunction(gamma, n, l, re, fractions):
         # below ~1e-300 the scalar's R^2 r^2 is subnormal
         bound = 4.0 * (n + 1 + lam_sum) * _EPS * rho_abs + 1e-300
         assert abs(value - expected) <= bound, (xi, value, expected)
+
+
+def _scipy_tanh_sinh(integrals, atol=0.0):
+    """The same integrals by scipy.integrate.tanhsinh: (value, estimate,
+    status) each, with the oracle's first level, rel_tol and level cap."""
+    density = oracle._Density(integrals)
+
+    def f(u, rows):
+        # scipy calls f with one abscissa per row, then with a row of
+        # abscissae per row; the density broadcasts either against rows
+        flat = u.ndim == 1
+        if flat:
+            u = u[:, None]
+        else:
+            rows = rows[:, 0]
+        out = density.integrand(u, 1.0 - u, rows)
+        return out[:, 0] if flat else out
+
+    spec = QuadratureSpec()
+    res = scipy.integrate.tanhsinh(
+        f, 0.0, 1.0, args=(np.arange(len(integrals)),),
+        minlevel=oracle._MIN_LEVEL, maxlevel=spec.max_level,
+        rtol=spec.rel_tol, atol=atol,
+    )
+    return list(zip(res.integral.tolist(), np.abs(res.error).tolist(),
+                    res.status.tolist()))
+
+
+def _agree_with_scipy(integrals, atol=0.0):
+    """Both rules' values agree within the sum of their two estimates and
+    the rounding of their sums, which weigh the same terms in different
+    orders and at nodes whose 1 - u differs in its last bits: 64 ulps of
+    the integral of |f| (measured: at most 32), |value| for a moment and
+    at most 1 for an overlap by Cauchy-Schwarz."""
+    assert len(integrals) <= oracle._CHUNK  # one call of each rule
+    ours = oracle._tanh_sinh(integrals, QuadratureSpec(), atol)
+    theirs = _scipy_tanh_sinh(integrals, atol)
+    for it, (result, status), (value, estimate, code) in zip(
+        integrals, ours, theirs
+    ):
+        assert (status, code) == (0, 0), it
+        scale = abs(value) if it.a is it.b else 1.0
+        roundoff = 64 * _EPS * scale
+        assert abs(result.value - value) <= (
+            result.error_estimate + estimate + roundoff), it
+
+
+def test_moments_agree_with_scipy_tanhsinh():
+    """The package's tanh-sinh rule and scipy's agree on one moments chunk."""
+    states = [
+        make_radial_state(gamma, QuantumNumbers(n, l), 1.0)
+        for gamma in (2.0, 35.755) for n, l in ((0, 0), (3, 2))
+    ]
+    _agree_with_scipy([
+        oracle._Integral(state, state, p, f"<1/r^{p}>")
+        for state in states for p in range(5)
+    ])
+
+
+def test_overlaps_agree_with_scipy_tanhsinh():
+    """As above on one chunk of overlaps with the overlap's absolute stop:
+    the pairs of each gamma's l = 1 states, orthogonal ones (whose values
+    are roundoff) and the diagonal."""
+    pairs = []
+    for gamma in (2.0, 35.755):
+        states = [make_radial_state(gamma, QuantumNumbers(n, 1), 1.0)
+                  for n in range(4)]
+        pairs += [(a, b) for i, a in enumerate(states) for b in states[i:]]
+    _agree_with_scipy(
+        [oracle._Integral(a, b, 0, "overlap") for a, b in pairs],
+        atol=oracle._OVERLAP_ATOL,
+    )
+
+
+def test_cached_nodes_keep_their_complements():
+    """On every level, u + (1 - u) rounds to 1, 1 - u is positive on every
+    node with a nonzero weight, and levels 0..k hold 2^(k+4) + 1 nodes."""
+    total = 0
+    for k in range(QuadratureSpec(max_level=12).max_level + 1):
+        u, v, w = oracle._level(k)
+        assert oracle._LEVELS[k] is oracle._level(k)
+        total += len(u)
+        assert len(v) == len(w) == len(u)
+        assert total == 2 ** (k + 4) + 1
+        assert np.all(u + v == 1.0), k
+        assert np.all(v[w != 0.0] > 0.0), k
+        assert np.all((u > 0.0) & (u <= 1.0) & (w >= 0.0)), k

@@ -310,7 +310,6 @@ print(json.dumps({
     "heavy_after_lookup": heavy_after_lookup,
     "heavy_after_closed_forms": heavy_after_closed_forms,
     "bound": {
-        "oracle.tanhsinh": kratzerml.oracle.tanhsinh is scipy.integrate.tanhsinh,
         "momentum.solve_ivp":
             kratzerml.momentum.solve_ivp is scipy.integrate.solve_ivp,
     },
@@ -344,18 +343,44 @@ def test_closed_form_commands_leave_scipy_unloaded(tmp_path):
 
 def test_scipy_names_are_read_at_call_time(monkeypatch):
     """A wrapper put in place of a module's scipy name is the one called."""
-    state = make_radial_state(5.0, QuantumNumbers(0, 0), 1.0)
     calls = []
-    original = kratzerml.oracle.tanhsinh
+    original = kratzerml.momentum.solve_ivp
 
     def counted(*args, **kwargs):
         calls.append(1)
         return original(*args, **kwargs)
 
-    monkeypatch.setattr(kratzerml.oracle, "tanhsinh", counted)
-    expectation_inverse_power(0, state)
-    assert kratzerml.oracle.tanhsinh is counted
-    assert calls == [1]
+    monkeypatch.setattr(kratzerml.momentum, "solve_ivp", counted)
+    probs = [MomentumProblem(sigma1=s, sigma2=0.4, k=1.0, beta=1.0)
+             for s in (-1.0, 2.0)]
+    integrate_branch(probs, "fast-decay", (1.0, 2e3), p_stop=200.0)
+    integrate_branch(probs[0], "slow-decay", (1.0, 2e3), p_stop=200.0)
+    assert kratzerml.momentum.solve_ivp is counted
+    # one solve per batch, whatever its size
+    assert calls == [1, 1]
+
+
+def test_momentum_holds_the_one_scipy_import():
+    """solve_ivp is the package's only scipy name; the quadrature oracle
+    runs its own tanh-sinh rule and imports nothing from scipy."""
+    package = Path(kratzerml.__file__).parent
+    found = {
+        path.name: [
+            entry.split(" (line")[0] for entry in _import_time_imports(
+                ast.parse(path.read_text(encoding="utf-8")), {"scipy"})
+        ]
+        for path in sorted(package.glob("*.py"))
+    }
+    assert {name: imports for name, imports in found.items() if imports} == {
+        "momentum.py": ["scipy.integrate"],
+    }
+    momentum = ast.parse((package / "momentum.py").read_text(encoding="utf-8"))
+    names = [
+        alias.name for node in momentum.body
+        if isinstance(node, ast.ImportFrom) and node.module == "scipy.integrate"
+        for alias in node.names
+    ]
+    assert names == ["solve_ivp"]
 
 
 # Runs in a fresh interpreter, so that dir() and __all__ are computed by
