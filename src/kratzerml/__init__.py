@@ -10,8 +10,8 @@ Submodules are imported on first use (PEP 562), so `import kratzerml`
 loads none of them.  kratzerml.X is the X that its submodule exports,
 found by walking the submodules in order: the closed-form ones come
 first and import only the standard library, so their names resolve
-without numpy or scipy.  The numerical oracles import numpy at the top,
-and momentum also scipy's solve_ivp.
+without numpy.  The numerical oracles import numpy at the top, and no
+module imports scipy.
 """
 
 import importlib
@@ -19,12 +19,12 @@ import importlib
 __version__ = "1.0.0"
 
 # the verify grid presets; defined here so that the CLI parser can offer
-# them without importing verify, and with it numpy and scipy
+# them without importing verify, and with it numpy
 PRESETS = ("small", "paper")
 
 # the submodules whose __all__ lists make up the package's, in that order:
 # physmodel, spectrum and estimate, which bound, spectrum and fit need,
-# before the modules that import numpy and scipy
+# before the modules that import numpy
 _MODULES = ("physmodel", "spectrum", "estimate", "wavefunctions", "oracle",
             "momentum", "verify")
 

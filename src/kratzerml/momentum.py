@@ -18,7 +18,6 @@ from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
-from scipy.integrate import solve_ivp
 
 from .physmodel import batch_columns, require_beta, require_int, require_mass
 
@@ -57,7 +56,7 @@ _DEFORMED_EXPONENTS = (-10.0 / 3.0, -2.0)
 
 
 class StiffnessError(RuntimeError):
-    """The adaptive integrator collapsed its step size and gave up."""
+    """The integration of a branch turned a value non-finite."""
 
 
 class NonQuantizedError(ValueError):
@@ -142,29 +141,33 @@ def _coefficients(probs) -> _Coefficients:
     )
 
 
-def ode_rhs_deformed(
-    prob: MomentumProblem | _Coefficients, p: float, phi: complex, dphi: complex
-) -> complex:
-    """phi'' solved from the deformed equation for phi = p psi.
-
-    prob is a MomentumProblem, or the coefficients of a batch of them
-    (integrate_branch passes numpy columns with phi and dphi as columns
-    of the same length).  Each call evaluates only the polynomials in p
-    of _Coefficients.  At beta = 0 they reduce to the undeformed
-    equation, (p^2 + k^2) phi'' + (4 p + 2 i sigma2) phi' +
-    (2 - sigma1) phi = 0, with no special-casing.  p = 0 is a singular
-    point of the coefficients: start integrations at p > 0.
-    """
-    if p <= 0.0:
-        raise ValueError("p must be positive; p = 0 is a singular point")
-    co = prob if isinstance(prob, _Coefficients) else _coefficients(prob)
+def _ratios(co: _Coefficients, p):
+    """B = b/a and C = c/a of phi'' = -(B phi' + C phi) at p: the one
+    evaluation of the _Coefficients polynomials, on scalars or on numpy
+    arrays that broadcast (a column of p against a batch's row)."""
     p2 = p * p
     a = co.a0 + (co.a2 + co.a4 * p2) * p2
     b = co.b0 + (co.b1 + (co.b2 + co.b3 * p) * p) * p
     c = co.c0 + (co.c1 + co.c2 * p) * p
     # times the reciprocal, as numpy divides a complex by a real: the
     # same bits on numpy and on Python scalars
-    return -(b * dphi + c * phi) * (1.0 / a)
+    inverse = 1.0 / a
+    return b * inverse, c * inverse
+
+
+def ode_rhs_deformed(
+    prob: MomentumProblem, p: float, phi: complex, dphi: complex
+) -> complex:
+    """phi'' solved from the deformed equation for phi = p psi, from the
+    B and C that integrate_branch steps with.  At beta = 0 they reduce to
+    the undeformed equation, (p^2 + k^2) phi'' + (4 p + 2 i sigma2) phi'
+    + (2 - sigma1) phi = 0, with no special-casing.  p = 0 is a singular
+    point of the coefficients: start integrations at p > 0.
+    """
+    if p <= 0.0:
+        raise ValueError("p must be positive; p = 0 is a singular point")
+    b_ratio, c_ratio = _ratios(_coefficients(prob), p)
+    return -(b_ratio * dphi + c_ratio * phi)
 
 
 def indicial_exponents(prob: MomentumProblem) -> tuple[complex, complex]:
@@ -216,12 +219,43 @@ class OdeSolution:
             raise ValueError(f"branch must be one of {BRANCHES}, got {self.branch!r}")
 
 
+def _rk4_step(top, mid, bottom, h):
+    """The matrix ((t11, t12), (t21, t22)) of one classical RK4 step of
+    length h in s = ln p for phi' = chi, chi' = drift chi - pull phi
+    (chi = p dphi/dp); top, mid and bottom are (drift, pull) at the
+    step's stage abscissae, arrays over steps and members like each t.
+    """
+
+    def slope(stage, phi, chi):
+        drift, pull = stage
+        return chi, drift * chi - pull * phi
+
+    # the unit states on a leading axis: their images are the columns
+    phi, chi = np.eye(2)[:, :, None, None]
+    k1 = slope(top, phi, chi)
+    k2 = slope(mid, phi + 0.5 * h * k1[0], chi + 0.5 * h * k1[1])
+    k3 = slope(mid, phi + 0.5 * h * k2[0], chi + 0.5 * h * k2[1])
+    k4 = slope(bottom, phi + h * k3[0], chi + h * k3[1])
+    return tuple(
+        y + (h / 6.0) * (a + 2.0 * b + 2.0 * c + d)
+        for y, a, b, c, d in zip((phi, chi), k1, k2, k3, k4)
+    )
+
+
+#: RK4 substeps per grid interval: the fewest m with (h/m) max(|drift| +
+#: sqrt|pull|) <= _STEP_BOUND, h = ln 10/points_per_decade.  Against
+#: DOP853 at rtol 1e-12 (tests/test_verify.py): the exponent checks' grids
+#: reach a rate of 5.0, so m = 1, and their slopes move by <= 1.4e-7; the
+#: undeformed sigma1 = 1278 (H2, l = 0) reaches 38.7, and m = 5 moves its
+#: slope by 1.6e-5, where m = 1 moved it by 7.3e-3
+_STEP_BOUND = 0.1
+
+
 def integrate_branch(
     prob: MomentumProblem | Iterable[MomentumProblem],
     branch: str | Iterable[str],
     p_range: tuple[float, float],
     *,
-    rtol: float = 1e-10,
     points_per_decade: int = MIN_POINTS_PER_DECADE,
     ic: tuple[complex, complex] | None = None,
     p_stop: float | None = None,
@@ -230,10 +264,8 @@ def integrate_branch(
 
     prob and branch are each one item or a batch, paired by
     physmodel.batch_columns: one OdeSolution, or a list in batch order.
-    The members share p_range, the grid and p_stop, and are integrated as
-    one stacked system that shares one adaptive step sequence, chosen by
-    an error norm over all of them, so a member's bits depend on its
-    batch-mates, within rtol; a single problem is a batch of one.
+    The members share p_range, the grid and p_stop; a single problem is
+    a batch of one.
 
     Initial conditions at p_max follow the branch's asymptotic power law
     phi = p^s, phi' = s p^(s-1) with s = -7/3 (fast) or -1 (slow) when
@@ -246,20 +278,16 @@ def integrate_branch(
 
     The range must span at least three decades when the power-law
     initial conditions are used, so that p_max sits in the asymptotic
-    regime.  Adaptive 8th-order Runge-Kutta with embedded error control
-    at the given rtol; output on a log grid with points_per_decade
-    (>= 200) nodes per decade.  Raises StiffnessError, naming the
-    batch's sigma1 range, if the integrator gives up.
+    regime.  Classical RK4 in s = ln p steps along the output grid, of
+    points_per_decade (>= 200) nodes per decade, with m equal substeps
+    per interval (_STEP_BOUND) chosen over the whole p_range: m is all a
+    member's bits take from its batch-mates.  Raises StiffnessError,
+    naming the batch's sigma1 range, if a value turns non-finite.
 
     p_stop (< p_max) ends the integration early: each solution then holds
-    the grid points from the last one at or below p_stop up to p_max,
-    and every value is == the same point of the full integration of the
-    same batch.  The grid is still laid over the whole p_range (it is
-    anchored at p_min), and a terminal event between that point and the
-    one below it ends the run.  The adaptive steps above the event do not
-    depend on where the run would have ended, and each grid point is read
-    from the same step's interpolant as in the full run.  p_stop <= p_min
-    gives the full solution.
+    the grid points from the last one at or below p_stop up to p_max, and
+    every value is == the same point of the full run, which only takes
+    more steps.  p_stop <= p_min gives the full solution.
     """
     (probs, branches), single = batch_columns(prob, branch)
     for member in branches:
@@ -280,7 +308,9 @@ def integrate_branch(
 
     size = len(probs)
     scales = np.empty(size, dtype=complex)
-    y0 = np.empty(2 * size, dtype=complex)
+    # phi and chi = p phi' at p_max, one column per member
+    phi = np.empty(size, dtype=complex)
+    chi = np.empty(size, dtype=complex)
     if ic is None:
         for i, (member, member_branch) in enumerate(zip(probs, branches)):
             s = _branch_phi_exponent(member, member_branch)
@@ -289,66 +319,65 @@ def integrate_branch(
             # amplitude afterwards; skip the restore only if p_max^s is
             # not representable (the ray is the same up to that constant)
             scales[i] = cmath.exp(log0) if abs(log0.real) < 690.0 else 1.0
-            y0[i] = 1.0
-            y0[size + i] = s / p_max
+            phi[i] = 1.0
+            chi[i] = s
     else:
         phi_raw, dphi_raw = complex(ic[0]), complex(ic[1])
         norm = max(abs(phi_raw), abs(dphi_raw) * p_max)
         if norm == 0.0:
             raise ValueError("initial conditions must not both vanish")
         scales[:] = norm
-        y0[:size] = phi_raw / norm
-        y0[size:] = dphi_raw / norm
+        phi[:] = phi_raw / norm
+        chi[:] = dphi_raw * p_max / norm
 
     coefficients = _coefficients(probs)
 
-    def rhs(p: float, y: np.ndarray) -> np.ndarray:
-        # y stacks the members' phi, then their phi'
-        phi, dphi = y[:size], y[size:]
-        return np.concatenate(
-            (dphi, ode_rhs_deformed(coefficients, p, phi, dphi))
-        )
+    def rates(p: np.ndarray):
+        # (drift, pull) = (1 - p B, p^2 C): rows p, columns members
+        p = p[:, None]
+        b_ratio, c_ratio = _ratios(coefficients, p)
+        return 1.0 - p * b_ratio, p * p * c_ratio
 
-    n_points = int(math.ceil(points_per_decade * decades)) + 1
-    grid = np.geomspace(p_min, p_max, n_points)
-    # the last grid point at or below p_stop is the last one emitted: the
-    # terminal event sits between it and the grid point below it
+    intervals = int(math.ceil(points_per_decade * decades))
+    grid = np.geomspace(p_min, p_max, intervals + 1)
+    drift, pull = rates(grid)
+    rate = float(np.max(np.abs(drift) + np.sqrt(np.abs(pull))))
+    substeps = max(1, math.ceil(math.log(10.0) / points_per_decade * rate
+                                / _STEP_BOUND))
+    # the last grid point at or below p_stop is the last one kept
     first = 0
     if p_stop is not None:
         first = max(int(np.searchsorted(grid, p_stop, side="right")) - 1, 0)
-    events = None
-    if first:
-        p_event = math.sqrt(grid[first - 1] * grid[first])
-
-        def stop(p: float, y: np.ndarray) -> float:
-            return p - p_event
-
-        stop.terminal = True
-        events = stop
-    result = solve_ivp(
-        rhs,
-        (p_max, p_min),
-        y0,
-        method="DOP853",
-        rtol=rtol,
-        atol=1e-12,
-        t_eval=grid[::-1],
-        dense_output=False,
-        events=events,
+    # the steps taken, from p_max down, laid over the whole p_range
+    taken = substeps * (intervals - first)
+    nodes = np.geomspace(p_max, p_min, substeps * intervals + 1)[: taken + 1]
+    drift, pull = rates(nodes)
+    (t11, t12), (t21, t22) = _rk4_step(
+        (drift[:-1], pull[:-1]),
+        rates(np.sqrt(nodes[:-1] * nodes[1:])),
+        (drift[1:], pull[1:]),
+        -math.log(p_max / p_min) / (substeps * intervals),
     )
-    if not result.success:
+    states = np.empty((taken + 1, size), dtype=complex)
+    states[0] = phi
+    with np.errstate(over="ignore", invalid="ignore"):
+        for i in range(taken):
+            phi, chi = t11[i] * phi + t12[i] * chi, t21[i] * phi + t22[i] * chi
+            states[i + 1] = phi
+    values = states[::substeps]
+    if not np.isfinite(values).all():
         low = min(member.sigma1 for member in probs)
         high = max(member.sigma1 for member in probs)
         span = f"= {low:g}" if low == high else f"in [{low:g}, {high:g}]"
         raise StiffnessError(
             f"integration failed between p = {p_max:g} and {p_min:g} "
-            f"(sigma1 {span}): {result.message}"
+            f"(sigma1 {span}): a value turned non-finite"
         )
     grid = grid[first:]
-    psi = result.y[:size, ::-1] * scales[:, None] / grid
+    psi = values[::-1].T * scales[:, None] / grid
     solutions = [
-        OdeSolution(grid=grid, values=values, branch=member_branch)
-        for values, member_branch in zip(psi, branches)
+        OdeSolution(grid=grid, values=member_values, branch=member_branch)
+        for member_values, member_branch in zip(psi, branches)
     ]
     return solutions[0] if single else solutions
 

@@ -479,8 +479,8 @@ def cmd_verify(args) -> int:
     preset = args.grid_preset
     if args.tol is not None and not _positive_finite(args.tol):
         raise UsageError("--tol must be a positive finite number")
-    # the one place the package defers numpy and scipy: verify and the
-    # oracles import them at the top, and no other command loads those
+    # the one place the package defers numpy: verify and the oracles
+    # import it at the top, and no other command loads it
     from . import verify
 
     results = verify.run_checks(preset, args.tol)

@@ -16,20 +16,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .physmodel import QuantumNumbers, ShapeNumbers, require_int, shape_numbers
+from .physmodel import QuantumNumbers, ShapeNumbers, shape_numbers
 
 __all__ = [
-    "KummerParameterError",
     "RadialState",
-    "kummer_polynomial",
     "kummer_sum",
     "make_radial_state",
     "radial_wavefunction",
 ]
-
-
-class KummerParameterError(ValueError):
-    """Second Kummer parameter too close to a nonpositive integer."""
 
 
 def kummer_sum(n, b, z):
@@ -48,36 +42,6 @@ def kummer_sum(n, b, z):
     if degree == 0 and not all(isinstance(v, (int, float)) for v in (n, b, z)):
         return np.ones(np.broadcast_shapes(*map(np.shape, (n, b, z))))
     return acc
-
-
-def kummer_polynomial(n: int, b: float, z: float) -> float:
-    """Terminating Kummer function M(-n, b; z), checked, by kummer_sum.
-
-    Parameters
-    ----------
-    n : int
-        Degree of the polynomial; the first Kummer parameter is -n.
-    b : float
-        Second Kummer parameter, positive.
-    z : float
-        Argument.
-
-    Returns
-    -------
-    float
-        sum_{k=0}^{n} [(-n)_k / (b)_k] z^k / k!
-
-    The terms are generated by the stable ratio recurrence
-    t_{k+1} = t_k * (k - n) * z / ((b + k) (k + 1)) and summed in order.
-    """
-    n = require_int(n, "polynomial degree n")
-    if not math.isfinite(b):
-        raise ValueError("parameter b must be finite")
-    if abs(b - round(b)) < 1.0e-12 and round(b) <= 0:
-        raise KummerParameterError(
-            f"b = {b!r} is within 1e-12 of a nonpositive integer"
-        )
-    return kummer_sum(n, b, z)
 
 
 @dataclass(frozen=True)

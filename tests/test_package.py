@@ -32,7 +32,7 @@ from kratzerml.physmodel import (
     energy_from_joule,
 )
 from kratzerml.spectrum import energy_deformed
-from kratzerml.wavefunctions import kummer_polynomial, make_radial_state
+from kratzerml.wavefunctions import make_radial_state
 
 
 def test_submodule_names_resolve_on_the_package():
@@ -187,7 +187,7 @@ def test_isnan_guard_sees_planted_uses():
 
 
 # the modules that bound, spectrum and fit load, none of which may import
-# numpy or scipy at import time; shell defers verify, and with it both, to
+# numpy or scipy at import time; shell defers verify, and with it numpy, to
 # verify's command (the fresh-interpreter test below sees indirect imports)
 _CLOSED_FORM_MODULES = (
     "__init__.py", "shell.py", "physmodel.py", "spectrum.py", "estimate.py",
@@ -271,8 +271,7 @@ def test_numpy_import_guard_sees_top_level_imports():
 
 # Runs in a fresh interpreter: importing the package, looking up every
 # closed-form name on it and running bound, spectrum and fit must leave
-# numpy and scipy unloaded; after verify each scipy name is a module
-# global holding the scipy object itself, which is what a tracer wraps.
+# numpy and scipy unloaded, and verify loads numpy alone.
 _STARTUP_SCRIPT = """
 import contextlib, io, json, sys
 sys.path.insert(0, sys.argv[1])
@@ -302,17 +301,13 @@ codes = [
 ]
 heavy_after_closed_forms = heavy_modules()
 codes.append(run("verify", "--json"))
-import scipy.integrate
 print(json.dumps({
     "codes": codes,
     "heavy_after_import": heavy_after_import,
     "looked_up": len(closed_forms),
     "heavy_after_lookup": heavy_after_lookup,
     "heavy_after_closed_forms": heavy_after_closed_forms,
-    "bound": {
-        "momentum.solve_ivp":
-            kratzerml.momentum.solve_ivp is scipy.integrate.solve_ivp,
-    },
+    "scipy_after_verify": [m for m in heavy_modules() if m.startswith("scipy")],
 }))
 """
 
@@ -338,49 +333,17 @@ def test_closed_form_commands_leave_scipy_unloaded(tmp_path):
     assert doc["looked_up"] > 0
     assert doc["heavy_after_lookup"] == []
     assert doc["heavy_after_closed_forms"] == []
-    assert doc["bound"] == dict.fromkeys(doc["bound"], True)
+    assert doc["scipy_after_verify"] == []
 
 
-def test_scipy_names_are_read_at_call_time(monkeypatch):
-    """A wrapper put in place of a module's scipy name is the one called."""
-    calls = []
-    original = kratzerml.momentum.solve_ivp
-
-    def counted(*args, **kwargs):
-        calls.append(1)
-        return original(*args, **kwargs)
-
-    monkeypatch.setattr(kratzerml.momentum, "solve_ivp", counted)
-    probs = [MomentumProblem(sigma1=s, sigma2=0.4, k=1.0, beta=1.0)
-             for s in (-1.0, 2.0)]
-    integrate_branch(probs, "fast-decay", (1.0, 2e3), p_stop=200.0)
-    integrate_branch(probs[0], "slow-decay", (1.0, 2e3), p_stop=200.0)
-    assert kratzerml.momentum.solve_ivp is counted
-    # one solve per batch, whatever its size
-    assert calls == [1, 1]
-
-
-def test_momentum_holds_the_one_scipy_import():
-    """solve_ivp is the package's only scipy name; the quadrature oracle
-    runs its own tanh-sinh rule and imports nothing from scipy."""
+def test_no_module_imports_scipy():
+    """scipy is a test dependency: the quadrature oracle and the branch
+    integrator run the package's own rules.  Imports inside functions are
+    pinned by test_the_verify_command_is_the_one_deferred_import."""
     package = Path(kratzerml.__file__).parent
-    found = {
-        path.name: [
-            entry.split(" (line")[0] for entry in _import_time_imports(
-                ast.parse(path.read_text(encoding="utf-8")), {"scipy"})
-        ]
-        for path in sorted(package.glob("*.py"))
-    }
-    assert {name: imports for name, imports in found.items() if imports} == {
-        "momentum.py": ["scipy.integrate"],
-    }
-    momentum = ast.parse((package / "momentum.py").read_text(encoding="utf-8"))
-    names = [
-        alias.name for node in momentum.body
-        if isinstance(node, ast.ImportFrom) and node.module == "scipy.integrate"
-        for alias in node.names
-    ]
-    assert names == ["solve_ivp"]
+    for path in sorted(package.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        assert _import_time_imports(tree, {"scipy"}) == [], path.name
 
 
 # Runs in a fresh interpreter, so that dir() and __all__ are computed by
@@ -511,7 +474,6 @@ _INTEGER_SITES = {
         lambda v: quantize_swave(_POLE, v, 1.0), 2, -1, "n_max"),
     "momentum_wavefunction_undeformed": (
         lambda v: momentum_wavefunction_undeformed(0.5, v, _POLE), 2, -1, "n"),
-    "kummer_polynomial": (lambda v: kummer_polynomial(v, 3.5, 1.2), 2, -1, "n"),
     "expectation_inverse_power": (
         lambda v: expectation_inverse_power(v, _STATES[0]), 2, 5, "p"),
     "QuadratureSpec.max_level": (

@@ -4,18 +4,21 @@ import math
 from dataclasses import replace
 from functools import partial
 
+import numpy as np
 import pytest
+import scipy.integrate
 
-import kratzerml.momentum
 import kratzerml.spectrum
 import kratzerml.verify
 import kratzerml.wavefunctions
 from kratzerml.momentum import (
     BRANCHES,
     MomentumProblem,
+    OdeSolution,
     fit_slope,
     indicial_exponents,
     integrate_branch,
+    ode_rhs_deformed,
 )
 from kratzerml.shell import main
 from kratzerml.verify import CHECKS, CheckResult, _worst, run_checks, worst_offender
@@ -97,36 +100,89 @@ def test_exponent_checks_match_full_range_slopes():
             assert worst[name] == max(_deviations(probs, branches, full)), preset
 
 
-#: worst |slope - slope at rtol 1e-13| of a single-problem run at the
-#: default rtol 1e-10, over the paper grid (3.08e-10 and 1.01e-9 measured);
-#: a batch member must stay as close to its own rtol 1e-13 run (measured
-#: 1.0e-10 and 1.5e-10)
-_SOLO_SLOPE_ERROR = {"exponents-deformed": 3.1e-10, "exponents-undeformed": 1.0e-9}
-
-
 def test_batched_slopes_are_as_accurate_as_single_runs():
-    for name, probs, branches, p_range in _exponent_batches("paper"):
-        p_stop = p_range[1] / 10.0
-        batch = integrate_branch(probs, branches, p_range, p_stop=p_stop)
-        for prob, branch, solution in zip(probs, branches, batch):
-            reference = integrate_branch(
-                prob, branch, p_range, rtol=1e-13, p_stop=p_stop
-            )
-            error = abs(fit_slope(solution) - fit_slope(reference))
-            assert error <= _SOLO_SLOPE_ERROR[name], (name, branch, prob.sigma1)
+    """On both presets' grids every member takes one RK4 step per grid
+    interval, as its single run does, so batching changes no bit."""
+    for preset in ("paper", "small"):
+        for name, probs, branches, p_range in _exponent_batches(preset):
+            p_stop = p_range[1] / 10.0
+            batch = integrate_branch(probs, branches, p_range, p_stop=p_stop)
+            for prob, branch, solution in zip(probs, branches, batch):
+                alone = integrate_branch(prob, branch, p_range, p_stop=p_stop)
+                assert np.all(solution.values == alone.values), (
+                    preset, name, branch, prob.sigma1)
+                assert fit_slope(solution) == fit_slope(alone)
+
+
+def _dop853_psi(prob, branch, grid):
+    """psi of the branch's unit power-law ray on grid, by scipy's DOP853
+    at rtol 1e-12, integrated inward from grid[-1]."""
+    s = indicial_exponents(prob)[BRANCHES.index(branch)] + 1.0
+    p_max = grid[-1]
+    result = scipy.integrate.solve_ivp(
+        lambda p, y: [y[1], ode_rhs_deformed(prob, p, y[0], y[1])],
+        (p_max, grid[0]), [1.0 + 0.0j, s / p_max], method="DOP853",
+        rtol=1e-12, atol=1e-12, t_eval=grid[::-1],
+    )
+    assert result.success, result.message
+    return result.y[0, ::-1] / grid
+
+
+#: about H2's l = 0 coupling gamma^2 (gamma = 35.755), the stiffest sigma1 the
+#: substep rule has to carry
+_H2_SIGMA1 = 1278.0
+
+#: worst |slope - DOP853's| and |psi/DOP853's - 1| (after matching the
+#: constant at p_max) over the fitted decade, measured: 1.44e-7 and
+#: 3.33e-7 on the paper grids (the undeformed fast branch at sigma1 = 6),
+#: 1.56e-5 and 3.61e-5 at the undeformed sigma1 = 1278 (7.3e-3 and 1.7e-2
+#: with one step per grid interval), 6.2e-10 and 1.4e-9 at sigma1 = 1278,
+#: beta = 1 (9.9e-9 and 2.3e-8 with one step)
+_DOP853_DEVIATION = {
+    "paper": (2e-7, 5e-7),
+    "undeformed H2": (2.5e-5, 6e-5),
+    "deformed H2": (1e-9, 2.5e-9),
+}
+
+
+def _dop853_cases():
+    for _, probs, branches, p_range in _exponent_batches("paper"):
+        for prob, branch in zip(probs, branches):
+            yield "paper", prob, branch, p_range
+    yield ("undeformed H2", MomentumProblem(_H2_SIGMA1, 0.4, 1.0), "fast-decay",
+           (0.5, 2.0e3))
+    for branch in BRANCHES:
+        yield ("deformed H2", MomentumProblem(_H2_SIGMA1, 0.4, 1.0, 1.0), branch,
+               (1.0, 2.0e3))
+
+
+def test_branches_match_dop853():
+    """The RK4 branches and their slopes on the fitted decade of the
+    exponent checks, against an independent DOP853 run."""
+    for case, prob, branch, p_range in _dop853_cases():
+        solution = integrate_branch(prob, branch, p_range, p_stop=p_range[1] / 10.0)
+        reference = _dop853_psi(prob, branch, solution.grid)
+        ratio = reference[-1] / solution.values[-1]
+        psi_dev = float(np.max(np.abs(ratio * solution.values / reference - 1.0)))
+        slope_dev = abs(
+            fit_slope(solution)
+            - fit_slope(OdeSolution(solution.grid, reference, branch))
+        )
+        slope_tol, psi_tol = _DOP853_DEVIATION[case]
+        assert slope_dev <= slope_tol, (case, branch, prob.sigma1, slope_dev)
+        assert psi_dev <= psi_tol, (case, branch, prob.sigma1, psi_dev)
 
 
 def test_paper_preset_makes_one_ode_solve_per_exponent_check(monkeypatch):
     calls = []
-    original = kratzerml.momentum.solve_ivp
+    original = kratzerml.verify.integrate_branch
 
     def counted(*args, **kwargs):
         calls.append(1)
         return original(*args, **kwargs)
 
-    monkeypatch.setattr(kratzerml.momentum, "solve_ivp", counted)
+    monkeypatch.setattr(kratzerml.verify, "integrate_branch", counted)
     run_checks("paper")
-    assert kratzerml.momentum.solve_ivp is counted
     assert len(calls) == 2
 
 
