@@ -41,9 +41,13 @@ __all__ = [
 #: tested from level 2, certified 5 of them off by up to 1.1e-7.)
 _MIN_LEVEL = 5
 #: integrals per tanh-sinh call: verify's paper-grid moments peak at
-#: ~0.8 MB of numpy memory (tracemalloc) at 24 per call, ~3.7 MB at 144
+#: ~0.56 MB of numpy memory (tracemalloc) at 24 per call, ~2.6 MB at 144
 #: (a gamma row) per call
 _CHUNK = 24
+#: the log of the density below which exp gives exactly 0.0: exp(E) is 0
+#: from E = -745.13 (half the smallest subnormal) down, and the 15 below
+#: that cover the rounding of E and of the bound on it (_Density)
+_LOG_UNDERFLOW = -760.0
 #: absolute stop of an overlap, which is roundoff for orthogonal states
 #: and so has no relative accuracy; |integral R_a R_b r^2 dr| <= 1 by
 #: Cauchy-Schwarz, so it is also at most 1e-12 of the largest overlap
@@ -179,6 +183,17 @@ class _Density:
     with M from kummer_sum, as in radial_wavefunction; the exponentials
     of both states and of re^(3 - p) x^(2 - p) are taken as one, and the
     gap as (c0 x^2 + c1/re x + c2/re^2)^2 / x^4.
+
+    That exponential is exp(E), E = log_scale + P ln x - D x + ln|M_a M_b|
+    with P = power and D = decay, and row i's window [x_lo, x_hi] holds
+    every x where E can exceed _LOG_UNDERFLOW = T; outside it the row is
+    exactly 0 (a gapped one too).  For b > 0, z >= 0, |M(-n, b; z)| <=
+    (1 + z/b)^n as (b)_k >= b^k, so with q = alpha/lam and K = log_scale
+    + sum n ln(1 + q) over both states: E <= K + P ln x on x <= 1, which
+    gives x_lo = min(1, e^((T - K)/P)) if P > 0, else 0; and on x >= 1
+    E <= K + Q ln x - D x, Q = max(P + n_a + n_b, 0), where Q ln x - D x/2
+    falls from x0 = max(1, 2Q/D), so x_hi = max(x0, 2(K + Q ln x0 -
+    D x0/2 - T)/D).  The bound is on the true M, whatever sums it.
     """
 
     def __init__(self, integrals: list[_Integral]) -> None:
@@ -207,6 +222,17 @@ class _Density:
         self.same = all(it.a is it.b for it in integrals)
         if not self.same:
             self.kummer_b = self._kummer_columns([it.b for it in integrals])
+        # the window, as in the class docstring; z/b = (alpha/lam) x
+        pair = (self.kummer_a, self.kummer_a if self.same else self.kummer_b)
+        k = self.log_scale + sum(n * np.log1p(rate / b) for n, b, rate in pair)
+        q = np.maximum(self.power + sum(n for n, _, _ in pair), 0.0)
+        x0 = np.maximum(1.0, 2.0 * q / self.decay)
+        self.x_hi = np.maximum(x0, 2.0 * (
+            k + q * np.log(x0) - 0.5 * self.decay * x0 - _LOG_UNDERFLOW
+        ) / self.decay)
+        with np.errstate(all="ignore"):
+            self.x_lo = np.where(self.power > 0.0, np.minimum(
+                1.0, np.exp((_LOG_UNDERFLOW - k) / self.power)), 0.0)
 
     @staticmethod
     def _kummer_columns(states: list[RadialState]):
@@ -240,6 +266,10 @@ class _Density:
             out *= np.square((gap[:, 0:1] * x + gap[:, 1:2]) * x + gap[:, 2:3])
         return out
 
+    def window(self, rows) -> tuple[float, float]:
+        """The union [x_lo, x_hi] of the windows of rows."""
+        return self.x_lo[rows].min(), self.x_hi[rows].max()
+
     def integrand(self, u, v, rows):
         """The integrand on u in [0, 1], x = u/(1 - u), at the nodes u
         with v = 1 - u, one row per integral rows[i]."""
@@ -253,6 +283,18 @@ class _Density:
         return out
 
 
+def _weighted(density: _Density, rows, u, v, w):
+    """f w for rows on all the nodes u, with f evaluated only inside the
+    rows' window: the other nodes' f is exactly 0, and a full-width row
+    of zeros keeps every sum's order and so its bits."""
+    lo, hi = density.window(rows)
+    x = u / v
+    inside = (x >= lo) & (x <= hi)
+    fw = np.zeros((len(rows), len(u)))
+    fw[:, inside] = density.integrand(u[inside], v[inside], rows) * w[inside]
+    return fw
+
+
 def _tanh_sinh(
     integrals: list[_Integral], spec: QuadratureSpec, atol: float = 0.0
 ) -> list[tuple[QuadratureResult, int]]:
@@ -263,7 +305,8 @@ def _tanh_sinh(
     new nodes; its error estimate is |S_k - S_(k-1)|, first tested at
     _MIN_LEVEL, and an integral stops once that is below rel_tol |S_k| or
     atol.  Status 0 means converged; -2 that max_level was reached and -3
-    that a non-finite estimate stopped it.
+    that a non-finite estimate stopped it.  f is evaluated only inside the
+    open rows' window, where exp has not underflowed (_weighted).
     """
     first = min(_MIN_LEVEL, spec.max_level)
     # levels 0..first in one integrand call, the ones below first ahead
@@ -279,7 +322,7 @@ def _tanh_sinh(
         error = np.empty(len(chunk))
         status = np.full(len(chunk), -2)
         with np.errstate(all="ignore"):
-            fw = density.integrand(u, v, rows) * w
+            fw = _weighted(density, rows, u, v, w)
             previous = _H0 / 2 ** (first - 1) * fw[:, :split].sum(axis=1)
             estimate = previous / 2 + _H0 / 2**first * fw[:, split:].sum(axis=1)
             level = first
@@ -297,7 +340,7 @@ def _tanh_sinh(
                 level += 1
                 rows, previous = rows[~stop], estimate[~stop]
                 u_k, v_k, w_k = _level(level)
-                fw = density.integrand(u_k, v_k, rows) * w_k
+                fw = _weighted(density, rows, u_k, v_k, w_k)
                 estimate = previous / 2 + _H0 / 2**level * fw.sum(axis=1)
         out += [
             (QuadratureResult(value=val, error_estimate=err), code)

@@ -196,13 +196,21 @@ def _exponents(
         yield abs(fit_slope(solution, _SLOPE_DECADES) - target)
 
 
-def _fuchsian(draws: int) -> Iterator[float]:
+def _fuchsian_draws(draws: int) -> list[list[float]]:
+    # one row (sigma1, sigma2, ln k, log10 crowding) per draw, in one call:
+    # the stream of four scalar uniform calls per draw, bit for bit
     rng = np.random.default_rng(19081887)
-    for _ in range(draws):
-        sigma1 = rng.uniform(-5.0, 15.0)
-        sigma2 = rng.uniform(0.0, 5.0)
-        k = math.exp(rng.uniform(math.log(1e-2), math.log(1e2)))
-        crowding = 10.0 ** rng.uniform(-6.0, math.log10(0.5))
+    return rng.uniform(
+        (-5.0, 0.0, math.log(1e-2), -6.0),
+        (15.0, 5.0, math.log(1e2), math.log10(0.5)),
+        size=(draws, 4),
+    ).tolist()
+
+
+def _fuchsian(draws: int) -> Iterator[float]:
+    for sigma1, sigma2, log_k, log_crowding in _fuchsian_draws(draws):
+        k = math.exp(log_k)
+        crowding = 10.0 ** log_crowding
         beta = crowding / (6.0 * k * k)
         # the problem, its sigma-swapped twin (the source's printed
         # reading) and the sigma2 = 0 problem of the four-point form

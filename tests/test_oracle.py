@@ -506,3 +506,80 @@ def test_cached_nodes_keep_their_complements():
         assert np.all(u + v == 1.0), k
         assert np.all(v[w != 0.0] > 0.0), k
         assert np.all((u > 0.0) & (u <= 1.0) & (w >= 0.0)), k
+
+
+@st.composite
+def _chunks(draw):
+    """One tanh-sinh chunk of moments, gapped moments and overlaps, each
+    at its own gamma in [2, 3000], re in [1e-11, 1] m and n, l <= 20."""
+    integrals = []
+    for _ in range(draw(st.integers(1, oracle._CHUNK))):
+        gamma = draw(st.floats(2.0, 3000.0))
+        re = 10.0 ** draw(st.floats(-11.0, 0.0))
+        l = draw(st.integers(0, 20))
+        a = make_radial_state(gamma, QuantumNumbers(draw(st.integers(0, 20)), l), re)
+        kind = draw(st.sampled_from(["moment", "gapped", "overlap"]))
+        if kind == "overlap":
+            n = draw(st.integers(0, 20))
+            b = make_radial_state(gamma, QuantumNumbers(n, l), re)
+            integrals.append(oracle._Integral(a, b, 0, "overlap"))
+        elif kind == "gapped":
+            c0, c1, c2 = draw(st.tuples(*[st.floats(-2.0, 2.0)] * 3))
+            gap = (c0, c1 * re, c2 * re * re)
+            integrals.append(oracle._Integral(a, a, 0, "gapped", gap))
+        else:
+            integrals.append(oracle._Integral(a, a, draw(st.integers(0, 4)), "p"))
+    return integrals
+
+
+def _bits(results):
+    return [(result.value.hex(), result.error_estimate.hex(), status)
+            for result, status in results]
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    integrals=_chunks(),
+    max_level=st.integers(5, 10),
+    atol=st.sampled_from([0.0, oracle._OVERLAP_ATOL]),
+)
+def test_window_skips_only_nodes_that_are_zero(integrals, max_level, atol):
+    """Outside each row's window the integrand is exactly 0 on every
+    node of levels 0..10, and tanh-sinh gives the bits of every value,
+    estimate and status it gives with the window widened to [0, inf]."""
+    density = oracle._Density(integrals)
+    u, v, _ = (np.concatenate(parts)
+               for parts in zip(*map(oracle._level, range(11))))
+    x = u / v
+    values = density.integrand(u, v, np.arange(len(integrals)))
+    for i, row in enumerate(values):
+        lo, hi = density.window(np.array([i]))
+        outside = (x < lo) | (x > hi)
+        assert np.all(row[outside] == 0.0), integrals[i]
+    spec = QuadratureSpec(max_level=max_level)
+    windowed = oracle._tanh_sinh(integrals, spec, atol)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(oracle._Density, "window", lambda self, rows: (0.0, math.inf))
+        everywhere = oracle._tanh_sinh(integrals, spec, atol)
+    assert _bits(windowed) == _bits(everywhere)
+
+
+def test_window_skips_most_nodes_of_verify(monkeypatch):
+    """verify's paper grid evaluates its integrands on fewer than half the
+    nodes of the levels it reaches (about 39 %)."""
+    from kratzerml.verify import run_checks
+
+    evaluated = []
+    original = oracle._Density.integrand
+
+    def counted(self, u, v, rows):
+        evaluated.append(len(rows) * len(u))
+        return original(self, u, v, rows)
+
+    monkeypatch.setattr(oracle._Density, "integrand", counted)
+    run_checks("paper")
+    inside = sum(evaluated)
+    evaluated.clear()
+    monkeypatch.setattr(oracle._Density, "window", lambda self, rows: (0.0, math.inf))
+    run_checks("paper")
+    assert 0 < inside < 0.5 * sum(evaluated)

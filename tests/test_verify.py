@@ -186,6 +186,25 @@ def test_paper_preset_makes_one_ode_solve_per_exponent_check(monkeypatch):
     assert len(calls) == 2
 
 
+@pytest.mark.parametrize("draws", [100, 1000])
+def test_fuchsian_draws_are_the_scalar_stream(draws):
+    """The fuchsian check draws its numbers in one call, and they are
+    the numbers of four scalar uniform calls per draw, bit for bit."""
+    rng = np.random.default_rng(19081887)
+    scalar = [
+        [
+            rng.uniform(-5.0, 15.0),
+            rng.uniform(0.0, 5.0),
+            rng.uniform(math.log(1e-2), math.log(1e2)),
+            rng.uniform(-6.0, math.log10(0.5)),
+        ]
+        for _ in range(draws)
+    ]
+    batched = kratzerml.verify._fuchsian_draws(draws)
+    assert all(type(value) is float for row in batched for value in row)
+    assert batched == scalar
+
+
 def test_tolerance_override_and_preset_validation():
     assert {res.tolerance for res in run_checks("small", tol=0.5)} == {0.5}
     with pytest.raises(ValueError):
