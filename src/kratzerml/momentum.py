@@ -491,6 +491,9 @@ class HeunParams:
 
     The source prints them with sigma1 and sigma2 exchanged; that reading is
     heun_params_general of the swapped problem, and heun_residual rejects it.
+    From a batch, every field but a and b is a numpy column, and
+    fuchsian_residual gives a column too; heun_residual takes one
+    problem's parameters.
     """
 
     a: float
@@ -524,7 +527,9 @@ class HeunParamsIS:
     """Four-regular-point form of the sigma2 = 0 (inverse-square) case.
 
     The equation lives in the chart xi = 6 beta p^2/(1 + 6 beta p^2),
-    with psi = (1 - xi) phi.
+    with psi = (1 - xi) phi.  From a batch, q, xi0 and beta are numpy
+    columns, and fuchsian_residual gives a column too; heun_residual
+    takes one problem's parameters.
     """
 
     a: float
@@ -537,7 +542,16 @@ class HeunParamsIS:
     beta: float
 
     def fuchsian_residual(self) -> float:
-        return abs(self.a + self.b + 1.0 - (self.c + self.d + self.e))
+        """|a + b + 1 - (c + d + e)|, blind to the problem.
+
+        It reads only the five constants heun_params_inverse_square sets,
+        never q or xi0, so it is 0.0 on every input and no error in the
+        problem-dependent fields can move it (ROADMAP item 13 replaces
+        the sum rule with the coefficient identity).  A batch gets the
+        value once per member.
+        """
+        residual = abs(self.a + self.b + 1.0 - (self.c + self.d + self.e))
+        return residual if np.ndim(self.q) == 0 else np.full(len(self.q), residual)
 
     def _fuchsian_form(self, p: np.ndarray, psi: np.ndarray):
         blow = 1.0 + 6.0 * self.beta * p * p
@@ -576,71 +590,107 @@ class HypergeometricParams:
         )
 
 
-def heun_params_general(prob: MomentumProblem) -> HeunParams:
+def _problem_columns(prob) -> tuple[np.ndarray, bool]:
+    """sigma1, sigma2, k and beta as numpy columns over one problem or a
+    batch (physmodel.batch_columns), and whether prob was one problem."""
+    (probs,), single = batch_columns(prob)
+    columns = np.array(
+        [(member.sigma1, member.sigma2, member.k, member.beta) for member in probs]
+    ).T
+    return columns, single
+
+
+def _params(cls, single: bool, **fields):
+    # one problem's fields as floats, a batch's problem-dependent ones as
+    # numpy columns in batch order
+    if single:
+        fields = {
+            name: value.item() if isinstance(value, np.ndarray) else value
+            for name, value in fields.items()
+        }
+    return cls(**fields)
+
+
+def heun_params_general(
+    prob: MomentumProblem | Iterable[MomentumProblem],
+) -> HeunParams:
     """Parameters of the five-point form for beta > 0.
 
     c + d = 1/3 and e + f = 4 exactly (the sigma2 terms cancel
-    pairwise), hence the Fuchsian sum 13/3.
+    pairwise), hence the Fuchsian sum 13/3.  prob is one problem, giving
+    float fields, or a batch (physmodel.batch_columns), giving one
+    HeunParams whose problem-dependent fields are numpy columns in batch
+    order, each entry the bits of the member's own call; the validation
+    raises if any member fails it.
     """
-    if prob.beta <= 0.0:
-        raise ValueError(
-            "beta must be positive: at beta = 0 the singular points "
-            "coalesce; use hypergeometric_params instead"
+    (sigma1, sigma2, k, beta), single = _problem_columns(prob)
+    # overflow to inf and nan pass silently, as on Python floats
+    with np.errstate(over="ignore", invalid="ignore"):
+        if (beta <= 0.0).any():
+            raise ValueError(
+                "beta must be positive: at beta = 0 the singular points "
+                "coalesce; use hypergeometric_params instead"
+            )
+        root = np.sqrt(6.0 * beta)
+        denom = 1.0 - 6.0 * beta * k * k
+        if (abs(denom) < 1e-12).any():
+            raise ValueError("parameter pole: 6 beta k^2 = 1")
+        half_cd = 0.5 * sigma2 * root / denom
+        half_ef = (sigma2 / k) * (1.0 - 3.0 * beta * k * k) / denom
+        return _params(
+            HeunParams,
+            single,
+            a=1.0,
+            b=7.0 / 3.0,
+            c=1.0 / 6.0 + half_cd,
+            d=1.0 / 6.0 - half_cd,
+            e=2.0 + half_ef,
+            f=2.0 - half_ef,
+            rho1=-7.0 / 3.0 - (sigma2 / 3.0) * root,
+            rho2=0.5 * beta * k * k + (sigma2 / 6.0) * root + 1.0 / 12.0
+            + 0.25 * sigma1,
+            z1=0.5 + 0.5 * k * root,
+            z2=0.5 - 0.5 * k * root,
+            beta=beta,
         )
-    sigma1 = prob.sigma1
-    sigma2 = prob.sigma2
-    k = prob.k
-    beta = prob.beta
-    root = math.sqrt(6.0 * beta)
-    denom = 1.0 - 6.0 * beta * k * k
-    if abs(denom) < 1e-12:
-        raise ValueError("parameter pole: 6 beta k^2 = 1")
-    half_cd = 0.5 * sigma2 * root / denom
-    half_ef = (sigma2 / k) * (1.0 - 3.0 * beta * k * k) / denom
-    return HeunParams(
-        a=1.0,
-        b=7.0 / 3.0,
-        c=1.0 / 6.0 + half_cd,
-        d=1.0 / 6.0 - half_cd,
-        e=2.0 + half_ef,
-        f=2.0 - half_ef,
-        rho1=-7.0 / 3.0 - (sigma2 / 3.0) * root,
-        rho2=0.5 * beta * k * k + (sigma2 / 6.0) * root + 1.0 / 12.0
-        + 0.25 * sigma1,
-        z1=0.5 + 0.5 * k * root,
-        z2=0.5 - 0.5 * k * root,
-        beta=beta,
-    )
 
 
-def heun_params_inverse_square(prob: MomentumProblem) -> HeunParamsIS:
-    """Parameters of the four-point form on the sigma2 = 0 branch."""
-    if prob.sigma2 != 0.0:
-        raise ValueError("the four-point form holds only at sigma2 = 0")
-    k = prob.k
-    beta = prob.beta
-    if not beta > 0.0:
-        raise ValueError("beta must be positive for the deformed chart")
-    six_bk2 = 6.0 * beta * (k * k)
-    denom = 1.0 - six_bk2
-    if abs(denom) < 1e-12:
-        raise ValueError("parameter pole: 6 beta k^2 = 1")
-    xi0 = -six_bk2 / denom
-    if xi0 >= 0.0:
-        raise ValueError(
-            "xi0 must be negative for a bound-state chart; "
-            "6 beta k^2 exceeds 1 here"
+def heun_params_inverse_square(
+    prob: MomentumProblem | Iterable[MomentumProblem],
+) -> HeunParamsIS:
+    """Parameters of the four-point form on the sigma2 = 0 branch.
+
+    One problem or a batch, as heun_params_general: q, xi0 and beta are
+    the problem-dependent fields.
+    """
+    (sigma1, sigma2, k, beta), single = _problem_columns(prob)
+    with np.errstate(over="ignore", invalid="ignore"):
+        if (sigma2 != 0.0).any():
+            raise ValueError("the four-point form holds only at sigma2 = 0")
+        if not (beta > 0.0).all():
+            raise ValueError("beta must be positive for the deformed chart")
+        six_bk2 = 6.0 * beta * (k * k)
+        denom = 1.0 - six_bk2
+        if (abs(denom) < 1e-12).any():
+            raise ValueError("parameter pole: 6 beta k^2 = 1")
+        xi0 = -six_bk2 / denom
+        if (xi0 >= 0.0).any():
+            raise ValueError(
+                "xi0 must be negative for a bound-state chart; "
+                "6 beta k^2 exceeds 1 here"
+            )
+        return _params(
+            HeunParamsIS,
+            single,
+            a=11.0 / 6.0,
+            b=1.0,
+            c=1.5,
+            d=1.0 / 3.0,
+            e=2.0,
+            q=-1.5 + 0.25 * sigma1 / denom,
+            xi0=xi0,
+            beta=beta,
         )
-    return HeunParamsIS(
-        a=11.0 / 6.0,
-        b=1.0,
-        c=1.5,
-        d=1.0 / 3.0,
-        e=2.0,
-        q=-1.5 + 0.25 * prob.sigma1 / denom,
-        xi0=xi0,
-        beta=beta,
-    )
 
 
 def hypergeometric_params(prob: MomentumProblem) -> HypergeometricParams:

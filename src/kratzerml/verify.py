@@ -142,18 +142,38 @@ def _oracle_correction(grid) -> Iterator[float]:
             yield _rel_dev(closed, result.value)
 
 
-def _dual_formula(draws: int) -> Iterator[float]:
+def _dual_draws(draws: int) -> list[tuple]:
+    # one row (ln gamma, re, ln mu, n, l, log10 frac) per draw from five
+    # raw PCG64 words: the stream of the scalar calls uniform x 3,
+    # integers(0, 9) x 2, uniform, bit for bit
     rng = np.random.default_rng(20260814)
-    for _ in range(draws):
-        gamma = math.exp(rng.uniform(math.log(2.0), math.log(40.0)))
-        re_angstrom = rng.uniform(0.5, 2.0)
-        mu_amu = math.exp(rng.uniform(math.log(0.2), math.log(20.0)))
-        qn = QuantumNumbers(rng.integers(0, 9), rng.integers(0, 9))
+    words = rng.bit_generator.random_raw(5 * draws).reshape(draws, 5)
+    low = np.array((math.log(2.0), 0.5, math.log(0.2), -8.0))
+    high = np.array((math.log(40.0), 2.0, math.log(20.0), -2.0))
+    # numpy's next_double, then random_uniform
+    uniforms = low + (high - low) * ((words[:, [0, 1, 2, 4]] >> 11) * 2.0**-53)
+    # word 3 feeds both integers, low half first (next_uint32), each by
+    # Lemire's method on the 9 values; numpy would draw again where the
+    # product's low half is below (2^32 - 9) mod 9 = 4
+    halves = np.stack((words[:, 3] & 0xFFFFFFFF, words[:, 3] >> 32), axis=1)
+    products = halves * 9
+    if ((products & 0xFFFFFFFF) < 4).any():
+        raise RuntimeError("the stream needs numpy's rejection step here")
+    log_gamma, re_angstrom, log_mu, log_frac = uniforms.T.tolist()
+    n, l = (products >> 32).T.tolist()
+    return list(zip(log_gamma, re_angstrom, log_mu, n, l, log_frac))
+
+
+def _dual_formula(draws: int) -> Iterator[float]:
+    for log_gamma, re_angstrom, log_mu, n, l, log_frac in _dual_draws(draws):
+        gamma = math.exp(log_gamma)
+        mu_amu = math.exp(log_mu)
+        qn = QuantumNumbers(n, l)
         mol = _synthetic_molecule(gamma, re_angstrom, mu_amu)
         c = couplings_from_kratzer(mol)
         shift_unit = correction_general(c, mol.mu_kg, 1.0, qn)
         e0 = energy_unperturbed(mol, qn)
-        frac = 10.0 ** rng.uniform(-8.0, -2.0)
+        frac = 10.0 ** log_frac
         beta = frac * abs(e0) / shift_unit
         via_kratzer = energy_deformed(mol, beta, qn).de
         via_couplings = correction_general(c, mol.mu_kg, beta, qn)
@@ -208,18 +228,24 @@ def _fuchsian_draws(draws: int) -> list[list[float]]:
 
 
 def _fuchsian(draws: int) -> Iterator[float]:
+    # per draw: the problem, its sigma-swapped twin (the source's printed
+    # reading) and the sigma2 = 0 problem of the four-point form
+    problems, twins, inverse_square = [], [], []
     for sigma1, sigma2, log_k, log_crowding in _fuchsian_draws(draws):
         k = math.exp(log_k)
         crowding = 10.0 ** log_crowding
         beta = crowding / (6.0 * k * k)
-        # the problem, its sigma-swapped twin (the source's printed
-        # reading) and the sigma2 = 0 problem of the four-point form
-        params = (
-            heun_params_general(MomentumProblem(sigma1, sigma2, k, beta)),
-            heun_params_general(MomentumProblem(sigma2, sigma1, k, beta)),
-            heun_params_inverse_square(MomentumProblem(sigma1, 0.0, k, beta)),
-        )
-        yield _worst(par.fuchsian_residual() for par in params)
+        problems.append(MomentumProblem(sigma1, sigma2, k, beta))
+        twins.append(MomentumProblem(sigma2, sigma1, k, beta))
+        inverse_square.append(MomentumProblem(sigma1, 0.0, k, beta))
+    # one call per family; each residual is a column in draw order
+    residuals = (
+        heun_params_general(problems).fuchsian_residual().tolist(),
+        heun_params_general(twins).fuchsian_residual().tolist(),
+        heun_params_inverse_square(inverse_square).fuchsian_residual().tolist(),
+    )
+    for trio in zip(*residuals):
+        yield _worst(trio)
 
 
 def _normalization(grid) -> Iterator[float]:

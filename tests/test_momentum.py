@@ -1,9 +1,10 @@
+import dataclasses
 import math
 import sys
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from kratzerml.momentum import (
     BRANCHES,
@@ -30,9 +31,11 @@ from kratzerml.physmodel import (
     WAVENUMBER_TO_JOULE,
     Molecule,
     QuantumNumbers,
+    batch_columns,
     couplings_from_kratzer,
 )
 from kratzerml.spectrum import energy_unperturbed
+from kratzerml.verify import _fuchsian_draws
 from kratzerml.momentum import ode_rhs_deformed
 
 
@@ -577,6 +580,85 @@ def test_heun_inverse_square_validation():
         )
 
 
+def _paper_fuchsian_problems():
+    """verify's fuchsian problems on the paper preset: each draw's
+    problem and its sigma2 = 0 problem."""
+    problems, inverse_square = [], []
+    for sigma1, sigma2, log_k, log_crowding in _fuchsian_draws(1000):
+        k = math.exp(log_k)
+        beta = 10.0 ** log_crowding / (6.0 * k * k)
+        problems.append(MomentumProblem(sigma1, sigma2, k, beta))
+        inverse_square.append(MomentumProblem(sigma1, 0.0, k, beta))
+    return problems, inverse_square
+
+
+def _members_equal(batched, scalars):
+    # every field of the batch and its residual, entry by entry, == the
+    # member's own call, whose fields are floats
+    for name in (field.name for field in dataclasses.fields(batched)):
+        column = getattr(batched, name)
+        for i, scalar in enumerate(scalars):
+            value = column[i] if isinstance(column, np.ndarray) else column
+            assert type(getattr(scalar, name)) is float
+            assert value == getattr(scalar, name), (name, i)
+    residuals = [par.fuchsian_residual() for par in scalars]
+    assert all(type(residual) is float for residual in residuals)
+    assert batched.fuchsian_residual().tolist() == residuals
+
+
+@pytest.mark.parametrize("swap", [False, True], ids=["problems", "twins"])
+def test_heun_params_general_batch_is_the_scalar_calls(swap):
+    problems, _ = _paper_fuchsian_problems()
+    if swap:
+        problems = [_swapped(prob) for prob in problems]
+    batched = heun_params_general(problems)
+    assert isinstance(batched.c, np.ndarray) and batched.c.shape == (1000,)
+    scalars = [heun_params_general(prob) for prob in problems]
+    _members_equal(batched, scalars)
+
+
+def test_heun_params_inverse_square_batch_is_the_scalar_calls():
+    _, problems = _paper_fuchsian_problems()
+    batched = heun_params_inverse_square(iter(problems))
+    assert isinstance(batched.q, np.ndarray) and batched.q.shape == (1000,)
+    scalars = [heun_params_inverse_square(prob) for prob in problems]
+    _members_equal(batched, scalars)
+
+
+_GOOD = MomentumProblem(2.0, 0.5, 1.0, 0.05)
+_GOOD_IS = MomentumProblem(2.0, 0.0, 1.0, 0.05)
+
+
+@pytest.mark.parametrize("params, good, bad, message", [
+    (heun_params_general, _GOOD, MomentumProblem(2.0, 0.5, 1.0), "beta must be positive"),
+    (heun_params_general, _GOOD, MomentumProblem(2.0, 0.5, 1.0, 1.0 / 6.0), "pole"),
+    (heun_params_inverse_square, _GOOD_IS, _GOOD, "sigma2 = 0"),
+    (heun_params_inverse_square, _GOOD_IS, MomentumProblem(2.0, 0.0, 1.0),
+     "beta must be positive"),
+    (heun_params_inverse_square, _GOOD_IS,
+     MomentumProblem(2.0, 0.0, 1.0, 1.0 / 6.0), "pole"),
+    (heun_params_inverse_square, _GOOD_IS,
+     MomentumProblem(2.0, 0.0, math.sqrt(2.0), 0.1), "xi0"),
+])
+def test_heun_params_batch_refuses_an_invalid_member(params, good, bad, message):
+    """One bad member refuses the batch with its own scalar message."""
+    with pytest.raises(ValueError) as scalar:
+        params(bad)
+    assert message in str(scalar.value)
+    with pytest.raises(ValueError) as batch:
+        params([good, bad, good])
+    assert str(batch.value) == str(scalar.value)
+
+
+@pytest.mark.parametrize("params", [heun_params_general, heun_params_inverse_square])
+def test_heun_params_refuse_an_empty_batch(params):
+    with pytest.raises(ValueError) as rule:
+        batch_columns([])
+    with pytest.raises(ValueError) as batch:
+        params([])
+    assert str(batch.value) == str(rule.value)
+
+
 def test_hypergeometric_params():
     prob = MomentumProblem(sigma1=2.0, sigma2=1.0, k=0.5)
     params = hypergeometric_params(prob)
@@ -686,6 +768,9 @@ def test_rhs_same_bits_on_numpy_and_python_scalars(
     k=st.floats(min_value=1e-3, max_value=1e3),
     beta=st.floats(min_value=0.0, max_value=10.0),
 )
+# phi' subnormal: the error is one ulp(0.0), the relative bound ~1e-329
+@example(p=208.0, phi=(0.0, 0.0), dphi=(2.2250738585e-313, 2.2250738585e-313),
+         sigma1=0.0, sigma2=1.0, k=1.0, beta=0.0)
 def test_rhs_matches_the_expanded_equation(p, phi, dphi, sigma1, sigma2, k, beta):
     """The coefficient form is the paper's equation for phi = p psi,
 
@@ -697,7 +782,14 @@ def test_rhs_matches_the_expanded_equation(p, phi, dphi, sigma1, sigma2, k, beta
 
     to rounding.  The expanded b and c cancel, so the bound is a few
     epsilon of the terms' magnitudes, not of the result (a random search
-    of 2e5 draws saw at most 4.0 epsilon)."""
+    of 2e5 draws saw at most 4.0 epsilon).
+
+    Below the normal range no relative bound holds: a product or quotient
+    that lands among the subnormals is off by up to ulp(0.0)/2 whatever
+    its size (gradual underflow).  So the bound adds one ulp(0.0) per
+    rounding multiply or divide that meets phi or phi': the RHS's two
+    complex products (8 multiplies), the expanded form's two (8, whose
+    error its division by a scales by 1/a) and that division (2)."""
     prob = MomentumProblem(sigma1=sigma1, sigma2=sigma2, k=k, beta=beta)
     phi, dphi = complex(*phi), complex(*dphi)
     p2, k2 = p * p, k * k
@@ -719,4 +811,7 @@ def test_rhs_matches_the_expanded_equation(p, phi, dphi, sigma1, sigma2, k, beta
         sum(map(abs, b_terms)) * abs(dphi) + sum(map(abs, c_terms)) * abs(phi)
     ) / a
     got = ode_rhs_deformed(prob, p, phi, dphi)
-    assert abs(got - expanded) <= 8.0 * sys.float_info.epsilon * magnitude
+    underflow = (8.0 + 8.0 / a + 2.0) * math.ulp(0.0)
+    assert abs(got - expanded) <= (
+        8.0 * sys.float_info.epsilon * magnitude + underflow
+    )

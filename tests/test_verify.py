@@ -205,6 +205,28 @@ def test_fuchsian_draws_are_the_scalar_stream(draws):
     assert batched == scalar
 
 
+@pytest.mark.parametrize("draws", [100, 1000, 20000])
+def test_dual_draws_are_the_scalar_stream(draws):
+    """The dual-formula check maps five raw words per draw to its numbers,
+    and they are the numbers of its scalar uniform and integers calls,
+    interleaved as the check once made them, bit for bit."""
+    rng = np.random.default_rng(20260814)
+    scalar = []
+    for _ in range(draws):
+        log_gamma = rng.uniform(math.log(2.0), math.log(40.0))
+        re_angstrom = rng.uniform(0.5, 2.0)
+        log_mu = rng.uniform(math.log(0.2), math.log(20.0))
+        n, l = rng.integers(0, 9), rng.integers(0, 9)
+        log_frac = rng.uniform(-8.0, -2.0)
+        scalar.append((log_gamma, re_angstrom, log_mu, n, l, log_frac))
+    batched = kratzerml.verify._dual_draws(draws)
+    kinds = (float, float, float, int, int, float)
+    assert all(
+        type(value) is kind for row in batched for value, kind in zip(row, kinds)
+    )
+    assert batched == scalar
+
+
 def test_tolerance_override_and_preset_validation():
     assert {res.tolerance for res in run_checks("small", tol=0.5)} == {0.5}
     with pytest.raises(ValueError):
