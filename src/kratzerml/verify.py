@@ -142,10 +142,11 @@ def _oracle_correction(grid) -> Iterator[float]:
             yield _rel_dev(closed, result.value)
 
 
-def _dual_draws(draws: int) -> list[tuple]:
+def _dual_draws(draws: int) -> Iterator[tuple]:
     # one row (ln gamma, re, ln mu, n, l, log10 frac) per draw from five
     # raw PCG64 words: the stream of the scalar calls uniform x 3,
-    # integers(0, 9) x 2, uniform, bit for bit
+    # integers(0, 9) x 2, uniform, bit for bit; rows are zipped as they
+    # are read
     rng = np.random.default_rng(20260814)
     words = rng.bit_generator.random_raw(5 * draws).reshape(draws, 5)
     low = np.array((math.log(2.0), 0.5, math.log(0.2), -8.0))
@@ -161,7 +162,7 @@ def _dual_draws(draws: int) -> list[tuple]:
         raise RuntimeError("the stream needs numpy's rejection step here")
     log_gamma, re_angstrom, log_mu, log_frac = uniforms.T.tolist()
     n, l = (products >> 32).T.tolist()
-    return list(zip(log_gamma, re_angstrom, log_mu, n, l, log_frac))
+    return zip(log_gamma, re_angstrom, log_mu, n, l, log_frac)
 
 
 def _dual_formula(draws: int) -> Iterator[float]:
@@ -228,21 +229,25 @@ def _fuchsian_draws(draws: int) -> list[list[float]]:
 
 
 def _fuchsian(draws: int) -> Iterator[float]:
-    # per draw: the problem, its sigma-swapped twin (the source's printed
-    # reading) and the sigma2 = 0 problem of the four-point form
-    problems, twins, inverse_square = [], [], []
+    rows = []
     for sigma1, sigma2, log_k, log_crowding in _fuchsian_draws(draws):
         k = math.exp(log_k)
         crowding = 10.0 ** log_crowding
-        beta = crowding / (6.0 * k * k)
-        problems.append(MomentumProblem(sigma1, sigma2, k, beta))
-        twins.append(MomentumProblem(sigma2, sigma1, k, beta))
-        inverse_square.append(MomentumProblem(sigma1, 0.0, k, beta))
-    # one call per family; each residual is a column in draw order
+        rows.append((sigma1, sigma2, k, crowding / (6.0 * k * k)))
+    # one call per family, each a residual column in draw order: the
+    # problem, its sigma-swapped twin (the source's printed reading) and
+    # the sigma2 = 0 problem of the four-point form; a family's problems
+    # live only for its call, which keeps the peak memory down
     residuals = (
-        heun_params_general(problems).fuchsian_residual().tolist(),
-        heun_params_general(twins).fuchsian_residual().tolist(),
-        heun_params_inverse_square(inverse_square).fuchsian_residual().tolist(),
+        heun_params_general(
+            MomentumProblem(s1, s2, k, beta) for s1, s2, k, beta in rows
+        ).fuchsian_residual().tolist(),
+        heun_params_general(
+            MomentumProblem(s2, s1, k, beta) for s1, s2, k, beta in rows
+        ).fuchsian_residual().tolist(),
+        heun_params_inverse_square(
+            MomentumProblem(s1, 0.0, k, beta) for s1, _, k, beta in rows
+        ).fuchsian_residual().tolist(),
     )
     for trio in zip(*residuals):
         yield _worst(trio)

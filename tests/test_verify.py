@@ -219,7 +219,7 @@ def test_dual_draws_are_the_scalar_stream(draws):
         n, l = rng.integers(0, 9), rng.integers(0, 9)
         log_frac = rng.uniform(-8.0, -2.0)
         scalar.append((log_gamma, re_angstrom, log_mu, n, l, log_frac))
-    batched = kratzerml.verify._dual_draws(draws)
+    batched = list(kratzerml.verify._dual_draws(draws))
     kinds = (float, float, float, int, int, float)
     assert all(
         type(value) is kind for row in batched for value, kind in zip(row, kinds)
