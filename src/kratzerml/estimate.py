@@ -14,6 +14,7 @@ from typing import NamedTuple
 
 from .physmodel import (
     ANGSTROM_TO_M,
+    InputError,
     Molecule,
     QuantumNumbers,
     couplings_from_kratzer,
@@ -66,7 +67,9 @@ class BoundResult:
 
 @dataclass(frozen=True)
 class FitResult:
-    """Fitted Kratzer parameters and deformation with fit diagnostics."""
+    """Fitted Kratzer parameters and deformation with fit diagnostics;
+    residuals holds one (n, l, E_obs, E_fit, weight) row per level in
+    (n, l) order, in cm^-1, E_fit at the returned De, re and beta."""
 
     de_cm1: float
     re_angstrom: float
@@ -74,6 +77,7 @@ class FitResult:
     rss_cm2: float
     iterations: int
     converged: bool
+    residuals: tuple[tuple[int, int, float, float, float], ...]
 
 
 class _Projection(NamedTuple):
@@ -137,7 +141,10 @@ def beta_upper_bound(mol: Molecule) -> BoundResult:
     that assumption.
     """
     if mol.zpe_exp_cm1 is None:
-        raise ValueError(f"molecule {mol.name!r} has no experimental ZPE")
+        raise InputError(
+            f"molecule {mol.name!r} has no zpe_exp_cm1; the bound needs an "
+            "experimental zero-point energy"
+        )
     g_theory_cm1 = zpe_theoretical(mol, 0.0)
     delta_cm1 = mol.zpe_exp_cm1 - g_theory_cm1
     if delta_cm1 <= 0.0:
@@ -167,7 +174,7 @@ def _canonical_levels(levels):
         elif len(row) == 4:
             n, l, e_obs, weight = row
         else:
-            raise ValueError(
+            raise InputError(
                 f"level {idx}: expected (n, l, E_cm1) or (n, l, E_cm1, weight)"
             )
         # integral floats are welcome in data rows, but a bool is refused,
@@ -178,19 +185,19 @@ def _canonical_levels(levels):
         except (OverflowError, ValueError):  # int() of an infinity or a NaN
             whole = False
         if not whole or n < 0 or l < 0:
-            raise ValueError(f"level {idx}: n and l must be nonnegative integers")
+            raise InputError(f"level {idx}: n and l must be nonnegative integers")
         e_obs, weight = float(e_obs), float(weight)
         if not math.isfinite(e_obs):
-            raise ValueError(f"level {idx}: E_cm1 must be finite")
+            raise InputError(f"level {idx}: E_cm1 must be finite")
         if not (math.isfinite(weight) and weight > 0.0):
-            raise ValueError(f"level {idx}: weight must be positive and finite")
+            raise InputError(f"level {idx}: weight must be positive and finite")
         rows.append((int(n), int(l), e_obs, weight))
     if len(rows) < 4:
-        raise ValueError("need at least 4 levels to fit 3 parameters")
+        raise InputError(f"{len(rows)} levels cannot determine 3 parameters; need >= 4")
     rows.sort(key=lambda r: (r[0], r[1]))
     for prev, cur in zip(rows, rows[1:]):
         if prev[:2] == cur[:2]:
-            raise ValueError(f"duplicate level (n={cur[0]}, l={cur[1]})")
+            raise InputError(f"duplicate level (n={cur[0]}, l={cur[1]})")
     return rows
 
 
@@ -222,12 +229,12 @@ def fit_parameters(
     out negative.  max_evaluations caps the level sets evaluated (one
     level per row each, derivatives included); running out gives
     converged=False.  iterations counts the level sets.  Levels that fit
-    De <= 0 raise ValueError.
+    De <= 0 raise ValueError, arguments refused as given InputError.
     """
     rows = _canonical_levels(levels)
     de0, re0, beta0 = (float(v) for v in init)
     if not all(math.isfinite(v) and v > 0.0 for v in (de0, re0)):
-        raise ValueError("initial De and re must be positive and finite")
+        raise InputError("initial De and re must be positive and finite")
     require_beta(beta0)
     require_mass(mu_amu)
     max_evaluations = require_int(max_evaluations, "max_evaluations", 1)
@@ -296,8 +303,18 @@ def fit_parameters(
         raise ValueError(
             f"the levels fit De = {de0 * scale!r} cm^-1; bound levels give De > 0"
         )
+    de_cm1 = de0 * scale
+    re_angstrom = re0 * math.exp(cur.s) / math.sqrt(scale)
+    beta = cur.c / (scale * scale)
+    # one more level set, at the returned parameters: the search's last set
+    # has a gamma and De that differ from them in the last bits
+    fitted = Molecule("fit", de_cm1, re_angstrom, mu_amu)
+    residuals = tuple(
+        (n, l, e_obs, (e0 + de) / wavenumber, weight)
+        for (n, l, e_obs, weight), (e0, de)
+        in zip(rows, level_energies(fitted, beta, nl))
+    )
     return FitResult(
-        de_cm1=de0 * scale, re_angstrom=re0 * math.exp(cur.s) / math.sqrt(scale),
-        beta=cur.c / (scale * scale), rss_cm2=cur.rss,
-        iterations=used, converged=converged,
+        de_cm1=de_cm1, re_angstrom=re_angstrom, beta=beta, rss_cm2=cur.rss,
+        iterations=used, converged=converged, residuals=residuals,
     )

@@ -21,6 +21,7 @@ __all__ = [
     "ANGSTROM_TO_M",
     "LAMBDA_GUARD_TOL",
     "ENERGY_UNITS",
+    "InputError",
     "LambdaGuardError",
     "require_lambda_regular",
     "energy_to_joule",
@@ -57,6 +58,10 @@ _SINGULAR_LAMBDAS = (0.5, 1.0, 1.5)
 def _near(lam: float, pivot: float) -> bool:
     # lam lies in the guard window of pivot
     return pivot - LAMBDA_GUARD_TOL <= lam <= pivot + LAMBDA_GUARD_TOL
+
+
+class InputError(ValueError):
+    """An argument refused as given, before any computation."""
 
 
 class LambdaGuardError(ValueError):
@@ -262,13 +267,13 @@ def shape_numbers(gamma: float, qn: QuantumNumbers) -> ShapeNumbers:
 def require_beta(beta: float) -> None:
     """Check that beta is a valid deformation: finite and nonnegative."""
     if not (math.isfinite(beta) and beta >= 0.0):
-        raise ValueError(f"beta must be nonnegative and finite, got {beta!r}")
+        raise InputError(f"beta must be nonnegative and finite, got {beta!r}")
 
 
 def require_mass(mu: float) -> None:
     """Check that mu is a valid reduced mass, in any unit: finite and > 0."""
     if not (math.isfinite(mu) and mu > 0.0):
-        raise ValueError(f"reduced mass must be positive and finite, got {mu!r}")
+        raise InputError(f"reduced mass must be positive and finite, got {mu!r}")
 
 
 def require_int(value, name: str, low: int = 0, high: int | None = None) -> int:
@@ -282,7 +287,7 @@ def require_int(value, name: str, low: int = 0, high: int | None = None) -> int:
         span = (f"an integer in {low}..{high}" if high is not None
                 else "a nonnegative integer" if low == 0
                 else f"an integer >= {low}")
-        raise ValueError(f"{name} must be {span}, got {value!r}")
+        raise InputError(f"{name} must be {span}, got {value!r}")
     return number
 
 
@@ -340,13 +345,14 @@ def minimal_length(beta: float) -> float:
 def beta_from_min_length(x_min_m: float) -> float:
     """Invert hbar sqrt(5 beta) = x_min (in m) for beta in (kg m/s)^-2.
 
-    Raises ValueError for a non-finite length and for one whose beta
-    overflows double precision (x_min / hbar beyond ~1.3e154).
+    Raises InputError for a negative or non-finite length, and
+    ValueError for one whose beta overflows double precision (x_min / hbar
+    beyond ~1.3e154).
     """
-    if not math.isfinite(x_min_m):
-        raise ValueError(f"minimal length must be finite, got {x_min_m!r}")
-    if x_min_m < 0.0:
-        raise ValueError("minimal length must be nonnegative")
+    if not (math.isfinite(x_min_m) and x_min_m >= 0.0):
+        raise InputError(
+            f"minimal length must be nonnegative and finite, got {x_min_m!r} m"
+        )
     try:
         beta = (x_min_m / HBAR) ** 2 / 5.0
     except OverflowError:

@@ -5,8 +5,8 @@ Four subcommands over the library: spectrum (level tables), bound
 self-check suites), and fit (three-parameter level fitting).  Every run
 emits a human table on stdout or, with --json / --out, a versioned
 machine-readable document whose numeric fields all carry unit tags.
-Exit codes: 0 success, 1 computation or check failure, 2 usage or parse
-error.
+Exit codes: 0 success, 1 computation or check failure, 2 an argument
+refused as given (InputError, or by the parser) or a file format error.
 """
 
 from __future__ import annotations
@@ -22,6 +22,7 @@ from .estimate import beta_upper_bound, fit_parameters
 from .physmodel import (
     ANGSTROM_TO_M,
     ENERGY_UNITS,
+    InputError,
     Molecule,
     QuantumNumbers,
     beta_from_min_length,
@@ -29,18 +30,18 @@ from .physmodel import (
     gamma_of,
     lambda_of,
     minimal_length,
+    require_int,
 )
 from .spectrum import (
     energy_deformed,
     energy_expansion,
-    level_energies,
+    require_bound,
     term_decomposition,
 )
 
 __all__ = [
     "SCHEMA",
     "FileFormatError",
-    "UsageError",
     "parse_molecule_file",
     "parse_levels_file",
     "resolve_molecule",
@@ -67,10 +68,6 @@ _DATA_DIR = Path(__file__).parent / "data"
 
 class FileFormatError(ValueError):
     """Input file rejected; message carries file name and line number."""
-
-
-class UsageError(ValueError):
-    """Command invoked with unusable arguments."""
 
 
 # ---------------------------------------------------------------- files
@@ -229,10 +226,6 @@ def parse_levels_file(path: Path) -> list[tuple[int, int, float, float]]:
 # -------------------------------------------------------------- reports
 
 
-def _positive_finite(value: float) -> bool:
-    return math.isfinite(value) and value > 0.0
-
-
 def _tagged(value: float, unit: str) -> dict:
     return {"value": float(value), "unit": unit}
 
@@ -329,29 +322,23 @@ def _emit(doc: dict, human: list[str], args) -> None:
 
 def _beta_from_args(args) -> float:
     if args.min_length is not None:
-        if not (math.isfinite(args.min_length) and args.min_length >= 0.0):
-            raise UsageError("--min-length must be a nonnegative finite number")
         return beta_from_min_length(args.min_length * ANGSTROM_TO_M)
-    if args.beta is not None:
-        if not (math.isfinite(args.beta) and args.beta >= 0.0):
-            raise UsageError("--beta must be a nonnegative finite number")
-        return args.beta
-    return 0.0
+    return 0.0 if args.beta is None else args.beta
 
 
 def cmd_spectrum(args) -> int:
     mol = resolve_molecule(args.molecule)
-    if args.nmax < 0 or args.lmax < 0:
-        raise UsageError("--nmax and --lmax must be nonnegative")
+    nmax = require_int(args.nmax, "--nmax")
+    lmax = require_int(args.lmax, "--lmax")
     beta = _beta_from_args(args)
     units = args.units
     gamma = gamma_of(mol)
     x_min = minimal_length(beta)
     levels = []
     failed = 0
-    for l in range(args.lmax + 1):
+    for l in range(lmax + 1):
         lam = lambda_of(gamma, l)
-        for n in range(args.nmax + 1):
+        for n in range(nmax + 1):
             qn = QuantumNumbers(n, l)
             entry: dict = {
                 "n": n,
@@ -360,12 +347,7 @@ def cmd_spectrum(args) -> int:
             }
             try:
                 level = energy_deformed(mol, beta, qn)
-                if not level.e < 0.0:
-                    raise ValueError(
-                        f"first-order level E = E0 + dE is at or above the "
-                        f"dissociation limit (dE = {level.de / -level.e0:.3g} "
-                        f"|E0|); the level is not bound"
-                    )
+                require_bound(level)
             except ValueError as exc:
                 entry["error"] = str(exc)
                 failed += 1
@@ -442,11 +424,6 @@ def cmd_spectrum(args) -> int:
 
 def cmd_bound(args) -> int:
     mol = resolve_molecule(args.molecule)
-    if mol.zpe_exp_cm1 is None:
-        raise UsageError(
-            f"molecule {mol.name!r} has no zpe_exp_cm1; the bound needs an "
-            "experimental zero-point energy"
-        )
     result = beta_upper_bound(mol)
     doc = {
         "schema": SCHEMA,
@@ -477,8 +454,6 @@ def cmd_bound(args) -> int:
 
 def cmd_verify(args) -> int:
     preset = args.grid_preset
-    if args.tol is not None and not _positive_finite(args.tol):
-        raise UsageError("--tol must be a positive finite number")
     # the one place the package defers numpy: verify and the oracles
     # import it at the top, and no other command loads it
     from . import verify
@@ -526,48 +501,25 @@ def cmd_verify(args) -> int:
 
 def cmd_fit(args) -> int:
     rows = parse_levels_file(Path(args.levels))
-    if len(rows) < 4:
-        raise UsageError(
-            f"{len(rows)} levels cannot determine 3 parameters; need >= 4"
-        )
-    if not _positive_finite(args.mu):
-        raise UsageError("--mu must be a positive finite number")
     pieces = args.init.split(",")
     if len(pieces) != 3:
-        raise UsageError("--init must be De_cm1,re_angstrom,beta")
+        raise InputError("--init must be De_cm1,re_angstrom,beta")
     try:
         init = (float(pieces[0]), float(pieces[1]), float(pieces[2]))
     except ValueError:
-        raise UsageError(f"--init values must be numbers, got {args.init!r}") from None
-    if (not all(math.isfinite(v) for v in init)
-            or init[0] <= 0.0 or init[1] <= 0.0 or init[2] < 0.0):
-        raise UsageError("--init needs finite De > 0, re > 0, beta >= 0")
+        raise InputError(f"--init values must be numbers, got {args.init!r}") from None
     result = fit_parameters(rows, args.mu, init)
-    fitted = Molecule(
-        name="fit",
-        de_cm1=result.de_cm1,
-        re_angstrom=result.re_angstrom,
-        mu_amu=args.mu,
-    )
-    ordered = sorted(rows, key=lambda r: (r[0], r[1]))
-    # the levels at the printed parameters, not the fit's last level set:
-    # that set's gamma and De differ from the printed ones in the last bits
-    levels = level_energies(
-        fitted, result.beta, [(n, l) for n, l, _, _ in ordered]
-    )
-    residuals = []
-    for (n, l, e_obs, weight), (e0, de) in zip(ordered, levels):
-        e_fit = energy_from_joule(e0 + de, "cm-1")
-        residuals.append(
-            {
-                "n": n,
-                "l": l,
-                "e_obs": _tagged(e_obs, "cm-1"),
-                "e_fit": _tagged(e_fit, "cm-1"),
-                "residual": _tagged(e_fit - e_obs, "cm-1"),
-                "weight": _tagged(weight, "dimensionless"),
-            }
-        )
+    residuals = [
+        {
+            "n": n,
+            "l": l,
+            "e_obs": _tagged(e_obs, "cm-1"),
+            "e_fit": _tagged(e_fit, "cm-1"),
+            "residual": _tagged(e_fit - e_obs, "cm-1"),
+            "weight": _tagged(weight, "dimensionless"),
+        }
+        for n, l, e_obs, e_fit, weight in result.residuals
+    ]
     doc = {
         "schema": SCHEMA,
         "command": "fit",
@@ -713,7 +665,7 @@ def main(argv: list[str] | None = None) -> int:
     args = _PARSER.parse_args(argv)
     try:
         return args.handler(args)
-    except (FileFormatError, UsageError) as exc:
+    except (FileFormatError, InputError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except (ValueError, RuntimeError, OSError) as exc:

@@ -32,6 +32,7 @@ __all__ = [
     "correction_hydrogen_limit",
     "level_energies",
     "energy_deformed",
+    "require_bound",
     "energy_expansion",
     "term_decomposition",
 ]
@@ -197,6 +198,17 @@ def energy_deformed(mol: Molecule, beta: float, qn: QuantumNumbers) -> EnergyLev
             "energy; the perturbative result is unreliable here"
         )
     return EnergyLevel(n=qn.n, l=qn.l, e0=e0, de=de, e=e0 + de, warning=warning)
+
+
+def require_bound(level: EnergyLevel) -> None:
+    """Check that a first-order level is bound, E = E0 + dE < 0; the level
+    functions return unbound levels too, for a fit's search to pass over."""
+    if not level.e < 0.0:
+        raise ValueError(
+            f"first-order level E = E0 + dE is at or above the "
+            f"dissociation limit (dE = {level.de / -level.e0:.3g} "
+            f"|E0|); the level is not bound"
+        )
 
 
 @dataclass(frozen=True)

@@ -37,6 +37,7 @@ from .physmodel import (
     AMU_TO_KG,
     ANGSTROM_TO_M,
     HBAR,
+    InputError,
     Molecule,
     QuantumNumbers,
     couplings_from_kratzer,
@@ -327,12 +328,12 @@ def run_checks(
     """Run every check on the preset's grid, in table order.
 
     tol, when given, replaces every check's default tolerance and must
-    be positive and finite.
+    be positive and finite; a bad preset or tol raises InputError.
     """
     if preset not in PRESETS:
-        raise ValueError(f"unknown preset {preset!r}; use one of {PRESETS}")
+        raise InputError(f"unknown preset {preset!r}; use one of {PRESETS}")
     if tol is not None and not (math.isfinite(tol) and tol > 0.0):
-        raise ValueError(f"tol must be a positive finite number, got {tol!r}")
+        raise InputError(f"tol must be a positive finite number, got {tol!r}")
     results = []
     for check in CHECKS:
         deviations = list(check.run(check.grids[preset]))

@@ -12,6 +12,7 @@ from kratzerml.estimate import (
     zpe_theoretical,
 )
 from kratzerml.physmodel import (
+    InputError,
     Molecule,
     QuantumNumbers,
     energy_from_joule,
@@ -80,7 +81,7 @@ def test_bound_requires_positive_gap():
 
 def test_bound_requires_experimental_zpe():
     mol = Molecule("H2", 78844.9005, 0.73652, 0.5039)
-    with pytest.raises(ValueError):
+    with pytest.raises(InputError, match="has no zpe_exp_cm1"):
         beta_upper_bound(mol)
 
 
@@ -142,24 +143,24 @@ def test_fit_round_trip_heavy(beta):
 @pytest.mark.parametrize(
     "levels, mu_amu, init, expected",
     [
-        (LEVELS, 1.2, (52000.0, 1.0, 0.0), FitResult(
+        (LEVELS, 1.2, (52000.0, 1.0, 0.0), dict(
             de_cm1=45000.00000000001, re_angstrom=1.099999999999998,
             beta=6.7369239999345496e+41, rss_cm2=1.4941527535550406e-22,
             iterations=11, converged=True,
         )),
-        (synthetic_levels(HEAVY, BETA_HEAVY), 54.0, (55000.0, 2.3, 0.0), FitResult(
+        (synthetic_levels(HEAVY, BETA_HEAVY), 54.0, (55000.0, 2.3, 0.0), dict(
             de_cm1=50000.0, re_angstrom=2.5000000000002283,
             beta=3.5000000099735204e+40, rss_cm2=2.7144833619574704e-22,
             iterations=9, converged=True,
         )),
         # free best beta De^2 < 0: the search reruns with it clamped at 0
-        (synthetic_levels(MOL0, 0.0), 1.2, (52000.0, 1.0, 0.0), FitResult(
+        (synthetic_levels(MOL0, 0.0), 1.2, (52000.0, 1.0, 0.0), dict(
             de_cm1=45000.000000000015, re_angstrom=1.0999999999999979,
             beta=0.0, rss_cm2=2.8537731133079455e-22,
             iterations=17, converged=True,
         )),
         ([(n, l, e, 1.0 + 0.5 * n + 0.25 * l) for n, l, e in LEVELS], 1.2,
-         (52000.0, 1.0, 0.0), FitResult(
+         (52000.0, 1.0, 0.0), dict(
             de_cm1=45000.000000000015, re_angstrom=1.0999999999999859,
             beta=6.736923999634411e+41, rss_cm2=1.2582855368485914e-21,
             iterations=11, converged=True,
@@ -169,8 +170,28 @@ def test_fit_round_trip_heavy(beta):
 )
 def test_fit_frozen_values(levels, mu_amu, init, expected):
     """Every bit of a light (gamma 62) and a heavy (gamma 1000) free fit,
-    of a fit that takes the clamped rerun and of a weighted fit."""
-    assert fit_parameters(levels, mu_amu, init) == expected
+    of a fit that takes the clamped rerun and of a weighted fit, residuals
+    included."""
+    result = fit_parameters(levels, mu_amu, init)
+    assert result == FitResult(
+        **expected, residuals=residuals_at(levels, mu_amu, result)
+    )
+
+
+def residuals_at(levels, mu_amu, result):
+    """The residual rows of a fit, spelled as the report's arithmetic: the
+    rows in (n, l) order, each level from level_energies of the returned
+    (De, re) and mu at the returned beta, in cm^-1."""
+    rows = sorted(
+        ((n, l, e_obs, row[0] if row else 1.0) for n, l, e_obs, *row in levels),
+        key=lambda r: (r[0], r[1]),
+    )
+    fitted = Molecule("fit", result.de_cm1, result.re_angstrom, mu_amu)
+    energies = level_energies(fitted, result.beta, [(n, l) for n, l, _, _ in rows])
+    return tuple(
+        (n, l, e_obs, energy_from_joule(e0 + de, "cm-1"), weight)
+        for (n, l, e_obs, weight), (e0, de) in zip(rows, energies)
+    )
 
 
 def test_fit_permutation_invariance():
@@ -270,18 +291,22 @@ def test_fit_recovers_zero_beta():
 
 
 def test_fit_level_evaluation_budget(monkeypatch):
-    """The 12-level fit takes 11 level sets of 12 levels each."""
+    """The 12-level fit takes 11 level sets of 12 levels each, at beta = 1,
+    and one more at the returned beta for its residuals."""
     calls = []
 
     def counted(mol, beta, nl):
-        calls.extend(nl)
+        calls.extend((beta, row) for row in nl)
         return level_energies(mol, beta, nl)
 
     monkeypatch.setattr(estimate, "level_energies", counted)
     out = fit_parameters(LEVELS, 1.2, (52000.0, 1.0, 0.0))
     assert out.converged
     assert out.iterations <= 11
-    assert len(calls) == out.iterations * len(LEVELS)
+    assert [beta for beta, _ in calls] == (
+        [1.0] * (out.iterations * len(LEVELS)) + [out.beta] * len(LEVELS))
+    assert [row for _, row in calls] == [row[:2] for row in LEVELS] * (
+        out.iterations + 1)
 
 
 def test_fit_evaluates_the_start_once(monkeypatch):
@@ -302,11 +327,14 @@ def test_fit_evaluates_the_start_once(monkeypatch):
 @pytest.mark.parametrize("max_evaluations", [1, 3, 10_000])
 def test_fit_evaluates_the_end_point_once(monkeypatch, max_evaluations):
     """The returned beta and RSS come from the search's own level set at
-    the returned gamma: no level is evaluated outside the counted sets."""
+    the returned gamma: no level is evaluated outside the counted sets but
+    the residuals' one set, at the returned parameters."""
     gammas = []
+    betas = []
 
     def counted(mol, beta, nl):
         gammas.extend(gamma_of(mol) for _ in nl)
+        betas.append(beta)
         return level_energies(mol, beta, nl)
 
     monkeypatch.setattr(estimate, "level_energies", counted)
@@ -314,12 +342,16 @@ def test_fit_evaluates_the_end_point_once(monkeypatch, max_evaluations):
         LEVELS, 1.2, (52000.0, 1.0, 0.0), max_evaluations=max_evaluations
     )
     assert result.converged == (max_evaluations == 10_000)
-    assert len(gammas) == result.iterations * len(LEVELS)
+    assert len(gammas) == (result.iterations + 1) * len(LEVELS)
     assert result.iterations <= max_evaluations
-    sets = [gammas[i:i + len(LEVELS)] for i in range(0, len(gammas), len(LEVELS))]
+    assert betas == [1.0] * result.iterations + [result.beta]
+    *sets, residual_set = [
+        gammas[i:i + len(LEVELS)] for i in range(0, len(gammas), len(LEVELS))
+    ]
     assert all(len(set(one)) == 1 for one in sets)
     # the returned (De, re) give back the set's gamma to a few ulps, while the
     # search's last sets lie ~20 ulps apart
     end = gamma_of(Molecule("fit", result.de_cm1, result.re_angstrom, 1.2))
+    assert residual_set == [end] * len(LEVELS)
     near = [one for one in sets if abs(one[0] - end) <= 1e-15 * end]
     assert len(near) == 1

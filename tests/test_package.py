@@ -1,6 +1,7 @@
 import ast
 import importlib
 import json
+import math
 import os
 import re
 import subprocess
@@ -11,7 +12,7 @@ import numpy as np
 import pytest
 
 import kratzerml
-from kratzerml.estimate import fit_parameters
+from kratzerml.estimate import NoPositiveGapError, beta_upper_bound, fit_parameters
 from kratzerml.momentum import (
     MomentumProblem,
     OdeSolution,
@@ -26,12 +27,20 @@ from kratzerml.oracle import (
     radial_overlap,
 )
 from kratzerml.physmodel import (
+    InputError,
     KratzerCouplings,
+    LambdaGuardError,
     Molecule,
     QuantumNumbers,
+    beta_from_min_length,
     energy_from_joule,
+    minimal_length,
+    require_beta,
+    require_int,
+    require_mass,
 )
-from kratzerml.spectrum import energy_deformed
+from kratzerml.spectrum import energy_deformed, require_bound
+from kratzerml.verify import run_checks
 from kratzerml.wavefunctions import make_radial_state
 
 
@@ -84,14 +93,19 @@ def test_unused_import_guard_sees_unused_names():
     assert _unused_imports(tree) == ["math (line 1)"]
 
 
-def _unread_private_names(trees: dict[str, ast.Module]) -> list[str]:
-    """Top-level single-underscore names that no module of trees reads."""
-    read = {
+def _read_names(trees: dict[str, ast.Module]) -> set[str]:
+    """Every name that some module of trees loads or reads as an attribute."""
+    return {
         node.id if isinstance(node, ast.Name) else node.attr
         for tree in trees.values() for node in ast.walk(tree)
         if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)
         or isinstance(node, ast.Attribute)
     }
+
+
+def _unread_private_names(trees: dict[str, ast.Module]) -> list[str]:
+    """Top-level single-underscore names that no module of trees reads."""
+    read = _read_names(trees)
     unread = []
     for module, tree in trees.items():
         for node in tree.body:
@@ -125,6 +139,66 @@ def test_unread_name_guard_sees_unread_names():
         "b.py": ast.parse("import a\na._helper()\n"),
     }
     assert _unread_private_names(trees) == ["a.py:_unused", "a.py:_Spare"]
+
+
+def _unread_public_names(trees: dict[str, ast.Module]) -> list[str]:
+    """Names listed in a module's __all__ that no module of trees reads:
+    the listing is a string, and the definition is not a read."""
+    read = _read_names(trees)
+    return [
+        f"{module}:{elt.value}"
+        for module, tree in trees.items() for node in tree.body
+        if isinstance(node, ast.Assign)
+        and any(isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets)
+        for elt in ast.walk(node.value)
+        if isinstance(elt, ast.Constant) and elt.value not in read
+    ]
+
+
+#: public names that no code in the package reads, each with the reason it
+#: stays; a name that gains a reader must leave this list
+_KEPT_PUBLIC = {
+    "momentum.py:ode_rhs_deformed":
+        "the pointwise deformed equation, which the tests hold "
+        "integrate_branch's batched right-hand side to (ROADMAP item 8)",
+    "momentum.py:momentum_wavefunction_undeformed":
+        "the closed-form s-wave psi(p) that a momentum-shift check would "
+        "integrate (ROADMAP item 16)",
+    "momentum.py:hypergeometric_params":
+        "the beta = 0 reduction that a heun-residual check or the "
+        "coefficient identity would read (ROADMAP items 5 and 13)",
+    "momentum.py:heun_residual":
+        "the ODE-side adjudication of the Heun-type forms (ROADMAP items "
+        "5 and 13)",
+    "wavefunctions.py:radial_wavefunction":
+        "the scalar R(r) the batched tanh-sinh density is tested against; "
+        "it moves to the tests once perfbench drops its span (ROADMAP "
+        "items 18 and 1)",
+}
+
+
+def test_every_public_name_is_read():
+    package = Path(kratzerml.__file__).parent
+    trees = {path.name: ast.parse(path.read_text(encoding="utf-8"))
+             for path in sorted(package.glob("*.py"))}
+    assert sorted(_unread_public_names(trees)) == sorted(_KEPT_PUBLIC)
+
+
+def test_unread_public_name_guard_sees_planted_names():
+    trees = {
+        "a.py": ast.parse(
+            "__all__ = ['used', 'unused', 'Spare', 'called']\n"
+            "def used():\n    return 1\n"
+            "def unused():\n    return used()\n"
+            "class Spare:\n    pass\n"
+            "def called():\n    pass\n"
+        ),
+        "b.py": ast.parse(
+            "import a\nfrom a import called\n__all__ = ['late']\n"
+            "a.used\ncalled()\nlate = 'unused'\n"
+        ),
+    }
+    assert _unread_public_names(trees) == ["a.py:unused", "a.py:Spare", "b.py:late"]
 
 
 def _private_imports(tree: ast.Module) -> list[str]:
@@ -489,14 +563,14 @@ _INTEGER_SITES = {
 def test_every_integer_argument_follows_one_rule(site):
     """What operator.index takes, numpy integers included, gives the
     plain int's result; a bool, an integral float, a str and a value out
-    of range raise ValueError naming the argument and the value."""
+    of range raise InputError naming the argument and the value."""
     call, valid, out_of_range, name = _INTEGER_SITES[site]
     expected = call(valid)
     for kind in (np.int64, np.intp):
         assert call(kind(valid)) == expected, kind
     for bad in (True, float(valid), str(valid), out_of_range):
         with pytest.raises(
-            ValueError, match=rf"\b{name} must be .*, got {re.escape(repr(bad))}$"
+            InputError, match=rf"\b{name} must be .*, got {re.escape(repr(bad))}$"
         ):
             call(bad)
 
@@ -505,3 +579,74 @@ def test_integer_records_store_a_plain_int():
     qn = QuantumNumbers(np.int64(1), np.intp(0))
     assert type(qn.n) is int and type(qn.l) is int
     assert type(QuadratureSpec(max_level=np.int64(5)).max_level) is int
+
+
+_START = (50000.0, 1.0, 0.0)
+
+#: each library refusal: (call, the type it raises, a pattern its message
+#: matches, naming the argument where the type is InputError)
+_REFUSALS = {
+    "require_beta": (lambda: require_beta(-1.0), InputError, "^beta must"),
+    "require_mass": (
+        lambda: require_mass(0.0), InputError, "^reduced mass must"),
+    "require_int": (
+        lambda: require_int(-1, "n_max"), InputError, "^n_max must"),
+    "beta_from_min_length non-finite": (
+        lambda: beta_from_min_length(math.inf), InputError,
+        "^minimal length must"),
+    "beta_from_min_length negative": (
+        lambda: beta_from_min_length(-1e-12), InputError,
+        "^minimal length must"),
+    "fit_parameters level count": (
+        lambda: fit_parameters(_LEVELS[:3], 1.2, _START), InputError,
+        "^3 levels cannot"),
+    "fit_parameters level row": (
+        lambda: fit_parameters([(0.5, 0, -4e4)] + _LEVELS, 1.2, _START),
+        InputError, "^level 0: n and l must"),
+    "fit_parameters duplicate level": (
+        lambda: fit_parameters(_LEVELS + _LEVELS[:1], 1.2, _START),
+        InputError, "^duplicate level"),
+    "fit_parameters start": (
+        lambda: fit_parameters(_LEVELS, 1.2, (0.0, 1.0, 0.0)), InputError,
+        "^initial De and re must"),
+    "fit_parameters start beta": (
+        lambda: fit_parameters(_LEVELS, 1.2, (5e4, 1.0, -1.0)), InputError,
+        "^beta must"),
+    "fit_parameters mu": (
+        lambda: fit_parameters(_LEVELS, math.nan, _START), InputError,
+        "^reduced mass must"),
+    "run_checks preset": (
+        lambda: run_checks("bogus"), InputError, "^unknown preset 'bogus'"),
+    "run_checks tol": (
+        lambda: run_checks("small", 0.0), InputError, "^tol must"),
+    "beta_upper_bound without a ZPE": (
+        lambda: beta_upper_bound(_MOL), InputError, "has no zpe_exp_cm1"),
+    # failures during a computation: the CLI exits 1 on these, not 2
+    "minimal_length overflow": (
+        lambda: minimal_length(1e308), ValueError, "overflows"),
+    "beta_from_min_length overflow": (
+        lambda: beta_from_min_length(1e150), ValueError, "overflows"),
+    "fit start on the lambda guard": (
+        lambda: fit_parameters(_LEVELS, 1e-6, (1.0, 1.0, 0.0)),
+        LambdaGuardError, "singular value 1.0"),
+    "beta_upper_bound without a gap": (
+        lambda: beta_upper_bound(Molecule("m", 45000.0, 1.1, 1.2, 1.0)),
+        NoPositiveGapError, "not positive"),
+    "require_bound": (
+        lambda: require_bound(energy_deformed(
+            _MOL, beta_from_min_length(1e-9), QuantumNumbers(0, 0))),
+        ValueError, "not bound"),
+}
+
+
+@pytest.mark.parametrize("site", sorted(_REFUSALS))
+def test_only_a_refused_argument_is_an_input_error(site):
+    """An argument refused as given, before any computation, raises
+    InputError, which the CLI maps to exit 2; what fails during a
+    computation keeps its own type, a ValueError but not an InputError."""
+    call, kind, pattern = _REFUSALS[site]
+    with pytest.raises(ValueError, match=pattern) as err:
+        call()
+    assert type(err.value) is kind
+    if kind is not InputError:
+        assert not isinstance(err.value, InputError)

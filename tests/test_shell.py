@@ -195,6 +195,15 @@ def run_json(capsys, argv):
     return code, json.loads(out), out
 
 
+def assert_refused(capsys, argv):
+    """argv exits 2 with one 'error: ' line on stderr and nothing on stdout."""
+    assert main(argv) == 2, argv
+    captured = capsys.readouterr()
+    assert captured.out == "", argv
+    assert captured.err.startswith("error: "), argv
+    assert captured.err.count("\n") == 1, argv
+
+
 def test_spectrum_human_table(capsys):
     assert main(["spectrum", "H2", "--nmax", "1", "--lmax", "0"]) == 0
     out = capsys.readouterr().out
@@ -353,7 +362,8 @@ def test_spectrum_unknown_molecule_usage_error(capsys):
 
 
 def test_spectrum_negative_nmax_usage_error(capsys):
-    assert main(["spectrum", "H2", "--nmax", "-1"]) == 2
+    for flag in ("--nmax", "--lmax", "--beta", "--min-length"):
+        assert_refused(capsys, ["spectrum", "H2", flag, "-1"])
 
 
 def test_spectrum_reports_guarded_levels(capsys, tmp_path):
@@ -457,7 +467,8 @@ def test_verify_forced_failure(capsys):
 
 
 def test_verify_bad_tol(capsys):
-    assert main(["verify", "--tol", "-1"]) == 2
+    for tol in ("-1", "0"):
+        assert_refused(capsys, ["verify", "--tol", tol])
 
 
 # ------------------------------------------------------------------ fit
@@ -498,13 +509,15 @@ def test_fit_cli_round_trip(capsys, levels_file):
 def test_fit_cli_usage_errors(capsys, tmp_path, levels_file):
     short = write(tmp_path, "short.levels",
                   "n,l,E_cm1\n0,0,-1.0\n1,0,-2.0\n2,0,-3.0\n")
-    assert main(["fit", str(short), "--mu", "1.2", "--init", "1,1,0"]) == 2
-    assert main(["fit", str(levels_file), "--mu", "-1", "--init", "1,1,0"]) == 2
-    assert main(["fit", str(levels_file), "--mu", "1.2", "--init", "1,1"]) == 2
-    assert main(["fit", str(levels_file), "--mu", "1.2", "--init", "a,b,c"]) == 2
-    assert main(["fit", str(levels_file), "--mu", "1.2",
-                 "--init=-1,1,0"]) == 2
-    capsys.readouterr()
+    assert_refused(capsys, ["fit", str(short), "--mu", "1.2", "--init", "1,1,0"])
+    for flags in (["--mu", "-1", "--init", "1,1,0"],
+                  ["--mu", "0", "--init", "1,1,0"],
+                  ["--mu", "1.2", "--init", "1,1"],
+                  ["--mu", "1.2", "--init", "a,b,c"],
+                  ["--mu", "1.2", "--init=-1,1,0"],
+                  ["--mu", "1.2", "--init=0,1,0"],
+                  ["--mu", "1.2", "--init=1,1,-1"]):
+        assert_refused(capsys, ["fit", str(levels_file), *flags])
 
 
 def test_fit_cli_undefined_start_names_the_guard(capsys, levels_file):

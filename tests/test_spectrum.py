@@ -9,6 +9,7 @@ from kratzerml.physmodel import (
     AMU_TO_KG,
     HBAR,
     WAVENUMBER_TO_JOULE,
+    InputError,
     KratzerCouplings,
     LambdaGuardError,
     Molecule,
@@ -245,9 +246,9 @@ def test_level_energies_is_energy_deformed(log_gamma, nl, beta):
     "mol, beta, error",
     [
         (synthetic(0.8), 1e40, LambdaGuardError),  # lam(l = 0) = 1.44
-        (synthetic(2.0), -1.0, ValueError),
-        (synthetic(2.0), math.nan, ValueError),
-        (synthetic(2.0), math.inf, ValueError),
+        (synthetic(2.0), -1.0, InputError),
+        (synthetic(2.0), math.nan, InputError),
+        (synthetic(2.0), math.inf, InputError),
         (Molecule("huge", 1e300, 1e300, 1e300), 0.0, ValueError),  # gamma = inf
     ],
 )
