@@ -8,12 +8,12 @@ one division, and the minimal length follows as hbar sqrt(5 beta).
 from __future__ import annotations
 
 import math
+from collections.abc import Sequence
 from dataclasses import dataclass
 from operator import mul
 from typing import NamedTuple
 
 from .physmodel import (
-    ANGSTROM_TO_M,
     InputError,
     Molecule,
     QuantumNumbers,
@@ -23,7 +23,7 @@ from .physmodel import (
     minimal_length,
     require_beta,
     require_int,
-    require_mass,
+    require_positive,
 )
 from .spectrum import correction_general, energy_deformed, level_energies
 
@@ -34,6 +34,7 @@ __all__ = [
     "FitResult",
     "zpe_theoretical",
     "beta_upper_bound",
+    "level_rows",
     "fit_parameters",
 ]
 
@@ -156,48 +157,57 @@ def beta_upper_bound(mol: Molecule) -> BoundResult:
         couplings_from_kratzer(mol), mol.mu_kg, 1.0, QuantumNumbers(0, 0)
     )
     beta_max = energy_to_joule(delta_cm1, "cm-1") / unit_shift
-    x_max = minimal_length(beta_max)
     return BoundResult(
         g_theory_cm1=g_theory_cm1,
         delta_cm1=delta_cm1,
         beta_max=beta_max,
-        min_length_max_angstrom=x_max / ANGSTROM_TO_M,
+        min_length_max_angstrom=minimal_length(beta_max),
     )
 
 
-def _canonical_levels(levels):
+def level_rows(
+    levels, source: str | None = None, lines: Sequence[int] = ()
+) -> list[tuple[int, int, float, float]]:
+    """Observed levels as (n, l, E_cm1, weight) rows, in the given order.
+
+    Each row is (n, l, E_cm1) or (n, l, E_cm1, weight), weight 1 when
+    absent.  n and l must be nonnegative integers (integral floats are
+    welcome, a bool is refused, as require_int refuses it), E_cm1 and
+    weight finite, weight > 0, and each (n, l) may appear once; else
+    InputError naming the row: "level <index>", or "<source>:<line>" for
+    rows read from the file source, lines holding their line numbers.
+    """
+
+    def name(idx: int, pointer: bool = False) -> str:  # row idx in a message
+        if source is None:
+            return f"level {idx}"
+        return f"line {lines[idx]}" if pointer else f"{source}:{lines[idx]}"
+
     rows = []
+    first: dict[tuple[int, int], int] = {}
     for idx, row in enumerate(levels):
-        if len(row) == 3:
-            n, l, e_obs = row
-            weight = 1.0
-        elif len(row) == 4:
-            n, l, e_obs, weight = row
-        else:
-            raise InputError(
-                f"level {idx}: expected (n, l, E_cm1) or (n, l, E_cm1, weight)"
-            )
-        # integral floats are welcome in data rows, but a bool is refused,
-        # as physmodel.require_int refuses it
+        if len(row) not in (3, 4):
+            raise InputError(f"{name(idx)}: expected (n, l, E_cm1) or "
+                             f"(n, l, E_cm1, weight)")
+        n, l, e_obs, weight = row if len(row) == 4 else (*row, 1.0)
         try:
-            whole = (not isinstance(n, bool) and not isinstance(l, bool)
-                     and int(n) == n and int(l) == l)
+            key = (int(n), int(l))
         except (OverflowError, ValueError):  # int() of an infinity or a NaN
-            whole = False
-        if not whole or n < 0 or l < 0:
-            raise InputError(f"level {idx}: n and l must be nonnegative integers")
+            key = None
+        if (key != (n, l) or isinstance(n, bool) or isinstance(l, bool)
+                or n < 0 or l < 0):
+            raise InputError(f"{name(idx)}: n and l must be nonnegative integers")
         e_obs, weight = float(e_obs), float(weight)
-        if not math.isfinite(e_obs):
-            raise InputError(f"level {idx}: E_cm1 must be finite")
-        if not (math.isfinite(weight) and weight > 0.0):
-            raise InputError(f"level {idx}: weight must be positive and finite")
-        rows.append((int(n), int(l), e_obs, weight))
-    if len(rows) < 4:
-        raise InputError(f"{len(rows)} levels cannot determine 3 parameters; need >= 4")
-    rows.sort(key=lambda r: (r[0], r[1]))
-    for prev, cur in zip(rows, rows[1:]):
-        if prev[:2] == cur[:2]:
-            raise InputError(f"duplicate level (n={cur[0]}, l={cur[1]})")
+        if not (math.isfinite(e_obs) and math.isfinite(weight)):
+            raise InputError(f"{name(idx)}: values must be finite")
+        if weight <= 0.0:
+            raise InputError(f"{name(idx)}: weight must be positive")
+        if first.setdefault(key, idx) != idx:
+            raise InputError(
+                f"{name(idx)}: duplicate level (n={key[0]}, l={key[1]}), "
+                f"first on {name(first[key], pointer=True)}"
+            )
+        rows.append((*key, e_obs, weight))
     return rows
 
 
@@ -231,12 +241,15 @@ def fit_parameters(
     converged=False.  iterations counts the level sets.  Levels that fit
     De <= 0 raise ValueError, arguments refused as given InputError.
     """
-    rows = _canonical_levels(levels)
+    rows = level_rows(levels)
+    if len(rows) < 4:
+        raise InputError(f"{len(rows)} levels cannot determine 3 parameters; need >= 4")
+    rows.sort(key=lambda r: (r[0], r[1]))
     de0, re0, beta0 = (float(v) for v in init)
-    if not all(math.isfinite(v) and v > 0.0 for v in (de0, re0)):
-        raise InputError("initial De and re must be positive and finite")
+    require_positive(de0, "initial De")
+    require_positive(re0, "initial re")
     require_beta(beta0)
-    require_mass(mu_amu)
+    require_positive(mu_amu, "reduced mass")
     max_evaluations = require_int(max_evaluations, "max_evaluations", 1)
 
     nl = [(n, l) for n, l, _, _ in rows]

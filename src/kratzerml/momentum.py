@@ -19,7 +19,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .physmodel import batch_columns, require_beta, require_int, require_mass
+from .physmodel import batch_columns, require_beta, require_int, require_positive
 
 __all__ = [
     "BRANCHES",
@@ -89,8 +89,7 @@ class MomentumProblem:
     def __post_init__(self) -> None:
         if not (math.isfinite(self.sigma1) and math.isfinite(self.sigma2)):
             raise ValueError("sigma1 and sigma2 must be finite")
-        if not (math.isfinite(self.k) and self.k > 0.0):
-            raise ValueError("k must be positive and finite")
+        require_positive(self.k, "k")
         require_beta(self.beta)
 
 
@@ -441,7 +440,7 @@ def quantize_swave(prob: MomentumProblem, n_max: int, mu: float) -> list[float]:
     if prob.sigma2 <= 0.0:
         raise ValueError("sigma2 must be positive for an attractive tail")
     n_max = require_int(n_max, "n_max")
-    require_mass(mu)
+    require_positive(mu, "reduced mass")
     energies = []
     for n in range(n_max + 1):
         k_n = prob.sigma2 / (n + 0.5 + nu)

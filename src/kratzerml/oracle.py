@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .physmodel import HBAR, KratzerCouplings, batch_columns, nan_worst
-from .physmodel import require_beta, require_int, require_mass
+from .physmodel import require_beta, require_int, require_positive
 from .wavefunctions import RadialState, kummer_sum
 
 __all__ = [
@@ -455,7 +455,7 @@ def correction_via_expectations(
     terms and loses digits as gamma grows.  The result is nonnegative.
     state is one RadialState or a batch, as in expectation_inverse_power.
     """
-    require_mass(mu)
+    require_positive(mu, "reduced mass")
     require_beta(beta)
     s = mu * c.g2 / (HBAR * HBAR)
     (states,), single = batch_columns(state)

@@ -35,6 +35,7 @@ __all__ = [
     "couplings_from_kratzer",
     "shape_numbers",
     "require_beta",
+    "require_positive",
     "minimal_length",
     "beta_from_min_length",
 ]
@@ -146,13 +147,9 @@ class Molecule:
     zpe_exp_cm1: float | None = None
 
     def __post_init__(self) -> None:
-        for label, value in (
-            ("de_cm1", self.de_cm1),
-            ("re_angstrom", self.re_angstrom),
-            ("mu_amu", self.mu_amu),
-        ):
-            if not (math.isfinite(value) and value > 0.0):
-                raise ValueError(f"{label} must be positive, got {value!r}")
+        require_positive(self.de_cm1, "de_cm1")
+        require_positive(self.re_angstrom, "re_angstrom")
+        require_positive(self.mu_amu, "mu_amu")
         if self.zpe_exp_cm1 is not None and not math.isfinite(self.zpe_exp_cm1):
             raise ValueError("zpe_exp_cm1 must be finite when present")
 
@@ -270,10 +267,10 @@ def require_beta(beta: float) -> None:
         raise InputError(f"beta must be nonnegative and finite, got {beta!r}")
 
 
-def require_mass(mu: float) -> None:
-    """Check that mu is a valid reduced mass, in any unit: finite and > 0."""
-    if not (math.isfinite(mu) and mu > 0.0):
-        raise InputError(f"reduced mass must be positive and finite, got {mu!r}")
+def require_positive(value: float, name: str) -> None:
+    """Check that value is finite and > 0, else InputError naming it."""
+    if not (math.isfinite(value) and value > 0.0):
+        raise InputError(f"{name} must be positive and finite, got {value!r}")
 
 
 def require_int(value, name: str, low: int = 0, high: int | None = None) -> int:
@@ -324,7 +321,7 @@ def batch_columns(*args) -> tuple[list[list], bool]:
 
 
 def minimal_length(beta: float) -> float:
-    """Minimal position uncertainty hbar sqrt(3 beta + beta'), in m.
+    """Minimal position uncertainty hbar sqrt(3 beta + beta'), in angstrom.
 
     The deformation is taken on the beta' = 2 beta branch throughout, so
     the length is hbar sqrt(5 beta).  The sum is kept unfolded: in
@@ -339,26 +336,24 @@ def minimal_length(beta: float) -> float:
         raise ValueError(
             f"minimal length overflows double precision at beta = {beta!r}"
         )
-    return HBAR * math.sqrt(total)
+    return HBAR * math.sqrt(total) / ANGSTROM_TO_M
 
 
-def beta_from_min_length(x_min_m: float) -> float:
-    """Invert hbar sqrt(5 beta) = x_min (in m) for beta in (kg m/s)^-2.
+def beta_from_min_length(x_angstrom: float) -> float:
+    """Invert hbar sqrt(5 beta) = x_min (in angstrom) for beta in (kg m/s)^-2.
 
     Raises InputError for a negative or non-finite length, and
     ValueError for one whose beta overflows double precision (x_min / hbar
-    beyond ~1.3e154).
+    beyond ~1.3e154 in SI, ~1.4e130 angstrom).
     """
-    if not (math.isfinite(x_min_m) and x_min_m >= 0.0):
-        raise InputError(
-            f"minimal length must be nonnegative and finite, got {x_min_m!r} m"
-        )
+    if not (math.isfinite(x_angstrom) and x_angstrom >= 0.0):
+        raise InputError(f"minimal length must be nonnegative and finite, "
+                         f"got {x_angstrom!r} angstrom")
     try:
-        beta = (x_min_m / HBAR) ** 2 / 5.0
+        beta = (x_angstrom * ANGSTROM_TO_M / HBAR) ** 2 / 5.0
     except OverflowError:
         beta = math.inf
     if not math.isfinite(beta):
-        raise ValueError(
-            f"minimal length {x_min_m!r} m overflows beta in double precision"
-        )
+        raise ValueError(f"minimal length {x_angstrom!r} angstrom overflows "
+                         f"beta in double precision")
     return beta

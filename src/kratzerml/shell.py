@@ -12,15 +12,13 @@ refused as given (InputError, or by the parser) or a file format error.
 from __future__ import annotations
 
 import argparse
-import math
 import sys
 from json.encoder import encode_basestring_ascii
 from pathlib import Path
 
 from . import PRESETS
-from .estimate import beta_upper_bound, fit_parameters
+from .estimate import beta_upper_bound, fit_parameters, level_rows
 from .physmodel import (
-    ANGSTROM_TO_M,
     ENERGY_UNITS,
     InputError,
     Molecule,
@@ -31,6 +29,7 @@ from .physmodel import (
     lambda_of,
     minimal_length,
     require_int,
+    require_positive,
 )
 from .spectrum import (
     energy_deformed,
@@ -171,11 +170,12 @@ def parse_levels_file(path: Path) -> list[tuple[int, int, float, float]]:
     """Read delimiter-separated levels with a mandatory header row.
 
     Header: n,l,E_cm1 with an optional trailing weight column; comma or
-    tab delimited (detected per line).  (n, l) pairs must be unique.
+    tab delimited (detected per line).  The rows must pass
+    estimate.level_rows, whose refusal names the file and line.
     """
     header: list[str] | None = None
-    seen: dict[tuple[int, int], int] = {}
     rows: list[tuple[int, int, float, float]] = []
+    lines: list[int] = []
     for lineno, line in _content_lines(path):
         delim = "\t" if "\t" in line else ","
         parts = [part.strip() for part in line.split(delim)]
@@ -195,32 +195,19 @@ def parse_levels_file(path: Path) -> list[tuple[int, int, float, float]]:
                 f"got {len(parts)}"
             )
         try:
-            n = int(parts[0])
-            l = int(parts[1])
-            e_cm1 = float(parts[2])
-            weight = float(parts[3]) if len(parts) == 4 else 1.0
+            rows.append((int(parts[0]), int(parts[1]), float(parts[2]),
+                         float(parts[3]) if len(parts) == 4 else 1.0))
         except ValueError:
             raise FileFormatError(
                 f"{path.name}:{lineno}: malformed numeric value"
             ) from None
-        if n < 0 or l < 0:
-            raise FileFormatError(
-                f"{path.name}:{lineno}: n and l must be nonnegative"
-            )
-        if not (math.isfinite(e_cm1) and math.isfinite(weight)):
-            raise FileFormatError(f"{path.name}:{lineno}: values must be finite")
-        if weight <= 0.0:
-            raise FileFormatError(f"{path.name}:{lineno}: weight must be positive")
-        if (n, l) in seen:
-            raise FileFormatError(
-                f"{path.name}:{lineno}: duplicate level (n={n}, l={l}), "
-                f"first on line {seen[(n, l)]}"
-            )
-        seen[(n, l)] = lineno
-        rows.append((n, l, e_cm1, weight))
+        lines.append(lineno)
     if header is None:
         raise FileFormatError(f"{path.name}: empty file (header row required)")
-    return rows
+    try:
+        return level_rows(rows, path.name, lines)
+    except InputError as exc:
+        raise FileFormatError(str(exc)) from None
 
 
 # -------------------------------------------------------------- reports
@@ -320,17 +307,14 @@ def _emit(doc: dict, human: list[str], args) -> None:
 # ------------------------------------------------------------- spectrum
 
 
-def _beta_from_args(args) -> float:
-    if args.min_length is not None:
-        return beta_from_min_length(args.min_length * ANGSTROM_TO_M)
-    return 0.0 if args.beta is None else args.beta
-
-
 def cmd_spectrum(args) -> int:
     mol = resolve_molecule(args.molecule)
     nmax = require_int(args.nmax, "--nmax")
     lmax = require_int(args.lmax, "--lmax")
-    beta = _beta_from_args(args)
+    if args.min_length is not None:
+        beta = beta_from_min_length(args.min_length)
+    else:
+        beta = 0.0 if args.beta is None else args.beta
     units = args.units
     gamma = gamma_of(mol)
     x_min = minimal_length(beta)
@@ -374,7 +358,7 @@ def cmd_spectrum(args) -> int:
         "molecule": _molecule_doc(mol),
         "deformation": {
             "beta": _tagged(beta, BETA_UNIT),
-            "min_length": _tagged(x_min / ANGSTROM_TO_M, "angstrom"),
+            "min_length": _tagged(x_min, "angstrom"),
         },
         "levels": levels,
     }
@@ -384,7 +368,7 @@ def cmd_spectrum(args) -> int:
         f"re = {mol.re_angstrom:g} angstrom, mu = {mol.mu_amu:g} amu, "
         f"gamma = {gamma:.6g}",
         f"beta = {beta:.6e} {BETA_UNIT}, min length = "
-        f"{x_min / ANGSTROM_TO_M:.6e} angstrom",
+        f"{x_min:.6e} angstrom",
         "",
         f"{'n':>3} {'l':>3} {'E0 [' + units + ']':>18} "
         f"{'dE [' + units + ']':>18} {'E [' + units + ']':>18}",
@@ -454,6 +438,8 @@ def cmd_bound(args) -> int:
 
 def cmd_verify(args) -> int:
     preset = args.grid_preset
+    if args.tol is not None:  # refused before numpy loads
+        require_positive(args.tol, "tol")
     # the one place the package defers numpy: verify and the oracles
     # import it at the top, and no other command loads it
     from . import verify

@@ -167,7 +167,11 @@ def level_energies(
     gamma = gamma_of(mol)
     de_j = mol.de_joule
     top = -gamma * gamma * de_j
-    scale = beta * mol.mu_kg * de_j**2
+    try:
+        scale = beta * mol.mu_kg * de_j**2
+    except OverflowError:
+        raise ValueError(f"molecule {mol.name!r}: De = {mol.de_cm1!r} cm^-1 "
+                         f"overflows De^2 in double precision") from None
     two_gamma = 2.0 * gamma
     u = 0.5 * gamma * gamma
     out = []

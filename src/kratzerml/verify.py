@@ -43,6 +43,7 @@ from .physmodel import (
     couplings_from_kratzer,
     energy_from_joule,
     nan_worst,
+    require_positive,
 )
 from .spectrum import (
     correction_general,
@@ -332,8 +333,8 @@ def run_checks(
     """
     if preset not in PRESETS:
         raise InputError(f"unknown preset {preset!r}; use one of {PRESETS}")
-    if tol is not None and not (math.isfinite(tol) and tol > 0.0):
-        raise InputError(f"tol must be a positive finite number, got {tol!r}")
+    if tol is not None:
+        require_positive(tol, "tol")
     results = []
     for check in CHECKS:
         deviations = list(check.run(check.grids[preset]))

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .physmodel import QuantumNumbers, ShapeNumbers, shape_numbers
+from .physmodel import QuantumNumbers, ShapeNumbers, require_positive, shape_numbers
 
 __all__ = [
     "RadialState",
@@ -85,8 +85,7 @@ def _log_norm(qn: QuantumNumbers, shape: ShapeNumbers, re: float) -> float:
 
 def make_radial_state(gamma: float, qn: QuantumNumbers, re: float) -> RadialState:
     """Build the radial state for shape number gamma and length scale re."""
-    if not (math.isfinite(re) and re > 0.0):
-        raise ValueError("length scale re must be positive")
+    require_positive(re, "length scale re")
     shape = shape_numbers(gamma, qn)
     return RadialState(qn=qn, shape=shape, re=re, log_norm=_log_norm(qn, shape, re))
 

@@ -246,7 +246,7 @@ def test_fit_input_validation():
     # a non-finite start is refused as such, not as the Molecule it builds
     for de0, re0 in ((math.nan, 1.0), (math.inf, 1.0), (52000.0, math.inf),
                      (52000.0, math.nan)):
-        with pytest.raises(ValueError, match="initial De and re"):
+        with pytest.raises(ValueError, match="initial (De|re) must be positive"):
             fit_parameters(LEVELS, 1.2, (de0, re0, 0.0))
     for beta0 in (-1.0, math.nan, math.inf):
         with pytest.raises(ValueError):

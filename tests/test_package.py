@@ -37,9 +37,9 @@ from kratzerml.physmodel import (
     minimal_length,
     require_beta,
     require_int,
-    require_mass,
+    require_positive,
 )
-from kratzerml.spectrum import energy_deformed, require_bound
+from kratzerml.spectrum import energy_deformed, level_energies, require_bound
 from kratzerml.verify import run_checks
 from kratzerml.wavefunctions import make_radial_state
 
@@ -344,8 +344,9 @@ def test_numpy_import_guard_sees_top_level_imports():
 
 
 # Runs in a fresh interpreter: importing the package, looking up every
-# closed-form name on it and running bound, spectrum and fit must leave
-# numpy and scipy unloaded, and verify loads numpy alone.
+# closed-form name on it, running bound, spectrum and fit, and a verify
+# whose --tol is refused must leave numpy and scipy unloaded, and verify
+# loads numpy alone.
 _STARTUP_SCRIPT = """
 import contextlib, io, json, sys
 sys.path.insert(0, sys.argv[1])
@@ -374,6 +375,9 @@ codes = [
     run("fit", sys.argv[2], "--mu", "1.2", "--init", "52000,1.0,0", "--json"),
 ]
 heavy_after_closed_forms = heavy_modules()
+with contextlib.redirect_stderr(io.StringIO()):
+    codes.append(run("verify", "--tol", "0"))
+heavy_after_refused_tol = heavy_modules()
 codes.append(run("verify", "--json"))
 print(json.dumps({
     "codes": codes,
@@ -381,6 +385,7 @@ print(json.dumps({
     "looked_up": len(closed_forms),
     "heavy_after_lookup": heavy_after_lookup,
     "heavy_after_closed_forms": heavy_after_closed_forms,
+    "heavy_after_refused_tol": heavy_after_refused_tol,
     "scipy_after_verify": [m for m in heavy_modules() if m.startswith("scipy")],
 }))
 """
@@ -402,11 +407,12 @@ def test_closed_form_commands_leave_scipy_unloaded(tmp_path):
     )
     assert out.returncode == 0, out.stderr
     doc = json.loads(out.stdout)
-    assert doc["codes"] == [0, 0, 0, 0]
+    assert doc["codes"] == [0, 0, 0, 2, 0]
     assert doc["heavy_after_import"] == []
     assert doc["looked_up"] > 0
     assert doc["heavy_after_lookup"] == []
     assert doc["heavy_after_closed_forms"] == []
+    assert doc["heavy_after_refused_tol"] == []
     assert doc["scipy_after_verify"] == []
 
 
@@ -581,22 +587,66 @@ def test_integer_records_store_a_plain_int():
     assert type(QuadratureSpec(max_level=np.int64(5)).max_level) is int
 
 
+#: each positive real argument: (call, a valid value, its name)
+_POSITIVE_SITES = {
+    "Molecule.de_cm1": (lambda v: Molecule("m", v, 1.1, 1.2), 45000.0, "de_cm1"),
+    "Molecule.re_angstrom": (
+        lambda v: Molecule("m", 45000.0, v, 1.2), 1.1, "re_angstrom"),
+    "Molecule.mu_amu": (lambda v: Molecule("m", 45000.0, 1.1, v), 1.2, "mu_amu"),
+    "run_checks tol": (lambda v: run_checks("small", v), 1.0, "tol"),
+    "fit_parameters De": (
+        lambda v: fit_parameters(_LEVELS, 1.2, (v, 1.0, 0.0)), 5e4, "initial De"),
+    "fit_parameters re": (
+        lambda v: fit_parameters(_LEVELS, 1.2, (5e4, v, 0.0)), 1.0, "initial re"),
+    "fit_parameters mu": (
+        lambda v: fit_parameters(_LEVELS, v, (5e4, 1.0, 0.0)), 1.2,
+        "reduced mass"),
+    "MomentumProblem.k": (
+        lambda v: MomentumProblem(sigma1=0.0, sigma2=3.0, k=v), 1.0, "k"),
+    "make_radial_state": (
+        lambda v: make_radial_state(5.0, QuantumNumbers(0, 1), v), 1.0,
+        "length scale re"),
+    "quantize_swave": (lambda v: quantize_swave(_POLE, 2, v), 1.0,
+                       "reduced mass"),
+    "correction_via_expectations": (
+        lambda v: correction_via_expectations(
+            _STATES[0], KratzerCouplings(1e-38, 1e-28), v, 1e40),
+        1e-27, "reduced mass"),
+}
+
+
+@pytest.mark.parametrize("site", sorted(_POSITIVE_SITES))
+def test_every_positive_argument_follows_one_rule(site):
+    """A valid value passes; 0, -1, nan and both infinities raise
+    InputError naming the argument and the value, through
+    physmodel.require_positive."""
+    call, valid, name = _POSITIVE_SITES[site]
+    call(valid)
+    for bad in (0.0, -1.0, math.nan, math.inf, -math.inf):
+        with pytest.raises(
+            InputError,
+            match=rf"^{name} must be positive and finite, got {re.escape(repr(bad))}$",
+        ):
+            call(bad)
+
+
 _START = (50000.0, 1.0, 0.0)
 
 #: each library refusal: (call, the type it raises, a pattern its message
 #: matches, naming the argument where the type is InputError)
 _REFUSALS = {
     "require_beta": (lambda: require_beta(-1.0), InputError, "^beta must"),
-    "require_mass": (
-        lambda: require_mass(0.0), InputError, "^reduced mass must"),
+    "require_positive": (
+        lambda: require_positive(0.0, "reduced mass"), InputError,
+        "^reduced mass must"),
     "require_int": (
         lambda: require_int(-1, "n_max"), InputError, "^n_max must"),
     "beta_from_min_length non-finite": (
         lambda: beta_from_min_length(math.inf), InputError,
         "^minimal length must"),
     "beta_from_min_length negative": (
-        lambda: beta_from_min_length(-1e-12), InputError,
-        "^minimal length must"),
+        lambda: beta_from_min_length(-1.0), InputError,
+        "^minimal length must .*, got -1.0 angstrom$"),
     "fit_parameters level count": (
         lambda: fit_parameters(_LEVELS[:3], 1.2, _START), InputError,
         "^3 levels cannot"),
@@ -605,10 +655,13 @@ _REFUSALS = {
         InputError, "^level 0: n and l must"),
     "fit_parameters duplicate level": (
         lambda: fit_parameters(_LEVELS + _LEVELS[:1], 1.2, _START),
-        InputError, "^duplicate level"),
+        InputError, "^level 4: duplicate level .*, first on level 0$"),
     "fit_parameters start": (
         lambda: fit_parameters(_LEVELS, 1.2, (0.0, 1.0, 0.0)), InputError,
-        "^initial De and re must"),
+        "^initial De must"),
+    "fit_parameters start re": (
+        lambda: fit_parameters(_LEVELS, 1.2, (5e4, math.inf, 0.0)),
+        InputError, "^initial re must"),
     "fit_parameters start beta": (
         lambda: fit_parameters(_LEVELS, 1.2, (5e4, 1.0, -1.0)), InputError,
         "^beta must"),
@@ -619,13 +672,24 @@ _REFUSALS = {
         lambda: run_checks("bogus"), InputError, "^unknown preset 'bogus'"),
     "run_checks tol": (
         lambda: run_checks("small", 0.0), InputError, "^tol must"),
+    "Molecule": (
+        lambda: Molecule("m", 45000.0, -1.0, 1.2), InputError,
+        "^re_angstrom must"),
+    "MomentumProblem k": (
+        lambda: MomentumProblem(0.0, 3.0, math.nan), InputError, "^k must"),
+    "make_radial_state re": (
+        lambda: make_radial_state(5.0, QuantumNumbers(0, 1), 0.0),
+        InputError, "^length scale re must"),
     "beta_upper_bound without a ZPE": (
         lambda: beta_upper_bound(_MOL), InputError, "has no zpe_exp_cm1"),
     # failures during a computation: the CLI exits 1 on these, not 2
     "minimal_length overflow": (
         lambda: minimal_length(1e308), ValueError, "overflows"),
     "beta_from_min_length overflow": (
-        lambda: beta_from_min_length(1e150), ValueError, "overflows"),
+        lambda: beta_from_min_length(1e160), ValueError, "overflows"),
+    "level_energies De overflow": (
+        lambda: level_energies(Molecule("big", 1e200, 1.0, 1.0), 0.0, [(0, 0)]),
+        ValueError, "^molecule 'big': De = 1e\\+200 cm\\^-1 overflows"),
     "fit start on the lambda guard": (
         lambda: fit_parameters(_LEVELS, 1e-6, (1.0, 1.0, 0.0)),
         LambdaGuardError, "singular value 1.0"),
@@ -634,7 +698,7 @@ _REFUSALS = {
         NoPositiveGapError, "not positive"),
     "require_bound": (
         lambda: require_bound(energy_deformed(
-            _MOL, beta_from_min_length(1e-9), QuantumNumbers(0, 0))),
+            _MOL, beta_from_min_length(10.0), QuantumNumbers(0, 0))),
         ValueError, "not bound"),
 }
 

@@ -182,14 +182,15 @@ def test_lambda_guard_matches_the_pivot_walk():
 def test_deformation_specialized_and_min_length():
     # minimal length hbar sqrt(3 beta + beta') = hbar sqrt(5 beta) at beta' = 2 beta
     beta = 4.0e43
-    assert minimal_length(beta) == HBAR * math.sqrt(3.0 * beta + 2.0 * beta)
+    assert minimal_length(beta) == (
+        HBAR * math.sqrt(3.0 * beta + 2.0 * beta) / ANGSTROM_TO_M)
     assert minimal_length(beta) == pytest.approx(
-        HBAR * math.sqrt(5.0 * beta), rel=1e-15
+        HBAR * math.sqrt(5.0 * beta) / ANGSTROM_TO_M, rel=1e-15
     )
     assert minimal_length(0.0) == 0.0
 
 
-@given(x=st.floats(min_value=1e-15, max_value=1e-10))
+@given(x=st.floats(min_value=1e-5, max_value=1.0))  # angstrom
 def test_min_length_round_trip(x):
     assert minimal_length(beta_from_min_length(x)) == pytest.approx(
         x, rel=1e-12, abs=0.0
@@ -200,15 +201,15 @@ def test_deformation_validation():
     for beta in (-1.0, math.nan, math.inf):
         with pytest.raises(ValueError):
             minimal_length(beta)
-    with pytest.raises(ValueError):
-        beta_from_min_length(-1e-12)
+    with pytest.raises(ValueError, match="got -0.01 angstrom"):
+        beta_from_min_length(-0.01)
     assert beta_from_min_length(0.0) == 0.0
     # non-finite lengths, and one whose beta overflows, are refused
-    for x in (math.nan, math.inf, 1e150):
+    for x in (math.nan, math.inf, 1e160):
         with pytest.raises(ValueError, match="minimal length"):
             beta_from_min_length(x)
     # the largest lengths that fit keep the plain formula's bits
-    assert beta_from_min_length(1e120) == (1e120 / HBAR) ** 2 / 5.0
+    assert beta_from_min_length(1e130) == (1e130 * ANGSTROM_TO_M / HBAR) ** 2 / 5.0
 
 
 def test_overflowing_minimal_length_is_refused():
@@ -218,4 +219,5 @@ def test_overflowing_minimal_length_is_refused():
             minimal_length(beta)
     # finite sums keep the unfolded bits, up to the largest that fits
     for beta in (3.5e307, 1e-46, 0.0):
-        assert minimal_length(beta) == HBAR * math.sqrt(3.0 * beta + 2.0 * beta)
+        assert minimal_length(beta) == (
+            HBAR * math.sqrt(3.0 * beta + 2.0 * beta) / ANGSTROM_TO_M)

@@ -366,6 +366,13 @@ def test_spectrum_negative_nmax_usage_error(capsys):
         assert_refused(capsys, ["spectrum", "H2", flag, "-1"])
 
 
+def test_refused_min_length_names_the_number_given(capsys):
+    assert main(["spectrum", "H2", "--min-length", "-1"]) == 2
+    assert capsys.readouterr().err == (
+        "error: minimal length must be nonnegative and finite, "
+        "got -1.0 angstrom\n")
+
+
 def test_spectrum_reports_guarded_levels(capsys, tmp_path):
     # gamma = 0.5 puts lambda below 3/2 at l = 0: the correction has no
     # closed form there, and the run must say so and fail
@@ -438,6 +445,24 @@ def test_bound_negative_gap_fails(capsys, tmp_path):
     )
     assert main(["bound", str(path)]) == 1
     assert "not positive" in capsys.readouterr().err
+
+
+def test_overflowing_well_depth_is_an_error_line(capsys, tmp_path):
+    # De^2 overflows double precision at De = 1e200 cm^-1: bound fails with
+    # one error line naming the molecule, and spectrum (--decompose too)
+    # gives that line for every level, not a traceback
+    path = write(tmp_path, "big.molecule",
+                 "De_cm1 = 1e200\nre_angstrom = 1\nmu_amu = 1\n"
+                 "zpe_exp_cm1 = 100\n")
+    error = ("molecule 'big': De = 1e+200 cm^-1 overflows De^2 "
+             "in double precision")
+    assert main(["bound", str(path)]) == 1
+    captured = capsys.readouterr()
+    assert (captured.out, captured.err) == ("", f"error: {error}\n")
+    code, doc, _ = run_json(capsys, ["spectrum", str(path), "--decompose",
+                                     "--nmax", "1", "--lmax", "0", "--json"])
+    assert code == 1
+    assert [level["error"] for level in doc["levels"]] == [error, error]
 
 
 # --------------------------------------------------------------- verify
