@@ -106,19 +106,38 @@ def _solve_linear(
     # b is orthogonalised against a (Gram-Schmidt), not put through the
     # normal equations; clamp holds c at 0 when it comes out negative.
     # Each residual is summed as gap + u a + c b, terms small next to E0,
-    # so forming it adds roundoff far below an ulp of the level
-    aa = math.fsum(map(mul, a, a))
-    u = -math.fsum(map(mul, a, gap)) / aa
-    along = math.fsum(map(mul, a, b)) / aa
-    b_perp = [q - along * p for p, q in zip(a, b)]
-    c = -math.fsum(map(mul, b_perp, [g + u * p for p, g in zip(a, gap)]))
-    c /= math.fsum(map(mul, b_perp, b_perp))
-    if clamp and c < 0.0:
-        c = 0.0
-    else:
-        u -= c * along
-    res = [g + u * p + c * q for p, q, g in zip(a, b, gap)]
-    return _Projection(s, a, b, gap, u, c, res, math.fsum(map(mul, res, res)))
+    # so forming it adds roundoff far below an ulp of the level.  A set
+    # whose divisor aa or perp is 0 or whose sums leave the doubles
+    # (fsum raises, or a divisor or the rss is inf or nan) does not
+    # determine u and c: ValueError, which the fit passes over
+    try:
+        aa = math.fsum(map(mul, a, a))
+        u = -math.fsum(map(mul, a, gap)) / aa
+        along = math.fsum(map(mul, a, b)) / aa
+        b_perp = [q - along * p for p, q in zip(a, b)]
+        c = -math.fsum(map(mul, b_perp, [g + u * p for p, g in zip(a, gap)]))
+        perp = math.fsum(map(mul, b_perp, b_perp))
+        c /= perp
+        if clamp and c < 0.0:
+            c = 0.0
+        else:
+            u -= c * along
+        res = [g + u * p + c * q for p, q, g in zip(a, b, gap)]
+        rss = math.fsum(map(mul, res, res))
+        finite = aa < math.inf and perp < math.inf and rss < math.inf
+    except ZeroDivisionError:
+        raise ValueError(
+            "the levels do not determine (De, beta): their E0 and beta = 1 "
+            "shift columns are linearly dependent"
+        ) from None
+    except (OverflowError, ValueError):  # fsum's overflow, or inf - inf
+        finite = False
+    if not finite:
+        raise ValueError(
+            "the levels do not determine (De, beta): a least-squares sum "
+            "over them is not finite in double precision"
+        )
+    return _Projection(s, a, b, gap, u, c, res, rss)
 
 
 def zpe_theoretical(mol: Molecule, beta: float) -> float:
@@ -239,7 +258,8 @@ def fit_parameters(
     out negative.  max_evaluations caps the level sets evaluated (one
     level per row each, derivatives included); running out gives
     converged=False.  iterations counts the level sets.  Levels that fit
-    De <= 0 raise ValueError, arguments refused as given InputError.
+    De <= 0, or whose start does not determine (De, beta), raise
+    ValueError, arguments refused as given InputError.
     """
     rows = level_rows(levels)
     if len(rows) < 4:
@@ -278,7 +298,7 @@ def fit_parameters(
         used += 1
         try:
             return project(s, clamp)
-        except ValueError:  # a level has no defined value at this gamma
+        except ValueError:  # an undefined level, or (De, beta) undetermined
             return None
 
     def descend(cur: _Projection, clamp: bool) -> tuple[_Projection, bool]:
@@ -304,7 +324,8 @@ def fit_parameters(
                 step *= 0.5
         return cur, False
 
-    # a start with an undefined level fails here, with the level's reason;
+    # a start with an undefined level, or whose levels do not determine
+    # (De, beta), fails here with its reason;
     # the rerun with c clamped at 0 starts from the free search's levels
     cur, converged = descend(project(0.0, clamp=False), clamp=False)
     if cur.c < 0.0:

@@ -3,7 +3,7 @@
 Numerical integration of the deformed and undeformed momentum-space
 equations, large-momentum exponent analysis, the s-wave quantization
 rule with its closed-form wavefunction, and the Heun-type
-parameterizations with their Fuchsian checks.
+parameterizations with their Fuchsian sum rules.
 
 All integrations work on phi = p psi, which is regular at the origin
 where psi itself is not; solutions are reported as psi on the grid.
@@ -23,7 +23,6 @@ from .physmodel import batch_columns, require_beta, require_int, require_positiv
 
 __all__ = [
     "BRANCHES",
-    "GridError",
     "NonQuantizedError",
     "QuantizationBreakdownError",
     "StiffnessError",
@@ -31,8 +30,6 @@ __all__ = [
     "OdeSolution",
     "HeunParams",
     "HeunParamsIS",
-    "HypergeometricParams",
-    "ode_rhs_deformed",
     "integrate_branch",
     "fit_slope",
     "indicial_exponents",
@@ -40,8 +37,6 @@ __all__ = [
     "momentum_wavefunction_undeformed",
     "heun_params_general",
     "heun_params_inverse_square",
-    "hypergeometric_params",
-    "heun_residual",
 ]
 
 BRANCHES = ("fast-decay", "slow-decay")
@@ -65,10 +60,6 @@ class NonQuantizedError(ValueError):
 
 class QuantizationBreakdownError(NonQuantizedError):
     """s-wave quantization requested in the singular regime sigma1 < -1/4."""
-
-
-class GridError(ValueError):
-    """Solution grid too short for the finite-difference residual."""
 
 
 @dataclass(frozen=True)
@@ -152,21 +143,6 @@ def _ratios(co: _Coefficients, p):
     # same bits on numpy and on Python scalars
     inverse = 1.0 / a
     return b * inverse, c * inverse
-
-
-def ode_rhs_deformed(
-    prob: MomentumProblem, p: float, phi: complex, dphi: complex
-) -> complex:
-    """phi'' solved from the deformed equation for phi = p psi, from the
-    B and C that integrate_branch steps with.  At beta = 0 they reduce to
-    the undeformed equation, (p^2 + k^2) phi'' + (4 p + 2 i sigma2) phi'
-    + (2 - sigma1) phi = 0, with no special-casing.  p = 0 is a singular
-    point of the coefficients: start integrations at p > 0.
-    """
-    if p <= 0.0:
-        raise ValueError("p must be positive; p = 0 is a singular point")
-    b_ratio, c_ratio = _ratios(_coefficients(prob), p)
-    return -(b_ratio * dphi + c_ratio * phi)
 
 
 def indicial_exponents(prob: MomentumProblem) -> tuple[complex, complex]:
@@ -406,14 +382,6 @@ def fit_slope(solution: OdeSolution, window_decades: float = 1.0) -> float:
     return float(slope)
 
 
-def _require_undeformed(prob: MomentumProblem) -> None:
-    if prob.beta != 0.0:
-        raise ValueError(
-            f"beta = {prob.beta!r}: the hypergeometric reduction and the "
-            "s-wave pole condition hold only at beta = 0"
-        )
-
-
 def _swave_nu(prob: MomentumProblem) -> float:
     """nu of the s-wave pole condition sigma2/k_n = n + 1/2 + nu.
 
@@ -421,7 +389,11 @@ def _swave_nu(prob: MomentumProblem) -> float:
     is real; the Hardy constant 1/4 is sharp, so the fall to the centre
     begins strictly below -1/4.
     """
-    _require_undeformed(prob)
+    if prob.beta != 0.0:
+        raise ValueError(
+            f"beta = {prob.beta!r}: the hypergeometric reduction and the "
+            "s-wave pole condition hold only at beta = 0"
+        )
     if prob.sigma1 < -0.25:
         raise QuantizationBreakdownError(
             "sigma1 < -1/4: the pole condition no longer selects a "
@@ -489,10 +461,9 @@ class HeunParams:
     """Five-regular-point form in z = (1 - i sqrt(6 beta) p)/2, phi = p psi.
 
     The source prints them with sigma1 and sigma2 exchanged; that reading is
-    heun_params_general of the swapped problem, and heun_residual rejects it.
-    From a batch, every field but a and b is a numpy column, and
-    fuchsian_residual gives a column too; heun_residual takes one
-    problem's parameters.
+    heun_params_general of the swapped problem, which a numerical solution
+    of the problem itself does not satisfy.  From a batch, every field but
+    a and b is a numpy column, and fuchsian_residual gives a column too.
     """
 
     a: float
@@ -510,16 +481,6 @@ class HeunParams:
     def fuchsian_residual(self) -> float:
         return abs(self.a + self.b + 1.0 - (self.c + self.d + self.e + self.f))
 
-    def _fuchsian_form(self, p: np.ndarray, psi: np.ndarray):
-        z = 0.5 * (1.0 - 1.0j * math.sqrt(6.0 * self.beta) * p)
-        return (
-            z,
-            p * psi,
-            (0.0, 1.0, self.z1, self.z2),
-            (self.c, self.d, self.e, self.f),
-            self.a * self.b * z * z + self.rho1 * z + self.rho2,
-        )
-
 
 @dataclass(frozen=True)
 class HeunParamsIS:
@@ -527,8 +488,7 @@ class HeunParamsIS:
 
     The equation lives in the chart xi = 6 beta p^2/(1 + 6 beta p^2),
     with psi = (1 - xi) phi.  From a batch, q, xi0 and beta are numpy
-    columns, and fuchsian_residual gives a column too; heun_residual
-    takes one problem's parameters.
+    columns, and fuchsian_residual gives a column too.
     """
 
     a: float
@@ -551,42 +511,6 @@ class HeunParamsIS:
         """
         residual = abs(self.a + self.b + 1.0 - (self.c + self.d + self.e))
         return residual if np.ndim(self.q) == 0 else np.full(len(self.q), residual)
-
-    def _fuchsian_form(self, p: np.ndarray, psi: np.ndarray):
-        blow = 1.0 + 6.0 * self.beta * p * p
-        xi = 6.0 * self.beta * p * p / blow
-        return (
-            xi,
-            psi * blow,
-            (0.0, 1.0, self.xi0),
-            (self.c, self.d, self.e),
-            self.a * self.b * xi + self.q,
-        )
-
-
-@dataclass(frozen=True)
-class HypergeometricParams:
-    """beta = 0 reduction: phi = p psi in x = 1/2 + i p/(2 k).
-
-    a b = 2 - sigma1 and a + b = 3; a, b turn complex together with nu
-    in the singular regime.  Divided by x (1 - x), the hypergeometric
-    equation has the weights c and a + b + 1 - c at x = 0 and 1 and the
-    accessory numerator a b over x (x - 1).
-    """
-
-    a: complex
-    b: complex
-    c: float
-    k: float
-
-    def _fuchsian_form(self, p: np.ndarray, psi: np.ndarray):
-        return (
-            0.5 + 0.5j * p / self.k,
-            p * psi,
-            (0.0, 1.0),
-            (self.c, self.a + self.b + 1.0 - self.c),
-            self.a * self.b,
-        )
 
 
 def _problem_columns(prob) -> tuple[np.ndarray, bool]:
@@ -628,7 +552,7 @@ def heun_params_general(
         if (beta <= 0.0).any():
             raise ValueError(
                 "beta must be positive: at beta = 0 the singular points "
-                "coalesce; use hypergeometric_params instead"
+                "coalesce into the hypergeometric reduction"
             )
         root = np.sqrt(6.0 * beta)
         denom = 1.0 - 6.0 * beta * k * k
@@ -690,77 +614,3 @@ def heun_params_inverse_square(
             xi0=xi0,
             beta=beta,
         )
-
-
-def hypergeometric_params(prob: MomentumProblem) -> HypergeometricParams:
-    """Parameters of the beta = 0 reduction (a = 3/2 + nu, b = 3/2 - nu,
-    c = 2 + sigma2/k).
-
-    phi = p psi decays as p^-a and p^-b, so a and b are minus the psi
-    exponents of indicial_exponents, less one.
-    """
-    _require_undeformed(prob)
-    fast, slow = indicial_exponents(prob)
-    return HypergeometricParams(
-        a=-1.0 - fast, b=-1.0 - slow, c=2.0 + prob.sigma2 / prob.k, k=prob.k
-    )
-
-
-def _fd_derivatives(x: np.ndarray, f: np.ndarray):
-    # non-uniform three-point stencils at interior nodes; complex-safe
-    # since the transformed abscissae lie on a straight line where the
-    # solutions are analytic
-    h1 = x[1:-1] - x[:-2]
-    h2 = x[2:] - x[1:-1]
-    f0, f1, f2 = f[:-2], f[1:-1], f[2:]
-    d1 = (
-        -(h2 / (h1 * (h1 + h2))) * f0
-        + ((h2 - h1) / (h1 * h2)) * f1
-        + (h1 / (h2 * (h1 + h2))) * f2
-    )
-    d2 = 2.0 * (
-        f0 / (h1 * (h1 + h2)) - f1 / (h1 * h2) + f2 / (h2 * (h1 + h2))
-    )
-    return d1, d2
-
-
-def _max_normalized_residual(t1, t2, t3) -> float:
-    num = np.abs(t1 + t2 + t3)
-    den = np.abs(t1) + np.abs(t2) + np.abs(t3)
-    out = np.zeros_like(num)
-    live = den > 0.0
-    out[live] = num[live] / den[live]
-    return float(out.max()) if out.size else 0.0
-
-
-def heun_residual(
-    params: HeunParams | HeunParamsIS | HypergeometricParams,
-    solution: OdeSolution,
-) -> float:
-    """Max normalized residual of a transformed solution in the Heun form.
-
-    Pushes the numerical (p, psi) data through the chart of the params
-    object and differentiates by finite differences on the transformed
-    abscissae, so the check is independent of the original equation.
-    Each params type gives its equation in the one Fuchsian form
-
-        f'' + sum_j w_j/(x - x_j) f' + N(x)/prod_j (x - x_j) f = 0
-
-    as the chart x(p), f, the singular points x_j, their weights w_j and
-    the accessory numerator N(x).  The residual at each interior node is
-    |sum of the three terms| / (sum of their moduli); an identically-zero
-    solution gives 0.  Raises GridError when the grid has too few points
-    for the stencils; OdeSolution already guarantees
-    MIN_POINTS_PER_DECADE density.
-    """
-    p = solution.grid
-    if p.size < 5:
-        raise GridError("need at least 5 grid points for finite differences")
-    form = getattr(params, "_fuchsian_form", None)
-    if form is None:
-        raise TypeError(f"unsupported parameter object {type(params).__name__}")
-    x, f, points, weights, numerator = form(p, solution.values)
-    d1, d2 = _fd_derivatives(x.astype(complex), f)
-    pre = sum(w / (x - xj) for w, xj in zip(weights, points))
-    rat = numerator / math.prod(x - xj for xj in points)
-    return _max_normalized_residual(d2, pre[1:-1] * d1, (rat * f)[1:-1])

@@ -180,7 +180,7 @@ class _Density:
     density(x, rows) is R_a R_b r^(2 - p) gap^2 re, the integrand per
     unit x = r/re, on row i of x for integral rows[i].  In x,
     R(r) = exp(log N + (lam - 1) log x - alpha x) M(-n, 2 lam; 2 alpha x),
-    with M from kummer_sum, as in radial_wavefunction; the exponentials
+    with M from kummer_sum and log N the RadialState's; the exponentials
     of both states and of re^(3 - p) x^(2 - p) are taken as one, and the
     gap as (c0 x^2 + c1/re x + c2/re^2)^2 / x^4.
 

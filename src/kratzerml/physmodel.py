@@ -275,7 +275,7 @@ def require_positive(value: float, name: str) -> None:
 
 def require_int(value, name: str, low: int = 0, high: int | None = None) -> int:
     """value as a plain int: what operator.index takes but a bool, in
-    low..high (high None: no cap); else ValueError naming the argument."""
+    low..high (high None: no cap); else InputError naming the argument."""
     try:
         number = None if isinstance(value, bool) else operator.index(value)
     except TypeError:

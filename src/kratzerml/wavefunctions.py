@@ -6,7 +6,8 @@ with M a terminating confluent hypergeometric (Kummer) polynomial and
     N = re^(-3/2) (2 alpha)^(lam+1/2) / Gamma(2 lam) * sqrt(Gamma(2 lam + n) / (2 n! (lam + n))).
 
 The normalization constant is assembled in log space: Gamma(2 lam + n)
-overflows double precision already for gamma around 36.
+overflows double precision already for gamma around 36.  oracle
+evaluates R(r) from a RadialState and kummer_sum, in batches.
 """
 
 from __future__ import annotations
@@ -22,7 +23,6 @@ __all__ = [
     "RadialState",
     "kummer_sum",
     "make_radial_state",
-    "radial_wavefunction",
 ]
 
 
@@ -89,20 +89,3 @@ def make_radial_state(gamma: float, qn: QuantumNumbers, re: float) -> RadialStat
     shape = shape_numbers(gamma, qn)
     return RadialState(qn=qn, shape=shape, re=re, log_norm=_log_norm(qn, shape, re))
 
-
-def radial_wavefunction(state: RadialState, r: float) -> float:
-    """Radial wavefunction R(r) in m^(-3/2), assembled in log space."""
-    if r <= 0.0:
-        raise ValueError("r must be positive")
-    lam, alpha = state.shape.lam, state.shape.alpha
-    u = r / state.re
-    poly = kummer_sum(state.qn.n, 2.0 * lam, 2.0 * alpha * u)
-    if poly == 0.0:
-        return 0.0
-    log_mag = (
-        state.log_norm
-        + (lam - 1.0) * math.log(u)
-        - alpha * u
-        + math.log(abs(poly))
-    )
-    return math.copysign(math.exp(log_mag), poly)

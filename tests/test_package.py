@@ -103,24 +103,28 @@ def _read_names(trees: dict[str, ast.Module]) -> set[str]:
     }
 
 
+def _top_level_names(tree: ast.Module) -> list[str]:
+    """The functions, classes and assigned names a module defines at its
+    top level, in source order."""
+    names = []
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            names.append(node.name)
+        elif isinstance(node, ast.Assign):
+            names += [t.id for t in node.targets if isinstance(t, ast.Name)]
+        elif isinstance(node, ast.AnnAssign):
+            names.append(getattr(node.target, "id", ""))
+    return names
+
+
 def _unread_private_names(trees: dict[str, ast.Module]) -> list[str]:
     """Top-level single-underscore names that no module of trees reads."""
     read = _read_names(trees)
-    unread = []
-    for module, tree in trees.items():
-        for node in tree.body:
-            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
-                names = [node.name]
-            elif isinstance(node, ast.Assign):
-                names = [t.id for t in node.targets if isinstance(t, ast.Name)]
-            elif isinstance(node, ast.AnnAssign):
-                names = [getattr(node.target, "id", "")]
-            else:
-                continue
-            unread += [f"{module}:{name}" for name in names
-                       if name.startswith("_") and not name.startswith("__")
-                       and name not in read]
-    return unread
+    return [
+        f"{module}:{name}"
+        for module, tree in trees.items() for name in _top_level_names(tree)
+        if name.startswith("_") and not name.startswith("__") and name not in read
+    ]
 
 
 def test_every_private_name_is_read():
@@ -158,22 +162,9 @@ def _unread_public_names(trees: dict[str, ast.Module]) -> list[str]:
 #: public names that no code in the package reads, each with the reason it
 #: stays; a name that gains a reader must leave this list
 _KEPT_PUBLIC = {
-    "momentum.py:ode_rhs_deformed":
-        "the pointwise deformed equation, which the tests hold "
-        "integrate_branch's batched right-hand side to (ROADMAP item 8)",
     "momentum.py:momentum_wavefunction_undeformed":
         "the closed-form s-wave psi(p) that a momentum-shift check would "
         "integrate (ROADMAP item 16)",
-    "momentum.py:hypergeometric_params":
-        "the beta = 0 reduction that a heun-residual check or the "
-        "coefficient identity would read (ROADMAP items 5 and 13)",
-    "momentum.py:heun_residual":
-        "the ODE-side adjudication of the Heun-type forms (ROADMAP items "
-        "5 and 13)",
-    "wavefunctions.py:radial_wavefunction":
-        "the scalar R(r) the batched tanh-sinh density is tested against; "
-        "it moves to the tests once perfbench drops its span (ROADMAP "
-        "items 18 and 1)",
 }
 
 
@@ -199,6 +190,48 @@ def test_unread_public_name_guard_sees_planted_names():
         ),
     }
     assert _unread_public_names(trees) == ["a.py:unused", "a.py:Spare", "b.py:late"]
+
+
+#: the modules of tests/ that hold reference code for the tests to run
+_REFERENCE_MODULES = ("hypervirial.py", "references.py")
+
+
+def _unread_reference_names(
+    trees: dict[str, ast.Module], references: tuple[str, ...]
+) -> list[str]:
+    """Top-level names of the reference modules that no module of trees
+    reads; a definition is not a read, so code that no test reaches,
+    directly or through another reference, shows."""
+    read = _read_names(trees)
+    return [
+        f"{module}:{name}"
+        for module in references for name in _top_level_names(trees[module])
+        if not name.startswith("__") and name not in read
+    ]
+
+
+def test_every_reference_name_is_read():
+    tests = Path(__file__).parent
+    trees = {path.name: ast.parse(path.read_text(encoding="utf-8"))
+             for path in sorted(tests.glob("*.py"))}
+    assert _unread_reference_names(trees, _REFERENCE_MODULES) == []
+
+
+def test_unread_reference_guard_sees_planted_names():
+    trees = {
+        "ref.py": ast.parse(
+            "DIGITS = 60\nSPARE = 1\n__all__ = []\n"
+            "def _helper():\n    return DIGITS\n"
+            "def reference():\n    return _helper()\n"
+            "def dead():\n    return reference()\n"
+            "class Unused:\n    pass\n"
+        ),
+        "test_a.py": ast.parse(
+            "import ref\ndef test_it():\n    assert ref.reference()\n"
+        ),
+    }
+    assert _unread_reference_names(trees, ("ref.py",)) == [
+        "ref.py:SPARE", "ref.py:dead", "ref.py:Unused"]
 
 
 def _private_imports(tree: ast.Module) -> list[str]:

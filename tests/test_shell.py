@@ -559,6 +559,27 @@ def test_fit_cli_undefined_start_names_the_guard(capsys, levels_file):
     assert caught == []
 
 
+@pytest.mark.parametrize("scale, init", [
+    (1e100, "1e50,1,0"),  # at gamma ~ 1e24 the shift column is parallel to E0
+    (1e154, "1e154,1,0"),  # a sum of squares overflows inside fsum
+    (1e305, "1e4,1,0"),  # fsum meets inf - inf
+])
+def test_fit_cli_undetermined_levels_give_one_error_line(
+    capsys, tmp_path, scale, init
+):
+    """Levels whose least-squares sums divide by zero or leave the doubles
+    at the start exit 1 with one error line that names the fit."""
+    rows = [f"{n},{l},{-f * scale!r}" for (n, l), f in
+            zip(((0, 0), (1, 0), (0, 1), (2, 0)), (1.0, 0.99, 0.98, 0.97))]
+    path = write(tmp_path, "huge.levels", "\n".join(["n,l,E_cm1", *rows]) + "\n")
+    code = main(["fit", str(path), "--mu", "0.5", "--init", init])
+    captured = capsys.readouterr()
+    assert code == 1
+    assert captured.out == ""
+    assert captured.err.startswith("error: the levels do not determine (De, beta): ")
+    assert captured.err.count("\n") == 1
+
+
 def test_main_reuses_one_parser(capsys, monkeypatch, levels_file):
     """No option of one call leaks into the next through the shared parser."""
     sequence = [

