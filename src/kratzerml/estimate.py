@@ -258,8 +258,10 @@ def fit_parameters(
     out negative.  max_evaluations caps the level sets evaluated (one
     level per row each, derivatives included); running out gives
     converged=False.  iterations counts the level sets.  Levels that fit
-    De <= 0, or whose start does not determine (De, beta), raise
-    ValueError, arguments refused as given InputError.
+    De <= 0, whose start does not determine (De, beta), or whose
+    projected residuals do not move with ln gamma (or move too fast to
+    sum in double precision) raise ValueError, arguments refused as given
+    InputError.
     """
     rows = level_rows(levels)
     if len(rows) < 4:
@@ -309,8 +311,23 @@ def fit_parameters(
             if probe is None:
                 break
             slope = [(p - q) / _FD_STEP for p, q in zip(probe.res, cur.res)]
-            step = -math.fsum(map(mul, slope, cur.res))
-            step /= math.fsum(map(mul, slope, slope))
+            # guarded as _solve_linear guards its sums
+            try:
+                flat = math.fsum(map(mul, slope, slope))
+                step = -math.fsum(map(mul, slope, cur.res)) / flat
+            except ZeroDivisionError:
+                raise ValueError(
+                    "the levels do not determine gamma: their projected "
+                    "residuals do not move with ln gamma"
+                ) from None
+            except (OverflowError, ValueError):  # fsum's overflow, or inf - inf
+                flat = math.inf
+            if not flat < math.inf:
+                raise ValueError(
+                    "the levels do not determine gamma: a sum over the slope "
+                    "of their residuals in ln gamma is not finite in double "
+                    "precision"
+                )
             step = max(-_MAX_STEP, min(_MAX_STEP, step))
             if cur.s + step == cur.s:
                 return cur, True

@@ -178,7 +178,8 @@ class _Density:
 
     Every per-integral constant is a column with one row per integral.
     density(x, rows) is R_a R_b r^(2 - p) gap^2 re, the integrand per
-    unit x = r/re, on row i of x for integral rows[i].  In x,
+    unit x = r/re, on the abscissae x for integrals rows: one row of x
+    shared by every row, or row i of x for integral rows[i].  In x,
     R(r) = exp(log N + (lam - 1) log x - alpha x) M(-n, 2 lam; 2 alpha x),
     with M from kummer_sum and log N the RadialState's; the exponentials
     of both states and of re^(3 - p) x^(2 - p) are taken as one, and the
@@ -194,6 +195,14 @@ class _Density:
     E <= K + Q ln x - D x, Q = max(P + n_a + n_b, 0), where Q ln x - D x/2
     falls from x0 = max(1, 2Q/D), so x_hi = max(x0, 2(K + Q ln x0 -
     D x0/2 - T)/D).  The bound is on the true M, whatever sums it.
+
+    The states are indexed by identity, and a call evaluates each
+    distinct state of its rows once (on a row of x per integral, each
+    row is its own state): its M in one kummer_sum call, its 2 alpha x
+    and, where every a is b, its ln M^2, which the rows read through the
+    index.  There 2 alpha x is the row's decay term D x bit for bit, as
+    alpha + alpha = 2 alpha exactly, and every row's E keeps its order of
+    operations, so sharing moves no bit.
     """
 
     def __init__(self, integrals: list[_Integral]) -> None:
@@ -218,14 +227,28 @@ class _Density:
                 (it.gap[0], it.gap[1] / it.a.re, it.gap[2] / it.a.re**2)
                 for it in integrals
             ])
-        self.kummer_a = self._kummer_columns([it.a for it in integrals])
+        # the distinct states, and each row's a and b among them
         self.same = all(it.a is it.b for it in integrals)
+        states = {id(it.a): it.a for it in integrals}
         if not self.same:
-            self.kummer_b = self._kummer_columns([it.b for it in integrals])
-        # the window, as in the class docstring; z/b = (alpha/lam) x
-        pair = (self.kummer_a, self.kummer_a if self.same else self.kummer_b)
-        k = self.log_scale + sum(n * np.log1p(rate / b) for n, b, rate in pair)
-        q = np.maximum(self.power + sum(n for n, _, _ in pair), 0.0)
+            states.update((id(it.b), it.b) for it in integrals)
+        place = dict(zip(states, range(len(states))))
+        self.a = np.array([place[id(it.a)] for it in integrals])
+        self.b = self.a if self.same else np.array(
+            [place[id(it.b)] for it in integrals])
+        # every row its own state: evaluated in row order, read in place
+        self.own = self.same and len(states) == len(integrals)
+        # n, 2 lam and 2 alpha of each state: M(-n, 2 lam; 2 alpha x)
+        self.kummer = np.array([
+            (s.qn.n, 2.0 * s.shape.lam, 2.0 * s.shape.alpha)
+            for s in states.values()
+        ]).T[:, :, None]
+        # the window, as in the class docstring, with n ln(1 + q) once per
+        # state; z/b = (alpha/lam) x
+        n, b, rate = self.kummer
+        bound = n * np.log1p(rate / b)
+        k = self.log_scale + (bound[self.a] + bound[self.b])
+        q = np.maximum(self.power + (n[self.a] + n[self.b]), 0.0)
         x0 = np.maximum(1.0, 2.0 * q / self.decay)
         self.x_hi = np.maximum(x0, 2.0 * (
             k + q * np.log(x0) - 0.5 * self.decay * x0 - _LOG_UNDERFLOW
@@ -234,33 +257,49 @@ class _Density:
             self.x_lo = np.where(self.power > 0.0, np.minimum(
                 1.0, np.exp((_LOG_UNDERFLOW - k) / self.power)), 0.0)
 
-    @staticmethod
-    def _kummer_columns(states: list[RadialState]):
-        # n, 2 lam and 2 alpha of each state: M(-n, 2 lam; 2 alpha x)
-        return np.array(
-            [(s.qn.n, 2.0 * s.shape.lam, 2.0 * s.shape.alpha) for s in states]
-        ).T[:, :, None]
+    def _index(self, x, rows):
+        """The states to evaluate for rows on x, the x of each, and where
+        each row's a and b sit among them.  On a row of x per integral
+        (as scipy's tanhsinh calls an integrand) each row is its own
+        state, as in a chunk of one state per row; on a shared row of x
+        every state is evaluated while every row is open, else only the
+        open rows' states, whose highest degree bounds the Kummer sum."""
+        a, b = self.a[rows], self.b[rows]
+        per_row = np.ndim(x) == 2 and len(x) > 1
+        if self.same and (per_row or self.own):
+            return a, x, slice(None), slice(None)
+        if per_row:
+            return (np.concatenate((a, b)), np.concatenate((x, x)),
+                    slice(len(rows)), slice(len(rows), None))
+        if len(rows) == len(self.a):
+            return slice(None), x, a, b
+        used = np.zeros(self.kummer.shape[1], dtype=bool)
+        used[a] = used[b] = True
+        place = np.cumsum(used) - 1
+        return np.flatnonzero(used), x, place[a], place[b]
 
-    @staticmethod
-    def _kummer(columns, rows, x):
-        n, b, rate = columns[:, rows]
-        return kummer_sum(n, b, rate * x)
+    def _exponent(self, x, rows):
+        """E of rows on x, and M_a M_b for its sign unless every a is b;
+        summed in place, so that only E outlives the call."""
+        states, x_states, at_a, at_b = self._index(x, rows)
+        n, b, rate = self.kummer[:, states]
+        z = rate * x_states
+        poly = kummer_sum(n, b, z)
+        exponent = self.log_scale[rows] + self.power[rows] * np.log(x)
+        if self.same:
+            exponent -= z[at_a]
+            exponent += np.log(np.abs(poly * poly))[at_a]
+            return exponent, None
+        poly = poly[at_a] * poly[at_b]
+        exponent -= self.decay[rows] * x
+        exponent += np.log(np.abs(poly))
+        return exponent, poly
 
     def __call__(self, x, rows):
-        poly = self._kummer(self.kummer_a, rows, x)
-        if self.same:
-            poly = poly * poly
-        else:
-            poly = poly * self._kummer(self.kummer_b, rows, x)
-        log_x = np.log(x)
-        out = np.exp(
-            self.log_scale[rows]
-            + self.power[rows] * log_x
-            - self.decay[rows] * x
-            + np.log(np.abs(poly))
-        )
-        if not self.same:
-            out = np.copysign(out, poly)
+        exponent, poly = self._exponent(x, rows)
+        out = np.exp(exponent, out=exponent)
+        if poly is not None:
+            np.copysign(out, poly, out=out)
         if self.gapped:
             gap = self.gap[rows]
             out *= np.square((gap[:, 0:1] * x + gap[:, 1:2]) * x + gap[:, 2:3])

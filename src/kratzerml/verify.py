@@ -47,8 +47,8 @@ from .physmodel import (
 )
 from .spectrum import (
     correction_general,
-    energy_deformed,
     energy_unperturbed,
+    level_energies,
     matrix_element_closed,
 )
 from .wavefunctions import make_radial_state
@@ -168,6 +168,8 @@ def _dual_draws(draws: int) -> Iterator[tuple]:
 
 
 def _dual_formula(draws: int) -> Iterator[float]:
+    # E0 and the (De, re) form of the shift straight from level_energies,
+    # the one-row call that energy_unperturbed and energy_deformed wrap
     for log_gamma, re_angstrom, log_mu, n, l, log_frac in _dual_draws(draws):
         gamma = math.exp(log_gamma)
         mu_amu = math.exp(log_mu)
@@ -175,10 +177,10 @@ def _dual_formula(draws: int) -> Iterator[float]:
         mol = _synthetic_molecule(gamma, re_angstrom, mu_amu)
         c = couplings_from_kratzer(mol)
         shift_unit = correction_general(c, mol.mu_kg, 1.0, qn)
-        e0 = energy_unperturbed(mol, qn)
+        ((e0, _),) = level_energies(mol, 0.0, ((n, l),))
         frac = 10.0 ** log_frac
         beta = frac * abs(e0) / shift_unit
-        via_kratzer = energy_deformed(mol, beta, qn).de
+        ((_, via_kratzer),) = level_energies(mol, beta, ((n, l),))
         via_couplings = correction_general(c, mol.mu_kg, beta, qn)
         yield _rel_dev(via_kratzer, via_couplings)
 

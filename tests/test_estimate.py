@@ -16,6 +16,7 @@ from kratzerml.physmodel import (
     Molecule,
     QuantumNumbers,
     energy_from_joule,
+    energy_to_joule,
     gamma_of,
 )
 from kratzerml.spectrum import energy_deformed, level_energies
@@ -267,6 +268,39 @@ def test_fit_input_validation():
                 (0, 0, -40000.0, math.inf), (0, 0, -40000.0, math.nan)):
         with pytest.raises(ValueError, match="finite"):
             fit_parameters([bad] + LEVELS[1:], 1.2, (52000.0, 1.0, 0.0))
+
+
+def test_fit_flat_slope_is_a_value_error():
+    """A start whose probe one _FD_STEP away gives bitwise the same
+    residuals has no Gauss-Newton step: ValueError, not ZeroDivisionError
+    (recorded from a random scan of huge and tiny level sets)."""
+    x = 4.813857962693639e-156
+    levels = [(0, 0, -x), (1, 0, -0.99 * x), (0, 1, -0.98 * x), (2, 0, -0.97 * x)]
+    with pytest.raises(ValueError, match="do not move with ln gamma"):
+        fit_parameters(levels, 10.944612404735363,
+                       (7.786978577753563e30, 0.05006701107882202, 0.0))
+
+
+@pytest.mark.parametrize("size", [
+    1e147,  # each squared slope is finite and their fsum overflows
+    1e150,  # each squared slope is inf
+])
+def test_fit_unsummable_slope_is_a_value_error(monkeypatch, size):
+    """Residuals that jump by `size` between the start and its probe give
+    a slope whose sum of squares leaves the doubles: ValueError.  The
+    start's residuals are size v, v = (1, -1, -1, 1) orthogonal to both
+    level columns; the probe's shift column is v, which absorbs them."""
+    wavenumber = energy_to_joule(1.0, "cm-1")
+    v = (1.0, -1.0, -1.0, 1.0)
+
+    def levels_at(mol, beta, nl):
+        shift = (1.0, 2.0, 3.0, 4.0) if mol.re_angstrom == 1.0 else v
+        return [(wavenumber, k * wavenumber) for k in shift]
+
+    monkeypatch.setattr(estimate, "level_energies", levels_at)
+    observed = [(n, 0, 1.0 - size * k) for n, k in enumerate(v)]
+    with pytest.raises(ValueError, match="slope .* not finite"):
+        fit_parameters(observed, 1.2, (52000.0, 1.0, 0.0))
 
 
 def test_fit_budget_exhaustion_reported():

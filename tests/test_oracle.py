@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -584,3 +585,95 @@ def test_window_skips_most_nodes_of_verify(monkeypatch):
     monkeypatch.setattr(oracle._Density, "window", lambda self, rows: (0.0, math.inf))
     run_checks("paper")
     assert 0 < inside < 0.5 * sum(evaluated)
+
+
+@st.composite
+def _shared_chunks(draw):
+    """One tanh-sinh chunk over a pool of one to six states at one re,
+    each drawn into several rows: moments, gapped moments and overlaps,
+    or only the density kinds, whose chunks share ln M^2 too."""
+    re = 10.0 ** draw(st.floats(-11.0, 0.0))
+    pool = [
+        make_radial_state(draw(st.floats(2.0, 3000.0)), QuantumNumbers(
+            draw(st.integers(0, 20)), draw(st.integers(0, 20))), re)
+        for _ in range(draw(st.integers(1, 6)))
+    ]
+    kinds = draw(st.sampled_from([("moment", "gapped", "overlap"),
+                                  ("moment", "gapped"), ("overlap",)]))
+    integrals = []
+    for _ in range(draw(st.integers(1, oracle._CHUNK))):
+        a = draw(st.sampled_from(pool))
+        kind = draw(st.sampled_from(kinds))
+        if kind == "overlap":
+            b = draw(st.sampled_from(pool))
+            integrals.append(oracle._Integral(a, b, 0, "overlap"))
+        elif kind == "gapped":
+            c0, c1, c2 = draw(st.tuples(*[st.floats(-2.0, 2.0)] * 3))
+            gap = (c0, c1 * re, c2 * re * re)
+            integrals.append(oracle._Integral(a, a, 0, "gapped", gap))
+        else:
+            integrals.append(oracle._Integral(a, a, draw(st.integers(0, 4)), "p"))
+    return integrals
+
+
+def _copied(integrals):
+    """The chunk with each row's states replaced by equal copies that no
+    other row shares; a row whose a is b keeps one copy for both."""
+    rows = []
+    for it in integrals:
+        a = replace(it.a)
+        rows.append(replace(it, a=a, b=a if it.b is it.a else replace(it.b)))
+    return rows
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    integrals=_shared_chunks(),
+    max_level=st.integers(5, 10),
+    atol=st.sampled_from([0.0, oracle._OVERLAP_ATOL]),
+)
+def test_shared_states_keep_every_bit(integrals, max_level, atol):
+    """A chunk whose rows share states, each evaluated once per call, gives
+    the bits of every value, estimate and status of the same chunk built
+    from distinct copies; and its integrand on one row of nodes is, bit
+    for bit, its integrand on that row repeated for every integral."""
+    spec = QuadratureSpec(max_level=max_level)
+    shared = oracle._tanh_sinh(integrals, spec, atol)
+    copied = oracle._tanh_sinh(_copied(integrals), spec, atol)
+    assert _bits(shared) == _bits(copied)
+    density = oracle._Density(integrals)
+    rows = np.arange(len(integrals))
+    u, v, _ = oracle._level(3)
+    with np.errstate(all="ignore"):
+        on_one = density.integrand(u, v, rows)
+        on_each = density.integrand(
+            np.tile(u, (len(rows), 1)), np.tile(v, (len(rows), 1)), rows)
+    assert on_one.tobytes() == on_each.tobytes()
+
+
+def test_kummer_sums_each_state_once_per_call(monkeypatch):
+    """On verify's paper grid each integrand call makes one kummer_sum
+    call, on at most one row per distinct state of its chunk."""
+    from kratzerml.verify import run_checks
+
+    states, calls, summed = [], [], []
+    init, call = oracle._Density.__init__, oracle._Density.__call__
+
+    def counted_init(self, integrals):
+        states.append(len({id(s) for it in integrals for s in (it.a, it.b)}))
+        init(self, integrals)
+
+    def counted_call(self, x, rows):
+        calls.append(states[-1])
+        return call(self, x, rows)
+
+    def counted_sum(n, b, z):
+        summed.append((states[-1], len(z)))
+        return kummer_sum(n, b, z)
+
+    monkeypatch.setattr(oracle._Density, "__init__", counted_init)
+    monkeypatch.setattr(oracle._Density, "__call__", counted_call)
+    monkeypatch.setattr(oracle, "kummer_sum", counted_sum)
+    run_checks("paper")
+    assert len(summed) == len(calls) > 0
+    assert all(rows <= distinct for distinct, rows in summed)

@@ -580,6 +580,22 @@ def test_fit_cli_undetermined_levels_give_one_error_line(
     assert captured.err.count("\n") == 1
 
 
+def test_fit_cli_flat_slope_gives_one_error_line(capsys, tmp_path):
+    """Levels whose residuals do not move with ln gamma at the start exit
+    1 with one error line, not a ZeroDivisionError traceback."""
+    x = 4.813857962693639e-156
+    rows = [f"{n},{l},{-f * x!r}" for (n, l), f in
+            zip(((0, 0), (1, 0), (0, 1), (2, 0)), (1.0, 0.99, 0.98, 0.97))]
+    path = write(tmp_path, "tiny.levels", "\n".join(["n,l,E_cm1", *rows]) + "\n")
+    code = main(["fit", str(path), "--mu", "10.944612404735363",
+                 "--init", "7.786978577753563e+30,0.05006701107882202,0"])
+    captured = capsys.readouterr()
+    assert code == 1
+    assert captured.out == ""
+    assert captured.err == ("error: the levels do not determine gamma: their "
+                            "projected residuals do not move with ln gamma\n")
+
+
 def test_main_reuses_one_parser(capsys, monkeypatch, levels_file):
     """No option of one call leaks into the next through the shared parser."""
     sequence = [

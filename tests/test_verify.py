@@ -227,6 +227,31 @@ def test_dual_draws_are_the_scalar_stream(draws):
     assert batched == scalar
 
 
+def test_dual_formula_is_the_wrapper_route():
+    """dual-formula reads E0 and the (De, re) shift straight from
+    level_energies; its deviations are, bit for bit, those of the route
+    through energy_unperturbed and energy_deformed that it once took."""
+    from kratzerml.physmodel import QuantumNumbers, couplings_from_kratzer
+    from kratzerml.spectrum import (
+        correction_general, energy_deformed, energy_unperturbed)
+    from kratzerml.verify import _rel_dev, _synthetic_molecule
+
+    wrapped = []
+    for log_gamma, re_angstrom, log_mu, n, l, log_frac in (
+            kratzerml.verify._dual_draws(1000)):
+        qn = QuantumNumbers(n, l)
+        mol = _synthetic_molecule(math.exp(log_gamma), re_angstrom,
+                                  math.exp(log_mu))
+        c = couplings_from_kratzer(mol)
+        shift_unit = correction_general(c, mol.mu_kg, 1.0, qn)
+        e0 = energy_unperturbed(mol, qn)
+        beta = 10.0 ** log_frac * abs(e0) / shift_unit
+        via_kratzer = energy_deformed(mol, beta, qn).de
+        via_couplings = correction_general(c, mol.mu_kg, beta, qn)
+        wrapped.append(_rel_dev(via_kratzer, via_couplings))
+    assert list(kratzerml.verify._dual_formula(1000)) == wrapped
+
+
 def test_tolerance_override_and_preset_validation():
     assert {res.tolerance for res in run_checks("small", tol=0.5)} == {0.5}
     with pytest.raises(ValueError):
