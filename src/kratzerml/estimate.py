@@ -22,7 +22,6 @@ from .physmodel import (
     energy_to_joule,
     minimal_length,
     require_beta,
-    require_int,
     require_positive,
 )
 from .spectrum import correction_general, energy_deformed, level_energies
@@ -48,6 +47,8 @@ ATTRIBUTION_LABEL = "upper bound under full-attribution assumption"
 _FD_STEP = 1e-7
 #: largest ln gamma move of one Gauss-Newton step
 _MAX_STEP = 0.5
+#: the level sets a fit may evaluate, derivatives included
+_MAX_EVALUATIONS = 10_000
 
 
 class NoPositiveGapError(ValueError):
@@ -234,8 +235,6 @@ def fit_parameters(
     levels,
     mu_amu: float,
     init: tuple[float, float, float],
-    *,
-    max_evaluations: int = 10_000,
 ) -> FitResult:
     """Fit (De, re, beta) to observed levels by variable projection.
 
@@ -255,7 +254,7 @@ def fit_parameters(
     halving move, on a forward-difference derivative of the projected
     residuals.  c is fitted free first; only if its best value is
     negative is the search rerun with c clamped at 0 wherever it comes
-    out negative.  max_evaluations caps the level sets evaluated (one
+    out negative.  _MAX_EVALUATIONS caps the level sets evaluated (one
     level per row each, derivatives included); running out gives
     converged=False.  iterations counts the level sets.  Levels that fit
     De <= 0, whose start does not determine (De, beta), or whose
@@ -272,7 +271,6 @@ def fit_parameters(
     require_positive(re0, "initial re")
     require_beta(beta0)
     require_positive(mu_amu, "reduced mass")
-    max_evaluations = require_int(max_evaluations, "max_evaluations", 1)
 
     nl = [(n, l) for n, l, _, _ in rows]
     observed = [(e_obs, math.sqrt(weight)) for _, _, e_obs, weight in rows]
@@ -306,7 +304,7 @@ def fit_parameters(
     def descend(cur: _Projection, clamp: bool) -> tuple[_Projection, bool]:
         # Gauss-Newton on the projected residuals; a step that does not
         # lower the RSS is halved until it is shorter than _FD_STEP
-        while used < max_evaluations:
+        while used < _MAX_EVALUATIONS:
             probe = trial(cur.s + _FD_STEP, clamp)
             if probe is None:
                 break
@@ -331,7 +329,7 @@ def fit_parameters(
             step = max(-_MAX_STEP, min(_MAX_STEP, step))
             if cur.s + step == cur.s:
                 return cur, True
-            while used < max_evaluations:
+            while used < _MAX_EVALUATIONS:
                 nxt = trial(cur.s + step, clamp)
                 if nxt is not None and nxt.rss < cur.rss:
                     cur = nxt

@@ -23,6 +23,7 @@ from .physmodel import batch_columns, require_beta, require_int, require_positiv
 
 __all__ = [
     "BRANCHES",
+    "SLOPE_DECADES",
     "NonQuantizedError",
     "QuantizationBreakdownError",
     "StiffnessError",
@@ -41,8 +42,14 @@ __all__ = [
 
 BRANCHES = ("fast-decay", "slow-decay")
 
-#: density floor for solution grids
+#: density floor for solution grids, and the density integrate_branch
+#: steps along
 MIN_POINTS_PER_DECADE = 200
+
+#: decades at the top of a grid that fit_slope fits: where the branch
+#: exponents are clean of both subleading terms and the contamination
+#: that inward integration leaves near p_min
+SLOPE_DECADES = 1.0
 
 #: large-p exponents (fast, slow) of psi with beta > 0: the phi equation
 #: at p >> 1 is the Euler equation 3 s(s-1) + 13 s + 7 = 0, with roots
@@ -218,7 +225,7 @@ def _rk4_step(top, mid, bottom, h):
 
 
 #: RK4 substeps per grid interval: the fewest m with (h/m) max(|drift| +
-#: sqrt|pull|) <= _STEP_BOUND, h = ln 10/points_per_decade.  Against
+#: sqrt|pull|) <= _STEP_BOUND, h = ln 10/MIN_POINTS_PER_DECADE.  Against
 #: DOP853 at rtol 1e-12 (tests/test_verify.py): the exponent checks' grids
 #: reach a rate of 5.0, so m = 1, and their slopes move by <= 1.4e-7; the
 #: undeformed sigma1 = 1278 (H2, l = 0) reaches 38.7, and m = 5 moves its
@@ -231,7 +238,6 @@ def integrate_branch(
     branch: str | Iterable[str],
     p_range: tuple[float, float],
     *,
-    points_per_decade: int = MIN_POINTS_PER_DECADE,
     ic: tuple[complex, complex] | None = None,
     p_stop: float | None = None,
 ) -> OdeSolution | list[OdeSolution]:
@@ -254,7 +260,7 @@ def integrate_branch(
     The range must span at least three decades when the power-law
     initial conditions are used, so that p_max sits in the asymptotic
     regime.  Classical RK4 in s = ln p steps along the output grid, of
-    points_per_decade (>= 200) nodes per decade, with m equal substeps
+    MIN_POINTS_PER_DECADE nodes per decade, with m equal substeps
     per interval (_STEP_BOUND) chosen over the whole p_range: m is all a
     member's bits take from its batch-mates.  Raises StiffnessError,
     naming the batch's sigma1 range, if a value turns non-finite.
@@ -268,8 +274,6 @@ def integrate_branch(
     for member in branches:
         if member not in BRANCHES:
             raise ValueError(f"branch must be one of {BRANCHES}, got {member!r}")
-    if points_per_decade < MIN_POINTS_PER_DECADE:
-        raise ValueError(f"points_per_decade must be >= {MIN_POINTS_PER_DECADE}")
     p_min, p_max = p_range
     if not (0.0 < p_min < p_max):
         raise ValueError("p_range must satisfy 0 < p_min < p_max")
@@ -313,11 +317,11 @@ def integrate_branch(
         b_ratio, c_ratio = _ratios(coefficients, p)
         return 1.0 - p * b_ratio, p * p * c_ratio
 
-    intervals = int(math.ceil(points_per_decade * decades))
+    intervals = int(math.ceil(MIN_POINTS_PER_DECADE * decades))
     grid = np.geomspace(p_min, p_max, intervals + 1)
     drift, pull = rates(grid)
     rate = float(np.max(np.abs(drift) + np.sqrt(np.abs(pull))))
-    substeps = max(1, math.ceil(math.log(10.0) / points_per_decade * rate
+    substeps = max(1, math.ceil(math.log(10.0) / MIN_POINTS_PER_DECADE * rate
                                 / _STEP_BOUND))
     # the last grid point at or below p_stop is the last one kept
     first = 0
@@ -357,25 +361,19 @@ def integrate_branch(
     return solutions[0] if single else solutions
 
 
-def fit_slope(solution: OdeSolution, window_decades: float = 1.0) -> float:
-    """Least-squares log-log slope of |psi| over the top decade(s).
+def fit_slope(solution: OdeSolution) -> float:
+    """Least-squares log-log slope of |psi| over the top SLOPE_DECADES.
 
     The window is anchored at the top of the grid because the power laws
-    are asymptotic statements; the default single decade is where the
-    branch exponents are clean of both subleading terms and the
-    contamination that inward integration leaves near p_min.  A window
-    reaching below the grid (a solution cut short by p_stop) is refused.
+    are asymptotic statements.  A window reaching below the grid (a
+    solution cut short by p_stop) is refused.
     """
-    if window_decades <= 0.0:
-        raise ValueError("window_decades must be positive")
     p = solution.grid
-    p_low = p[-1] / 10.0**window_decades
+    p_low = p[-1] / 10.0**SLOPE_DECADES
     if p[0] > p_low * (1.0 + 1e-12):
         raise ValueError("the fit window reaches below the solution's grid")
     mag = np.abs(solution.values)
     mask = p >= p_low
-    if int(mask.sum()) < 2:
-        raise ValueError("fewer than two points in the fit window")
     if np.any(mag[mask] == 0.0):
         raise ValueError("|psi| vanishes inside the fit window")
     slope, _ = np.polyfit(np.log(p[mask]), np.log(mag[mask]), 1)

@@ -25,7 +25,6 @@ from .wavefunctions import RadialState, kummer_sum
 __all__ = [
     "NonIntegrableError",
     "ToleranceError",
-    "QuadratureSpec",
     "QuadratureResult",
     "expectation_inverse_power",
     "radial_overlap",
@@ -40,6 +39,14 @@ __all__ = [
 #: 2.4e-12 against the hypervirial moments.  (scipy's tanhsinh estimate,
 #: tested from level 2, certified 5 of them off by up to 1.1e-7.)
 _MIN_LEVEL = 5
+#: the last tanh-sinh level: level k evaluates ~2^(k+4) abscissae per
+#: integral.  Below level 2 there is no error estimate, and above 12 a
+#: call of _CHUNK integrals would hold millions of abscissae
+_MAX_LEVEL = 10
+#: the error estimate an integral must meet, relative to |value|: headroom
+#: over the 1e-8 agreement targets; below 1e-12 it is not certifiable in
+#: doubles
+_REL_TOL = 1e-10
 #: integrals per tanh-sinh call: verify's paper-grid moments peak at
 #: ~0.56 MB of numpy memory (tracemalloc) at 24 per call, ~2.6 MB at 144
 #: (a gamma row) per call
@@ -107,43 +114,11 @@ class ToleranceError(RuntimeError):
 
 
 @dataclass(frozen=True)
-class QuadratureSpec:
-    """How to integrate.
-
-    Tanh-sinh runs on r = re u/(1-u), u in [0, 1), which folds the
-    infinite tail and the integrable origin singularity into ordinary
-    endpoints, doubling the abscissae per level until its error estimate
-    meets rel_tol.
-
-    rel_tol : acceptance threshold for the error estimate relative to
-        |value| (default 1e-10: headroom over the 1e-8 agreement targets).
-    max_level : last tanh-sinh level, 2 to 12; level k evaluates
-        ~2^(k+4) abscissae per integral.
-    """
-
-    rel_tol: float = 1e-10
-    max_level: int = 10
-
-    def __post_init__(self) -> None:
-        if not math.isfinite(self.rel_tol):
-            raise ValueError("rel_tol must be finite")
-        if self.rel_tol < 1e-12:
-            raise ValueError("rel_tol below 1e-12 is not certifiable in doubles")
-        # below level 2 there is no error estimate; above 12 a call of
-        # _CHUNK integrals would hold millions of abscissae
-        object.__setattr__(
-            self, "max_level", require_int(self.max_level, "max_level", 2, 12))
-
-
-@dataclass(frozen=True)
 class QuadratureResult:
     """Integral value with the integrator's own error estimate."""
 
     value: float
     error_estimate: float
-
-    def within(self, spec: QuadratureSpec) -> bool:
-        return self.error_estimate <= spec.rel_tol * abs(self.value)
 
 
 @dataclass(frozen=True)
@@ -178,8 +153,8 @@ class _Density:
 
     Every per-integral constant is a column with one row per integral.
     density(x, rows) is R_a R_b r^(2 - p) gap^2 re, the integrand per
-    unit x = r/re, on the abscissae x for integrals rows: one row of x
-    shared by every row, or row i of x for integral rows[i].  In x,
+    unit x = r/re, on the abscissae x, one row of them shared by the
+    integrals rows.  In x,
     R(r) = exp(log N + (lam - 1) log x - alpha x) M(-n, 2 lam; 2 alpha x),
     with M from kummer_sum and log N the RadialState's; the exponentials
     of both states and of re^(3 - p) x^(2 - p) are taken as one, and the
@@ -197,10 +172,9 @@ class _Density:
     D x0/2 - T)/D).  The bound is on the true M, whatever sums it.
 
     The states are indexed by identity, and a call evaluates each
-    distinct state of its rows once (on a row of x per integral, each
-    row is its own state): its M in one kummer_sum call, its 2 alpha x
-    and, where every a is b, its ln M^2, which the rows read through the
-    index.  There 2 alpha x is the row's decay term D x bit for bit, as
+    distinct state of its rows once: its M in one kummer_sum call, its
+    2 alpha x and, where every a is b, its ln M^2, which the rows read
+    through the index.  There 2 alpha x is the row's decay term D x bit for bit, as
     alpha + alpha = 2 alpha exactly, and every row's E keeps its order of
     operations, so sharing moves no bit.
     """
@@ -257,33 +231,28 @@ class _Density:
             self.x_lo = np.where(self.power > 0.0, np.minimum(
                 1.0, np.exp((_LOG_UNDERFLOW - k) / self.power)), 0.0)
 
-    def _index(self, x, rows):
-        """The states to evaluate for rows on x, the x of each, and where
-        each row's a and b sit among them.  On a row of x per integral
-        (as scipy's tanhsinh calls an integrand) each row is its own
-        state, as in a chunk of one state per row; on a shared row of x
-        every state is evaluated while every row is open, else only the
-        open rows' states, whose highest degree bounds the Kummer sum."""
+    def _index(self, rows):
+        """The states to evaluate for rows, and where each row's a and b
+        sit among them.  In a chunk of one state per row the rows' own
+        states are evaluated in row order; else every state while every
+        row is open, and only the open rows' states after, whose highest
+        degree bounds the Kummer sum."""
         a, b = self.a[rows], self.b[rows]
-        per_row = np.ndim(x) == 2 and len(x) > 1
-        if self.same and (per_row or self.own):
-            return a, x, slice(None), slice(None)
-        if per_row:
-            return (np.concatenate((a, b)), np.concatenate((x, x)),
-                    slice(len(rows)), slice(len(rows), None))
+        if self.own:
+            return a, slice(None), slice(None)
         if len(rows) == len(self.a):
-            return slice(None), x, a, b
+            return slice(None), a, b
         used = np.zeros(self.kummer.shape[1], dtype=bool)
         used[a] = used[b] = True
         place = np.cumsum(used) - 1
-        return np.flatnonzero(used), x, place[a], place[b]
+        return np.flatnonzero(used), place[a], place[b]
 
     def _exponent(self, x, rows):
         """E of rows on x, and M_a M_b for its sign unless every a is b;
         summed in place, so that only E outlives the call."""
-        states, x_states, at_a, at_b = self._index(x, rows)
+        states, at_a, at_b = self._index(rows)
         n, b, rate = self.kummer[:, states]
-        z = rate * x_states
+        z = rate * x
         poly = kummer_sum(n, b, z)
         exponent = self.log_scale[rows] + self.power[rows] * np.log(x)
         if self.same:
@@ -311,7 +280,7 @@ class _Density:
 
     def integrand(self, u, v, rows):
         """The integrand on u in [0, 1], x = u/(1 - u), at the nodes u
-        with v = 1 - u, one row per integral rows[i]."""
+        with v = 1 - u, one row per integral rows[i] on the same nodes."""
         with np.errstate(all="ignore"):
             out = self(u / v, rows) / (v * v)
         # far out on the tail (from x ~ 5e7 at gamma = 1000, n = 20) the
@@ -335,19 +304,21 @@ def _weighted(density: _Density, rows, u, v, w):
 
 
 def _tanh_sinh(
-    integrals: list[_Integral], spec: QuadratureSpec, atol: float = 0.0
+    integrals: list[_Integral], atol: float = 0.0
 ) -> list[tuple[QuadratureResult, int]]:
     """Every integral by tanh-sinh on u in [0, 1], _CHUNK per call, with
     its status.
 
+    The rule runs on r = re u/(1 - u), which folds the infinite tail and
+    the integrable singularity at the origin into ordinary endpoints.
     Level k's estimate is S_k = S_(k-1)/2 + h_k sum f w over the level's
     new nodes; its error estimate is |S_k - S_(k-1)|, first tested at
-    _MIN_LEVEL, and an integral stops once that is below rel_tol |S_k| or
-    atol.  Status 0 means converged; -2 that max_level was reached and -3
+    _MIN_LEVEL, and an integral stops once that is below _REL_TOL |S_k| or
+    atol.  Status 0 means converged; -2 that _MAX_LEVEL was reached and -3
     that a non-finite estimate stopped it.  f is evaluated only inside the
     open rows' window, where exp has not underflowed (_weighted).
     """
-    first = min(_MIN_LEVEL, spec.max_level)
+    first = min(_MIN_LEVEL, _MAX_LEVEL)
     # levels 0..first in one integrand call, the ones below first ahead
     below = [_level(k) for k in range(first)]
     u, v, w = (np.concatenate(parts) for parts in zip(*below, _level(first)))
@@ -367,11 +338,11 @@ def _tanh_sinh(
             level = first
             while True:
                 d1 = np.abs(estimate - previous)
-                converged = (d1 < spec.rel_tol * np.abs(estimate)) | (d1 < atol)
+                converged = (d1 < _REL_TOL * np.abs(estimate)) | (d1 < atol)
                 broken = ~converged & ~np.isfinite(estimate)
                 status[rows[converged]] = 0
                 status[rows[broken]] = -3
-                stop = converged | broken | (level == spec.max_level)
+                stop = converged | broken | (level == _MAX_LEVEL)
                 value[rows[stop]] = estimate[stop]
                 error[rows[stop]] = d1[stop]
                 if stop.all():
@@ -393,34 +364,36 @@ def _tanh_sinh(
 def _certified(
     integrals: list[_Integral],
     results: list[tuple[QuadratureResult, int]],
-    spec: QuadratureSpec,
 ) -> list[QuadratureResult]:
-    """The results, or ToleranceError naming the worst one that fails."""
+    """The results, or ToleranceError naming the worst one that fails:
+    a result is certified if it converged and its error estimate is at
+    most _REL_TOL |value|."""
     failed = [
         (it, result, status)
         for it, (result, status) in zip(integrals, results)
-        if status != 0 or not result.within(spec)
+        if status != 0
+        or not result.error_estimate <= _REL_TOL * abs(result.value)
     ]
     if not failed:
         return [result for result, _ in results]
 
     def excess(entry) -> tuple[bool, float]:
         result = entry[1]
-        bound = spec.rel_tol * abs(result.value)
+        bound = _REL_TOL * abs(result.value)
         return nan_worst(result.error_estimate / bound if bound else math.inf)
 
     it, result, status = max(failed, key=excess)
     if status == -2:
-        why = f"did not converge by tanh-sinh level {spec.max_level}"
+        why = f"did not converge by tanh-sinh level {_MAX_LEVEL}"
     elif status != 0:
         why = "did not converge: the estimate is not finite"
     else:
-        # tanh-sinh converges only once its estimate is below rel_tol
+        # tanh-sinh converges only once its estimate is below _REL_TOL
         # |value|, or below an atol the certified moments do not pass, so
         # the rule never lands here itself; the recheck stays
         why = (
             f"missed rel_tol: error estimate {result.error_estimate:.3e} "
-            f"exceeds {spec.rel_tol:.3e} * |value|"
+            f"exceeds {_REL_TOL:.3e} * |value|"
         )
     raise ToleranceError(
         f"{it.label} at gamma = {it.a.shape.gamma:.6g}, "
@@ -429,25 +402,21 @@ def _certified(
     )
 
 
-def _density_moments(
-    integrals: list[_Integral], spec: QuadratureSpec
-) -> list[QuadratureResult]:
+def _density_moments(integrals: list[_Integral]) -> list[QuadratureResult]:
     """The density integrals (a is b) by tanh-sinh, certified."""
     for it in integrals:
         _require_integrable(it.a.shape.lam, it.power, it.label)
-    return _certified(integrals, _tanh_sinh(integrals, spec), spec)
+    return _certified(integrals, _tanh_sinh(integrals))
 
 
-def expectation_inverse_power(
-    p, state, spec: QuadratureSpec = QuadratureSpec()
-):
+def expectation_inverse_power(p, state):
     """<1/r^p> in m^-p for normalized bound states, by quadrature.
 
     p (0..4) and state are each one item or a batch, paired by
     physmodel.batch_columns: one QuadratureResult, or a list in pair
     order.  p = 0 returns the normalization integral (1 up to quadrature
     error).  Raises NonIntegrableError when 2 lam <= p - 1 and
-    ToleranceError when the error estimate misses the spec thresholds.
+    ToleranceError when an integral is not certified to _REL_TOL.
     """
     (powers, states), single = batch_columns(p, state)
     powers = [require_int(power, "p", 0, 4) for power in powers]
@@ -455,7 +424,7 @@ def expectation_inverse_power(
         _Integral(s, s, power, f"<1/r^{power}>")
         for power, s in zip(powers, states)
     ]
-    results = _density_moments(integrals, spec)
+    results = _density_moments(integrals)
     return results[0] if single else results
 
 
@@ -472,7 +441,7 @@ def radial_overlap(state_a, state_b):
     """
     (firsts, seconds), single = batch_columns(state_a, state_b)
     integrals = [_Integral(a, b, 0, "overlap") for a, b in zip(firsts, seconds)]
-    results = _tanh_sinh(integrals, QuadratureSpec(), atol=_OVERLAP_ATOL)
+    results = _tanh_sinh(integrals, atol=_OVERLAP_ATOL)
     values = [result for result, _ in results]
     return values[0] if single else values
 
@@ -482,7 +451,6 @@ def correction_via_expectations(
     c: KratzerCouplings,
     mu: float,
     beta: float,
-    spec: QuadratureSpec = QuadratureSpec(),
 ):
     """First-order shift 4 beta mu <(E0 - V)^2> in J.
 
@@ -510,6 +478,6 @@ def correction_via_expectations(
             value=scale * m.value,
             error_estimate=scale * m.error_estimate,
         )
-        for m in _density_moments(integrals, spec)
+        for m in _density_moments(integrals)
     ]
     return results[0] if single else results

@@ -20,6 +20,7 @@ import numpy as np
 from . import PRESETS
 from .momentum import (
     BRANCHES,
+    SLOPE_DECADES,
     MomentumProblem,
     fit_slope,
     heun_params_general,
@@ -199,12 +200,6 @@ def _quantization(grid) -> Iterator[float]:
             yield _rel_dev(e_pole, e_closed)
 
 
-#: decades at the top of a branch that its slope is fitted on; the branches
-#: are integrated only down to there, which leaves the slopes' bits as they
-#: are on the full range
-_SLOPE_DECADES = 1.0
-
-
 def _exponents(
     beta: float, p_range: tuple[float, float], cases
 ) -> Iterator[float]:
@@ -214,11 +209,13 @@ def _exponents(
         MomentumProblem(sigma1=sigma1, sigma2=0.4, k=1.0, beta=beta)
         for sigmas in cases.values() for sigma1 in sigmas
     ]
-    p_stop = p_range[1] / 10.0**_SLOPE_DECADES
+    # integrated only down to the fitted decade(s), which leaves the
+    # slopes' bits as they are on the full range
+    p_stop = p_range[1] / 10.0**SLOPE_DECADES
     solutions = integrate_branch(probs, branches, p_range, p_stop=p_stop)
     for prob, branch, solution in zip(probs, branches, solutions):
         target = indicial_exponents(prob)[BRANCHES.index(branch)]
-        yield abs(fit_slope(solution, _SLOPE_DECADES) - target)
+        yield abs(fit_slope(solution) - target)
 
 
 def _fuchsian_draws(draws: int) -> list[list[float]]:

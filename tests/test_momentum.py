@@ -6,8 +6,10 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+from kratzerml import momentum
 from kratzerml.momentum import (
     BRANCHES,
+    SLOPE_DECADES,
     HeunParams,
     MomentumProblem,
     NonQuantizedError,
@@ -139,10 +141,6 @@ def test_integrate_branch_preconditions():
     with pytest.raises(ValueError):
         integrate_branch(prob, "sideways", (1e-3, 1e3))
     with pytest.raises(ValueError):
-        integrate_branch(
-            prob, "fast-decay", (1e-3, 1e3), points_per_decade=100
-        )
-    with pytest.raises(ValueError):
         integrate_branch(prob, "fast-decay", (0.0, 10.0))
     with pytest.raises(ValueError):
         integrate_branch(prob, "fast-decay", (10.0, 1.0))
@@ -197,17 +195,15 @@ def test_fit_slope_validation():
     grid, values = _dense_solution()
     sol = OdeSolution(grid=grid, values=values, branch="fast-decay")
     assert fit_slope(sol) == pytest.approx(-2.0, abs=1e-12)
-    with pytest.raises(ValueError):
-        fit_slope(sol, window_decades=0.0)
-    with pytest.raises(ValueError):
-        fit_slope(sol, window_decades=1e-9)
 
 
 def test_fit_slope_refuses_window_below_grid():
-    grid, values = _dense_solution()
-    sol = OdeSolution(grid=grid, values=values, branch="fast-decay")
-    with pytest.raises(ValueError):
-        fit_slope(sol, window_decades=2.0)
+    """A solution that p_stop cuts to less than the fitted decade(s)."""
+    prob = MomentumProblem(sigma1=2.0, sigma2=0.4, k=1.0, beta=1.0)
+    p_stop = 2e3 / 10.0 ** (0.5 * SLOPE_DECADES)
+    sol = integrate_branch(prob, "fast-decay", (1.0, 2e3), p_stop=p_stop)
+    with pytest.raises(ValueError, match="below the solution's grid"):
+        fit_slope(sol)
 
 
 def _same_tail(full: OdeSolution, cut: OdeSolution) -> bool:
@@ -232,7 +228,8 @@ _member = st.tuples(
 )
 def test_p_stop_keeps_the_bits_of_the_full_integration(members, p_stop):
     """A run cut at p_stop is the top of the full run of the same batch,
-    bit for bit, for every member; one member is passed as single items."""
+    bit for bit, for every member, and fits the same slopes while it
+    keeps the fitted decade(s); one member is passed as single items."""
     branches = [branch for branch, _, _ in members]
     probs = [
         MomentumProblem(sigma1=sigma1, sigma2=0.4, k=1.0, beta=beta)
@@ -251,8 +248,11 @@ def test_p_stop_keeps_the_bits_of_the_full_integration(members, p_stop):
         assert cut_member.grid[0] <= p_stop
         assert (cut_member.grid.size == full_member.grid.size
                 or cut_member.grid[1] > p_stop)
-        window = math.log10(2e3 / cut_member.grid[0])
-        assert fit_slope(cut_member, window) == fit_slope(full_member, window)
+        if cut_member.grid[0] <= 2e3 / 10.0**SLOPE_DECADES:
+            assert fit_slope(cut_member) == fit_slope(full_member)
+        else:
+            with pytest.raises(ValueError, match="below the solution's grid"):
+                fit_slope(cut_member)
 
 
 def test_batch_pairing():
@@ -658,33 +658,30 @@ def test_hypergeometric_params():
     assert sing.a == sing.b.conjugate()
 
 
-def test_heun_residual_inverse_square_chart():
+def test_heun_residual_inverse_square_chart(monkeypatch):
     """ODE solution satisfies the four-point form on its natural window."""
     beta = 0.05
     prob = MomentumProblem(sigma1=2.0, sigma2=0.0, k=1.0, beta=beta)
     p0 = 1.0 / math.sqrt(6.0 * beta)
-    sol = integrate_branch(
-        prob, "fast-decay", (p0 / 40.0, 40.0 * p0), points_per_decade=4000
-    )
+    monkeypatch.setattr(momentum, "MIN_POINTS_PER_DECADE", 4000)
+    sol = integrate_branch(prob, "fast-decay", (p0 / 40.0, 40.0 * p0))
     assert heun_residual(heun_params_inverse_square(prob), sol) < 1e-5
 
 
-def test_heun_residual_hypergeometric_chart():
+def test_heun_residual_hypergeometric_chart(monkeypatch):
     """beta = 0 solution satisfies the hypergeometric form."""
     prob = MomentumProblem(sigma1=3.0, sigma2=0.9, k=0.5)
-    sol = integrate_branch(
-        prob, "fast-decay", (0.1 * prob.k, 100.0 * prob.k), points_per_decade=8000
-    )
+    monkeypatch.setattr(momentum, "MIN_POINTS_PER_DECADE", 8000)
+    sol = integrate_branch(prob, "fast-decay", (0.1 * prob.k, 100.0 * prob.k))
     assert heun_residual(hypergeometric_params(prob), sol) < 1e-6
 
 
-def test_heun_residual_adjudicates_variants():
+def test_heun_residual_adjudicates_variants(monkeypatch):
     """The numerical solution rejects the printed, sigma-swapped reading."""
     prob = MomentumProblem(sigma1=3.0, sigma2=0.9, k=0.5, beta=0.8)
     p0 = 1.0 / math.sqrt(6.0 * prob.beta)
-    sol = integrate_branch(
-        prob, "fast-decay", (p0 / 40.0, 40.0 * p0), points_per_decade=8000
-    )
+    monkeypatch.setattr(momentum, "MIN_POINTS_PER_DECADE", 8000)
+    sol = integrate_branch(prob, "fast-decay", (p0 / 40.0, 40.0 * p0))
     good = heun_residual(heun_params_general(prob), sol)
     bad = heun_residual(heun_params_general(_swapped(prob)), sol)
     assert good < 1e-5

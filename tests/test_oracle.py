@@ -11,7 +11,6 @@ from kratzerml import oracle
 from kratzerml.oracle import (
     NonIntegrableError,
     QuadratureResult,
-    QuadratureSpec,
     ToleranceError,
     correction_via_expectations,
     expectation_inverse_power,
@@ -35,25 +34,15 @@ from references import radial_wavefunction
 H2 = Molecule("H2", 78844.9005, 0.73652, 0.5039, zpe_exp_cm1=2179.3)
 
 
-def test_spec_validation():
-    with pytest.raises(ValueError):
-        QuadratureSpec(rel_tol=1e-13)
-    # a non-finite tolerance would certify anything or fail only later
-    for bad in (math.inf, math.nan):
-        with pytest.raises(ValueError, match="finite"):
-            QuadratureSpec(rel_tol=bad)
-    # no error estimate below level 2; a runaway allocation above 12
-    for bad in (1, 0, 13, 2.5):
-        with pytest.raises(ValueError, match="max_level"):
-            QuadratureSpec(max_level=bad)
-    default = QuadratureSpec()
-    assert default.rel_tol == 1e-10
-
-
 def test_result_certification():
-    spec = QuadratureSpec()
-    assert QuadratureResult(1.0, 1e-11).within(spec)
-    assert not QuadratureResult(1.0, 1e-9).within(spec)
+    """A converged result is certified while its error estimate is within
+    _REL_TOL = 1e-10 of its value, and refused past it."""
+    state = make_radial_state(35.755, QuantumNumbers(0, 0), 1.0)
+    integral = oracle._Integral(state, state, 0, "<1/r^0>")
+    good = QuadratureResult(1.0, 1e-11)
+    assert oracle._certified([integral], [(good, 0)]) == [good]
+    with pytest.raises(ToleranceError, match="missed rel_tol"):
+        oracle._certified([integral], [(QuadratureResult(1.0, 1e-9), 0)])
 
 
 def test_radial_overlap():
@@ -167,8 +156,8 @@ def test_correction_input_validation():
         correction_via_expectations(state, c, H2.mu_kg, -1e-46)
 
 
-def test_error_estimates_are_honest():
-    """Tightening rel_tol 100x moves the value by less than the old
+def test_error_estimates_are_honest(monkeypatch):
+    """Tightening _REL_TOL 100x moves the value by less than the old
     error estimate, for a singular moment and for the shallow gamma = 2,
     re = 1 m states whose estimates were the first to lie."""
     states = [make_radial_state(35.755, QuantumNumbers(2, 0), 1.0)] + [
@@ -177,15 +166,17 @@ def test_error_estimates_are_honest():
     ]
     ps = (1, 4) * len(states)
     row = [state for state in states for _ in range(2)]
-    loose = expectation_inverse_power(ps, row, QuadratureSpec(rel_tol=1e-8))
-    tight = expectation_inverse_power(ps, row, QuadratureSpec(rel_tol=1e-10))
+    monkeypatch.setattr(oracle, "_REL_TOL", 1e-8)
+    loose = expectation_inverse_power(ps, row)
+    monkeypatch.setattr(oracle, "_REL_TOL", 1e-10)
+    tight = expectation_inverse_power(ps, row)
     # an estimate of 0 means two levels agreed to the last bit
     for a, b in zip(loose, tight):
         assert abs(a.value - b.value) <= a.error_estimate
 
 
 def test_certified_moments_are_within_rel_tol():
-    """Every certified moment of this sweep is within rel_tol of its
+    """Every certified moment of this sweep is within _REL_TOL of its
     closed form.
 
     With scipy.integrate.tanhsinh's error estimate and its first
@@ -195,7 +186,6 @@ def test_certified_moments_are_within_rel_tol():
     level 5 the worst was 1.6e-12.  With the package's estimate
     |S_k - S_(k-1)| the worst is 2.4e-12 from any first level 2..5.
     """
-    spec = QuadratureSpec()
     worst = 0.0
     for gamma in (2.0, 5.0, 10.0, 35.755):
         for re in (1.0, 1e-10, 0.74e-10):
@@ -206,13 +196,13 @@ def test_certified_moments_are_within_rel_tol():
             ps = (0, 1, 2, 3, 4) * len(states)
             row = [state for state in states for _ in range(5)]
             for p, state, result in zip(
-                ps, row, expectation_inverse_power(ps, row, spec)
+                ps, row, expectation_inverse_power(ps, row)
             ):
                 closed = 1.0 if p == 0 else matrix_element_closed(
                     p, state.qn, state.shape, gamma * gamma / re
                 )
                 worst = max(worst, abs(result.value - closed) / closed)
-    assert worst <= spec.rel_tol
+    assert worst <= oracle._REL_TOL
 
 
 @pytest.mark.parametrize(
@@ -237,9 +227,10 @@ def test_heavy_states_match_closed_forms(gamma, re):
         assert result.value == pytest.approx(exact[p], rel=1e-12, abs=0.0), p
 
 
-def test_starved_adaptive_rule_fails_loudly():
+def test_starved_adaptive_rule_fails_loudly(monkeypatch):
     """With the level cap starved, certification must raise, not lie,
     and name the integral that failed and why."""
+    monkeypatch.setattr(oracle, "_MAX_LEVEL", 2)
     states = [
         make_radial_state(35.755, QuantumNumbers(n, 0), 1.0) for n in range(4)
     ]
@@ -248,12 +239,10 @@ def test_starved_adaptive_rule_fails_loudly():
         match=r"<1/r\^4> at gamma = 35\.755, \(n, l\) = \(\d, 0\) did not "
         r"converge by tanh-sinh level 2 \(4 of 4 integrals failed\)",
     ):
-        expectation_inverse_power(
-            4, states, QuadratureSpec(max_level=2, rel_tol=1e-10)
-        )
+        expectation_inverse_power(4, states)
 
 
-def test_missed_rel_tol_names_the_worst_integral():
+def test_missed_rel_tol_names_the_worst_integral(monkeypatch):
     """A converged result whose estimate misses rel_tol is refused, and
     the error names the integral that misses it by the most.
 
@@ -261,7 +250,7 @@ def test_missed_rel_tol_names_the_worst_integral():
     does not reach this branch itself; the results are built by hand.
     """
     state = make_radial_state(35.755, QuantumNumbers(5, 2), 1.0)
-    spec = QuadratureSpec(rel_tol=1e-12)
+    monkeypatch.setattr(oracle, "_REL_TOL", 1e-12)
     integrals = [
         oracle._Integral(state, state, p, f"<1/r^{p}>") for p in range(5)
     ]
@@ -274,7 +263,7 @@ def test_missed_rel_tol_names_the_worst_integral():
         r"rel_tol: error estimate 3\.000e-12 exceeds 1\.000e-12 \* \|value\| "
         r"\(2 of 5 integrals failed\)",
     ):
-        oracle._certified(integrals, results, spec)
+        oracle._certified(integrals, results)
 
 
 def test_a_nan_estimate_is_named_ahead_of_an_infinite_excess():
@@ -289,7 +278,7 @@ def test_a_nan_estimate_is_named_ahead_of_an_infinite_excess():
         match=r"<1/r\^2> at gamma = 35\.755, \(n, l\) = \(1, 0\) did not "
         r"converge: the estimate is not finite \(2 of 2 integrals failed\)",
     ):
-        oracle._certified(integrals, results, QuadratureSpec())
+        oracle._certified(integrals, results)
 
 
 def _quantities(gamma: float, n: int, l: int, batched: bool) -> list[float]:
@@ -430,20 +419,22 @@ def _scipy_tanh_sinh(integrals, atol=0.0):
 
     def f(u, rows):
         # scipy calls f with one abscissa per row, then with a row of
-        # abscissae per row; the density broadcasts either against rows
+        # abscissae per row: each row is evaluated on its own abscissae
         flat = u.ndim == 1
         if flat:
             u = u[:, None]
         else:
             rows = rows[:, 0]
-        out = density.integrand(u, 1.0 - u, rows)
+        out = np.vstack([
+            density.integrand(u[i], 1.0 - u[i], rows[i:i + 1])
+            for i in range(len(rows))
+        ])
         return out[:, 0] if flat else out
 
-    spec = QuadratureSpec()
     res = scipy.integrate.tanhsinh(
         f, 0.0, 1.0, args=(np.arange(len(integrals)),),
-        minlevel=oracle._MIN_LEVEL, maxlevel=spec.max_level,
-        rtol=spec.rel_tol, atol=atol,
+        minlevel=oracle._MIN_LEVEL, maxlevel=oracle._MAX_LEVEL,
+        rtol=oracle._REL_TOL, atol=atol,
     )
     return list(zip(res.integral.tolist(), np.abs(res.error).tolist(),
                     res.status.tolist()))
@@ -456,7 +447,7 @@ def _agree_with_scipy(integrals, atol=0.0):
     the integral of |f| (measured: at most 32), |value| for a moment and
     at most 1 for an overlap by Cauchy-Schwarz."""
     assert len(integrals) <= oracle._CHUNK  # one call of each rule
-    ours = oracle._tanh_sinh(integrals, QuadratureSpec(), atol)
+    ours = oracle._tanh_sinh(integrals, atol)
     theirs = _scipy_tanh_sinh(integrals, atol)
     for it, (result, status), (value, estimate, code) in zip(
         integrals, ours, theirs
@@ -495,11 +486,18 @@ def test_overlaps_agree_with_scipy_tanhsinh():
     )
 
 
+#: the highest level _MAX_LEVEL may be raised to: above it a call of
+#: _CHUNK integrals would hold millions of abscissae
+_TOP_LEVEL = 12
+
+
 def test_cached_nodes_keep_their_complements():
-    """On every level, u + (1 - u) rounds to 1, 1 - u is positive on every
-    node with a nonzero weight, and levels 0..k hold 2^(k+4) + 1 nodes."""
+    """On every level up to _TOP_LEVEL, which bounds _MAX_LEVEL, u + (1 - u)
+    rounds to 1, 1 - u is positive on every node with a nonzero weight,
+    and levels 0..k hold 2^(k+4) + 1 nodes."""
+    assert 2 <= oracle._MAX_LEVEL <= _TOP_LEVEL
     total = 0
-    for k in range(QuadratureSpec(max_level=12).max_level + 1):
+    for k in range(_TOP_LEVEL + 1):
         u, v, w = oracle._level(k)
         assert oracle._LEVELS[k] is oracle._level(k)
         total += len(u)
@@ -558,11 +556,11 @@ def test_window_skips_only_nodes_that_are_zero(integrals, max_level, atol):
         lo, hi = density.window(np.array([i]))
         outside = (x < lo) | (x > hi)
         assert np.all(row[outside] == 0.0), integrals[i]
-    spec = QuadratureSpec(max_level=max_level)
-    windowed = oracle._tanh_sinh(integrals, spec, atol)
     with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(oracle, "_MAX_LEVEL", max_level)
+        windowed = oracle._tanh_sinh(integrals, atol)
         mp.setattr(oracle._Density, "window", lambda self, rows: (0.0, math.inf))
-        everywhere = oracle._tanh_sinh(integrals, spec, atol)
+        everywhere = oracle._tanh_sinh(integrals, atol)
     assert _bits(windowed) == _bits(everywhere)
 
 
@@ -635,20 +633,21 @@ def _copied(integrals):
 def test_shared_states_keep_every_bit(integrals, max_level, atol):
     """A chunk whose rows share states, each evaluated once per call, gives
     the bits of every value, estimate and status of the same chunk built
-    from distinct copies; and its integrand on one row of nodes is, bit
-    for bit, its integrand on that row repeated for every integral."""
-    spec = QuadratureSpec(max_level=max_level)
-    shared = oracle._tanh_sinh(integrals, spec, atol)
-    copied = oracle._tanh_sinh(_copied(integrals), spec, atol)
+    from distinct copies; and its integrand on one row of nodes for every
+    integral is, bit for bit, its integrand for each integral alone."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(oracle, "_MAX_LEVEL", max_level)
+        shared = oracle._tanh_sinh(integrals, atol)
+        copied = oracle._tanh_sinh(_copied(integrals), atol)
     assert _bits(shared) == _bits(copied)
     density = oracle._Density(integrals)
     rows = np.arange(len(integrals))
     u, v, _ = oracle._level(3)
     with np.errstate(all="ignore"):
-        on_one = density.integrand(u, v, rows)
-        on_each = density.integrand(
-            np.tile(u, (len(rows), 1)), np.tile(v, (len(rows), 1)), rows)
-    assert on_one.tobytes() == on_each.tobytes()
+        on_all = density.integrand(u, v, rows)
+        on_each = np.vstack([density.integrand(u, v, rows[i:i + 1])
+                             for i in range(len(rows))])
+    assert on_all.tobytes() == on_each.tobytes()
 
 
 def test_kummer_sums_each_state_once_per_call(monkeypatch):

@@ -21,7 +21,6 @@ from kratzerml.momentum import (
     quantize_swave,
 )
 from kratzerml.oracle import (
-    QuadratureSpec,
     correction_via_expectations,
     expectation_inverse_power,
     radial_overlap,
@@ -589,12 +588,6 @@ _INTEGER_SITES = {
         lambda v: momentum_wavefunction_undeformed(0.5, v, _POLE), 2, -1, "n"),
     "expectation_inverse_power": (
         lambda v: expectation_inverse_power(v, _STATES[0]), 2, 5, "p"),
-    "QuadratureSpec.max_level": (
-        lambda v: QuadratureSpec(max_level=v), 5, 13, "max_level"),
-    "fit_parameters": (
-        lambda v: fit_parameters(_LEVELS, 1.2, (50000.0, 1.0, 0.0),
-                                 max_evaluations=v),
-        3, 0, "max_evaluations"),
 }
 
 
@@ -617,7 +610,6 @@ def test_every_integer_argument_follows_one_rule(site):
 def test_integer_records_store_a_plain_int():
     qn = QuantumNumbers(np.int64(1), np.intp(0))
     assert type(qn.n) is int and type(qn.l) is int
-    assert type(QuadratureSpec(max_level=np.int64(5)).max_level) is int
 
 
 #: each positive real argument: (call, a valid value, its name)

@@ -707,3 +707,92 @@ def test_report_is_its_own_indented_json(capsys, tmp_path, levels_file, argv):
     out = capsys.readouterr().out
     assert out == json.dumps(json.loads(out), indent=2) + "\n"
     assert path.read_text(encoding="utf-8") == out
+
+
+def _shape(node):
+    """The key set and leaf types of a report: a dict keeps its keys, a
+    list the distinct shapes of its items in order, a leaf its type name."""
+    if isinstance(node, dict):
+        return {key: _shape(value) for key, value in node.items()}
+    if isinstance(node, list):
+        shapes = []
+        for item in map(_shape, node):
+            if item not in shapes:
+                shapes.append(item)
+        return shapes
+    return type(node).__name__
+
+
+_QUANTITY = {"value": "float", "unit": "str"}
+_MOLECULE = {"name": "str", "de": _QUANTITY, "re": _QUANTITY, "mu": _QUANTITY,
+             "gamma": _QUANTITY, "zpe_exp": _QUANTITY}
+_LEVEL = {"n": "int", "l": "int", "lambda": _QUANTITY}
+
+#: each command's report: (argv, exit code, shape).  The spectrum gives
+#: bound levels with a warning and unbound ones with an error
+_REPORT_SHAPES = {
+    "spectrum": (
+        ["spectrum", "H2", "--nmax", "1", "--lmax", "1", "--min-length", "1",
+         "--expansion", "--decompose"],
+        1,
+        {
+            "schema": "str", "command": "str", "units": "str",
+            "molecule": _MOLECULE,
+            "deformation": {"beta": _QUANTITY, "min_length": _QUANTITY},
+            "levels": [
+                {**_LEVEL, "e0": _QUANTITY, "de": _QUANTITY, "e": _QUANTITY,
+                 "warning": "str", "expansion": _QUANTITY,
+                 "expansion_minus_exact": _QUANTITY,
+                 "decomposition": [{"tag": "str", "value": _QUANTITY}]},
+                {**_LEVEL, "error": "str"},
+            ],
+        },
+    ),
+    "bound": (
+        ["bound", "H2"],
+        0,
+        {
+            "schema": "str", "command": "str", "molecule": _MOLECULE,
+            "g_theory": _QUANTITY, "g_exp": _QUANTITY, "delta": _QUANTITY,
+            "beta_max": _QUANTITY, "min_length_max": _QUANTITY,
+            "attribution": "str",
+        },
+    ),
+    "verify": (
+        ["verify"],
+        0,
+        {
+            "schema": "str", "command": "str", "preset": "str",
+            "tolerance_override": "NoneType",
+            "checks": [{"name": "str", "passed": "bool", "worst": "float",
+                        "tolerance": "float", "comparisons": "int",
+                        "detail": "str"}],
+            "passed": "bool", "worst_offender": "NoneType",
+        },
+    ),
+    "fit": (
+        ["fit", "{levels}", "--mu", "1.2", "--init", "52000,1.0,0"],
+        0,
+        {
+            "schema": "str", "command": "str", "mu": _QUANTITY,
+            "init": {"de": _QUANTITY, "re": _QUANTITY, "beta": _QUANTITY},
+            "result": {"de": _QUANTITY, "re": _QUANTITY, "beta": _QUANTITY,
+                       "rss": _QUANTITY, "iterations": "int",
+                       "converged": "bool"},
+            "residuals": [{"n": "int", "l": "int", "e_obs": _QUANTITY,
+                           "e_fit": _QUANTITY, "residual": _QUANTITY,
+                           "weight": _QUANTITY}],
+        },
+    ),
+}
+
+
+@pytest.mark.parametrize("command", sorted(_REPORT_SHAPES))
+def test_every_report_keeps_its_shape(capsys, levels_file, command):
+    """The report contract (README): a removed or renamed key, or a leaf of
+    another type, fails here; a deliberate change edits the shape."""
+    argv, exit_code, shape = _REPORT_SHAPES[command]
+    argv = [arg.format(levels=levels_file) for arg in argv]
+    code, doc, _ = run_json(capsys, [*argv, "--json"])
+    assert code == exit_code
+    assert _shape(doc) == shape

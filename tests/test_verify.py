@@ -13,6 +13,7 @@ import kratzerml.verify
 import kratzerml.wavefunctions
 from kratzerml.momentum import (
     BRANCHES,
+    SLOPE_DECADES,
     MomentumProblem,
     OdeSolution,
     fit_slope,
@@ -105,7 +106,7 @@ def test_batched_slopes_are_as_accurate_as_single_runs():
     interval, as its single run does, so batching changes no bit."""
     for preset in ("paper", "small"):
         for name, probs, branches, p_range in _exponent_batches(preset):
-            p_stop = p_range[1] / 10.0
+            p_stop = p_range[1] / 10.0**SLOPE_DECADES
             batch = integrate_branch(probs, branches, p_range, p_stop=p_stop)
             for prob, branch, solution in zip(probs, branches, batch):
                 alone = integrate_branch(prob, branch, p_range, p_stop=p_stop)
@@ -160,7 +161,8 @@ def test_branches_match_dop853():
     """The RK4 branches and their slopes on the fitted decade of the
     exponent checks, against an independent DOP853 run."""
     for case, prob, branch, p_range in _dop853_cases():
-        solution = integrate_branch(prob, branch, p_range, p_stop=p_range[1] / 10.0)
+        p_stop = p_range[1] / 10.0**SLOPE_DECADES
+        solution = integrate_branch(prob, branch, p_range, p_stop=p_stop)
         reference = _dop853_psi(prob, branch, solution.grid)
         ratio = reference[-1] / solution.values[-1]
         psi_dev = float(np.max(np.abs(ratio * solution.values / reference - 1.0)))
