@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import math
 from collections.abc import Sequence
-from dataclasses import dataclass
 from operator import mul
 from typing import NamedTuple
 
@@ -55,8 +54,7 @@ class NoPositiveGapError(ValueError):
     """Theory already at or above experiment: no bound derivable."""
 
 
-@dataclass(frozen=True)
-class BoundResult:
+class BoundResult(NamedTuple):
     """G(beta = 0), the gap to experiment, the largest admissible beta,
     and the length bound it implies."""
 
@@ -67,8 +65,7 @@ class BoundResult:
     attribution: str = ATTRIBUTION_LABEL
 
 
-@dataclass(frozen=True)
-class FitResult:
+class FitResult(NamedTuple):
     """Fitted Kratzer parameters and deformation with fit diagnostics;
     residuals holds one (n, l, E_obs, E_fit, weight) row per level in
     (n, l) order, in cm^-1, E_fit at the returned De, re and beta."""
@@ -87,8 +84,8 @@ class _Projection(NamedTuple):
 
     a, b and gap are the weighted E0, shift at beta = 1 and E0 - E_obs of
     each level; De = De0 (1 + u) and beta De^2 = c De0^2 fit them best, in
-    residuals res with sum of squares rss.  A fit builds about eleven, and
-    a named tuple is built ~3x faster than a frozen dataclass.
+    residuals res with sum of squares rss.  A named tuple, by the record
+    rule in physmodel's docstring.
     """
 
     s: float

@@ -2,14 +2,27 @@
 
 Everything downstream works in SI units; wavenumbers, angstroms, atomic
 mass units and electronvolts appear only at input/output boundaries.
+
+Records follow one rule.  The modules that bound, spectrum and fit load
+(physmodel, spectrum, estimate: no numpy) define theirs as named tuples:
+they are built faster than frozen dataclasses, and the dataclasses
+module would load inspect, ast and dis into every fresh process.  A
+record that checks its fields does so in __new__ on a
+collections.namedtuple base with __slots__ = (), as typing.NamedTuple
+refuses a __new__ in its class body.  Being tuples, they equal a tuple
+of their values, iterate, and _replace skips __new__'s checks.  The
+numpy modules keep frozen dataclasses: they pay numpy's import anyway,
+and batch_columns counts any non-str iterable as a batch, so a record
+that may be passed where a batch goes (RadialState, MomentumProblem)
+must not be a tuple.
 """
 
 from __future__ import annotations
 
 import math
 import operator
+from collections import namedtuple
 from collections.abc import Iterable
-from dataclasses import dataclass
 
 __all__ = [
     "PLANCK_H",
@@ -122,8 +135,9 @@ def energy_from_joule(value: float, unit: str) -> float:
     return value / _joules_per(unit)
 
 
-@dataclass(frozen=True)
-class Molecule:
+class Molecule(namedtuple(
+    "Molecule", "name de_cm1 re_angstrom mu_amu zpe_exp_cm1"
+)):
     """Constants of a diatomic species in conventional spectroscopic units.
 
     Parameters
@@ -140,18 +154,22 @@ class Molecule:
         Experimental zero-point energy G = E00 + De in cm^-1.
     """
 
-    name: str
-    de_cm1: float
-    re_angstrom: float
-    mu_amu: float
-    zpe_exp_cm1: float | None = None
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        require_positive(self.de_cm1, "de_cm1")
-        require_positive(self.re_angstrom, "re_angstrom")
-        require_positive(self.mu_amu, "mu_amu")
-        if self.zpe_exp_cm1 is not None and not math.isfinite(self.zpe_exp_cm1):
+    def __new__(
+        cls,
+        name: str,
+        de_cm1: float,
+        re_angstrom: float,
+        mu_amu: float,
+        zpe_exp_cm1: float | None = None,
+    ) -> Molecule:
+        require_positive(de_cm1, "de_cm1")
+        require_positive(re_angstrom, "re_angstrom")
+        require_positive(mu_amu, "mu_amu")
+        if zpe_exp_cm1 is not None and not math.isfinite(zpe_exp_cm1):
             raise ValueError("zpe_exp_cm1 must be finite when present")
+        return super().__new__(cls, name, de_cm1, re_angstrom, mu_amu, zpe_exp_cm1)
 
     @property
     def de_joule(self) -> float:
@@ -166,16 +184,13 @@ class Molecule:
         return self.mu_amu * AMU_TO_KG
 
 
-@dataclass(frozen=True)
-class QuantumNumbers:
+class QuantumNumbers(namedtuple("QuantumNumbers", "n l")):
     """Radial (vibrational) and orbital (rotational) quantum numbers."""
 
-    n: int
-    l: int
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "n", require_int(self.n, "n"))
-        object.__setattr__(self, "l", require_int(self.l, "l"))
+    def __new__(cls, n: int, l: int) -> QuantumNumbers:
+        return super().__new__(cls, require_int(n, "n"), require_int(l, "l"))
 
     @property
     def principal(self) -> int:
@@ -183,8 +198,7 @@ class QuantumNumbers:
         return self.n + self.l + 1
 
 
-@dataclass(frozen=True)
-class KratzerCouplings:
+class KratzerCouplings(namedtuple("KratzerCouplings", "g1 g2")):
     """Couplings of the general potential V(r) = g1/r^2 - g2/r, in SI
     (g1 in J m^2, g2 in J m).
 
@@ -193,14 +207,14 @@ class KratzerCouplings:
     sigma1 <= -1/4 included) and g2 >= 0.
     """
 
-    g1: float
-    g2: float
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        if not (math.isfinite(self.g1) and math.isfinite(self.g2)):
+    def __new__(cls, g1: float, g2: float) -> KratzerCouplings:
+        if not (math.isfinite(g1) and math.isfinite(g2)):
             raise ValueError("couplings must be finite")
-        if self.g2 < 0.0:
+        if g2 < 0.0:
             raise ValueError("g2 must be nonnegative")
+        return super().__new__(cls, g1, g2)
 
     def sigma1(self, mu_kg: float) -> float:
         """Dimensionless inverse-square coupling 2 mu g1 / hbar^2."""
@@ -211,21 +225,19 @@ class KratzerCouplings:
         return mu_kg * self.g2 / HBAR
 
 
-@dataclass(frozen=True)
-class ShapeNumbers:
+class ShapeNumbers(namedtuple("ShapeNumbers", "gamma lam alpha")):
     """Dimensionless shape numbers of the bound-state problem.
 
     gamma = (re/hbar) sqrt(2 mu De), lam = 1/2 + sqrt((l+1/2)^2 + gamma^2)
     and alpha = gamma^2 / (lam + n).
     """
 
-    gamma: float
-    lam: float
-    alpha: float
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        if self.lam < 1.0 - LAMBDA_GUARD_TOL:
+    def __new__(cls, gamma: float, lam: float, alpha: float) -> ShapeNumbers:
+        if lam < 1.0 - LAMBDA_GUARD_TOL:
             raise ValueError("lambda must satisfy lam >= 1")
+        return super().__new__(cls, gamma, lam, alpha)
 
 
 def gamma_of(mol: Molecule) -> float:

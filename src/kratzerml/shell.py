@@ -4,7 +4,8 @@ Four subcommands over the library: spectrum (level tables), bound
 (minimal-length upper bound from a zero-point gap), verify (the
 self-check suites), and fit (three-parameter level fitting).  Every run
 emits a human table on stdout or, with --json / --out, a versioned
-machine-readable document whose numeric fields all carry unit tags.
+machine-readable document whose numeric fields carry unit tags, bar the
+counts, quantum numbers and relative deviations.
 Exit codes: 0 success, 1 computation or check failure, 2 an argument
 refused as given (InputError, or by the parser) or a file format error.
 """

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import math
 from collections.abc import Iterable
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .physmodel import (
     HBAR,
@@ -41,8 +41,7 @@ __all__ = [
 PERTURBATIVE_WARN_RATIO = 0.1
 
 
-@dataclass(frozen=True)
-class EnergyLevel:
+class EnergyLevel(NamedTuple):
     """One bound level: unperturbed energy, correction, and their sum (J)."""
 
     n: int
@@ -215,8 +214,7 @@ def require_bound(level: EnergyLevel) -> None:
         )
 
 
-@dataclass(frozen=True)
-class Term:
+class Term(NamedTuple):
     """One labeled term of the large-gamma expansion (value in J)."""
 
     tag: str

@@ -3,6 +3,7 @@ import importlib
 import json
 import math
 import os
+import pickle
 import re
 import subprocess
 import sys
@@ -12,7 +13,14 @@ import numpy as np
 import pytest
 
 import kratzerml
-from kratzerml.estimate import NoPositiveGapError, beta_upper_bound, fit_parameters
+from kratzerml.estimate import (
+    ATTRIBUTION_LABEL,
+    BoundResult,
+    FitResult,
+    NoPositiveGapError,
+    beta_upper_bound,
+    fit_parameters,
+)
 from kratzerml.momentum import (
     MomentumProblem,
     OdeSolution,
@@ -31,6 +39,7 @@ from kratzerml.physmodel import (
     LambdaGuardError,
     Molecule,
     QuantumNumbers,
+    ShapeNumbers,
     beta_from_min_length,
     energy_from_joule,
     minimal_length,
@@ -38,7 +47,13 @@ from kratzerml.physmodel import (
     require_int,
     require_positive,
 )
-from kratzerml.spectrum import energy_deformed, level_energies, require_bound
+from kratzerml.spectrum import (
+    EnergyLevel,
+    Term,
+    energy_deformed,
+    level_energies,
+    require_bound,
+)
 from kratzerml.verify import run_checks
 from kratzerml.wavefunctions import make_radial_state
 
@@ -331,6 +346,15 @@ def test_closed_form_modules_import_neither_numpy_nor_scipy():
         assert _import_time_imports(tree, {"numpy", "scipy"}) == [], name
 
 
+def test_closed_form_modules_do_not_import_dataclasses():
+    """dataclasses would load inspect, ast and dis into every fresh bound
+    or spectrum run; the closed-form records are named tuples."""
+    package = Path(kratzerml.__file__).parent
+    for name in _CLOSED_FORM_MODULES:
+        tree = ast.parse((package / name).read_text(encoding="utf-8"))
+        assert _import_time_imports(tree, {"dataclasses"}) == [], name
+
+
 def _deferred_imports(tree: ast.Module) -> list[str]:
     """Import statements inside function bodies, as 'function: statement'."""
     return [
@@ -378,7 +402,8 @@ def test_numpy_import_guard_sees_top_level_imports():
 # Runs in a fresh interpreter: importing the package, looking up every
 # closed-form name on it, running bound, spectrum and fit, and a verify
 # whose --tol is refused must leave numpy and scipy unloaded, and verify
-# loads numpy alone.
+# loads numpy alone; bound, spectrum and fit load neither dataclasses nor
+# inspect.
 _STARTUP_SCRIPT = """
 import contextlib, io, json, sys
 sys.path.insert(0, sys.argv[1])
@@ -407,6 +432,8 @@ codes = [
     run("fit", sys.argv[2], "--mu", "1.2", "--init", "52000,1.0,0", "--json"),
 ]
 heavy_after_closed_forms = heavy_modules()
+stdlib_after_closed_forms = [m for m in ("dataclasses", "inspect")
+                             if m in sys.modules]
 with contextlib.redirect_stderr(io.StringIO()):
     codes.append(run("verify", "--tol", "0"))
 heavy_after_refused_tol = heavy_modules()
@@ -417,6 +444,7 @@ print(json.dumps({
     "looked_up": len(closed_forms),
     "heavy_after_lookup": heavy_after_lookup,
     "heavy_after_closed_forms": heavy_after_closed_forms,
+    "stdlib_after_closed_forms": stdlib_after_closed_forms,
     "heavy_after_refused_tol": heavy_after_refused_tol,
     "scipy_after_verify": [m for m in heavy_modules() if m.startswith("scipy")],
 }))
@@ -444,6 +472,7 @@ def test_closed_form_commands_leave_scipy_unloaded(tmp_path):
     assert doc["looked_up"] > 0
     assert doc["heavy_after_lookup"] == []
     assert doc["heavy_after_closed_forms"] == []
+    assert doc["stdlib_after_closed_forms"] == []
     assert doc["heavy_after_refused_tol"] == []
     assert doc["scipy_after_verify"] == []
 
@@ -610,6 +639,60 @@ def test_every_integer_argument_follows_one_rule(site):
 def test_integer_records_store_a_plain_int():
     qn = QuantumNumbers(np.int64(1), np.intp(0))
     assert type(qn.n) is int and type(qn.l) is int
+
+
+#: each closed-form record: every field by keyword in field order, the
+#: fields left to their defaults, and, for a record that checks its
+#: fields, one field made invalid and the exception that refuses it
+_RECORDS = {
+    "Molecule": (Molecule, dict(
+        name="m", de_cm1=45000.0, re_angstrom=1.1, mu_amu=1.2,
+        zpe_exp_cm1=2000.0), {"zpe_exp_cm1": None}, ("de_cm1", -1.0, InputError)),
+    "QuantumNumbers": (QuantumNumbers, dict(n=2, l=1), {}, ("n", -1, InputError)),
+    "KratzerCouplings": (KratzerCouplings, dict(g1=1e-38, g2=1e-28), {},
+                         ("g2", -1.0, ValueError)),
+    "ShapeNumbers": (ShapeNumbers, dict(gamma=5.0, lam=5.7, alpha=4.4), {},
+                     ("lam", 0.5, ValueError)),
+    "EnergyLevel": (EnergyLevel, dict(
+        n=0, l=1, e0=-7.3e-19, de=2.2e-26, e=-7.29e-19, warning="w"),
+        {"warning": None}, None),
+    "Term": (Term, dict(tag="harmonic", value=1e-20), {}, None),
+    "BoundResult": (BoundResult, dict(
+        g_theory_cm1=2174.5, delta_cm1=4.8, beta_max=6.7e41,
+        min_length_max_angstrom=0.0107, attribution=ATTRIBUTION_LABEL),
+        {"attribution": ATTRIBUTION_LABEL}, None),
+    "FitResult": (FitResult, dict(
+        de_cm1=45000.0, re_angstrom=1.1, beta=0.0, rss_cm2=1e-20,
+        iterations=7, converged=True, residuals=((0, 0, -4e4, -4e4, 1.0),)),
+        {}, None),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_RECORDS))
+def test_every_record_is_immutable_and_keeps_its_interface(name):
+    """Each record takes its fields by keyword or in order, keeps its
+    defaults and its repr, refuses assignment, holds no __dict__ (a
+    subclass that forgets __slots__ = () takes new attributes), and
+    pickles through the constructor, so a load re-runs its checks."""
+    cls, fields, defaults, invalid = _RECORDS[name]
+    record = cls(**fields)
+    assert record == cls(*fields.values())
+    assert repr(record) == f"{name}(" + ", ".join(
+        f"{key}={value!r}" for key, value in fields.items()) + ")"
+    given = {key: value for key, value in fields.items() if key not in defaults}
+    assert {key: getattr(cls(**given), key) for key in defaults} == defaults
+    first = next(iter(fields))
+    with pytest.raises(AttributeError):
+        setattr(record, first, fields[first])
+    assert not hasattr(record, "__dict__")
+    loaded = pickle.loads(pickle.dumps(record))
+    assert type(loaded) is cls and loaded == record
+    if invalid is not None:
+        key, value, kind = invalid
+        bad = record._replace(**{key: value})  # _replace skips the checks
+        with pytest.raises(kind) as err:
+            pickle.loads(pickle.dumps(bad))
+        assert type(err.value) is kind
 
 
 #: each positive real argument: (call, a valid value, its name)

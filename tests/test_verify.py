@@ -332,7 +332,7 @@ def _alpha_by_n(original):
     def make(gamma, qn, re):
         state = original(gamma, qn, re)
         alpha = state.shape.alpha * (1.0 + 1e-6 * qn.n)
-        return replace(state, shape=replace(state.shape, alpha=alpha))
+        return replace(state, shape=state.shape._replace(alpha=alpha))
     return make
 
 
