@@ -13,8 +13,8 @@ from __future__ import annotations
 
 import cmath
 import math
+from collections import namedtuple
 from collections.abc import Iterable
-from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
@@ -69,8 +69,7 @@ class QuantizationBreakdownError(NonQuantizedError):
     """s-wave quantization requested in the singular regime sigma1 < -1/4."""
 
 
-@dataclass(frozen=True)
-class MomentumProblem:
+class MomentumProblem(namedtuple("MomentumProblem", "sigma1 sigma2 k beta")):
     """Parameter set of the momentum-space equation.
 
     sigma1 is the dimensionless inverse-square coupling 2 mu g1/hbar^2;
@@ -79,16 +78,16 @@ class MomentumProblem:
     beta inverse momentum squared.
     """
 
-    sigma1: float
-    sigma2: float
-    k: float
-    beta: float = 0.0
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        if not (math.isfinite(self.sigma1) and math.isfinite(self.sigma2)):
+    def __new__(
+        cls, sigma1: float, sigma2: float, k: float, beta: float = 0.0
+    ) -> MomentumProblem:
+        if not (math.isfinite(sigma1) and math.isfinite(sigma2)):
             raise ValueError("sigma1 and sigma2 must be finite")
-        require_positive(self.k, "k")
-        require_beta(self.beta)
+        require_positive(k, "k")
+        require_beta(beta)
+        return super().__new__(cls, sigma1, sigma2, k, beta)
 
 
 class _Coefficients(NamedTuple):
@@ -172,17 +171,14 @@ def _branch_phi_exponent(prob: MomentumProblem, branch: str) -> complex:
     return s + 1.0  # psi -> phi = p psi raises the exponent by one
 
 
-@dataclass(frozen=True)
-class OdeSolution:
-    """psi(p) on an ascending log-spaced grid."""
+class OdeSolution(namedtuple("OdeSolution", "grid values branch")):
+    """psi(p) on an ascending log-spaced grid, held in read-only arrays."""
 
-    grid: np.ndarray
-    values: np.ndarray
-    branch: str
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        grid = np.array(self.grid, dtype=float)
-        values = np.array(self.values, dtype=complex)
+    def __new__(cls, grid, values, branch: str) -> OdeSolution:
+        grid = np.array(grid, dtype=float)
+        values = np.array(values, dtype=complex)
         if grid.ndim != 1 or grid.size < 2:
             raise ValueError("grid must be one-dimensional with >= 2 points")
         if values.shape != grid.shape:
@@ -194,11 +190,10 @@ class OdeSolution:
             raise ValueError(
                 f"grid coarser than {MIN_POINTS_PER_DECADE} points per decade"
             )
-        for name, arr in (("grid", grid), ("values", values)):
-            arr.flags.writeable = False
-            object.__setattr__(self, name, arr)
-        if self.branch not in BRANCHES:
-            raise ValueError(f"branch must be one of {BRANCHES}, got {self.branch!r}")
+        grid.flags.writeable = values.flags.writeable = False
+        if branch not in BRANCHES:
+            raise ValueError(f"branch must be one of {BRANCHES}, got {branch!r}")
+        return super().__new__(cls, grid, values, branch)
 
 
 def _rk4_step(top, mid, bottom, h):
@@ -454,8 +449,7 @@ def momentum_wavefunction_undeformed(p: float, n: int, prob) -> complex:
     return poly * w ** (-1.5 - nu) / p
 
 
-@dataclass(frozen=True)
-class HeunParams:
+class HeunParams(NamedTuple):
     """Five-regular-point form in z = (1 - i sqrt(6 beta) p)/2, phi = p psi.
 
     The source prints them with sigma1 and sigma2 exchanged; that reading is
@@ -480,8 +474,7 @@ class HeunParams:
         return abs(self.a + self.b + 1.0 - (self.c + self.d + self.e + self.f))
 
 
-@dataclass(frozen=True)
-class HeunParamsIS:
+class HeunParamsIS(NamedTuple):
     """Four-regular-point form of the sigma2 = 0 (inverse-square) case.
 
     The equation lives in the chart xi = 6 beta p^2/(1 + 6 beta p^2),

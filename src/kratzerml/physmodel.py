@@ -3,18 +3,16 @@
 Everything downstream works in SI units; wavenumbers, angstroms, atomic
 mass units and electronvolts appear only at input/output boundaries.
 
-Records follow one rule.  The modules that bound, spectrum and fit load
-(physmodel, spectrum, estimate: no numpy) define theirs as named tuples:
-they are built faster than frozen dataclasses, and the dataclasses
-module would load inspect, ast and dis into every fresh process.  A
-record that checks its fields does so in __new__ on a
-collections.namedtuple base with __slots__ = (), as typing.NamedTuple
-refuses a __new__ in its class body.  Being tuples, they equal a tuple
-of their values, iterate, and _replace skips __new__'s checks.  The
-numpy modules keep frozen dataclasses: they pay numpy's import anyway,
-and batch_columns counts any non-str iterable as a batch, so a record
-that may be passed where a batch goes (RadialState, MomentumProblem)
-must not be a tuple.
+Records follow one rule: every record is a named tuple.  It is built
+faster than a frozen dataclass, and the dataclasses module would load
+inspect, ast and dis into every fresh process.  A record that checks
+its fields does so in __new__ on a collections.namedtuple base with
+__slots__ = (), as typing.NamedTuple refuses a __new__ in its class
+body; the others are typing.NamedTuple classes.  Being tuples, records
+equal a tuple of their values, iterate, numpy unpacks them into their
+fields, and _replace skips __new__'s checks.  A record is still one
+item, never a batch of its fields: batch_columns tells it by its
+_fields.
 """
 
 from __future__ import annotations
@@ -285,17 +283,16 @@ def require_positive(value: float, name: str) -> None:
         raise InputError(f"{name} must be positive and finite, got {value!r}")
 
 
-def require_int(value, name: str, low: int = 0, high: int | None = None) -> int:
+def require_int(value, name: str, high: int | None = None) -> int:
     """value as a plain int: what operator.index takes but a bool, in
-    low..high (high None: no cap); else InputError naming the argument."""
+    0..high (high None: no cap); else InputError naming the argument."""
     try:
         number = None if isinstance(value, bool) else operator.index(value)
     except TypeError:
         number = None
-    if number is None or number < low or (high is not None and number > high):
-        span = (f"an integer in {low}..{high}" if high is not None
-                else "a nonnegative integer" if low == 0
-                else f"an integer >= {low}")
+    if number is None or number < 0 or (high is not None and number > high):
+        span = ("a nonnegative integer" if high is None
+                else f"an integer in 0..{high}")
         raise InputError(f"{name} must be {span}, got {value!r}")
     return number
 
@@ -308,14 +305,15 @@ def nan_worst(value: float) -> tuple[bool, float]:
 def batch_columns(*args) -> tuple[list[list], bool]:
     """One list per argument of a call that takes one item or a batch.
 
-    A str or any non-iterable is one item, which pairs with every member
-    of the other arguments; any other iterable is a batch, refused when
-    empty, and batches pair element by element, so their lengths must
-    agree.  Also returns whether every argument was one item: the caller
-    then returns its one result bare, else a list in batch order.
+    A str, a record (a named tuple, told by its _fields) or any
+    non-iterable is one item, which pairs with every member of the other
+    arguments; any other iterable is a batch, refused when empty, and
+    batches pair element by element, so their lengths must agree.  Also
+    returns whether every argument was one item: the caller then returns
+    its one result bare, else a list in batch order.
     """
-    single = [isinstance(arg, str) or not isinstance(arg, Iterable)
-              for arg in args]
+    single = [isinstance(arg, str) or hasattr(arg, "_fields")
+              or not isinstance(arg, Iterable) for arg in args]
     columns = [[arg] if one else list(arg) for arg, one in zip(args, single)]
     if not all(columns):
         raise ValueError("the batch is empty")

@@ -10,10 +10,9 @@ run_checks reports the worst of them, and a NaN deviation fails.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from functools import partial
 from itertools import combinations
-from typing import Callable, Iterable, Iterator
+from typing import Callable, Iterable, Iterator, NamedTuple
 
 import numpy as np
 
@@ -58,8 +57,7 @@ __all__ = ["PRESETS", "CheckResult", "Check", "CHECKS", "run_checks",
            "worst_offender"]
 
 
-@dataclass(frozen=True)
-class CheckResult:
+class CheckResult(NamedTuple):
     """Worst deviation of one check over its grid, against its tolerance."""
 
     name: str
@@ -73,8 +71,7 @@ class CheckResult:
         return self.worst <= self.tolerance
 
 
-@dataclass(frozen=True)
-class Check:
+class Check(NamedTuple):
     """One table row: run(grids[preset]) yields one deviation per
     comparison."""
 

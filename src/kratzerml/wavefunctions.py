@@ -13,7 +13,7 @@ evaluates R(r) from a RadialState and kummer_sum, in batches.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -44,8 +44,7 @@ def kummer_sum(n, b, z):
     return acc
 
 
-@dataclass(frozen=True)
-class RadialState:
+class RadialState(NamedTuple):
     """One normalized radial bound state.
 
     Attributes

@@ -1,4 +1,3 @@
-import dataclasses
 import math
 import sys
 
@@ -583,7 +582,7 @@ def _paper_fuchsian_problems():
 def _members_equal(batched, scalars):
     # every field of the batch and its residual, entry by entry, == the
     # member's own call, whose fields are floats
-    for name in (field.name for field in dataclasses.fields(batched)):
+    for name in batched._fields:
         column = getattr(batched, name)
         for i, scalar in enumerate(scalars):
             value = column[i] if isinstance(column, np.ndarray) else column

@@ -24,11 +24,13 @@ from kratzerml.estimate import (
 from kratzerml.momentum import (
     MomentumProblem,
     OdeSolution,
+    heun_params_general,
     integrate_branch,
     momentum_wavefunction_undeformed,
     quantize_swave,
 )
 from kratzerml.oracle import (
+    QuadratureResult,
     correction_via_expectations,
     expectation_inverse_power,
     radial_overlap,
@@ -54,8 +56,8 @@ from kratzerml.spectrum import (
     level_energies,
     require_bound,
 )
-from kratzerml.verify import run_checks
-from kratzerml.wavefunctions import make_radial_state
+from kratzerml.verify import CheckResult, run_checks
+from kratzerml.wavefunctions import RadialState, make_radial_state
 
 
 def test_submodule_names_resolve_on_the_package():
@@ -346,13 +348,14 @@ def test_closed_form_modules_import_neither_numpy_nor_scipy():
         assert _import_time_imports(tree, {"numpy", "scipy"}) == [], name
 
 
-def test_closed_form_modules_do_not_import_dataclasses():
-    """dataclasses would load inspect, ast and dis into every fresh bound
-    or spectrum run; the closed-form records are named tuples."""
+def test_no_module_imports_dataclasses():
+    """dataclasses would load inspect, ast and dis into every fresh run;
+    every record is a named tuple.  Imports inside functions are pinned
+    by test_the_verify_command_is_the_one_deferred_import."""
     package = Path(kratzerml.__file__).parent
-    for name in _CLOSED_FORM_MODULES:
-        tree = ast.parse((package / name).read_text(encoding="utf-8"))
-        assert _import_time_imports(tree, {"dataclasses"}) == [], name
+    for path in sorted(package.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        assert _import_time_imports(tree, {"dataclasses"}) == [], path.name
 
 
 def _deferred_imports(tree: ast.Module) -> list[str]:
@@ -403,7 +406,7 @@ def test_numpy_import_guard_sees_top_level_imports():
 # closed-form name on it, running bound, spectrum and fit, and a verify
 # whose --tol is refused must leave numpy and scipy unloaded, and verify
 # loads numpy alone; bound, spectrum and fit load neither dataclasses nor
-# inspect.
+# inspect, and verify does not load dataclasses (numpy loads inspect).
 _STARTUP_SCRIPT = """
 import contextlib, io, json, sys
 sys.path.insert(0, sys.argv[1])
@@ -447,6 +450,7 @@ print(json.dumps({
     "stdlib_after_closed_forms": stdlib_after_closed_forms,
     "heavy_after_refused_tol": heavy_after_refused_tol,
     "scipy_after_verify": [m for m in heavy_modules() if m.startswith("scipy")],
+    "dataclasses_after_verify": "dataclasses" in sys.modules,
 }))
 """
 
@@ -475,6 +479,7 @@ def test_closed_form_commands_leave_scipy_unloaded(tmp_path):
     assert doc["stdlib_after_closed_forms"] == []
     assert doc["heavy_after_refused_tol"] == []
     assert doc["scipy_after_verify"] == []
+    assert doc["dataclasses_after_verify"] is False
 
 
 def test_no_module_imports_scipy():
@@ -569,6 +574,15 @@ def _bits(result):
     return result
 
 
+def _object_array(items):
+    # element by element: np.array(items, dtype=object) unpacks each
+    # record, a tuple, into a row of its fields
+    out = np.empty(len(items), dtype=object)
+    for i, item in enumerate(items):
+        out[i] = item
+    return out
+
+
 @pytest.mark.parametrize("name", sorted(_BATCH_FUNCTIONS))
 def test_every_batch_function_follows_one_rule(name):
     """A str or non-iterable is one item and any other iterable a batch;
@@ -577,7 +591,7 @@ def test_every_batch_function_follows_one_rule(name):
     function, members = _BATCH_FUNCTIONS[name]
     as_list = [_bits(r) for r in function(*members)]
     assert len(as_list) == 3
-    for container in (tuple, iter, lambda items: np.array(items, dtype=object)):
+    for container in (tuple, iter, _object_array):
         got = function(*(container(items) for items in members))
         assert isinstance(got, list), container
         assert [_bits(r) for r in got] == as_list, container
@@ -641,9 +655,9 @@ def test_integer_records_store_a_plain_int():
     assert type(qn.n) is int and type(qn.l) is int
 
 
-#: each closed-form record: every field by keyword in field order, the
-#: fields left to their defaults, and, for a record that checks its
-#: fields, one field made invalid and the exception that refuses it
+#: each record: every field by keyword in field order, the fields left
+#: to their defaults, and, for a record that checks its fields, one field
+#: made invalid and the exception that refuses it
 _RECORDS = {
     "Molecule": (Molecule, dict(
         name="m", de_cm1=45000.0, re_angstrom=1.1, mu_amu=1.2,
@@ -665,6 +679,17 @@ _RECORDS = {
         de_cm1=45000.0, re_angstrom=1.1, beta=0.0, rss_cm2=1e-20,
         iterations=7, converged=True, residuals=((0, 0, -4e4, -4e4, 1.0),)),
         {}, None),
+    "RadialState": (RadialState, dict(
+        qn=QuantumNumbers(0, 1), shape=ShapeNumbers(5.0, 6.6, 3.8), re=1e-10,
+        log_norm=40.0), {}, None),
+    "QuadratureResult": (QuadratureResult, dict(
+        value=1.0, error_estimate=1e-11), {}, None),
+    "CheckResult": (CheckResult, dict(
+        name="fuchsian", worst=1e-13, tolerance=1e-12, comparisons=100,
+        detail="sum rules"), {}, None),
+    "MomentumProblem": (MomentumProblem, dict(
+        sigma1=-1.0, sigma2=0.4, k=1.0, beta=1.0), {"beta": 0.0},
+        ("k", 0.0, InputError)),
 }
 
 
@@ -693,6 +718,40 @@ def test_every_record_is_immutable_and_keeps_its_interface(name):
         with pytest.raises(kind) as err:
             pickle.loads(pickle.dumps(bad))
         assert type(err.value) is kind
+
+
+#: each record whose numpy fields make == ambiguous, built by its function
+_ARRAY_RECORDS = {
+    "OdeSolution": lambda: integrate_branch(
+        _PROBS[0], "fast-decay", (1.0, 2e3), p_stop=200.0),
+    "HeunParams batch": lambda: heun_params_general(_PROBS),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_ARRAY_RECORDS))
+def test_every_array_record_is_immutable_and_pickles_field_by_field(name):
+    """A record with numpy fields refuses assignment, holds no __dict__,
+    and pickles field by field; OdeSolution's arrays are read-only, also
+    after a load, which re-runs its constructor."""
+    record = _ARRAY_RECORDS[name]()
+    first = record._fields[0]
+    with pytest.raises(AttributeError):
+        setattr(record, first, getattr(record, first))
+    assert not hasattr(record, "__dict__")
+    loaded = pickle.loads(pickle.dumps(record))
+    assert type(loaded) is type(record)
+    for field in record._fields:
+        value, back = getattr(record, field), getattr(loaded, field)
+        assert type(back) is type(value), field
+        if isinstance(value, np.ndarray):
+            assert back.dtype == value.dtype and back.tobytes() == value.tobytes()
+        else:
+            assert back == value, field
+    if isinstance(record, OdeSolution):
+        for solution in (record, loaded):
+            for array in (solution.grid, solution.values):
+                with pytest.raises(ValueError, match="read-only"):
+                    array[0] = array[1]
 
 
 #: each positive real argument: (call, a valid value, its name)

@@ -1,7 +1,6 @@
 import inspect
 import json
 import math
-from dataclasses import replace
 from functools import partial
 
 import numpy as np
@@ -277,7 +276,7 @@ def _nan_overlap(original):
     # the second overlap of every call comes out NaN
     def radial_overlap(*args):
         results = list(original(*args))
-        results[1] = replace(results[1], value=math.nan)
+        results[1] = results[1]._replace(value=math.nan)
         return results
     return radial_overlap
 
@@ -332,7 +331,7 @@ def _alpha_by_n(original):
     def make(gamma, qn, re):
         state = original(gamma, qn, re)
         alpha = state.shape.alpha * (1.0 + 1e-6 * qn.n)
-        return replace(state, shape=state.shape._replace(alpha=alpha))
+        return state._replace(shape=state.shape._replace(alpha=alpha))
     return make
 
 
@@ -341,7 +340,7 @@ def _fields(**change):
     def mutate(original):
         def params(prob):
             par = original(prob)
-            return replace(par, **{name: f(par) for name, f in change.items()})
+            return par._replace(**{name: f(par) for name, f in change.items()})
         return params
     return mutate
 
