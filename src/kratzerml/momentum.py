@@ -90,7 +90,15 @@ class MomentumProblem(namedtuple("MomentumProblem", "sigma1 sigma2 k beta")):
         return super().__new__(cls, sigma1, sigma2, k, beta)
 
 
-class _Coefficients(NamedTuple):
+def _problem_columns(probs: list[MomentumProblem]) -> np.ndarray:
+    """sigma1, sigma2, k and beta as numpy columns over the problems of a
+    batch, the list physmodel.batch_columns gives."""
+    return np.array(
+        [(member.sigma1, member.sigma2, member.k, member.beta) for member in probs]
+    ).T
+
+
+def _coefficients(sigma1, sigma2, k, beta) -> tuple:
     """The p-independent parts of the deformed equation's coefficients.
 
     (p^2 + k^2)(1 + 6 beta p^2) phi'' + b phi' + c phi = 0 expands to
@@ -99,52 +107,34 @@ class _Coefficients(NamedTuple):
         b = 2 i sigma2 + (4 + 2 beta k^2) p + 6 i beta sigma2 p^2 + 26 beta p^3
         c = (2 - sigma1 - 2 beta k^2) - 4 i beta sigma2 p + 14 beta p^2
 
-    Each field is a scalar for one problem, or a numpy column over a
-    batch.
+    The ten parts (a0, a2, a4, b0, b1, b2, b3, c0, c1, c2), each a
+    scalar on one problem's floats, or a numpy column on a batch's
+    columns (_problem_columns).
     """
-
-    a0: float
-    a2: float
-    a4: float
-    b0: complex
-    b1: float
-    b2: complex
-    b3: float
-    c0: float
-    c1: complex
-    c2: float
-
-
-def _coefficients(probs) -> _Coefficients:
-    """Scalars for one MomentumProblem, numpy columns for a sequence."""
-    if not isinstance(probs, MomentumProblem):
-        columns = zip(*(_coefficients(prob) for prob in probs))
-        return _Coefficients(*(np.array(column) for column in columns))
-    beta = probs.beta
-    k2 = probs.k * probs.k
-    sigma2 = probs.sigma2
-    return _Coefficients(
-        a0=k2,
-        a2=1.0 + 6.0 * beta * k2,
-        a4=6.0 * beta,
-        b0=complex(0.0, 2.0 * sigma2),
-        b1=4.0 + 2.0 * beta * k2,
-        b2=complex(0.0, 6.0 * beta * sigma2),
-        b3=26.0 * beta,
-        c0=2.0 - probs.sigma1 - 2.0 * beta * k2,
-        c1=complex(0.0, -4.0 * beta * sigma2),
-        c2=14.0 * beta,
+    k2 = k * k
+    return (
+        k2,
+        1.0 + 6.0 * beta * k2,
+        6.0 * beta,
+        2.0 * sigma2 * 1j,
+        4.0 + 2.0 * beta * k2,
+        6.0 * beta * sigma2 * 1j,
+        26.0 * beta,
+        2.0 - sigma1 - 2.0 * beta * k2,
+        -4.0 * beta * sigma2 * 1j,
+        14.0 * beta,
     )
 
 
-def _ratios(co: _Coefficients, p):
+def _ratios(co: tuple, p):
     """B = b/a and C = c/a of phi'' = -(B phi' + C phi) at p: the one
-    evaluation of the _Coefficients polynomials, on scalars or on numpy
+    evaluation of the _coefficients polynomials, on scalars or on numpy
     arrays that broadcast (a column of p against a batch's row)."""
+    a0, a2, a4, b0, b1, b2, b3, c0, c1, c2 = co
     p2 = p * p
-    a = co.a0 + (co.a2 + co.a4 * p2) * p2
-    b = co.b0 + (co.b1 + (co.b2 + co.b3 * p) * p) * p
-    c = co.c0 + (co.c1 + co.c2 * p) * p
+    a = a0 + (a2 + a4 * p2) * p2
+    b = b0 + (b1 + (b2 + b3 * p) * p) * p
+    c = c0 + (c1 + c2 * p) * p
     # times the reciprocal, as numpy divides a complex by a real: the
     # same bits on numpy and on Python scalars
     inverse = 1.0 / a
@@ -275,6 +265,8 @@ def integrate_branch(
     if p_stop is not None and not p_stop < p_max:
         raise ValueError("p_stop must lie below p_max")
     decades = math.log10(p_max / p_min)
+    if not math.isfinite(decades):
+        raise ValueError("p_range must span a finite number of decades")
     if ic is None and decades < 3.0 * (1.0 - 1e-12):
         raise ValueError(
             "p_range must span >= 3 decades for asymptotic initial conditions"
@@ -297,6 +289,8 @@ def integrate_branch(
             chi[i] = s
     else:
         phi_raw, dphi_raw = complex(ic[0]), complex(ic[1])
+        if not (cmath.isfinite(phi_raw) and cmath.isfinite(dphi_raw)):
+            raise ValueError("initial conditions must be finite")
         norm = max(abs(phi_raw), abs(dphi_raw) * p_max)
         if norm == 0.0:
             raise ValueError("initial conditions must not both vanish")
@@ -304,7 +298,8 @@ def integrate_branch(
         phi[:] = phi_raw / norm
         chi[:] = dphi_raw * p_max / norm
 
-    coefficients = _coefficients(probs)
+    sigma1, sigma2, k, beta = _problem_columns(probs)
+    coefficients = _coefficients(sigma1, sigma2, k, beta)
 
     def rates(p: np.ndarray):
         # (drift, pull) = (1 - p B, p^2 C): rows p, columns members
@@ -340,8 +335,7 @@ def integrate_branch(
             states[i + 1] = phi
     values = states[::substeps]
     if not np.isfinite(values).all():
-        low = min(member.sigma1 for member in probs)
-        high = max(member.sigma1 for member in probs)
+        low, high = sigma1.min(), sigma1.max()
         span = f"= {low:g}" if low == high else f"in [{low:g}, {high:g}]"
         raise StiffnessError(
             f"integration failed between p = {p_max:g} and {p_min:g} "
@@ -432,8 +426,7 @@ def momentum_wavefunction_undeformed(p: float, n: int, prob) -> complex:
     so that the series terminates at degree n.  Complex powers are taken on
     the principal branch, which 1 + i p/k (p real, k > 0) never leaves.
     """
-    if p <= 0.0:
-        raise ValueError("p must be positive")
+    require_positive(p, "p")
     n = require_int(n, "n")
     nu = _swave_nu(prob)
     off = prob.sigma2 / prob.k - (n + 0.5 + nu)
@@ -504,16 +497,6 @@ class HeunParamsIS(NamedTuple):
         return residual if np.ndim(self.q) == 0 else np.full(len(self.q), residual)
 
 
-def _problem_columns(prob) -> tuple[np.ndarray, bool]:
-    """sigma1, sigma2, k and beta as numpy columns over one problem or a
-    batch (physmodel.batch_columns), and whether prob was one problem."""
-    (probs,), single = batch_columns(prob)
-    columns = np.array(
-        [(member.sigma1, member.sigma2, member.k, member.beta) for member in probs]
-    ).T
-    return columns, single
-
-
 def _params(cls, single: bool, **fields):
     # one problem's fields as floats, a batch's problem-dependent ones as
     # numpy columns in batch order
@@ -537,7 +520,8 @@ def heun_params_general(
     order, each entry the bits of the member's own call; the validation
     raises if any member fails it.
     """
-    (sigma1, sigma2, k, beta), single = _problem_columns(prob)
+    (probs,), single = batch_columns(prob)
+    sigma1, sigma2, k, beta = _problem_columns(probs)
     # overflow to inf and nan pass silently, as on Python floats
     with np.errstate(over="ignore", invalid="ignore"):
         if (beta <= 0.0).any():
@@ -577,7 +561,8 @@ def heun_params_inverse_square(
     One problem or a batch, as heun_params_general: q, xi0 and beta are
     the problem-dependent fields.
     """
-    (sigma1, sigma2, k, beta), single = _problem_columns(prob)
+    (probs,), single = batch_columns(prob)
+    sigma1, sigma2, k, beta = _problem_columns(probs)
     with np.errstate(over="ignore", invalid="ignore"):
         if (sigma2 != 0.0).any():
             raise ValueError("the four-point form holds only at sigma2 = 0")

@@ -208,8 +208,6 @@ class _Density:
         self.a = np.array([place[id(it.a)] for it in integrals])
         self.b = self.a if self.same else np.array(
             [place[id(it.b)] for it in integrals])
-        # every row its own state: evaluated in row order, read in place
-        self.own = self.same and len(states) == len(integrals)
         # n, 2 lam and 2 alpha of each state: M(-n, 2 lam; 2 alpha x)
         self.kummer = np.array([
             (s.qn.n, 2.0 * s.shape.lam, 2.0 * s.shape.alpha)
@@ -230,16 +228,10 @@ class _Density:
                 1.0, np.exp((_LOG_UNDERFLOW - k) / self.power)), 0.0)
 
     def _index(self, rows):
-        """The states to evaluate for rows, and where each row's a and b
-        sit among them.  In a chunk of one state per row the rows' own
-        states are evaluated in row order; else every state while every
-        row is open, and only the open rows' states after, whose highest
-        degree bounds the Kummer sum."""
+        """The distinct states of rows, in state order, and where each
+        row's a and b sit among them; only those states are evaluated,
+        so the highest degree among the open rows bounds the Kummer sum."""
         a, b = self.a[rows], self.b[rows]
-        if self.own:
-            return a, slice(None), slice(None)
-        if len(rows) == len(self.a):
-            return slice(None), a, b
         used = np.zeros(self.kummer.shape[1], dtype=bool)
         used[a] = used[b] = True
         place = np.cumsum(used) - 1

@@ -218,10 +218,6 @@ def _tagged(value: float, unit: str) -> dict:
     return {"value": float(value), "unit": unit}
 
 
-def _energy(joule: float, units: str) -> dict:
-    return _tagged(energy_from_joule(joule, units), units)
-
-
 def _molecule_doc(mol: Molecule) -> dict:
     doc = {
         "name": mol.name,
@@ -319,39 +315,53 @@ def cmd_spectrum(args) -> int:
     units = args.units
     gamma = gamma_of(mol)
     x_min = minimal_length(beta)
+    human = [
+        f"molecule {mol.name}: De = {mol.de_cm1:g} cm-1, "
+        f"re = {mol.re_angstrom:g} angstrom, mu = {mol.mu_amu:g} amu, "
+        f"gamma = {gamma:.6g}",
+        f"beta = {beta:.6e} {BETA_UNIT}, min length = "
+        f"{x_min:.6e} angstrom",
+        "",
+        f"{'n':>3} {'l':>3} {'E0 [' + units + ']':>18} "
+        f"{'dE [' + units + ']':>18} {'E [' + units + ']':>18}",
+    ]
     levels = []
-    failed = 0
     for l in range(lmax + 1):
         lam = lambda_of(gamma, l)
         for n in range(nmax + 1):
             qn = QuantumNumbers(n, l)
-            entry: dict = {
-                "n": n,
-                "l": l,
-                "lambda": _tagged(lam, "dimensionless"),
-            }
+            entry = {"n": n, "l": l, "lambda": _tagged(lam, "dimensionless")}
+            levels.append(entry)
             try:
                 level = energy_deformed(mol, beta, qn)
                 require_bound(level)
             except ValueError as exc:
                 entry["error"] = str(exc)
-                failed += 1
-                levels.append(entry)
+                human.append(f"{n:>3} {l:>3} error: {exc}")
                 continue
-            entry["e0"] = _energy(level.e0, units)
-            entry["de"] = _energy(level.de, units)
-            entry["e"] = _energy(level.e, units)
+            e0, de, e = (energy_from_joule(joule, units)
+                         for joule in (level.e0, level.de, level.e))
+            entry["e0"] = _tagged(e0, units)
+            entry["de"] = _tagged(de, units)
+            entry["e"] = _tagged(e, units)
             entry["warning"] = level.warning
+            line = f"{n:>3} {l:>3} {e0:>18.6f} {de:>18.6f} {e:>18.6f}"
             if args.expansion:
                 approx = energy_expansion(mol, beta, qn)
-                entry["expansion"] = _energy(approx, units)
-                entry["expansion_minus_exact"] = _energy(approx - level.e, units)
+                expansion = energy_from_joule(approx, units)
+                off = energy_from_joule(approx - level.e, units)
+                entry["expansion"] = _tagged(expansion, units)
+                entry["expansion_minus_exact"] = _tagged(off, units)
+                line += f"  expansion {expansion:.6f} (off by {off:.3e})"
+            human.append(line)
+            if level.warning:
+                human.append(f"        warning: {level.warning}")
             if args.decompose:
-                entry["decomposition"] = [
-                    {"tag": term.tag, "value": _energy(term.value, units)}
-                    for term in term_decomposition(mol, beta, qn)
-                ]
-            levels.append(entry)
+                terms = entry["decomposition"] = []
+                for term in term_decomposition(mol, beta, qn):
+                    value = energy_from_joule(term.value, units)
+                    terms.append({"tag": term.tag, "value": _tagged(value, units)})
+                    human.append(f"        {term.tag:>15}: {value:.6f} {units}")
     doc = {
         "schema": SCHEMA,
         "command": "spectrum",
@@ -363,45 +373,8 @@ def cmd_spectrum(args) -> int:
         },
         "levels": levels,
     }
-
-    human = [
-        f"molecule {mol.name}: De = {mol.de_cm1:g} cm-1, "
-        f"re = {mol.re_angstrom:g} angstrom, mu = {mol.mu_amu:g} amu, "
-        f"gamma = {gamma:.6g}",
-        f"beta = {beta:.6e} {BETA_UNIT}, min length = "
-        f"{x_min:.6e} angstrom",
-        "",
-        f"{'n':>3} {'l':>3} {'E0 [' + units + ']':>18} "
-        f"{'dE [' + units + ']':>18} {'E [' + units + ']':>18}",
-    ]
-    for entry in levels:
-        if "error" in entry:
-            human.append(
-                f"{entry['n']:>3} {entry['l']:>3} error: {entry['error']}"
-            )
-            continue
-        line = (
-            f"{entry['n']:>3} {entry['l']:>3} "
-            f"{entry['e0']['value']:>18.6f} "
-            f"{entry['de']['value']:>18.6f} "
-            f"{entry['e']['value']:>18.6f}"
-        )
-        if args.expansion:
-            line += (
-                f"  expansion {entry['expansion']['value']:.6f}"
-                f" (off by {entry['expansion_minus_exact']['value']:.3e})"
-            )
-        human.append(line)
-        if entry.get("warning"):
-            human.append(f"        warning: {entry['warning']}")
-        if args.decompose:
-            for term in entry["decomposition"]:
-                human.append(
-                    f"        {term['tag']:>15}: "
-                    f"{term['value']['value']:.6f} {units}"
-                )
     _emit(doc, human, args)
-    return EXIT_FAIL if failed else EXIT_OK
+    return EXIT_FAIL if any("error" in entry for entry in levels) else EXIT_OK
 
 
 # ---------------------------------------------------------------- bound
@@ -496,17 +469,20 @@ def cmd_fit(args) -> int:
     except ValueError:
         raise InputError(f"--init values must be numbers, got {args.init!r}") from None
     result = fit_parameters(rows, args.mu, init)
-    residuals = [
-        {
+    residuals = []
+    table = []
+    for n, l, e_obs, e_fit, weight in result.residuals:
+        residual = e_fit - e_obs
+        residuals.append({
             "n": n,
             "l": l,
             "e_obs": _tagged(e_obs, "cm-1"),
             "e_fit": _tagged(e_fit, "cm-1"),
-            "residual": _tagged(e_fit - e_obs, "cm-1"),
+            "residual": _tagged(residual, "cm-1"),
             "weight": _tagged(weight, "dimensionless"),
-        }
-        for n, l, e_obs, e_fit, weight in result.residuals
-    ]
+        })
+        table.append(f"{n:>3} {l:>3} {e_obs:>14.4f} {e_fit:>14.4f} "
+                     f"{residual:>12.3e}")
     doc = {
         "schema": SCHEMA,
         "command": "fit",
@@ -535,14 +511,8 @@ def cmd_fit(args) -> int:
         f" ({'converged' if result.converged else 'NOT converged'})",
         "",
         f"{'n':>3} {'l':>3} {'E_obs':>14} {'E_fit':>14} {'residual':>12}",
+        *table,
     ]
-    for row in residuals:
-        human.append(
-            f"{row['n']:>3} {row['l']:>3} "
-            f"{row['e_obs']['value']:>14.4f} "
-            f"{row['e_fit']['value']:>14.4f} "
-            f"{row['residual']['value']:>12.3e}"
-        )
     _emit(doc, human, args)
     return EXIT_OK if result.converged else EXIT_FAIL
 

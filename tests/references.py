@@ -48,7 +48,7 @@ def ode_rhs_deformed(
     """phi'' solved from the deformed equation for phi = p psi at p > 0.
     At beta = 0 it reduces to the undeformed equation, (p^2 + k^2) phi''
     + (4 p + 2 i sigma2) phi' + (2 - sigma1) phi = 0."""
-    b_ratio, c_ratio = _ratios(_coefficients(prob), p)
+    b_ratio, c_ratio = _ratios(_coefficients(*prob), p)
     return -(b_ratio * dphi + c_ratio * phi)
 
 

@@ -143,6 +143,12 @@ def test_integrate_branch_preconditions():
         integrate_branch(prob, "fast-decay", (0.0, 10.0))
     with pytest.raises(ValueError):
         integrate_branch(prob, "fast-decay", (10.0, 1.0))
+    # a p range of non-finite decades, and non-finite initial data
+    for p_range in ((1.0, math.inf), (1e-300, 1e300)):
+        with pytest.raises(ValueError, match="finite number of decades"):
+            integrate_branch(prob, "fast-decay", p_range)
+    with pytest.raises(ValueError, match="initial conditions must be finite"):
+        integrate_branch(prob, "fast-decay", (0.5, 50.0), ic=(math.nan, 1.0))
     # under three decades the asymptotic start is not trustworthy ...
     with pytest.raises(ValueError):
         integrate_branch(prob, "fast-decay", (0.5, 50.0))

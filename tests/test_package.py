@@ -775,6 +775,8 @@ _POSITIVE_SITES = {
         "length scale re"),
     "quantize_swave": (lambda v: quantize_swave(_POLE, 2, v), 1.0,
                        "reduced mass"),
+    "momentum_wavefunction_undeformed": (
+        lambda v: momentum_wavefunction_undeformed(v, 2, _POLE), 0.5, "p"),
     "correction_via_expectations": (
         lambda v: correction_via_expectations(
             _STATES[0], KratzerCouplings(1e-38, 1e-28), v, 1e40),

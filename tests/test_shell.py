@@ -796,3 +796,70 @@ def test_every_report_keeps_its_shape(capsys, levels_file, command):
     code, doc, _ = run_json(capsys, [*argv, "--json"])
     assert code == exit_code
     assert _shape(doc) == shape
+
+
+def _table_rows(out):
+    """The lines of a human report below its 'n l ...' column header."""
+    lines = out.splitlines()
+    start = next(i for i, line in enumerate(lines)
+                 if line.split()[:2] == ["n", "l"])
+    return iter(lines[start + 1:])
+
+
+def _printed(token, value):
+    """Whether token is value rounded to the digits token itself shows."""
+    mantissa, exponent, _ = token.partition("e")
+    digits = len(mantissa.partition(".")[2])
+    return token == format(value, f".{digits}{exponent or 'f'}")
+
+
+def test_human_tables_print_the_json_values(capsys, levels_file):
+    """Each table row follows its JSON entry, in JSON order: every printed
+    number is the JSON value at the printed precision, and every error
+    and warning the JSON's text.  The spectrum has plain, warning and
+    unbound levels."""
+    spectrum = ["spectrum", "H2", "--nmax", "3", "--lmax", "1",
+                "--min-length", "0.4", "--expansion", "--decompose"]
+    code, doc, _ = run_json(capsys, [*spectrum, "--json"])
+    assert code == 1
+    assert main(spectrum) == 1
+    rows = _table_rows(capsys.readouterr().out)
+    kinds = set()
+    for level in doc["levels"]:
+        n, l, rest = next(rows).split(maxsplit=2)
+        assert (n, l) == (str(level["n"]), str(level["l"]))
+        if "error" in level:
+            kinds.add("error")
+            assert rest == f"error: {level['error']}"
+            continue
+        e0, de, e, word, expansion, off, by, minus = rest.split()
+        assert (word, off, by, minus[-1]) == ("expansion", "(off", "by", ")")
+        for key, token in (("e0", e0), ("de", de), ("e", e),
+                           ("expansion", expansion),
+                           ("expansion_minus_exact", minus[:-1])):
+            assert _printed(token, level[key]["value"])
+        if level["warning"]:
+            kinds.add("warning")
+            assert next(rows).strip() == f"warning: {level['warning']}"
+        else:
+            kinds.add("plain")
+        for term in level["decomposition"]:
+            tag, _, printed = next(rows).strip().partition(": ")
+            value, unit = printed.split()
+            assert (tag, unit) == (term["tag"], term["value"]["unit"])
+            assert _printed(value, term["value"]["value"])
+    assert next(rows, None) is None
+    assert kinds == {"plain", "warning", "error"}
+
+    fit = ["fit", str(levels_file), "--mu", "1.2", "--init", "52000,1.0,0"]
+    code, doc, _ = run_json(capsys, [*fit, "--json"])
+    assert code == 0
+    assert main(fit) == 0
+    rows = _table_rows(capsys.readouterr().out)
+    assert len(doc["residuals"]) == 12
+    for row in doc["residuals"]:
+        n, l, *tokens = next(rows).split()
+        assert (n, l) == (str(row["n"]), str(row["l"]))
+        for key, token in zip(("e_obs", "e_fit", "residual"), tokens, strict=True):
+            assert _printed(token, row[key]["value"])
+    assert next(rows, None) is None
