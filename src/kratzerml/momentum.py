@@ -294,6 +294,8 @@ def integrate_branch(
         norm = max(abs(phi_raw), abs(dphi_raw) * p_max)
         if norm == 0.0:
             raise ValueError("initial conditions must not both vanish")
+        if norm == math.inf:
+            raise ValueError("initial conditions overflow when scaled by p_max")
         scales[:] = norm
         phi[:] = phi_raw / norm
         chi[:] = dphi_raw * p_max / norm

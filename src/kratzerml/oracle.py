@@ -12,6 +12,7 @@ each result certified against its own error estimate.
 
 from __future__ import annotations
 
+import functools
 import math
 import sys
 from typing import NamedTuple
@@ -67,11 +68,9 @@ _NO_GAP = (1.0, 0.0, 0.0)
 #: holds 2^(k+4) + 1 nodes, 8 * 2^k on either side of the midpoint
 _H0 = math.asinh(
     math.log(2.0 / (4.0 * sys.float_info.min) - 1.0) / math.pi) / 8.0
-#: tanh-sinh level k -> its new nodes u in (0, 1), their 1 - u and their
-#: weights, filled on first use
-_LEVELS: dict[int, tuple[np.ndarray, np.ndarray, np.ndarray]] = {}
 
 
+@functools.cache
 def _level(k: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """The nodes that tanh-sinh level k adds on u in [0, 1]: (u, 1 - u, w).
 
@@ -83,25 +82,22 @@ def _level(k: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     of u in t, (pi/4) cosh t / cosh^2 s; the step h_k multiplies them in
     _tanh_sinh.
     """
-    nodes = _LEVELS.get(k)
-    if nodes is None:
-        h = _H0 / 2**k
-        j = np.arange(9.0) if k == 0 else np.arange(1.0, 8 * 2**k + 1, 2.0)
-        t = j * h
-        s = 0.5 * math.pi * np.sinh(t)
-        near = 0.5 / (np.exp(s) * np.cosh(s))
-        weight = 0.25 * math.pi * np.cosh(t) / np.cosh(s) ** 2
-        # level 0's t = 0 is the midpoint u = 1/2: one node, not one per side
-        mirror = slice(1, None) if k == 0 else slice(None)
-        far = 1.0 - near
-        nodes = (
-            np.concatenate((near, far[mirror])),
-            np.concatenate((far, near[mirror])),
-            np.concatenate((weight, weight[mirror])),
-        )
-        for column in nodes:  # shared by every later call
-            column.flags.writeable = False
-        _LEVELS[k] = nodes
+    h = _H0 / 2**k
+    j = np.arange(9.0) if k == 0 else np.arange(1.0, 8 * 2**k + 1, 2.0)
+    t = j * h
+    s = 0.5 * math.pi * np.sinh(t)
+    near = 0.5 / (np.exp(s) * np.cosh(s))
+    weight = 0.25 * math.pi * np.cosh(t) / np.cosh(s) ** 2
+    # level 0's t = 0 is the midpoint u = 1/2: one node, not one per side
+    mirror = slice(1, None) if k == 0 else slice(None)
+    far = 1.0 - near
+    nodes = (
+        np.concatenate((near, far[mirror])),
+        np.concatenate((far, near[mirror])),
+        np.concatenate((weight, weight[mirror])),
+    )
+    for column in nodes:  # shared by every later call
+        column.flags.writeable = False
     return nodes
 
 
@@ -137,22 +133,13 @@ class _Integral(NamedTuple):
         return self.p + (4 if c2 != 0.0 else 2 if c1 != 0.0 else 0)
 
 
-def _require_integrable(lam: float, power: int, label: str) -> None:
-    # the density goes like r^(2 lam) at the origin, so dividing by
-    # r^power leaves r^(2 lam - power): integrable iff 2 lam - power > -1
-    if 2.0 * lam - power <= -1.0:
-        raise NonIntegrableError(
-            f"{label} diverges at the origin for lam = {lam!r}"
-        )
-
-
 class _Density:
     """The integrands of many _Integrals as one array expression.
 
     Every per-integral constant is a column with one row per integral.
-    density(x, rows) is R_a R_b r^(2 - p) gap^2 re, the integrand per
-    unit x = r/re, on the abscissae x, one row of them shared by the
-    integrals rows.  In x,
+    integrand(u, v, rows) is R_a R_b r^(2 - p) gap^2 re / v^2, the
+    integrand per unit u at x = r/re = u/v, one row of nodes shared by
+    the integrals rows.  In x,
     R(r) = exp(log N + (lam - 1) log x - alpha x) M(-n, 2 lam; 2 alpha x),
     with M from kummer_sum and log N the RadialState's; the exponentials
     of both states and of re^(3 - p) x^(2 - p) are taken as one, and the
@@ -170,11 +157,10 @@ class _Density:
     D x0/2 - T)/D).  The bound is on the true M, whatever sums it.
 
     The states are indexed by identity, and a call evaluates each
-    distinct state of its rows once: its M in one kummer_sum call, its
-    2 alpha x and, where every a is b, its ln M^2, which the rows read
-    through the index.  There 2 alpha x is the row's decay term D x bit for bit, as
-    alpha + alpha = 2 alpha exactly, and every row's E keeps its order of
-    operations, so sharing moves no bit.
+    distinct state of its rows once: its M in one kummer_sum call and,
+    where every a is b, its ln M^2, which the rows read through the
+    index.  Every row's E keeps its order of operations, so sharing moves
+    no bit.
     """
 
     def __init__(self, integrals: list[_Integral]) -> None:
@@ -227,52 +213,35 @@ class _Density:
             self.x_lo = np.where(self.power > 0.0, np.minimum(
                 1.0, np.exp((_LOG_UNDERFLOW - k) / self.power)), 0.0)
 
-    def _index(self, rows):
-        """The distinct states of rows, in state order, and where each
-        row's a and b sit among them; only those states are evaluated,
-        so the highest degree among the open rows bounds the Kummer sum."""
+    def integrand(self, u, v, rows):
+        """The integrand on u in [0, 1], x = u/(1 - u), at the nodes u
+        with v = 1 - u, one row per integral rows[i] on the same nodes."""
+        # only the states of rows are evaluated, so the highest degree
+        # among the open rows bounds the Kummer sum; at_a and at_b place
+        # each row's a and b among them
         a, b = self.a[rows], self.b[rows]
         used = np.zeros(self.kummer.shape[1], dtype=bool)
         used[a] = used[b] = True
         place = np.cumsum(used) - 1
-        return np.flatnonzero(used), place[a], place[b]
-
-    def _exponent(self, x, rows):
-        """E of rows on x, and M_a M_b for its sign unless every a is b;
-        summed in place, so that only E outlives the call."""
-        states, at_a, at_b = self._index(rows)
-        n, b, rate = self.kummer[:, states]
-        z = rate * x
-        poly = kummer_sum(n, b, z)
-        exponent = self.log_scale[rows] + self.power[rows] * np.log(x)
-        if self.same:
-            exponent -= z[at_a]
-            exponent += np.log(np.abs(poly * poly))[at_a]
-            return exponent, None
-        poly = poly[at_a] * poly[at_b]
-        exponent -= self.decay[rows] * x
-        exponent += np.log(np.abs(poly))
-        return exponent, poly
-
-    def __call__(self, x, rows):
-        exponent, poly = self._exponent(x, rows)
-        out = np.exp(exponent, out=exponent)
-        if poly is not None:
-            np.copysign(out, poly, out=out)
-        if self.gapped:
-            gap = self.gap[rows]
-            out *= np.square((gap[:, 0:1] * x + gap[:, 1:2]) * x + gap[:, 2:3])
-        return out
-
-    def window(self, rows) -> tuple[float, float]:
-        """The union [x_lo, x_hi] of the windows of rows."""
-        return self.x_lo[rows].min(), self.x_hi[rows].max()
-
-    def integrand(self, u, v, rows):
-        """The integrand on u in [0, 1], x = u/(1 - u), at the nodes u
-        with v = 1 - u, one row per integral rows[i] on the same nodes."""
+        at_a, at_b = place[a], place[b]
+        n, order, rate = self.kummer[:, used]
         with np.errstate(all="ignore"):
-            out = self(u / v, rows) / (v * v)
+            x = u / v
+            poly = kummer_sum(n, order, rate * x)
+            out = self.log_scale[rows] + self.power[rows] * np.log(x)
+            out -= self.decay[rows] * x
+            if self.same:
+                out += np.log(np.abs(poly * poly))[at_a]
+            else:
+                poly = poly[at_a] * poly[at_b]
+                out += np.log(np.abs(poly))
+            np.exp(out, out=out)
+            if not self.same:
+                np.copysign(out, poly, out=out)
+            if self.gapped:
+                c0, c1, c2 = self.gap[rows].T[:, :, None]
+                out *= np.square((c0 * x + c1) * x + c2)
+            out /= v * v
         # far out on the tail (from x ~ 5e7 at gamma = 1000, n = 20) the
         # squared Kummer sum of a high-degree state overflows where
         # exp(-alpha x) has long since underflowed, and the nodes next to
@@ -283,11 +252,11 @@ class _Density:
 
 def _weighted(density: _Density, rows, u, v, w):
     """f w for rows on all the nodes u, with f evaluated only inside the
-    rows' window: the other nodes' f is exactly 0, and a full-width row
-    of zeros keeps every sum's order and so its bits."""
-    lo, hi = density.window(rows)
+    union [x_lo, x_hi] of the rows' windows: the other nodes' f is
+    exactly 0, and a full-width row of zeros keeps every sum's order and
+    so its bits."""
     x = u / v
-    inside = (x >= lo) & (x <= hi)
+    inside = (x >= density.x_lo[rows].min()) & (x <= density.x_hi[rows].max())
     fw = np.zeros((len(rows), len(u)))
     fw[:, inside] = density.integrand(u[inside], v[inside], rows) * w[inside]
     return fw
@@ -386,7 +355,13 @@ def _certified(
 def _density_moments(integrals: list[_Integral]) -> list[QuadratureResult]:
     """The density integrals (a is b) by tanh-sinh, certified."""
     for it in integrals:
-        _require_integrable(it.a.shape.lam, it.power, it.label)
+        # the density goes like r^(2 lam) at the origin, so dividing by
+        # r^power leaves r^(2 lam - power): integrable iff 2 lam - power > -1
+        lam = it.a.shape.lam
+        if 2.0 * lam - it.power <= -1.0:
+            raise NonIntegrableError(
+                f"{it.label} diverges at the origin for lam = {lam!r}"
+            )
     return _certified(integrals, _tanh_sinh(integrals))
 
 

@@ -385,3 +385,58 @@ def test_fit_evaluates_the_end_point_once(monkeypatch, max_evaluations):
     assert residual_set == [end] * len(LEVELS)
     near = [one for one in sets if abs(one[0] - end) <= 1e-15 * end]
     assert len(near) == 1
+
+
+@pytest.fixture
+def solved(monkeypatch):
+    """Every projection estimate._solve_linear returns, in call order."""
+    seen = []
+    solve = estimate._solve_linear
+
+    def spy(s, a, b, gap, clamp):
+        seen.append(solve(s, a, b, gap, clamp))
+        return seen[-1]
+
+    monkeypatch.setattr(estimate, "_solve_linear", spy)
+    return seen
+
+
+def test_fit_halves_a_step_that_does_not_lower_the_rss(solved):
+    """From De = 1e5 cm^-1 and re = 50 A the heavy levels' Gauss-Newton
+    steps overshoot: each step that does not lower the RSS is retried at
+    half its length, and the fit still recovers (De, re, beta)."""
+    out = fit_parameters(synthetic_levels(HEAVY, BETA_HEAVY), 54.0,
+                         (100000.0, 50.0, 0.0))
+    assert out.converged
+    assert out.de_cm1 == pytest.approx(50000.0, rel=1e-6)
+    assert out.re_angstrom == pytest.approx(2.5, rel=1e-6)
+    assert out.beta == pytest.approx(BETA_HEAVY, rel=1e-6)
+    # replay the search: after each accepted point a probe at s + _FD_STEP
+    # for the slope, then trial steps until one lowers the RSS
+    cur, rejected, halved = solved[0], None, 0
+    for proj in solved[1:]:
+        if proj.s == cur.s + estimate._FD_STEP:
+            continue
+        step = proj.s - cur.s
+        if rejected is not None:
+            assert step == pytest.approx(0.5 * rejected, rel=1e-9)
+            halved += 1
+        if proj.rss < cur.rss:
+            cur, rejected = proj, None
+        else:
+            rejected = step
+    assert cur.rss == out.rss_cm2
+    assert halved > 0
+
+
+def test_fit_stops_where_the_step_underflows(solved):
+    """From De = 450 cm^-1 and re = 0.55 A the search ends on a Gauss-Newton
+    step too small to move ln gamma: the last level set evaluated is the
+    slope's probe, no trial follows it, and the fit is converged."""
+    out = fit_parameters(LEVELS, 1.2, (450.0, 0.55, 0.0))
+    assert out.converged
+    assert out.de_cm1 == pytest.approx(45000.0, rel=1e-6)
+    assert out.re_angstrom == pytest.approx(1.1, rel=1e-6)
+    assert out.beta == pytest.approx(BETA0, rel=1e-6)
+    assert solved[-1].s == solved[-2].s + estimate._FD_STEP
+    assert solved[-2].rss == out.rss_cm2

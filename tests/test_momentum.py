@@ -149,6 +149,10 @@ def test_integrate_branch_preconditions():
             integrate_branch(prob, "fast-decay", p_range)
     with pytest.raises(ValueError, match="initial conditions must be finite"):
         integrate_branch(prob, "fast-decay", (0.5, 50.0), ic=(math.nan, 1.0))
+    # finite initial data whose scaled size max(|phi|, |dphi| p_max) overflows
+    for ic in ((1.0, 1e308), (1e308, 1e308)):
+        with pytest.raises(ValueError, match="overflow when scaled by p_max"):
+            integrate_branch(prob, "fast-decay", (0.5, 50.0), ic=ic)
     # under three decades the asymptotic start is not trustworthy ...
     with pytest.raises(ValueError):
         integrate_branch(prob, "fast-decay", (0.5, 50.0))

@@ -388,8 +388,7 @@ def test_array_density_matches_scalar_wavefunction(gamma, n, l, re, fractions):
     z_max = 4.0 * (lam + n) + 40.0
     x = np.array(fractions) * z_max / two_alpha
     density = oracle._Density([oracle._Integral(state, state, 0, "norm")])
-    with np.errstate(all="ignore"):
-        got = (density(x[None, :], np.array([0]))[0] / re).tolist()
+    got = (density.integrand(x, np.ones_like(x), np.array([0]))[0] / re).tolist()
     for xi, value in zip(x.tolist(), got):
         r = xi * re
         amplitude = radial_wavefunction(state, r)
@@ -498,7 +497,7 @@ def test_cached_nodes_keep_their_complements():
     total = 0
     for k in range(_TOP_LEVEL + 1):
         u, v, w = oracle._level(k)
-        assert oracle._LEVELS[k] is oracle._level(k)
+        assert oracle._level(k) is oracle._level(k)
         total += len(u)
         assert len(v) == len(w) == len(u)
         assert total == 2 ** (k + 4) + 1
@@ -552,13 +551,12 @@ def test_window_skips_only_nodes_that_are_zero(integrals, max_level, atol):
     x = u / v
     values = density.integrand(u, v, np.arange(len(integrals)))
     for i, row in enumerate(values):
-        lo, hi = density.window(np.array([i]))
-        outside = (x < lo) | (x > hi)
+        outside = (x < density.x_lo[i, 0]) | (x > density.x_hi[i, 0])
         assert np.all(row[outside] == 0.0), integrals[i]
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(oracle, "_MAX_LEVEL", max_level)
         windowed = oracle._tanh_sinh(integrals, atol)
-        mp.setattr(oracle._Density, "window", lambda self, rows: (0.0, math.inf))
+        mp.setattr(oracle, "_LOG_UNDERFLOW", -math.inf)
         everywhere = oracle._tanh_sinh(integrals, atol)
     assert _bits(windowed) == _bits(everywhere)
 
@@ -579,7 +577,7 @@ def test_window_skips_most_nodes_of_verify(monkeypatch):
     run_checks("paper")
     inside = sum(evaluated)
     evaluated.clear()
-    monkeypatch.setattr(oracle._Density, "window", lambda self, rows: (0.0, math.inf))
+    monkeypatch.setattr(oracle, "_LOG_UNDERFLOW", -math.inf)
     run_checks("paper")
     assert 0 < inside < 0.5 * sum(evaluated)
 
@@ -655,22 +653,22 @@ def test_kummer_sums_each_state_once_per_call(monkeypatch):
     from kratzerml.verify import run_checks
 
     states, calls, summed = [], [], []
-    init, call = oracle._Density.__init__, oracle._Density.__call__
+    init, integrand = oracle._Density.__init__, oracle._Density.integrand
 
     def counted_init(self, integrals):
         states.append(len({id(s) for it in integrals for s in (it.a, it.b)}))
         init(self, integrals)
 
-    def counted_call(self, x, rows):
+    def counted_integrand(self, u, v, rows):
         calls.append(states[-1])
-        return call(self, x, rows)
+        return integrand(self, u, v, rows)
 
     def counted_sum(n, b, z):
         summed.append((states[-1], len(z)))
         return kummer_sum(n, b, z)
 
     monkeypatch.setattr(oracle._Density, "__init__", counted_init)
-    monkeypatch.setattr(oracle._Density, "__call__", counted_call)
+    monkeypatch.setattr(oracle._Density, "integrand", counted_integrand)
     monkeypatch.setattr(oracle, "kummer_sum", counted_sum)
     run_checks("paper")
     assert len(summed) == len(calls) > 0
