@@ -113,9 +113,10 @@ def _solve_linear(
         u = -math.fsum(map(mul, a, gap)) / aa
         along = math.fsum(map(mul, a, b)) / aa
         b_perp = [q - along * p for p, q in zip(a, b)]
-        c = -math.fsum(map(mul, b_perp, [g + u * p for p, g in zip(a, gap)]))
+        c = math.fsum(map(mul, b_perp, [g + u * p for p, g in zip(a, gap)]))
         perp = math.fsum(map(mul, b_perp, b_perp))
-        c /= perp
+        # 0.0 - c, not -c: a zero sum gives c = +0.0, so no beta is -0.0
+        c = (0.0 - c) / perp
         if clamp and c < 0.0:
             c = 0.0
         else:

@@ -7,6 +7,8 @@ parameterizations with their Fuchsian sum rules.
 
 All integrations work on phi = p psi, which is regular at the origin
 where psi itself is not; solutions are reported as psi on the grid.
+The equation is first order in beta: its phi'' coefficient carries
+1 + 6 beta p^2, not (1 + 3 beta p^2)^2 (tests/test_derivation.py).
 """
 
 from __future__ import annotations
@@ -107,6 +109,8 @@ def _coefficients(sigma1, sigma2, k, beta) -> tuple:
         b = 2 i sigma2 + (4 + 2 beta k^2) p + 6 i beta sigma2 p^2 + 26 beta p^3
         c = (2 - sigma1 - 2 beta k^2) - 4 i beta sigma2 p + 14 beta p^2
 
+    to first order in beta: a carries 1 + 6 beta p^2, not the
+    (1 + 3 beta p^2)^2 of the untruncated position operator squared.
     The ten parts (a0, a2, a4, b0, b1, b2, b3, c0, c1, c2), each a
     scalar on one problem's floats, or a numpy column on a batch's
     columns (_problem_columns).
@@ -154,11 +158,6 @@ def indicial_exponents(prob: MomentumProblem) -> tuple[complex, complex]:
         return (complex(fast), complex(slow))
     nu = cmath.sqrt(0.25 + prob.sigma1)
     return (-2.5 - nu, -2.5 + nu)
-
-
-def _branch_phi_exponent(prob: MomentumProblem, branch: str) -> complex:
-    s = indicial_exponents(prob)[BRANCHES.index(branch)]
-    return s + 1.0  # psi -> phi = p psi raises the exponent by one
 
 
 class OdeSolution(namedtuple("OdeSolution", "grid values branch")):
@@ -224,7 +223,7 @@ def integrate_branch(
     p_range: tuple[float, float],
     *,
     ic: tuple[complex, complex] | None = None,
-    p_stop: float | None = None,
+    p_stop: float = 0.0,
 ) -> OdeSolution | list[OdeSolution]:
     """Integrate decay branches inward from p_max.
 
@@ -250,10 +249,10 @@ def integrate_branch(
     member's bits take from its batch-mates.  Raises StiffnessError,
     naming the batch's sigma1 range, if a value turns non-finite.
 
-    p_stop (< p_max) ends the integration early: each solution then holds
-    the grid points from the last one at or below p_stop up to p_max, and
-    every value is == the same point of the full run, which only takes
-    more steps.  p_stop <= p_min gives the full solution.
+    p_stop (< p_max; default 0, the whole range) ends the integration
+    early: each solution then holds the grid points from the last one at
+    or below p_stop up to p_max, each value == the same point of the full
+    run, which only takes more steps.  p_stop <= p_min gives the full run.
     """
     (probs, branches), single = batch_columns(prob, branch)
     for member in branches:
@@ -262,7 +261,7 @@ def integrate_branch(
     p_min, p_max = p_range
     if not (0.0 < p_min < p_max):
         raise ValueError("p_range must satisfy 0 < p_min < p_max")
-    if p_stop is not None and not p_stop < p_max:
+    if not p_stop < p_max:
         raise ValueError("p_stop must lie below p_max")
     decades = math.log10(p_max / p_min)
     if not math.isfinite(decades):
@@ -272,21 +271,18 @@ def integrate_branch(
             "p_range must span >= 3 decades for asymptotic initial conditions"
         )
 
-    size = len(probs)
-    scales = np.empty(size, dtype=complex)
-    # phi and chi = p phi' at p_max, one column per member
-    phi = np.empty(size, dtype=complex)
-    chi = np.empty(size, dtype=complex)
+    # one row (phi, chi = p phi', scale) at p_max per member
     if ic is None:
-        for i, (member, member_branch) in enumerate(zip(probs, branches)):
-            s = _branch_phi_exponent(member, member_branch)
+        starts = []
+        for member, member_branch in zip(probs, branches):
+            # psi -> phi = p psi raises the exponent by one
+            s = indicial_exponents(member)[BRANCHES.index(member_branch)] + 1.0
             log0 = s * cmath.log(p_max)
             # integrate the unit-normalized ray and restore the power-law
             # amplitude afterwards; skip the restore only if p_max^s is
             # not representable (the ray is the same up to that constant)
-            scales[i] = cmath.exp(log0) if abs(log0.real) < 690.0 else 1.0
-            phi[i] = 1.0
-            chi[i] = s
+            scale = cmath.exp(log0) if abs(log0.real) < 690.0 else 1.0
+            starts.append((1.0, s, scale))
     else:
         phi_raw, dphi_raw = complex(ic[0]), complex(ic[1])
         if not (cmath.isfinite(phi_raw) and cmath.isfinite(dphi_raw)):
@@ -296,9 +292,8 @@ def integrate_branch(
             raise ValueError("initial conditions must not both vanish")
         if norm == math.inf:
             raise ValueError("initial conditions overflow when scaled by p_max")
-        scales[:] = norm
-        phi[:] = phi_raw / norm
-        chi[:] = dphi_raw * p_max / norm
+        starts = [(phi_raw / norm, dphi_raw * p_max / norm, norm)] * len(probs)
+    phi, chi, scales = np.array(starts, dtype=complex).T
 
     sigma1, sigma2, k, beta = _problem_columns(probs)
     coefficients = _coefficients(sigma1, sigma2, k, beta)
@@ -316,9 +311,7 @@ def integrate_branch(
     substeps = max(1, math.ceil(math.log(10.0) / MIN_POINTS_PER_DECADE * rate
                                 / _STEP_BOUND))
     # the last grid point at or below p_stop is the last one kept
-    first = 0
-    if p_stop is not None:
-        first = max(int(np.searchsorted(grid, p_stop, side="right")) - 1, 0)
+    first = max(int(np.searchsorted(grid, p_stop, side="right")) - 1, 0)
     # the steps taken, from p_max down, laid over the whole p_range
     taken = substeps * (intervals - first)
     nodes = np.geomspace(p_max, p_min, substeps * intervals + 1)[: taken + 1]
@@ -329,7 +322,7 @@ def integrate_branch(
         (drift[1:], pull[1:]),
         -math.log(p_max / p_min) / (substeps * intervals),
     )
-    states = np.empty((taken + 1, size), dtype=complex)
+    states = np.empty((taken + 1, len(probs)), dtype=complex)
     states[0] = phi
     with np.errstate(over="ignore", invalid="ignore"):
         for i in range(taken):

@@ -440,3 +440,69 @@ def test_fit_stops_where_the_step_underflows(solved):
     assert out.beta == pytest.approx(BETA0, rel=1e-6)
     assert solved[-1].s == solved[-2].s + estimate._FD_STEP
     assert solved[-2].rss == out.rss_cm2
+
+
+def test_fit_reports_a_zero_beta_as_positive_zero():
+    """A clamped fit whose beta De^2 sums to exactly zero returns +0.0, not
+    the -0.0 of a negated zero sum."""
+    out = fit_parameters(synthetic_levels(HEAVY, 0.0), 54.0, (25000.0, 5.0, 0.0))
+    assert out.converged
+    assert out.beta == 0.0 and math.copysign(1.0, out.beta) == 1.0
+
+
+@pytest.fixture
+def fail_level_set(monkeypatch):
+    """fail_level_set(k) makes the fit's k-th level set raise ValueError,
+    as an undefined level does, and returns the re of every set asked for,
+    in call order."""
+
+    def install(failing):
+        asked = []
+
+        def spy(mol, beta, nl):
+            asked.append(mol.re_angstrom)
+            if len(asked) == failing:
+                raise ValueError("injected: a level is undefined")
+            return level_energies(mol, beta, nl)
+
+        monkeypatch.setattr(estimate, "level_energies", spy)
+        return asked
+
+    return install
+
+
+def test_fit_halves_a_step_whose_level_set_fails(fail_level_set):
+    """The first Gauss-Newton step's level set fails: that step counts as
+    not lowering the RSS, is retried at half its length, and the fit still
+    recovers the heavy (De, re, beta)."""
+    asked = fail_level_set(3)
+    out = fit_parameters(synthetic_levels(HEAVY, BETA_HEAVY), 54.0,
+                         (55000.0, 2.3, 0.0))
+    assert out.converged
+    assert out.iterations == 12
+    assert out.de_cm1 == pytest.approx(50000.0, rel=1e-12)
+    assert out.re_angstrom == pytest.approx(2.5, rel=1e-12)
+    assert out.beta == pytest.approx(BETA_HEAVY, rel=1e-6)
+    # sets 1 and 2 are the start and its slope probe; 3 the failed step
+    s = [math.log(re / 2.3) for re in asked]
+    assert s[0] == 0.0 and s[1] == pytest.approx(estimate._FD_STEP, rel=1e-6)
+    assert s[3] == pytest.approx(0.5 * s[2], rel=1e-9)
+    assert len(asked) == out.iterations + 1  # and the residuals' set
+
+
+def test_fit_reruns_clamped_when_the_first_probe_fails(fail_level_set, solved):
+    """The slope probe's level set fails: the free search ends unconverged
+    at its start, where beta De^2 < 0, and the clamped rerun from the same
+    levels converges."""
+    fail_level_set(2)
+    out = fit_parameters(synthetic_levels(HEAVY, BETA_HEAVY), 54.0,
+                         (55000.0, 2.3, 0.0))
+    assert out.converged
+    assert out.iterations == 12
+    assert out.de_cm1 == pytest.approx(50000.0, rel=1e-12)
+    assert out.re_angstrom == pytest.approx(2.5, rel=1e-12)
+    assert out.beta == pytest.approx(BETA_HEAVY, rel=1e-6)
+    free, rerun = solved[:2]
+    assert free.s == rerun.s == 0.0 and free.gap == rerun.gap
+    assert free.c < 0.0 and rerun.c == 0.0
+    assert all(proj.c >= 0.0 for proj in solved[1:])

@@ -124,6 +124,9 @@ def test_solution_validation():
                     branch="slow-decay")
     with pytest.raises(ValueError):
         OdeSolution(grid=grid, values=values, branch="rising")
+    for short in (grid[:1], np.stack([grid, grid])):
+        with pytest.raises(ValueError, match="one-dimensional with >= 2 points"):
+            OdeSolution(grid=short, values=short, branch="slow-decay")
 
 
 def test_solution_is_frozen():
@@ -204,6 +207,10 @@ def test_fit_slope_validation():
     grid, values = _dense_solution()
     sol = OdeSolution(grid=grid, values=values, branch="fast-decay")
     assert fit_slope(sol) == pytest.approx(-2.0, abs=1e-12)
+    gap = OdeSolution(grid=grid, values=np.where(grid > 5.0, 0.0, values),
+                      branch="fast-decay")
+    with pytest.raises(ValueError, match="vanishes inside the fit window"):
+        fit_slope(gap)
 
 
 def test_fit_slope_refuses_window_below_grid():

@@ -60,6 +60,8 @@ def test_molecule_validation():
         Molecule("bad", 1.0, 0.0, 1.0)
     with pytest.raises(ValueError):
         Molecule("bad", 1.0, 1.0, math.inf)
+    with pytest.raises(ValueError, match="zpe_exp_cm1 must be finite when present"):
+        Molecule("bad", 1.0, 1.0, 1.0, zpe_exp_cm1=math.inf)
     mol = Molecule("ok", 1000.0, 1.0, 1.0)
     assert mol.zpe_exp_cm1 is None
     assert mol.de_joule == 1000.0 * WAVENUMBER_TO_JOULE
@@ -93,6 +95,9 @@ def test_couplings_molecular_branch():
 def test_couplings_validation():
     with pytest.raises(ValueError):
         KratzerCouplings(g1=0.0, g2=-1.0)
+    for g1, g2 in ((math.inf, 1.0), (1.0, math.nan)):
+        with pytest.raises(ValueError, match="couplings must be finite"):
+            KratzerCouplings(g1, g2)
     # negative g1 (attractive inverse-square) is a valid general input
     KratzerCouplings(g1=-1e-48, g2=0.0)
 
@@ -117,6 +122,12 @@ def test_shape_numbers_properties(gamma, n, l):
 def test_shape_numbers_never_raises_at_gamma_zero():
     shape = shape_numbers(0.0, QuantumNumbers(0, 0))
     assert shape.lam == 1.0
+
+
+@pytest.mark.parametrize("gamma", [-1.0, math.nan, math.inf])
+def test_shape_numbers_refuses_a_bad_gamma(gamma):
+    with pytest.raises(ValueError, match="gamma must be a nonnegative finite number"):
+        shape_numbers(gamma, QuantumNumbers(0, 0))
 
 
 def test_lambda_guard():

@@ -75,6 +75,8 @@ def test_parse_molecule_name_defaults_to_stem(tmp_path):
         ("De_cm1 =\nre_angstrom = 1\nmu_amu = 1\n", "empty value"),
         ("De_cm1 1000\n", "expected 'key = value'"),
         ("De_cm1 = -5\nre_angstrom = 1\nmu_amu = 1\n", "must be positive"),
+        ("De_cm1 = 1\nre_angstrom = 1\nmu_amu = 1\nzpe_exp_cm1 = nan\n",
+         "zpe_exp_cm1 must be finite when present"),
     ],
 )
 def test_parse_molecule_rejects(tmp_path, text, fragment):
@@ -529,6 +531,27 @@ def test_fit_cli_round_trip(capsys, levels_file):
     assert len(doc["residuals"]) == 12
     for row in doc["residuals"]:
         assert abs(row["residual"]["value"]) < 1e-6
+
+
+def test_fit_cli_writes_a_zero_beta_as_positive_zero(capsys, tmp_path):
+    """Undeformed heavy levels fit beta = 0, which the report writes as
+    0.0, never -0.0."""
+    mol = Molecule("heavy", 50000.0, 2.5, 54.0)
+
+    def level(n, l):
+        return energy_deformed(mol, 0.0, QuantumNumbers(n, l)).e
+
+    rows = [f"{n},{l},{energy_from_joule(level(n, l), 'cm-1')!r}"
+            for n in range(4) for l in range(3)]
+    path = write(tmp_path, "zero.levels", "\n".join(["n,l,E_cm1", *rows]) + "\n")
+    argv = ["fit", str(path), "--mu", "54", "--init", "25000,5.0,0"]
+    code, doc, out = run_json(capsys, [*argv, "--json"])
+    assert code == 0
+    assert doc["result"]["converged"] is True
+    assert "-0.0" not in out
+    assert math.copysign(1.0, doc["result"]["beta"]["value"]) == 1.0
+    assert main(argv) == 0
+    assert "beta = 0.000000e+00 " in capsys.readouterr().out
 
 
 def test_fit_cli_usage_errors(capsys, tmp_path, levels_file):

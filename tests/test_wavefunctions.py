@@ -175,6 +175,12 @@ def test_norm_survives_large_gamma():
     assert math.isfinite(norm) and norm > 0.0
 
 
+def test_radial_state_refuses_gamma_zero():
+    """At gamma = 0 the well has no bound state: alpha = 0 has no norm."""
+    with pytest.raises(ValueError, match="alpha must be positive for a bound state"):
+        make_radial_state(0.0, QuantumNumbers(0, 0), 1.0)
+
+
 def _overlap(gamma, n1, n2, l):
     """<R_n1 | R_n2> over r^2 dr, via r = t/(1-t) on the unit interval."""
     s1 = make_radial_state(gamma, QuantumNumbers(n1, l), 1.0)
