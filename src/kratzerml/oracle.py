@@ -33,25 +33,31 @@ __all__ = [
 ]
 
 #: the tanh-sinh level of the first convergence test: every level up to
-#: it is evaluated in the first call.  Of 2,160 moments (gamma in
-#: {2, 5, 10, 35.755}, n, l <= 5, p = 0..4, three re) at rel_tol 1e-10,
-#: none converges before level 5 even when tested from level 2 (585 stop
-#: at 5, 1,536 at 6, 39 at 7), and no certified one is off by more than
-#: 2.4e-12 against the hypervirial moments.  (scipy's tanhsinh estimate,
-#: tested from level 2, certified 5 of them off by up to 1.1e-7.)
+#: it is evaluated together, in one integrand call per block.  Of 2,160
+#: moments (gamma in {2, 5, 10, 35.755}, n, l <= 5, p = 0..4, three re)
+#: at rel_tol 1e-10, none converges before level 5 even when tested from
+#: level 2 (585 stop at 5, 1,536 at 6, 39 at 7), and no certified one is
+#: off by more than 2.4e-12 against the hypervirial moments.  (scipy's
+#: tanhsinh estimate, tested from level 2, certified 5 of them off by up
+#: to 1.1e-7.)
 _MIN_LEVEL = 5
 #: the last tanh-sinh level: level k evaluates ~2^(k+4) abscissae per
-#: integral.  Below level 2 there is no error estimate, and above 12 a
-#: call of _CHUNK integrals would hold millions of abscissae
+#: integral.  Below level 2 there is no error estimate; _CELLS bounds the
+#: memory of any level, so the cap bounds time: each level doubles the
+#: work of the integrals still open
 _MAX_LEVEL = 10
 #: the error estimate an integral must meet, relative to |value|: headroom
 #: over the 1e-8 agreement targets; below 1e-12 it is not certifiable in
 #: doubles
 _REL_TOL = 1e-10
-#: integrals per tanh-sinh call: verify's paper-grid moments peak at
-#: ~0.56 MB of numpy memory (tracemalloc) at 24 per call, ~2.6 MB at 144
-#: (a gamma row) per call
-_CHUNK = 24
+#: cells, (integral, node) pairs, per integrand evaluation: a level is
+#: evaluated in blocks of max(1, _CELLS // nodes) open rows, each reduced
+#: to its rows' sums before the next, so one block holds at most one
+#: 1 MiB float64 array (one row alone if its level is wider).  Every
+#: batch of verify's paper grid is one block per level (144 x 513 =
+#: 73,872 cells at most): its moments, 144 integrals per call, peak at
+#: ~1.7 MB of numpy memory (tracemalloc; ~0.46 MB at 24 per call)
+_CELLS = 2**17
 #: the log of the density below which exp gives exactly 0.0: exp(E) is 0
 #: from E = -745.13 (half the smallest subnormal) down, and the 15 below
 #: that cover the rounding of E and of the bound on it (_Density)
@@ -262,11 +268,25 @@ def _weighted(density: _Density, rows, u, v, w):
     return fw
 
 
+def _sums(density: _Density, rows, nodes, split: int):
+    """sum f w over nodes[:split] and over nodes[split:] for each of rows,
+    evaluated in blocks of at most _CELLS cells (_weighted).  A row's sums
+    keep their bits whichever rows share its block."""
+    u, v, w = nodes
+    size = max(1, _CELLS // len(u))
+    head, tail = np.empty(len(rows)), np.empty(len(rows))
+    for start in range(0, len(rows), size):
+        block = slice(start, start + size)
+        fw = _weighted(density, rows[block], u, v, w)
+        head[block] = fw[:, :split].sum(axis=1)
+        tail[block] = fw[:, split:].sum(axis=1)
+    return head, tail
+
+
 def _tanh_sinh(
     integrals: list[_Integral], atol: float = 0.0
 ) -> list[tuple[QuadratureResult, int]]:
-    """Every integral by tanh-sinh on u in [0, 1], _CHUNK per call, with
-    its status.
+    """Every integral by tanh-sinh on u in [0, 1], with its status.
 
     The rule runs on r = re u/(1 - u), which folds the infinite tail and
     the integrable singularity at the origin into ordinary endpoints.
@@ -275,49 +295,45 @@ def _tanh_sinh(
     _MIN_LEVEL, and an integral stops once that is below _REL_TOL |S_k| or
     atol.  Status 0 means converged; -2 that _MAX_LEVEL was reached and -3
     that a non-finite estimate stopped it.  f is evaluated only inside the
-    open rows' window, where exp has not underflowed (_weighted).
+    open rows' window, where exp has not underflowed (_weighted), and in
+    blocks of at most _CELLS cells (_sums).
     """
     first = min(_MIN_LEVEL, _MAX_LEVEL)
-    # levels 0..first in one integrand call, the ones below first ahead
+    # levels 0..first evaluated together, the ones below first ahead
     below = [_level(k) for k in range(first)]
-    u, v, w = (np.concatenate(parts) for parts in zip(*below, _level(first)))
-    split = sum(len(nodes[0]) for nodes in below)
-    out = []
-    for start in range(0, len(integrals), _CHUNK):
-        chunk = integrals[start : start + _CHUNK]
-        density = _Density(chunk)
-        rows = np.arange(len(chunk))
-        value = np.empty(len(chunk))
-        error = np.empty(len(chunk))
-        status = np.full(len(chunk), -2)
-        with np.errstate(all="ignore"):
-            fw = _weighted(density, rows, u, v, w)
-            previous = _H0 / 2 ** (first - 1) * fw[:, :split].sum(axis=1)
-            estimate = previous / 2 + _H0 / 2**first * fw[:, split:].sum(axis=1)
-            level = first
-            while True:
-                d1 = np.abs(estimate - previous)
-                converged = (d1 < _REL_TOL * np.abs(estimate)) | (d1 < atol)
-                broken = ~converged & ~np.isfinite(estimate)
-                status[rows[converged]] = 0
-                status[rows[broken]] = -3
-                stop = converged | broken | (level == _MAX_LEVEL)
-                value[rows[stop]] = estimate[stop]
-                error[rows[stop]] = d1[stop]
-                if stop.all():
-                    break
-                level += 1
-                rows, previous = rows[~stop], estimate[~stop]
-                u_k, v_k, w_k = _level(level)
-                fw = _weighted(density, rows, u_k, v_k, w_k)
-                estimate = previous / 2 + _H0 / 2**level * fw.sum(axis=1)
-        out += [
-            (QuadratureResult(value=val, error_estimate=err), code)
-            for val, err, code in zip(
-                value.tolist(), error.tolist(), status.tolist()
-            )
-        ]
-    return out
+    nodes = [np.concatenate(parts) for parts in zip(*below, _level(first))]
+    split = sum(len(u) for u, _, _ in below)
+    density = _Density(integrals)
+    rows = np.arange(len(integrals))
+    value = np.empty(len(integrals))
+    error = np.empty(len(integrals))
+    status = np.full(len(integrals), -2)
+    with np.errstate(all="ignore"):
+        head, tail = _sums(density, rows, nodes, split)
+        previous = _H0 / 2 ** (first - 1) * head
+        estimate = previous / 2 + _H0 / 2**first * tail
+        level = first
+        while True:
+            d1 = np.abs(estimate - previous)
+            converged = (d1 < _REL_TOL * np.abs(estimate)) | (d1 < atol)
+            broken = ~converged & ~np.isfinite(estimate)
+            status[rows[converged]] = 0
+            status[rows[broken]] = -3
+            stop = converged | broken | (level == _MAX_LEVEL)
+            value[rows[stop]] = estimate[stop]
+            error[rows[stop]] = d1[stop]
+            if stop.all():
+                break
+            level += 1
+            rows, previous = rows[~stop], estimate[~stop]
+            _, tail = _sums(density, rows, _level(level), 0)
+            estimate = previous / 2 + _H0 / 2**level * tail
+    return [
+        (QuadratureResult(value=val, error_estimate=err), code)
+        for val, err, code in zip(
+            value.tolist(), error.tolist(), status.tolist()
+        )
+    ]
 
 
 def _certified(

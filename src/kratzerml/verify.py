@@ -118,7 +118,9 @@ def _states(gamma: float, ns, ls) -> list:
 def _oracle_moments(grid) -> Iterator[float]:
     gammas, ns, ls = grid
     for gamma in gammas:
-        # one gamma row per quadrature call
+        # one gamma row (144 integrals) per quadrature call: the whole
+        # grid in one call evaluates blocks of up to 255 rows, for more
+        # peak memory and no gain in time
         scale = gamma * gamma / ANGSTROM_TO_M  # mu g2 / hbar^2 at re = 1 A
         states = _states(gamma, ns, ls)
         ps = (1, 2, 3, 4) * len(states)
@@ -133,6 +135,7 @@ def _oracle_correction(grid) -> Iterator[float]:
     gammas, ns, ls = grid
     beta = 1e-46
     for gamma in gammas:
+        # one quadrature call per gamma, which has its own couplings
         mol = _synthetic_molecule(gamma)
         c = couplings_from_kratzer(mol)
         states = _states(gamma, ns, ls)
@@ -252,21 +255,23 @@ def _fuchsian(draws: int) -> Iterator[float]:
 
 
 def _normalization(grid) -> Iterator[float]:
+    # every gamma's states in one quadrature call, gamma-major
     gammas, ns, ls = grid
-    for gamma in gammas:
-        for r in expectation_inverse_power(0, _states(gamma, ns, ls)):
-            yield abs(r.value - 1.0)
+    states = [state for gamma in gammas for state in _states(gamma, ns, ls)]
+    for r in expectation_inverse_power(0, states):
+        yield abs(r.value - 1.0)
 
 
 def _orthogonality(grid) -> Iterator[float]:
-    # off-diagonal pairs within each l, one quadrature call per gamma
+    # off-diagonal pairs within each l, every gamma's in one quadrature
+    # call, gamma-major
     gammas, ns, ls = grid
-    for gamma in gammas:
-        pairs = [
-            pair for l in ls for pair in combinations(_states(gamma, ns, (l,)), 2)
-        ]
-        for r in radial_overlap(*zip(*pairs)):
-            yield abs(r.value)
+    pairs = [
+        pair for gamma in gammas for l in ls
+        for pair in combinations(_states(gamma, ns, (l,)), 2)
+    ]
+    for r in radial_overlap(*zip(*pairs)):
+        yield abs(r.value)
 
 
 _LEVEL_GRIDS = {

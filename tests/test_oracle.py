@@ -444,7 +444,8 @@ def _agree_with_scipy(integrals, atol=0.0):
     orders and at nodes whose 1 - u differs in its last bits: 64 ulps of
     the integral of |f| (measured: at most 32), |value| for a moment and
     at most 1 for an overlap by Cauchy-Schwarz."""
-    assert len(integrals) <= oracle._CHUNK  # one call of each rule
+    # one block per level: levels 0..5 hold 513 nodes
+    assert len(integrals) * 513 <= oracle._CELLS
     ours = oracle._tanh_sinh(integrals, atol)
     theirs = _scipy_tanh_sinh(integrals, atol)
     for it, (result, status), (value, estimate, code) in zip(
@@ -458,7 +459,8 @@ def _agree_with_scipy(integrals, atol=0.0):
 
 
 def test_moments_agree_with_scipy_tanhsinh():
-    """The package's tanh-sinh rule and scipy's agree on one moments chunk."""
+    """The package's tanh-sinh rule and scipy's agree on one batch of
+    moments."""
     states = [
         make_radial_state(gamma, QuantumNumbers(n, l), 1.0)
         for gamma in (2.0, 35.755) for n, l in ((0, 0), (3, 2))
@@ -470,7 +472,7 @@ def test_moments_agree_with_scipy_tanhsinh():
 
 
 def test_overlaps_agree_with_scipy_tanhsinh():
-    """As above on one chunk of overlaps with the overlap's absolute stop:
+    """As above on one batch of overlaps with the overlap's absolute stop:
     the pairs of each gamma's l = 1 states, orthogonal ones (whose values
     are roundoff) and the diagonal."""
     pairs = []
@@ -484,8 +486,9 @@ def test_overlaps_agree_with_scipy_tanhsinh():
     )
 
 
-#: the highest level _MAX_LEVEL may be raised to: above it a call of
-#: _CHUNK integrals would hold millions of abscissae
+#: the highest level _MAX_LEVEL may be raised to: _CELLS bounds each
+#: evaluation's memory at any level, but each level doubles the time of
+#: the integrals still open, and level 12 alone adds 65,536 nodes
 _TOP_LEVEL = 12
 
 
@@ -508,10 +511,10 @@ def test_cached_nodes_keep_their_complements():
 
 @st.composite
 def _chunks(draw):
-    """One tanh-sinh chunk of moments, gapped moments and overlaps, each
-    at its own gamma in [2, 3000], re in [1e-11, 1] m and n, l <= 20."""
+    """One tanh-sinh batch of 1..24 moments, gapped moments and overlaps,
+    each at its own gamma in [2, 3000], re in [1e-11, 1] m and n, l <= 20."""
     integrals = []
-    for _ in range(draw(st.integers(1, oracle._CHUNK))):
+    for _ in range(draw(st.integers(1, 24))):
         gamma = draw(st.floats(2.0, 3000.0))
         re = 10.0 ** draw(st.floats(-11.0, 0.0))
         l = draw(st.integers(0, 20))
@@ -563,7 +566,7 @@ def test_window_skips_only_nodes_that_are_zero(integrals, max_level, atol):
 
 def test_window_skips_most_nodes_of_verify(monkeypatch):
     """verify's paper grid evaluates its integrands on fewer than half the
-    nodes of the levels it reaches (about 39 %)."""
+    nodes of the levels it reaches (about 43 %)."""
     from kratzerml.verify import run_checks
 
     evaluated = []
@@ -584,9 +587,9 @@ def test_window_skips_most_nodes_of_verify(monkeypatch):
 
 @st.composite
 def _shared_chunks(draw):
-    """One tanh-sinh chunk over a pool of one to six states at one re,
-    each drawn into several rows: moments, gapped moments and overlaps,
-    or only the density kinds, whose chunks share ln M^2 too."""
+    """One tanh-sinh batch of 1..24 rows over a pool of one to six states
+    at one re, each drawn into several rows: moments, gapped moments and
+    overlaps, or only the density kinds, whose batches share ln M^2 too."""
     re = 10.0 ** draw(st.floats(-11.0, 0.0))
     pool = [
         make_radial_state(draw(st.floats(2.0, 3000.0)), QuantumNumbers(
@@ -596,7 +599,7 @@ def _shared_chunks(draw):
     kinds = draw(st.sampled_from([("moment", "gapped", "overlap"),
                                   ("moment", "gapped"), ("overlap",)]))
     integrals = []
-    for _ in range(draw(st.integers(1, oracle._CHUNK))):
+    for _ in range(draw(st.integers(1, 24))):
         a = draw(st.sampled_from(pool))
         kind = draw(st.sampled_from(kinds))
         if kind == "overlap":
@@ -612,7 +615,7 @@ def _shared_chunks(draw):
 
 
 def _copied(integrals):
-    """The chunk with each row's states replaced by equal copies that no
+    """The batch with each row's states replaced by equal copies that no
     other row shares; a row whose a is b keeps one copy for both."""
     rows = []
     for it in integrals:
@@ -628,8 +631,8 @@ def _copied(integrals):
     atol=st.sampled_from([0.0, oracle._OVERLAP_ATOL]),
 )
 def test_shared_states_keep_every_bit(integrals, max_level, atol):
-    """A chunk whose rows share states, each evaluated once per call, gives
-    the bits of every value, estimate and status of the same chunk built
+    """A batch whose rows share states, each evaluated once per call, gives
+    the bits of every value, estimate and status of the same batch built
     from distinct copies; and its integrand on one row of nodes for every
     integral is, bit for bit, its integrand for each integral alone."""
     with pytest.MonkeyPatch.context() as mp:
@@ -649,7 +652,7 @@ def test_shared_states_keep_every_bit(integrals, max_level, atol):
 
 def test_kummer_sums_each_state_once_per_call(monkeypatch):
     """On verify's paper grid each integrand call makes one kummer_sum
-    call, on at most one row per distinct state of its chunk."""
+    call, on at most one row per distinct state of its batch."""
     from kratzerml.verify import run_checks
 
     states, calls, summed = [], [], []
@@ -673,3 +676,48 @@ def test_kummer_sums_each_state_once_per_call(monkeypatch):
     run_checks("paper")
     assert len(summed) == len(calls) > 0
     assert all(rows <= distinct for distinct, rows in summed)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    integrals=st.one_of(_chunks(), _shared_chunks()),
+    cells=st.integers(2, 24 * 513),
+    max_level=st.integers(5, 10),
+    atol=st.sampled_from([0.0, oracle._OVERLAP_ATOL]),
+)
+def test_bits_do_not_depend_on_the_cell_budget(integrals, cells, max_level,
+                                                atol):
+    """tanh-sinh gives the bits of every value, estimate and status
+    whichever rows share a block: at the default _CELLS, at one row per
+    block on every level (_CELLS = 1) and at a drawn budget."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(oracle, "_MAX_LEVEL", max_level)
+        default = oracle._tanh_sinh(integrals, atol)
+        mp.setattr(oracle, "_CELLS", 1)
+        alone = oracle._tanh_sinh(integrals, atol)
+        mp.setattr(oracle, "_CELLS", cells)
+        drawn = oracle._tanh_sinh(integrals, atol)
+    assert _bits(default) == _bits(alone) == _bits(drawn)
+
+
+def test_each_evaluation_holds_at_most_the_cell_budget(monkeypatch):
+    """No block of rows x level nodes exceeds _CELLS (or one row, where a
+    level alone is wider): on verify's paper grid, and on 24 integrals
+    that stay open up to level 10, whose 24 x 8,192 cells there split."""
+    from kratzerml.verify import run_checks
+
+    blocks = []
+    weighted = oracle._weighted
+
+    def spied(density, rows, u, v, w):
+        blocks.append((len(rows), len(u)))
+        return weighted(density, rows, u, v, w)
+
+    monkeypatch.setattr(oracle, "_weighted", spied)
+    run_checks("paper")
+    state = make_radial_state(300.0, QuantumNumbers(20, 20), 1e-10)
+    with pytest.raises(ToleranceError, match=r"level 10 \(24 of 24"):
+        expectation_inverse_power(3, [state] * 24)
+    assert max(nodes for _, nodes in blocks) == 8192  # level 10 reached
+    assert all(rows * nodes <= max(oracle._CELLS, nodes)
+               for rows, nodes in blocks)
